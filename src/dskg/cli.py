@@ -9,27 +9,24 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import dual, integrate, lie_core, operators
+from .cases import CASES, FREE_FIELD, case_spec
 from .dual import Dual
 from .fields import (FieldConfig, chi_residual, gauge_residual,
                      invariance_residual, invariant_two_form)
 from .geometry import (chart_for, hyperboloid_residual, induced_metric,
                        killing_residual, sample_domain)
-from .integrate import (CASE_RUN_DEFAULTS, ansatz, default_grid, joint_system_residual,
-                        lambda_rep, reduced_ode, reduction_coefficients, solution_basis)
-from .lie_core import (ALL_CASES, CaseId, INTEGRABLE_CASES, PARAMETERIZED_CASES,
-                       TABLE3_REFERENCE, case_extension, integrability_check, subalgebra,
-                       table3_diff)
+from .integrate import (ansatz, default_grid, joint_system_residual, lambda_rep,
+                        reduced_ode, reduction_coefficients, solution_basis)
+from .lie_core import (ALL_CASES, CaseId, INTEGRABLE_CASES, case_extension,
+                       integrability_check, subalgebra, table3_diff)
 from .operators import (commutation_table_fit, kg_operator, symmetry_check,
                         symmetry_operators)
 
@@ -49,24 +46,9 @@ DEFAULT_TOLERANCES = {
     "joint_system": 1e-8,
     "reduced_coefficients": 1e-9,
     "wave_residual": 1e-6,
+    "symmetry_commutator": 1e-8,
+    "structure_vs_catalog": 1e-9,
 }
-
-FIELD_TEMPLATES = {
-    CaseId.G11: "dq1 ^ d f1(u1,u2) + f2(u1,u2) du1 ^ du2",
-    CaseId.G12: "dq1 ^ d f1(u1,u2) + f2(u1,u2) du1 ^ du2",
-    CaseId.G13a: "dq1 ^ d f1(u1,u2) + f2(u1,u2) du1 ^ du2",
-    CaseId.G14: "dq1 ^ d f1(u1,u2) + f2(u1,u2) du1 ^ du2",
-    CaseId.G21: "mu dq1 ^ dq2 + f1(u1) dq1 ^ du1 + f2(u1) dq2 ^ du1",
-    CaseId.G22: "mu dq1 ^ dq2 + f1(u1) dq1 ^ du1 + f2(u1) dq2 ^ du1",
-    CaseId.G23: "exp(q2) dq1 ^ (f1(u1) dq2 + d f1(u1)) + f2(u1) dq2 ^ du1",
-    CaseId.G31: "exp(q3) (mu1 dq1 + mu2 dq2) ^ dq3",
-    CaseId.G32: "mu dq1 ^ dq2",
-    CaseId.G33a: "exp(a q3) [(mu1 cos q3 + mu2 sin q3) dq1 + (mu1 sin q3 - mu2 cos q3) dq2] ^ dq3",
-    CaseId.G34: "mu cos(q2) dq1 ^ dq2",
-    CaseId.G35: "mu cos(q2) dq1 ^ dq2",
-    CaseId.G41: "0",
-}
-
 
 class UsageError(ValueError):
     pass
@@ -119,13 +101,15 @@ def parse_complex(text: str) -> complex:
         raise UsageError(f"cannot parse complex value '{text}'") from exc
 
 
-def _field_config(case: CaseId, run: RunConfig) -> FieldConfig:
-    a = run.a
-    if case in PARAMETERIZED_CASES and a is None:
+def _family_a(case: CaseId, run: RunConfig) -> Optional[float]:
+    if case_spec(case).parameterized and run.a is None:
         raise UsageError(f"case {case.value} requires --a")
+    return run.a
+
+
+def _field_config(case: CaseId, run: RunConfig) -> FieldConfig:
     return FieldConfig(case, mu=run.mu, mu1=run.mu1, mu2=run.mu2, e=run.e,
-                       m=run.m, zeta=run.zeta,
-                       parameter_a=a if case in PARAMETERIZED_CASES else None)
+                       m=run.m, zeta=run.zeta, parameter_a=_family_a(case, run))
 
 
 def _resolve_case(text: str) -> CaseId:
@@ -143,20 +127,21 @@ def _resolve_case(text: str) -> CaseId:
 def cmd_catalog(run: RunConfig, out) -> int:
     a = run.a if run.a is not None else 1.0
     entries = []
-    for case in ALL_CASES:
-        sub = subalgebra(case, a if case in PARAMETERIZED_CASES else None)
-        rec = integrability_check(case_extension(case, mu=run.mu or 1.0, a=a))
+    for spec in CASES:
+        case = spec.case_id
+        sub = subalgebra(case, a)
+        rec = integrability_check(case_extension(case, mu=run.mu, a=a))
         d = sub.to_dict()
-        if case in PARAMETERIZED_CASES:
+        if spec.parameterized:
             d["parameter"] = {"name": "a", "value": a}
-        d["field_template"] = FIELD_TEMPLATES[case]
+        d["field_template"] = spec.field.template
         d["table3"] = {
             "dim": rec.dim, "ind": rec.ind, "s": rec.s, "l": rec.l,
             "m_tilde": rec.m_tilde, "integrable": rec.integrable,
         }
-        d["table3_reference"] = list(TABLE3_REFERENCE[case])
+        d["table3_reference"] = list(spec.table3_reference)
         entries.append(d)
-    diff = {c.value: v for c, v in table3_diff(mu=run.mu or 1.0, a=a).items()}
+    diff = {c.value: v for c, v in table3_diff(mu=run.mu, a=a).items()}
     doc = {"schema": SCHEMA_VERSION, "entries": entries, "table3_diff": diff}
     if run.fmt == "csv":
         w = csv.writer(out)
@@ -177,6 +162,7 @@ def cmd_catalog(run: RunConfig, out) -> int:
 
 def _verify_case(case: CaseId, run: RunConfig) -> dict:
     cfg = _field_config(case, run)
+    sub = subalgebra(case, cfg.parameter_a)
     rng = np.random.default_rng(run.seed)
     chart = chart_for(case, cfg.parameter_a)
     pts = sample_domain(chart, 40, rng)
@@ -198,29 +184,27 @@ def _verify_case(case: CaseId, run: RunConfig) -> dict:
         kind, eps = run.perturb
         if kind != "chi":
             raise UsageError(f"unknown perturbation target '{kind}'")
-        n = subalgebra(case, cfg.parameter_a).dim
-        chi_extra = [lambda c, s=eps: s * c[0]] + [None] * (n - 1)
+        chi_extra = [lambda c, s=eps: s * c[0]] + [None] * (sub.dim - 1)
 
     ops = symmetry_operators(case, cfg, chi_extra=chi_extra)
     fit = commutation_table_fit(ops, [tuple(p) for p in pts[:12]], 1j * cfg.e)
     res["commutation_table"] = fit.residual
-    sub = subalgebra(case, cfg.parameter_a)
-    expected_central = lie_core.standard_cocycle(case, cfg.mu, sub.dim).F
+    expected_central = lie_core.standard_cocycle(case, cfg.mu).F
     res["central_charge"] = float(np.max(np.abs(fit.central - expected_central))) \
         if sub.dim > 1 else 0.0
     res["structure_vs_catalog"] = float(
         np.max(np.abs(fit.structure - sub.algebra.structure_constants))) if sub.dim > 1 else 0.0
 
-    if case in INTEGRABLE_CASES:
+    integ = case_spec(case).integration
+    if integ is not None:
         rep = lambda_rep(case, run.J, cfg)
         lam_pts = [(0.35,), (0.8,), (-0.6,), (1.1,)]
         res["lambda_commutation"] = operators.representation_residual(
             rep.ops, sub.algebra.structure_constants, expected_central,
             rep.ell0, lam_pts)
-        lam = run.lam if run.lam is not None else CASE_RUN_DEFAULTS[case]["lam"]
+        lam = run.lam if run.lam is not None else integ.lam
         ans = ansatz(case, cfg, run.J, lam)
-        box = CASE_RUN_DEFAULTS[case]["grid"]
-        jpts = [[rng.uniform(lo, hi) for lo, hi in box] for _ in range(8)]
+        jpts = [[rng.uniform(lo, hi) for lo, hi in integ.grid] for _ in range(8)]
         res["joint_system"] = joint_system_residual(ans, rep, jpts)
         ode = reduced_ode(case, cfg, run.J)
         worst = 0.0
@@ -245,9 +229,7 @@ def _verify_case(case: CaseId, run: RunConfig) -> dict:
     checks = {}
     ok = True
     for key, val in res.items():
-        limit = tol.get(key, tol.get("commutation_table"))
-        if key == "symmetry_commutator":
-            limit = tol.get("joint_system", 1e-8)
+        limit = tol[key]
         passed = bool(val <= limit)
         checks[key] = {"residual": float(val), "tolerance": limit, "pass": passed}
         ok = ok and passed
@@ -256,21 +238,12 @@ def _verify_case(case: CaseId, run: RunConfig) -> dict:
 
 def cmd_verify(run: RunConfig, out) -> int:
     if run.case in (None, "all"):
-        cases = [c for c in ALL_CASES]
+        selected = ALL_CASES
     else:
-        cases = [_resolve_case(run.case)]
+        selected = [_resolve_case(run.case)]
     if run.a is None:
         run.a = 1.0
-    workers = int(os.environ.get("THREADS", "1"))
-    results: dict[str, dict] = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {case: pool.submit(_verify_case, case, run) for case in cases}
-            for case, fut in futs.items():
-                results[case.value] = fut.result()
-    else:
-        for case in cases:
-            results[case.value] = _verify_case(case, run)
+    results = {case.value: _verify_case(case, run) for case in selected}
     overall = all(r["pass"] for r in results.values())
     report = {
         "schema": SCHEMA_VERSION,
@@ -303,13 +276,14 @@ def cmd_solve(run: RunConfig, out, err) -> int:
     if run.case is None:
         raise UsageError("solve requires --case")
     case = _resolve_case(run.case)
-    if case == CaseId.G41:
+    spec = case_spec(case)
+    if spec.field is FREE_FIELD:
         raise UsageError("free-field case out of scope")
-    if case not in INTEGRABLE_CASES:
+    if spec.integration is None:
         raise UsageError(f"case {case.value} is not integrable; "
                          "choose one of " + ", ".join(c.value for c in INTEGRABLE_CASES))
     cfg = _field_config(case, run)
-    lam = run.lam if run.lam is not None else CASE_RUN_DEFAULTS[case]["lam"]
+    lam = run.lam if run.lam is not None else spec.integration.lam
     basis = solution_basis(case, cfg, run.J)
     ans = ansatz(case, cfg, run.J, lam)
     h = kg_operator(case, cfg)
@@ -356,10 +330,7 @@ def cmd_chart(run: RunConfig, out) -> int:
     if run.case is None:
         raise UsageError("chart requires --case")
     case = _resolve_case(run.case)
-    if case in PARAMETERIZED_CASES and run.a is None:
-        raise UsageError(f"case {case.value} requires --a")
-    a = run.a if case in PARAMETERIZED_CASES else None
-    chart = chart_for(case, a)
+    chart = chart_for(case, _family_a(case, run))
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(chart.domain, run.grid)]
     writer = csv.writer(out)
     writer.writerow(["case"] + list(chart.coord_names)
@@ -402,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--a", type=float, default=None)
             p.add_argument("--J", type=float, default=1.0)
             p.add_argument("--lambda", dest="lam", default=None,
-                           help="complex value as a+bi, both parts required")
+                           help="complex value as a+bi, both parts required; attach a "
+                                "negative value with =, e.g. --lambda=-0.5+0.1i")
 
     p = sub.add_parser("catalog", help="emit the subalgebra catalog with the "
                                        "computed classification table")

@@ -208,9 +208,11 @@ def gradient(f, point):
     return r.grad if isinstance(r, Dual) else (0j,) * len(point)
 
 
-def hessian(f, point):
-    r = f(Dual.seed(point))
-    if isinstance(r, Dual):
-        return r.hess
-    k = len(point)
-    return ((0j,) * k,) * k
+def partial(jet, index):
+    """The 1-jet of one partial derivative of a 2-jet, so first-order operators
+    can act on it (its Hessian is dropped)."""
+    if not isinstance(jet, Dual):
+        raise TypeError("partial of a non-dual value")
+    k = len(jet.grad)
+    z = (0j,) * k
+    return Dual(jet.grad[index], jet.hess[index], (z,) * k)

@@ -1,10 +1,11 @@
 """Invariant electromagnetic data on the rectifying charts.
 
-For every catalog entry this module provides the generic closed 2-form left
-invariant by the entry's generators, a gauge potential with dA = F, and the
-scalar functions chi_A solving d chi_A = -i_{X_A} F.  The chi normalization
-constants are fixed so the resulting symmetry operators reproduce the
-tabulated commutation relations, including the central charges.
+For every catalog entry this module wraps the registry's generic closed
+2-form left invariant by the entry's generators, a gauge potential with
+dA = F, and the scalar functions chi_A solving d chi_A = -i_{X_A} F (the
+formulas live in :mod:`dskg.cases`).  The chi normalization constants are
+fixed so the resulting symmetry operators reproduce the tabulated
+commutation relations, including the central charges.
 
 Arbitrary profile functions f1, f2 (allowed for the low-dimensional entries)
 are supplied by the caller as dual-evaluable callables; defaults suitable for
@@ -20,53 +21,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import dual
+from .cases import CaseId, case_spec, resolve
 from .dual import Dual
 from .geometry import rect_components
-from .lie_core import CaseId, Cocycle, PARAMETERIZED_CASES, subalgebra
+from .lie_core import Cocycle, subalgebra
 
 ZETA_CONFORMAL = 1.0 / 6.0
 FORM_TOL = 1e-10
-
-
-def _zero(coords):
-    return 0.0
-
-
-def _partial(jet, index):
-    """First-derivative 1-jet of a 2-jet (Hessian content is dropped)."""
-    if not isinstance(jet, Dual):
-        raise TypeError("partial of a non-dual value")
-    k = len(jet.grad)
-    z = (0j,) * k
-    return Dual(jet.grad[index], jet.hess[index], (z,) * k)
-
-
-def _default_f1_1dim(u1, u2):
-    return u1 + 0.5 * u2
-
-
-def _default_f2_1dim(u1, u2):
-    return 1.0
-
-
-def _default_f1(u1):
-    return u1
-
-
-def _default_f1_antideriv(u1):
-    return 0.5 * u1 * u1
-
-
-def _default_f2(u1):
-    return 1.0
-
-
-def _default_f2_antideriv(u1):
-    return u1 * 1.0
-
-
-def _default_f2_antideriv_1dim(u1, u2):
-    return u1 * 1.0
 
 
 @dataclass
@@ -87,23 +48,19 @@ class FieldConfig:
     f2_antideriv: Optional[Callable] = None
 
     def __post_init__(self):
-        self.case_id = CaseId(self.case_id)
+        spec, self.parameter_a = resolve(self.case_id, self.parameter_a)
+        self.case_id = spec.case_id
         if not (abs(self.zeta) < 1e-14 or abs(self.zeta - ZETA_CONFORMAL) < 1e-14):
             raise ValueError("zeta must be 0 (minimal) or 1/6 (conformal coupling)")
-        if self.case_id in PARAMETERIZED_CASES:
-            if self.parameter_a is None or self.parameter_a <= 0:
-                raise ValueError(f"{self.case_id} requires parameter_a > 0")
-        else:
-            self.parameter_a = None
-        one_dim = self.case_id in (CaseId.G11, CaseId.G12, CaseId.G13a, CaseId.G14)
+        defaults = spec.field.profiles
         if self.f1 is None:
-            self.f1 = _default_f1_1dim if one_dim else _default_f1
-            if self.f1_antideriv is None and not one_dim:
-                self.f1_antideriv = _default_f1_antideriv
+            self.f1 = defaults.f1
+            if self.f1_antideriv is None:
+                self.f1_antideriv = defaults.f1_antideriv
         if self.f2 is None:
-            self.f2 = _default_f2_1dim if one_dim else _default_f2
+            self.f2 = defaults.f2
             if self.f2_antideriv is None:
-                self.f2_antideriv = _default_f2_antideriv_1dim if one_dim else _default_f2_antideriv
+                self.f2_antideriv = defaults.f2_antideriv
 
     @property
     def mass_term(self) -> float:
@@ -150,7 +107,7 @@ class TwoForm:
         for c, a, b in permutations:
             val = self.component(a, b, coords)
             if isinstance(val, Dual):
-                total = total + _partial(val, c)
+                total = total + dual.partial(val, c)
             # constant entries contribute nothing
         return total
 
@@ -200,155 +157,24 @@ class OneForm:
 
 def invariant_two_form(case_id: CaseId, config: FieldConfig) -> TwoForm:
     """The generic closed invariant 2-form of one catalog entry."""
-    case_id = CaseId(case_id)
-    cfg = config
-    mu, mu1, mu2 = cfg.mu, cfg.mu1, cfg.mu2
-    if case_id in (CaseId.G11, CaseId.G12, CaseId.G13a, CaseId.G14):
-        f1, f2 = cfg.f1, cfg.f2
-        return TwoForm({
-            (0, 1): lambda c: _partial(f1(c[1], c[2]), 1),
-            (0, 2): lambda c: _partial(f1(c[1], c[2]), 2),
-            (1, 2): lambda c: f2(c[1], c[2]),
-        })
-    if case_id in (CaseId.G21, CaseId.G22):
-        f1, f2 = cfg.f1, cfg.f2
-        return TwoForm({
-            (0, 1): lambda c: mu,
-            (0, 2): lambda c: f1(c[2]),
-            (1, 2): lambda c: f2(c[2]),
-        })
-    if case_id == CaseId.G23:
-        f1, f2 = cfg.f1, cfg.f2
-        return TwoForm({
-            (0, 1): lambda c: dual.exp(c[1]) * f1(c[2]),
-            (0, 2): lambda c: dual.exp(c[1]) * _partial(f1(c[2]), 2),
-            (1, 2): lambda c: f2(c[2]),
-        })
-    if case_id == CaseId.G31:
-        return TwoForm({
-            (0, 2): lambda c: mu1 * dual.exp(c[2]),
-            (1, 2): lambda c: mu2 * dual.exp(c[2]),
-        })
-    if case_id == CaseId.G32:
-        return TwoForm({(0, 1): lambda c: mu})
-    if case_id == CaseId.G33a:
-        a = cfg.parameter_a
-        return TwoForm({
-            (0, 2): lambda c: dual.exp(c[2] * a) * (mu1 * dual.cos(c[2]) + mu2 * dual.sin(c[2])),
-            (1, 2): lambda c: dual.exp(c[2] * a) * (mu1 * dual.sin(c[2]) - mu2 * dual.cos(c[2])),
-        })
-    if case_id in (CaseId.G34, CaseId.G35):
-        return TwoForm({(0, 1): lambda c: mu * dual.cos(c[1])})
-    if case_id == CaseId.G41:
-        return TwoForm({})
-    raise KeyError(case_id)
+    return TwoForm(case_spec(case_id).field.two_form(config))
 
 
 def gauge_one_form(case_id: CaseId, config: FieldConfig) -> OneForm:
     """A gauge potential with dA = F for any catalog entry."""
-    case_id = CaseId(case_id)
-    cfg = config
-    mu, mu1, mu2 = cfg.mu, cfg.mu1, cfg.mu2
-    if case_id in (CaseId.G11, CaseId.G12, CaseId.G13a, CaseId.G14):
-        f1, F2 = cfg.f1, cfg.f2_antideriv
-        return OneForm([lambda c: -f1(c[1], c[2]), _zero, lambda c: F2(c[1], c[2])])
-    if case_id in (CaseId.G21, CaseId.G22):
-        F1, F2 = cfg.f1_antideriv, cfg.f2_antideriv
-        return OneForm([
-            lambda c: -0.5 * mu * c[1] - F1(c[2]),
-            lambda c: 0.5 * mu * c[0] - F2(c[2]),
-            _zero,
-        ])
-    if case_id == CaseId.G23:
-        f1, F2 = cfg.f1, cfg.f2_antideriv
-        return OneForm([
-            lambda c: -dual.exp(c[1]) * f1(c[2]),
-            lambda c: -F2(c[2]),
-            _zero,
-        ])
-    if case_id == CaseId.G31:
-        return OneForm([_zero, _zero,
-                        lambda c: dual.exp(c[2]) * (mu1 * c[0] + mu2 * c[1])])
-    if case_id == CaseId.G32:
-        return OneForm([lambda c: -0.5 * mu * c[1], lambda c: 0.5 * mu * c[0], _zero])
-    if case_id == CaseId.G33a:
-        a = cfg.parameter_a
-        return OneForm([_zero, _zero, lambda c: dual.exp(c[2] * a) * (
-            (mu1 * c[0] - mu2 * c[1]) * dual.cos(c[2])
-            + (mu2 * c[0] + mu1 * c[1]) * dual.sin(c[2]))])
-    if case_id in (CaseId.G34, CaseId.G35):
-        return OneForm([lambda c: -mu * dual.sin(c[1]), _zero, _zero])
-    if case_id == CaseId.G41:
-        return OneForm([_zero, _zero, _zero])
-    raise KeyError(case_id)
+    return OneForm(case_spec(case_id).field.gauge(config))
 
 
 def potential(case_id: CaseId, config: FieldConfig) -> OneForm:
     """The reference gauge of the five integrable entries."""
-    case_id = CaseId(case_id)
-    if case_id not in (CaseId.G31, CaseId.G32, CaseId.G33a, CaseId.G34, CaseId.G35):
-        raise ValueError(f"no reference potential for {case_id}")
+    if case_spec(case_id).integration is None:
+        raise ValueError(f"no reference potential for {CaseId(case_id)}")
     return gauge_one_form(case_id, config)
 
 
 def solve_chi(case_id: CaseId, config: FieldConfig) -> list[Callable]:
     """Closed-form chi_A with d chi_A = -i_{X_A} F, one per generator."""
-    case_id = CaseId(case_id)
-    cfg = config
-    mu, mu1, mu2 = cfg.mu, cfg.mu1, cfg.mu2
-    if case_id in (CaseId.G11, CaseId.G12, CaseId.G13a, CaseId.G14):
-        f1 = cfg.f1
-        return [lambda c: -f1(c[1], c[2])]
-    if case_id in (CaseId.G21, CaseId.G22):
-        F1, F2 = cfg.f1_antideriv, cfg.f2_antideriv
-        return [
-            lambda c: -mu * c[1] - F1(c[2]),
-            lambda c: mu * c[0] - F2(c[2]),
-        ]
-    if case_id == CaseId.G23:
-        f1, F2 = cfg.f1, cfg.f2_antideriv
-        return [
-            lambda c: -dual.exp(c[1]) * f1(c[2]),
-            lambda c: c[0] * dual.exp(c[1]) * f1(c[2]) - F2(c[2]),
-        ]
-    if case_id == CaseId.G31:
-        return [
-            lambda c: -mu1 * dual.exp(c[2]),
-            lambda c: -mu2 * dual.exp(c[2]),
-            lambda c: dual.exp(c[2]) * (mu1 * c[0] + mu2 * c[1]),
-        ]
-    if case_id == CaseId.G32:
-        return [
-            lambda c: -mu * c[1],
-            lambda c: mu * c[0],
-            lambda c: 0.5 * mu * (c[0] * c[0] + c[1] * c[1]),
-        ]
-    if case_id == CaseId.G33a:
-        a = cfg.parameter_a
-        den = 1.0 + a * a
-        al = (a * mu1 - mu2) / den
-        be = (mu1 + a * mu2) / den
-        return [
-            lambda c: -dual.exp(c[2] * a) * (al * dual.cos(c[2]) + be * dual.sin(c[2])),
-            lambda c: dual.exp(c[2] * a) * (be * dual.cos(c[2]) - al * dual.sin(c[2])),
-            lambda c: dual.exp(c[2] * a) * ((mu1 * c[0] - mu2 * c[1]) * dual.cos(c[2])
-                                            + (mu2 * c[0] + mu1 * c[1]) * dual.sin(c[2])),
-        ]
-    if case_id == CaseId.G34:
-        return [
-            lambda c: -mu * dual.sin(c[1]),
-            lambda c: mu * dual.sin(c[0]) * dual.cos(c[1]),
-            lambda c: mu * dual.cos(c[0]) * dual.cos(c[1]),
-        ]
-    if case_id == CaseId.G35:
-        return [
-            lambda c: -mu * dual.sin(c[1]),
-            lambda c: mu * dual.sinh(c[0]) * dual.cos(c[1]),
-            lambda c: mu * dual.cosh(c[0]) * dual.cos(c[1]),
-        ]
-    if case_id == CaseId.G41:
-        return [_zero, _zero, _zero, _zero]
-    raise KeyError(case_id)
+    return case_spec(case_id).field.chi(config)
 
 
 # ----------------------------------------------------------------------

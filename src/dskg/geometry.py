@@ -2,10 +2,11 @@
 
 Each catalog entry comes with a local chart (q, u) -> x in R^{1,3} that
 rectifies the subalgebra orbits: generators act only along the q coordinates
-and the u coordinates label the orbits.  The charts are hard coded; the
-algebraic construction behind them (products of matrix exponentials applied
-to a transversal section) is implemented in :func:`rectify` and validated on
-the three-dimensional boost-rotation example whose closed form is known.
+and the u coordinates label the orbits.  The charts are hard coded in the
+registry of :mod:`dskg.cases`; the algebraic construction behind them
+(products of matrix exponentials applied to a transversal section) is
+implemented in :func:`rectify` and validated on the three-dimensional
+boost-rotation example whose closed form is known.
 
 Metrics are always induced from the ambient Minkowski form
 eta = diag(1,-1,-1,-1); every closed-form metric used elsewhere is checked
@@ -21,9 +22,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import dual
 from .dual import Dual
-from .lie_core import CaseId, PARAMETERIZED_CASES, subalgebra
+from .cases import RECTIFY_EXAMPLE, CaseId, resolve
+from .lie_core import subalgebra
 
 ETA = (1.0, -1.0, -1.0, -1.0)
 HYPERBOLOID_TOL = 1e-12
@@ -65,117 +66,12 @@ class Chart:
         vals = [complex(v).real if not isinstance(v, Dual) else v.val.real for v in x]
         return AmbientPoint(*vals)
 
-    def map_dual(self, coords: Sequence) -> list:
-        return self.map_fn(list(coords))
-
-
-_HALF_PI = math.pi / 2.0
-
 
 def chart_for(case_id: CaseId, parameter_a: Optional[float] = None) -> Chart:
     """The rectifying chart of one catalog entry (hard-coded closed forms)."""
-    case_id = CaseId(case_id)
-    a = parameter_a
-    if case_id in PARAMETERIZED_CASES:
-        if a is None or a <= 0:
-            raise ValueError(f"{case_id} requires parameter a > 0")
-    elif a is not None:
-        a = None
-
-    if case_id == CaseId.G11:
-        def m(c):
-            q1, u1, u2 = c
-            s12 = dual.sin(u1) * dual.sin(u2)
-            return [-s12 * dual.sinh(q1), dual.cos(u2), dual.cos(u1) * dual.sin(u2),
-                    s12 * dual.cosh(q1)]
-        return Chart(case_id, 1, ("q1", "u1", "u2"),
-                     ((-1.5, 1.5), (0.2, math.pi - 0.2), (0.2, math.pi - 0.2)), m)
-
-    if case_id in (CaseId.G12, CaseId.G13a):
-        aa = a if case_id == CaseId.G13a else 0.0
-
-        def m(c):
-            q1, u1, u2 = c
-            cc = dual.cosh(u1) * dual.cos(u2)
-            if case_id == CaseId.G12:
-                x3 = dual.cosh(u1) * dual.sin(u2)
-                x0 = dual.sinh(u1)
-            else:
-                x3 = dual.cosh(u1) * dual.sin(u2) * dual.cosh(q1 * aa) \
-                    - dual.sinh(u1) * dual.sinh(q1 * aa)
-                x0 = -dual.cosh(u1) * dual.sin(u2) * dual.sinh(q1 * aa) \
-                    + dual.sinh(u1) * dual.cosh(q1 * aa)
-            return [x0, -cc * dual.sin(q1), cc * dual.cos(q1), x3]
-        return Chart(case_id, 1, ("q1", "u1", "u2"),
-                     ((-1.5, 1.5), (-1.2, 1.2), (-_HALF_PI + 0.2, _HALF_PI - 0.2)), m, a)
-
-    if case_id == CaseId.G14:
-        def m(c):
-            q1, u1, u2 = c
-            w = dual.sinh(u1) - dual.cosh(u1) * dual.sin(u2)
-            half = q1 * q1 * w * 0.5
-            return [half + dual.sinh(u1), -q1 * w, dual.cosh(u1) * dual.cos(u2),
-                    half + dual.cosh(u1) * dual.sin(u2)]
-        return Chart(case_id, 1, ("q1", "u1", "u2"),
-                     ((-1.5, 1.5), (0.35, 1.4), (-0.25, 0.25)), m)
-
-    if case_id in (CaseId.G21, CaseId.G32):
-        def m(c):
-            q1, q2, u1 = c
-            e = dual.exp(-u1)
-            half = e * (q1 * q1 + q2 * q2) * 0.5
-            return [dual.sinh(u1) - half, q1 * e, q2 * e, dual.cosh(u1) - half]
-        return Chart(case_id, 2, ("q1", "q2", "u1"),
-                     ((-1.5, 1.5), (-1.5, 1.5), (-1.0, 1.0)), m)
-
-    if case_id == CaseId.G22:
-        def m(c):
-            q1, q2, u1 = c
-            return [-dual.sin(u1) * dual.sinh(q2), dual.cos(u1) * dual.cos(q1),
-                    dual.cos(u1) * dual.sin(q1), dual.sin(u1) * dual.cosh(q2)]
-        return Chart(case_id, 2, ("q1", "q2", "u1"),
-                     ((-2.0, 2.0), (-1.5, 1.5), (0.2, _HALF_PI - 0.2)), m)
-
-    if case_id == CaseId.G23:
-        def m(c):
-            q1, q2, u1 = c
-            e = dual.exp(q2)
-            half = q1 * q1 * e * 0.5
-            return [-dual.cos(u1) * (dual.sinh(q2) + half), q1 * e * dual.cos(u1),
-                    dual.sin(u1), dual.cos(u1) * (dual.cosh(q2) - half)]
-        return Chart(case_id, 2, ("q1", "q2", "u1"),
-                     ((-1.5, 1.5), (-1.2, 1.2), (-1.2, 1.2)), m)
-
-    if case_id in (CaseId.G31, CaseId.G41, CaseId.G33a):
-        aa = a if case_id == CaseId.G33a else 1.0
-
-        def m(c):
-            q1, q2, q3 = c
-            e = dual.exp(q3 * aa)
-            half = e * (q1 * q1 + q2 * q2) * 0.5
-            return [-dual.sinh(q3 * aa) - half, q1 * e, q2 * e, dual.cosh(q3 * aa) - half]
-        return Chart(case_id, 3, ("q1", "q2", "q3"),
-                     ((-1.5, 1.5), (-1.5, 1.5), (-1.0, 1.0)), m, a)
-
-    if case_id == CaseId.G34:
-        def m(c):
-            q1, q2, u1 = c
-            ch = dual.cosh(u1)
-            return [dual.sinh(u1), -ch * dual.sin(q1) * dual.cos(q2),
-                    ch * dual.cos(q1) * dual.cos(q2), ch * dual.sin(q2)]
-        return Chart(case_id, 2, ("q1", "q2", "u1"),
-                     ((-2.0, 2.0), (-_HALF_PI + 0.15, _HALF_PI - 0.15), (-1.2, 1.2)), m)
-
-    if case_id == CaseId.G35:
-        def m(c):
-            q1, q2, u1 = c
-            s = dual.sin(u1)
-            return [-s * dual.sinh(q1) * dual.cos(q2), s * dual.cosh(q1) * dual.cos(q2),
-                    s * dual.sin(q2), dual.cos(u1)]
-        return Chart(case_id, 2, ("q1", "q2", "u1"),
-                     ((-1.5, 1.5), (-_HALF_PI + 0.15, _HALF_PI - 0.15), (0.2, math.pi - 0.2)), m)
-
-    raise KeyError(case_id)
+    spec, a = resolve(case_id, parameter_a)
+    c = spec.chart
+    return Chart(spec.case_id, c.r, c.coord_names, c.domain, c.map(a), a)
 
 
 def sample_domain(chart: Chart, n: int, rng: np.random.Generator,
@@ -198,44 +94,8 @@ def rect_components(case_id: CaseId, parameter_a: Optional[float] = None):
     over the full coordinate triple; u-direction components are identically
     zero.
     """
-    case_id = CaseId(case_id)
-    zero = lambda c: 0.0
-    one = lambda c: 1.0
-    if case_id in (CaseId.G11, CaseId.G12, CaseId.G13a, CaseId.G14):
-        return [[one, zero, zero]]
-    if case_id in (CaseId.G21, CaseId.G22):
-        return [[one, zero, zero], [zero, one, zero]]
-    if case_id == CaseId.G23:
-        return [[one, zero, zero], [lambda c: -c[0], one, zero]]
-    if case_id == CaseId.G31:
-        return [[one, zero, zero], [zero, one, zero],
-                [lambda c: -c[0], lambda c: -c[1], one]]
-    if case_id == CaseId.G32:
-        return [[one, zero, zero], [zero, one, zero],
-                [lambda c: -c[1], lambda c: c[0], zero]]
-    if case_id == CaseId.G33a:
-        a = parameter_a
-        if a is None or a <= 0:
-            raise ValueError("G33a requires parameter a > 0")
-        return [[one, zero, zero], [zero, one, zero],
-                [lambda c: -(a * c[0] + c[1]), lambda c: c[0] - a * c[1], one]]
-    if case_id == CaseId.G34:
-        return [
-            [one, zero, zero],
-            [lambda c: dual.sin(c[0]) * dual.tan(c[1]), lambda c: dual.cos(c[0]), zero],
-            [lambda c: dual.cos(c[0]) * dual.tan(c[1]), lambda c: -dual.sin(c[0]), zero],
-        ]
-    if case_id == CaseId.G35:
-        return [
-            [one, zero, zero],
-            [lambda c: dual.sinh(c[0]) * dual.tan(c[1]), lambda c: dual.cosh(c[0]), zero],
-            [lambda c: dual.cosh(c[0]) * dual.tan(c[1]), lambda c: dual.sinh(c[0]), zero],
-        ]
-    if case_id == CaseId.G41:
-        return [[one, zero, zero], [zero, one, zero],
-                [lambda c: -c[1], lambda c: c[0], zero],
-                [lambda c: -c[0], lambda c: -c[1], one]]
-    raise KeyError(case_id)
+    spec, a = resolve(case_id, parameter_a)
+    return spec.rect(a)
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +158,7 @@ def so12_section(u: Sequence[float]) -> np.ndarray:
 
 def so12_generators() -> list[RepMatrix]:
     """Generators of the worked example, ordered with the two transversal ones first."""
-    return rep_matrices(CaseId.G35)
+    return rep_matrices(RECTIFY_EXAMPLE)
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +168,7 @@ def so12_generators() -> list[RepMatrix]:
 def chart_jets(chart: Chart, point: Sequence[float]):
     """Ambient 2-jet of the chart map: values, Jacobian (4x3), second derivatives."""
     seeds = Dual.seed([complex(p) for p in point])
-    x = chart.map_dual(seeds)
+    x = chart.map_fn(seeds)
     vals = np.empty(4)
     jac = np.empty((4, 3))
     hes = np.empty((4, 3, 3))

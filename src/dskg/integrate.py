@@ -1,10 +1,11 @@
 """Noncommutative integration of the five integrable entries.
 
-For each integrable entry this module carries the auxiliary-variable
+For each integrable entry this module wraps the registry's auxiliary-variable
 representation of the symmetry algebra, the joint-system solution ansatz
 phi = exp(R(x, lambda)) Phi(v), the reduced second-order ODE satisfied by
 Phi, and its solution basis (Whittaker, Bessel or Legendre pairs; one entry
-has no closed form and is served by the adaptive RK integrator).
+has no closed form and is served by the adaptive RK integrator).  The
+formulas themselves live in :mod:`dskg.cases`.
 
 Every object here is verifiable: representations are checked against the
 operator commutation tables, ansatz phases against the joint system, reduced
@@ -14,35 +15,16 @@ solution bases against their defining ODEs and the end-to-end residual.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import dual, specfun
+from .cases import BranchPointError, CaseId, integration  # noqa: F401  (re-exported)
 from .dual import Dual
 from .fields import FieldConfig
-from .lie_core import CaseId, INTEGRABLE_CASES
-from .operators import DiffOp1, kg_operator, symmetry_operators, _const
-
-BRANCH_TOL = 1e-9
-
-
-class BranchPointError(ValueError):
-    """A complex-power base touched the principal cut on the requested point."""
-
-
-def _safe_power(base, expo, what: str):
-    if isinstance(expo, complex) and expo.imag == 0 and float(expo.real).is_integer():
-        return base ** int(expo.real)
-    if isinstance(expo, (int, float)) and float(expo).is_integer():
-        return base ** int(expo)
-    b = dual.value(base)
-    if b.real <= 0 and abs(b.imag) < BRANCH_TOL:
-        raise BranchPointError(f"{what}: base {b} on the principal cut")
-    return dual.power(base, expo)
+from .operators import DiffOp1, kg_operator, symmetry_operators
 
 
 # ----------------------------------------------------------------------
@@ -61,60 +43,9 @@ class LambdaRep:
 def lambda_rep(case_id: CaseId, J: float, config: FieldConfig) -> LambdaRep:
     """Auxiliary-variable realization of the extended symmetry algebra."""
     case_id = CaseId(case_id)
-    if case_id not in INTEGRABLE_CASES:
-        raise ValueError(f"{case_id} has no lambda-representation here")
-    e = config.e
-    ell0 = -1j * e
-    zero = _const(0.0)
-
-    if case_id == CaseId.G31:
-        ops = [
-            DiffOp1([zero], lambda c: 1j * J * c[0], 1),
-            DiffOp1([zero], lambda c: 1j * c[0], 1),
-            DiffOp1([lambda c: c[0]], _const(0.5), 1),
-        ]
-        return LambdaRep(case_id, J, ops, ell0, "lebesgue")
-
-    if case_id == CaseId.G32:
-        mu = config.mu
-        ops = [
-            DiffOp1([_const(1j)], lambda c: -0.5j * e * mu * c[0], 1),
-            DiffOp1([_const(-1.0)], lambda c: -0.5 * e * mu * c[0], 1),
-            DiffOp1([lambda c: 1j * c[0]], _const(-1j * J), 1),
-        ]
-        return LambdaRep(case_id, J, ops, ell0, "gaussian(e)")
-
-    if case_id == CaseId.G33a:
-        a = config.parameter_a
-        ops = [
-            DiffOp1([zero], lambda c: 1j * J * dual.exp(c[0] * a) * dual.cos(c[0]), 1),
-            DiffOp1([zero], lambda c: 1j * J * dual.exp(c[0] * a) * dual.sin(c[0]), 1),
-            DiffOp1([_const(1.0)], zero, 1),
-        ]
-        return LambdaRep(case_id, J, ops, ell0, "lebesgue")
-
-    if case_id == CaseId.G34:
-        if not J > 0:
-            raise ValueError("G34 requires J > 0")
-        ops = [
-            DiffOp1([lambda c: -1j * c[0]], _const(1j * J), 1),
-            DiffOp1([lambda c: 0.5j * (1.0 - c[0] * c[0])], lambda c: 1j * J * c[0], 1),
-            DiffOp1([lambda c: -0.5 * (1.0 + c[0] * c[0])], lambda c: J * c[0], 1),
-        ]
-        return LambdaRep(case_id, J, ops, ell0, "weighted(J)")
-
-    if case_id == CaseId.G35:
-        if J < 0:
-            raise ValueError("G35 requires J >= 0 (continuous series)")
-        cJ = 1j * J + 0.5
-        ops = [
-            DiffOp1([lambda c: c[0]], _const(cJ), 1),
-            DiffOp1([lambda c: 0.5 * (c[0] * c[0] + 1.0)], lambda c: cJ * c[0], 1),
-            DiffOp1([lambda c: 0.5 * (c[0] * c[0] - 1.0)], lambda c: cJ * c[0], 1),
-        ]
-        return LambdaRep(case_id, J, ops, ell0, "lebesgue")
-
-    raise KeyError(case_id)
+    rows, measure = integration(case_id).lambda_rep(J, config)
+    ops = [DiffOp1([coeff], scalar, 1) for coeff, scalar in rows]
+    return LambdaRep(case_id, J, ops, -1j * config.e, measure)
 
 
 # ----------------------------------------------------------------------
@@ -149,84 +80,8 @@ class SolutionAnsatz:
 
 def ansatz(case_id: CaseId, config: FieldConfig, J: float, lam: complex) -> SolutionAnsatz:
     case_id = CaseId(case_id)
-    e = config.e
-
-    if case_id == CaseId.G31:
-        mu1, mu2 = config.mu1, config.mu2
-
-        def phase(c, lam):
-            return dual.exp(
-                -1j * lam * (J * c[0] + c[1]) - 0.5 * c[2]
-                + 1j * e * dual.exp(c[2]) * (mu1 * c[0] + mu2 * c[1]))
-
-        def char(c, lam):
-            return dual.exp(-c[2]) * lam
-        return SolutionAnsatz(case_id, config, J, complex(lam), phase, char)
-
-    if case_id == CaseId.G32:
-        mu = config.mu
-
-        def phase(c, lam):
-            base = c[0] + 1j * (c[1] + lam)
-            rest = dual.exp(0.5 * e * mu * lam * (1j * c[0] + c[1])
-                            + 0.25 * e * mu * (c[0] * c[0] + c[1] * c[1]))
-            return _safe_power(base, J, "translation-plane base") * rest
-
-        def char(c, lam):
-            return c[2] * 1.0
-        return SolutionAnsatz(case_id, config, J, complex(lam), phase, char)
-
-    if case_id == CaseId.G33a:
-        a = config.parameter_a
-        mu1, mu2 = config.mu1, config.mu2
-        den = 1.0 + a * a
-        al = (a * mu1 - mu2) / den
-        be = (mu1 + a * mu2) / den
-
-        def phase(c, lam):
-            ea = dual.exp(c[2] * a)
-            field_part = 1j * e * ea * ((al * c[0] - be * c[1]) * dual.cos(c[2])
-                                        + (be * c[0] + al * c[1]) * dual.sin(c[2]))
-            rep_part = -1j * J * dual.exp(lam * a) * (c[0] * dual.cos(lam)
-                                                      + c[1] * dual.sin(lam))
-            return dual.exp(field_part + rep_part)
-
-        def char(c, lam):
-            return c[2] - lam
-        return SolutionAnsatz(case_id, config, J, complex(lam), phase, char)
-
-    if case_id == CaseId.G34:
-        mu = config.mu
-
-        def phase(c, lam):
-            eiq = dual.exp(1j * c[0])
-            cq, sq = dual.cos(c[1]), dual.sin(c[1])
-            base = (lam * lam * eiq + 1.0 / eiq) * cq - 2j * lam * sq
-            p = 1j * lam * eiq * cq + sq
-            gbase = (p + 1.0) * (sq - 1.0) / ((p - 1.0) * cq)
-            return _safe_power(base, J, "rotation base") \
-                * _safe_power(gbase, e * mu, "charge base")
-
-        def char(c, lam):
-            return c[2] * 1.0
-        return SolutionAnsatz(case_id, config, J, complex(lam), phase, char)
-
-    if case_id == CaseId.G35:
-        mu = config.mu
-
-        def phase(c, lam):
-            eq = dual.exp(c[0])
-            cq, sq = dual.cos(c[1]), dual.sin(c[1])
-            base = 2.0 * lam * sq + (eq - lam * lam / eq) * cq
-            gbase = (lam / eq * cq + 1.0 - sq) / (cq - lam / eq * (1.0 - sq))
-            return _safe_power(base, -1j * J - 0.5, "boost base") \
-                * _safe_power(gbase, 1j * e * mu, "charge base")
-
-        def char(c, lam):
-            return c[2] * 1.0
-        return SolutionAnsatz(case_id, config, J, complex(lam), phase, char)
-
-    raise ValueError(f"{case_id} is not an integrable entry")
+    phase, char = integration(case_id).ansatz(config, J)
+    return SolutionAnsatz(case_id, config, J, complex(lam), phase, char)
 
 
 def joint_system_residual(ans: SolutionAnsatz, rep: LambdaRep,
@@ -250,21 +105,12 @@ def joint_system_residual(ans: SolutionAnsatz, rep: LambdaRep,
                 for u in range(3):
                     cu = op.coeffs[u](qs)
                     if isinstance(cu, Dual) or cu != 0.0:
-                        xphi = xphi + cu * _grad_component(f, u)
+                        xphi = xphi + cu * dual.partial(f, u)
                 lop = rep.ops[A]
-                lphi = lop.scalar([lam]) * f + lop.coeffs[0]([lam]) * _grad_component(f, 3)
+                lphi = lop.scalar([lam]) * f + lop.coeffs[0]([lam]) * dual.partial(f, 3)
                 lhs = dual.value(xphi) + dual.value(lphi)
                 worst = max(worst, abs(lhs) / (1.0 + abs(dual.value(xphi)) + abs(dual.value(lphi))))
     return worst
-
-
-def _grad_component(f, u):
-    if isinstance(f, Dual):
-        g = f.grad[u]
-        k = len(f.grad)
-        # carry one more derivative level so first-order operators can act
-        return Dual(g, tuple(f.hess[u]), ((0j,) * k,) * k)
-    return 0.0
 
 
 # ----------------------------------------------------------------------
@@ -289,64 +135,7 @@ class ReducedODE:
 def reduced_ode(case_id: CaseId, config: FieldConfig, J: float) -> ReducedODE:
     """Coefficients of Phi'' + p Phi' + q Phi = 0 in the characteristic variable."""
     case_id = CaseId(case_id)
-    e, mt = config.e, config.mass_term
-
-    if case_id == CaseId.G31:
-        mu1, mu2 = config.mu1, config.mu2
-        c0 = mt + e * e * (mu1 * mu1 + mu2 * mu2) - 0.75
-
-        def q(v):
-            if abs(v) < 1e-300:
-                raise ZeroDivisionError("reduced equation singular at v = 0")
-            return (J * J + 1.0) + (-2.0 * e * (J * mu1 + mu2) * v + c0) / (v * v)
-        return ReducedODE(case_id, lambda v: 0.0, q,
-                          {"J": J, "constant": c0}, "v = 0")
-
-    if case_id == CaseId.G32:
-        mu = config.mu
-
-        def q(v):
-            return mt - e * mu * (2.0 * J + 1.0) * cmath.exp(2.0 * v)
-        return ReducedODE(case_id, lambda v: -2.0, q, {"J": J})
-
-    if case_id == CaseId.G33a:
-        a = config.parameter_a
-        mu1, mu2 = config.mu1, config.mu2
-        den = 1.0 + a * a
-
-        def q(v):
-            osc = (a * mu1 - mu2) * cmath.cos(v) + (mu1 + a * mu2) * cmath.sin(v)
-            return (-2.0 * e * a * a * J * cmath.exp(-a * v) * osc / den
-                    + a * a * J * J * cmath.exp(-2.0 * a * v)
-                    + a * a * mt + (e * a) ** 2 * (mu1 * mu1 + mu2 * mu2) / den)
-        return ReducedODE(case_id, lambda v: 2.0 * a, q, {"J": J, "a": a})
-
-    if case_id == CaseId.G34:
-        mu = config.mu
-        top = J * (J + 1.0) - (e * mu) ** 2
-
-        def q(v):
-            return mt + top / cmath.cosh(v) ** 2
-        return ReducedODE(case_id, lambda v: 2.0 * cmath.tanh(v), q, {"J": J})
-
-    if case_id == CaseId.G35:
-        mu = config.mu
-        top = J * J - (e * mu) ** 2 + 0.25
-
-        def q(v):
-            s = cmath.sin(v)
-            if abs(s) < 1e-12:
-                raise ZeroDivisionError("reduced equation singular at multiples of pi")
-            return -mt + top / (s * s)
-
-        def p(v):
-            s = cmath.sin(v)
-            if abs(s) < 1e-12:
-                raise ZeroDivisionError("reduced equation singular at multiples of pi")
-            return 2.0 * cmath.cos(v) / s
-        return ReducedODE(case_id, p, q, {"J": J}, "v in pi Z")
-
-    raise ValueError(f"{case_id} is not an integrable entry")
+    return ReducedODE(case_id, *integration(case_id).reduced_ode(config, J))
 
 
 class _MonomialJet:
@@ -437,85 +226,11 @@ def solution_basis(case_id: CaseId, config: FieldConfig, J: float,
                    numeric_span: tuple[float, float] = (-1.8, 1.8)) -> SolutionBasis:
     """Two independent solutions of the reduced equation, with parameter record."""
     case_id = CaseId(case_id)
-    e, mt = config.e, config.mass_term
-
-    if case_id == CaseId.G31:
-        mu1, mu2 = config.mu1, config.mu2
-        root = math.sqrt(J * J + 1.0)
-        alpha = 1j * e * (J * mu1 + mu2) / root
-        beta = cmath.sqrt(1.0 - mt - e * e * (mu1 * mu1 + mu2 * mu2))
-        scale = 2j * root
-        phi1 = SpecialSolution(lambda v: specfun.whittaker_m(alpha, beta, v * scale),
-                               "whittaker_m")
-        phi2 = SpecialSolution(lambda v: specfun.whittaker_w(alpha, beta, v * scale),
-                               "whittaker_w")
-        rec = {"kind": "whittaker", "alpha": alpha, "beta": beta, "z_scale": scale}
-        return SolutionBasis(case_id, phi1, phi2, rec)
-
-    if case_id == CaseId.G32:
-        mu = config.mu
-        order = cmath.sqrt(1.0 - mt)
-        k = 1j * cmath.sqrt(e * mu * (2.0 * J + 1.0))
-        phi1 = SpecialSolution(lambda v: dual.exp(v) * specfun.bessel_j(order, dual.exp(v) * k),
-                               "bessel_j")
-        phi2 = SpecialSolution(lambda v: dual.exp(v) * specfun.bessel_y(order, dual.exp(v) * k),
-                               "bessel_y")
-        rec = {"kind": "bessel", "order": order, "argument_scale": k}
-        return SolutionBasis(case_id, phi1, phi2, rec)
-
-    if case_id == CaseId.G33a:
-        # no known closed form; serve the basis from the RK oracle
-        ode = reduced_ode(case_id, config, J)
-        v0, v1 = numeric_span
-        sol1 = specfun.ode_integrate(ode.p, ode.q, v0, 1.0, 0.0, v1)
-        sol2 = specfun.ode_integrate(ode.p, ode.q, v0, 0.0, 1.0, v1)
-        rec = {"kind": "numeric", "span": [v0, v1]}
-        return SolutionBasis(case_id, sol1, sol2, rec)
-
-    if case_id == CaseId.G34:
-        mu = config.mu
-        nu = cmath.sqrt((J + 0.5) ** 2 - (e * mu) ** 2) - 0.5
-        sigma = cmath.sqrt(1.0 - mt)
-
-        def p_fn(v):
-            return specfun.legendre_p(nu, sigma, dual.tanh(v)) / dual.cosh(v)
-
-        def q_fn(v):
-            return specfun.legendre_q(nu, sigma, dual.tanh(v)) / dual.cosh(v)
-        rec = {"kind": "legendre", "nu": nu, "sigma": sigma,
-               "argument": "tanh(v)", "prefactor": "1/cosh(v)"}
-        return SolutionBasis(case_id, SpecialSolution(p_fn, "legendre_p"),
-                             SpecialSolution(q_fn, "legendre_q"), rec)
-
-    if case_id == CaseId.G35:
-        mu = config.mu
-        nu = cmath.sqrt(1.0 - mt) - 0.5
-        sigma = cmath.sqrt((e * mu) ** 2 - J * J)
-
-        def p_fn(v):
-            return specfun.legendre_p(nu, sigma, dual.cos(v)) / dual.sqrt(dual.sin(v))
-
-        def q_fn(v):
-            return specfun.legendre_q(nu, sigma, dual.cos(v)) / dual.sqrt(dual.sin(v))
-        rec = {"kind": "legendre", "nu": nu, "sigma": sigma,
-               "argument": "cos(v)", "prefactor": "1/sqrt(sin(v))"}
-        return SolutionBasis(case_id, SpecialSolution(p_fn, "legendre_p"),
-                             SpecialSolution(q_fn, "legendre_q"), rec)
-
-    raise ValueError(f"{case_id} is not an integrable entry")
-
-
-# run defaults: an in-domain lambda and a branch-safe grid box per entry
-CASE_RUN_DEFAULTS: dict[CaseId, dict] = {
-    CaseId.G31: {"lam": 0.7 + 0j, "grid": ((-1.0, 1.0), (-1.0, 1.0), (-0.5, 1.0))},
-    CaseId.G32: {"lam": 0.4 + 0.2j, "grid": ((0.3, 1.2), (-0.5, 0.5), (-0.5, 0.5))},
-    CaseId.G33a: {"lam": 0.2 + 0j, "grid": ((-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5))},
-    CaseId.G34: {"lam": 0.3 + 0j, "grid": ((-0.5, 0.5), (-0.4, 0.4), (-1.2, 1.2))},
-    CaseId.G35: {"lam": 0.3 + 0j, "grid": ((-0.5, 0.5), (-0.4, 0.4), (0.8, math.pi - 0.8))},
-}
+    phi1, phi2, rec = integration(case_id).basis(config, J, numeric_span, SpecialSolution)
+    return SolutionBasis(case_id, phi1, phi2, rec)
 
 
 def default_grid(case_id: CaseId, counts: Sequence[int] = (10, 10, 10)):
-    box = CASE_RUN_DEFAULTS[CaseId(case_id)]["grid"]
+    box = integration(case_id).grid
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, counts)]
     return [(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]

@@ -11,7 +11,8 @@ reproduce both their stored commutation relations and the rectified-field
 components of the charts in :mod:`dskg.geometry`.
 
 A subalgebra entry stores its generators as coefficient rows over
-(J01, J02, J03, J12, J13, J23) together with its structure constants.  On top
+(J01, J02, J03, J12, J13, J23) together with its structure constants, both
+read from the registry in :mod:`dskg.cases`.  On top
 of that the module provides the one-dimensional central extensions realized by
 first-order symmetry operators: cocycles, the coboundary test, the algebra
 index computed from coadjoint ranks, and the noncommutative-integrability
@@ -21,34 +22,13 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-
-class CaseId(str, Enum):
-    G11 = "g1_1"
-    G12 = "g1_2"
-    G13a = "g1_3a"
-    G14 = "g1_4"
-    G21 = "g2_1"
-    G22 = "g2_2"
-    G23 = "g2_3"
-    G31 = "g3_1"
-    G32 = "g3_2"
-    G33a = "g3_3a"
-    G34 = "g3_4"
-    G35 = "g3_5"
-    G41 = "g4_1"
-
-    def __str__(self):
-        return self.value
-
-
-ALL_CASES = list(CaseId)
-PARAMETERIZED_CASES = (CaseId.G13a, CaseId.G33a)
-INTEGRABLE_CASES = (CaseId.G31, CaseId.G32, CaseId.G33a, CaseId.G34, CaseId.G35)
+from .cases import (ALL_CASES, CASES, INTEGRABLE_CASES, PARAMETERIZED_CASES,  # noqa: F401
+                    CaseId, case_spec, resolve)
 
 AMBIENT_LABELS = ("J01", "J02", "J03", "J12", "J13", "J23")
 _AMBIENT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -158,82 +138,17 @@ def _structure(n: int, entries: dict[tuple[int, int], list[float]]) -> np.ndarra
     return c
 
 
-# generator rows over (J01, J02, J03, J12, J13, J23)
-_N1 = (1.0, 0.0, 0.0, 0.0, -1.0, 0.0)   # null rotation in the (q1) direction
-_N2 = (0.0, 1.0, 0.0, 0.0, 0.0, -1.0)
-_BOOST = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-_ROT = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-
-
-def _catalog_rows(case: CaseId, a: Optional[float]):
-    if case == CaseId.G11:
-        return [_BOOST], {}
-    if case == CaseId.G12:
-        return [_ROT], {}
-    if case == CaseId.G13a:
-        return [(0.0, 0.0, a, 1.0, 0.0, 0.0)], {}
-    if case == CaseId.G14:
-        return [_N1], {}
-    if case == CaseId.G21:
-        return [_N1, _N2], {}
-    if case == CaseId.G22:
-        return [_ROT, _BOOST], {}
-    if case == CaseId.G23:
-        return [_N1, _BOOST], {(0, 1): [-1.0, 0.0]}
-    if case == CaseId.G31:
-        return [_N1, _N2, _BOOST], {(0, 2): [-1.0, 0.0, 0.0], (1, 2): [0.0, -1.0, 0.0]}
-    if case == CaseId.G32:
-        return [_N1, _N2, _ROT], {(0, 2): [0.0, 1.0, 0.0], (1, 2): [-1.0, 0.0, 0.0]}
-    if case == CaseId.G33a:
-        return [_N1, _N2, (0.0, 0.0, a, 1.0, 0.0, 0.0)], {
-            (0, 2): [-a, 1.0, 0.0],
-            (1, 2): [-1.0, -a, 0.0],
-        }
-    if case == CaseId.G34:
-        # rotations paired with the chart's rectified fields: (J12, J23, J13)
-        return [(0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
-                (0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
-                (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)], {
-            (0, 1): [0.0, 0.0, 1.0],
-            (0, 2): [0.0, -1.0, 0.0],
-            (1, 2): [1.0, 0.0, 0.0],
-        }
-    if case == CaseId.G35:
-        return [(1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-                (0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
-                (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)], {
-            (0, 1): [0.0, 0.0, 1.0],
-            (0, 2): [0.0, 1.0, 0.0],
-            (1, 2): [1.0, 0.0, 0.0],
-        }
-    if case == CaseId.G41:
-        return [_N1, _N2, _ROT, _BOOST], {
-            (0, 2): [0.0, 1.0, 0.0, 0.0],
-            (0, 3): [-1.0, 0.0, 0.0, 0.0],
-            (1, 2): [-1.0, 0.0, 0.0, 0.0],
-            (1, 3): [0.0, -1.0, 0.0, 0.0],
-        }
-    raise KeyError(case)
-
-
 def subalgebra(case_id: CaseId, a: Optional[float] = None) -> SubalgebraSpec:
     """One catalog entry; ``a`` required (and positive) for the two families."""
-    case_id = CaseId(case_id)
-    if case_id in PARAMETERIZED_CASES:
-        if a is None:
-            raise ValueError(f"{case_id} requires the family parameter a")
-        if a <= 0:
-            raise ValueError(f"{case_id} requires a > 0, got {a}")
-    else:
-        a = None
-    rows, entries = _catalog_rows(case_id, a)
+    spec, a = resolve(case_id, a)
+    rows, entries = spec.algebra(a)
     coeffs = np.array(rows, dtype=float)
     n = len(rows)
     alg = LieAlgebraSpec(n, _structure(n, entries), tuple(f"X{k+1}" for k in range(n)))
     alg.validate()
     if np.linalg.matrix_rank(coeffs) != n:
         raise ValueError("generator rows are linearly dependent")
-    return SubalgebraSpec(case_id, a, coeffs, alg)
+    return SubalgebraSpec(spec.case_id, a, coeffs, alg)
 
 
 @dataclass(frozen=True)
@@ -248,13 +163,8 @@ class CatalogEntry:
 
 def catalog() -> list[CatalogEntry]:
     """All 13 inequivalent entries; parameterized families appear once."""
-    out = []
-    for case in ALL_CASES:
-        if case in PARAMETERIZED_CASES:
-            out.append(CatalogEntry(case, True, lambda a, c=case: subalgebra(c, a)))
-        else:
-            out.append(CatalogEntry(case, False, lambda c=case: subalgebra(c)))
-    return out
+    return [CatalogEntry(s.case_id, s.parameterized, partial(subalgebra, s.case_id))
+            for s in CASES]
 
 
 @dataclass(frozen=True)
@@ -314,20 +224,18 @@ class Cocycle:
             raise ValueError("cocycle identity violated")
 
 
-def standard_cocycle(case_id: CaseId, mu: float = 1.0, n: Optional[int] = None) -> Cocycle:
+def standard_cocycle(case_id: CaseId, mu: float = 1.0) -> Cocycle:
     """Central charge of the symmetry-operator extension for a generic field.
 
-    Only the translation pairs of G21/G22/G32 pick up the magnetic charge mu;
-    every other entry extends trivially.  Cross-checked numerically against
-    the field-level construction in :mod:`dskg.fields`.
+    Only the entries whose registry spec marks a magnetic pair (the
+    translation pairs) pick up the magnetic charge mu; every other entry
+    extends trivially.  Cross-checked numerically against the field-level
+    construction in :mod:`dskg.fields`.
     """
-    case_id = CaseId(case_id)
-    if n is None:
-        n = {CaseId.G21: 2, CaseId.G22: 2, CaseId.G23: 2, CaseId.G41: 4}.get(case_id, None)
-        if n is None:
-            n = 1 if case_id in (CaseId.G11, CaseId.G12, CaseId.G13a, CaseId.G14) else 3
+    spec = case_spec(case_id)
+    n = spec.dim
     f = np.zeros((n, n))
-    if case_id in (CaseId.G21, CaseId.G22, CaseId.G32):
+    if spec.magnetic_pair:
         f[0, 1] = mu
         f[1, 0] = -mu
     return Cocycle(f)
@@ -440,8 +348,7 @@ def integrability_check(ext: ExtendedAlgebraSpec, manifold_dim: int = 3) -> Inte
 
 
 def case_extension(case_id: CaseId, mu: float = 1.0, a: float = 1.0) -> ExtendedAlgebraSpec:
-    sub = subalgebra(case_id, a if case_id in PARAMETERIZED_CASES else None)
-    return extend(sub.algebra, standard_cocycle(case_id, mu, sub.dim))
+    return extend(subalgebra(case_id, a).algebra, standard_cocycle(case_id, mu))
 
 
 def table3(mu: float = 1.0, a: float = 1.0) -> dict[CaseId, IntegrabilityRecord]:
@@ -449,32 +356,15 @@ def table3(mu: float = 1.0, a: float = 1.0) -> dict[CaseId, IntegrabilityRecord]
     return {case: integrability_check(case_extension(case, mu, a)) for case in ALL_CASES}
 
 
-# Reference rows that the computed classification is diffed against.  The
-# G41 reference row is inconsistent with the index definition applied to its
-# own commutation relations (the computed record is (5, 1, 2, 0, 1, True));
-# cmd_catalog reports the diff instead of hiding it.
-TABLE3_REFERENCE: dict[CaseId, tuple] = {
-    CaseId.G11: (2, 2, 0, 1, 2, False),
-    CaseId.G12: (2, 2, 0, 1, 2, False),
-    CaseId.G13a: (2, 2, 0, 1, 2, False),
-    CaseId.G14: (2, 2, 0, 1, 2, False),
-    CaseId.G21: (3, 1, 1, 0, 2, False),
-    CaseId.G22: (3, 1, 1, 0, 2, False),
-    CaseId.G23: (3, 1, 1, 0, 2, False),
-    CaseId.G31: (4, 2, 1, 1, 1, True),
-    CaseId.G32: (4, 2, 1, 1, 1, True),
-    CaseId.G33a: (4, 2, 1, 1, 1, True),
-    CaseId.G34: (4, 2, 1, 1, 1, True),
-    CaseId.G35: (4, 2, 1, 1, 1, True),
-    CaseId.G41: (5, 3, 1, 3, 0, True),
-}
-
-
 def table3_diff(mu: float = 1.0, a: float = 1.0) -> dict[CaseId, dict]:
-    """Computed-vs-reference discrepancies, empty when everything matches."""
+    """Computed-vs-reference discrepancies, empty when everything matches.
+
+    The reference rows live in the registry; the G41 row is a documented
+    mismatch there.
+    """
     out = {}
     for case, rec in table3(mu, a).items():
-        ref = TABLE3_REFERENCE[case]
+        ref = case_spec(case).table3_reference
         if rec.as_tuple() != ref:
             out[case] = {"computed": rec.as_tuple(), "reference": ref}
     return out

@@ -4,9 +4,9 @@ Operators are represented by dual-evaluable coefficient callables, so
 commutators, operator compositions and all residuals come out of exact
 forward-mode differentiation.  The wave operator exists in two independent
 builds that are required to agree: a hard-coded closed form per integrable
-entry, and the generic divergence-form assembly from the chart metric and
-gauge potential.  The embedding metric is the arbiter for every sign that
-enters the closed forms.
+entry (kept in :mod:`dskg.cases`), and the generic divergence-form assembly
+from the chart metric and gauge potential.  The embedding metric is the
+arbiter for every sign that enters the closed forms.
 """
 
 from __future__ import annotations
@@ -18,17 +18,13 @@ import numpy as np
 
 from . import dual
 from .dual import Dual
+from .cases import CaseId, const, integration
 from .fields import FieldConfig, gauge_one_form, solve_chi
 from .geometry import metric_jet, rect_components
-from .lie_core import CaseId, INTEGRABLE_CASES
 
 
 def _as_value(x):
     return x.val if isinstance(x, Dual) else complex(x)
-
-
-def _const(value):
-    return lambda coords, v=value: v
 
 
 class DiffOp1:
@@ -271,7 +267,7 @@ def symmetry_operators(case_id: CaseId, config: FieldConfig,
 
 def central_operator(config: FieldConfig) -> DiffOp1:
     """The trivial symmetry operator, multiplication by i e."""
-    return DiffOp1([_const(0.0)] * 3, _const(1j * config.e), 3)
+    return DiffOp1([const(0.0)] * 3, const(1j * config.e), 3)
 
 
 # ----------------------------------------------------------------------
@@ -280,82 +276,14 @@ def central_operator(config: FieldConfig) -> DiffOp1:
 
 def kg_operator(case_id: CaseId, config: FieldConfig) -> DiffOp2:
     """Hard-coded wave operator of an integrable entry, in its reference gauge."""
-    case_id = CaseId(case_id)
-    if case_id not in INTEGRABLE_CASES:
-        raise ValueError(f"no closed-form wave operator for {case_id}")
-    e = config.e
-    mt = config.mass_term
-    zero = _const(0.0)
-
-    if case_id == CaseId.G31:
-        mu1, mu2 = config.mu1, config.mu2
-        h = lambda c: dual.exp(c[2]) * (mu1 * c[0] + mu2 * c[1])
-        second = [[lambda c: -dual.exp(c[2] * (-2.0)), zero, zero],
-                  [zero, lambda c: -dual.exp(c[2] * (-2.0)), zero],
-                  [zero, zero, _const(1.0)]]
-        first = [zero, zero, lambda c: 2.0 - 2j * e * h(c)]
-        scalar = lambda c: -3j * e * h(c) - (e * h(c)) ** 2 + mt
-        return DiffOp2(second, first, scalar)
-
-    if case_id == CaseId.G32:
-        mu = config.mu
-        second = [[lambda c: -dual.exp(c[2] * 2.0), zero, zero],
-                  [zero, lambda c: -dual.exp(c[2] * 2.0), zero],
-                  [zero, zero, _const(1.0)]]
-        first = [lambda c: -1j * e * mu * dual.exp(c[2] * 2.0) * c[1],
-                 lambda c: 1j * e * mu * dual.exp(c[2] * 2.0) * c[0],
-                 _const(-2.0)]
-        scalar = lambda c: 0.25 * (e * mu) ** 2 * dual.exp(c[2] * 2.0) \
-            * (c[0] * c[0] + c[1] * c[1]) + mt
-        return DiffOp2(second, first, scalar)
-
-    if case_id == CaseId.G33a:
-        a = config.parameter_a
-        mu1, mu2 = config.mu1, config.mu2
-        P = lambda c: dual.exp(c[2] * a) * (mu1 * dual.cos(c[2]) + mu2 * dual.sin(c[2]))
-        Q = lambda c: dual.exp(c[2] * a) * (mu1 * dual.sin(c[2]) - mu2 * dual.cos(c[2]))
-        W = lambda c: c[0] * P(c) + c[1] * Q(c)
-        second = [[lambda c: -dual.exp(c[2] * (-2.0 * a)), zero, zero],
-                  [zero, lambda c: -dual.exp(c[2] * (-2.0 * a)), zero],
-                  [zero, zero, _const(1.0 / a ** 2)]]
-        first = [zero, zero,
-                 lambda c: 2.0 / a - (2j * e / a ** 2) * W(c)]
-        scalar = lambda c: -(1j * e / a ** 2) * (3.0 * a * W(c) + c[1] * P(c) - c[0] * Q(c)) \
-            - (e / a) ** 2 * W(c) ** 2 + mt
-        return DiffOp2(second, first, scalar)
-
-    if case_id == CaseId.G34:
-        mu = config.mu
-        ch2 = lambda c: dual.cosh(c[2]) ** 2
-        second = [[lambda c: -1.0 / (ch2(c) * dual.cos(c[1]) ** 2), zero, zero],
-                  [zero, lambda c: -1.0 / ch2(c), zero],
-                  [zero, zero, _const(1.0)]]
-        first = [lambda c: -2j * e * mu * dual.tan(c[1]) / (ch2(c) * dual.cos(c[1])),
-                 lambda c: dual.tan(c[1]) / ch2(c),
-                 lambda c: 2.0 * dual.tanh(c[2])]
-        scalar = lambda c: (e * mu * dual.tan(c[1])) ** 2 / ch2(c) + mt
-        return DiffOp2(second, first, scalar)
-
-    if case_id == CaseId.G35:
-        mu = config.mu
-        s2 = lambda c: dual.sin(c[2]) ** 2
-        second = [[lambda c: 1.0 / (s2(c) * dual.cos(c[1]) ** 2), zero, zero],
-                  [zero, lambda c: -1.0 / s2(c), zero],
-                  [zero, zero, _const(-1.0)]]
-        first = [lambda c: 2j * e * mu * dual.tan(c[1]) / (s2(c) * dual.cos(c[1])),
-                 lambda c: dual.tan(c[1]) / s2(c),
-                 lambda c: -2.0 * dual.cos(c[2]) / dual.sin(c[2])]
-        scalar = lambda c: -((e * mu * dual.tan(c[1])) ** 2) / s2(c) + mt
-        return DiffOp2(second, first, scalar)
-
-    raise KeyError(case_id)
+    return DiffOp2(*integration(case_id).kg_operator(config))
 
 
 def kg_apply_generic(case_id: CaseId, config: FieldConfig, f: Callable,
                      point: Sequence[float]) -> complex:
     """Divergence-form assembly of the wave operator applied to f at a point.
 
-    Independent of the closed forms above: uses only the chart metric jet and
+    Independent of the registry's closed forms: uses only the chart metric jet and
     the gauge potential,
         (1/sqrt g) D_a ( sqrt g g^{ab} D_b f ) + (6 zeta + m^2) f.
     """

@@ -80,16 +80,6 @@ def gamma(z) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
-def log_gamma(z) -> complex:
-    """log of gamma, continuous only where gamma stays off the cut; used for ratios."""
-    return cmath.log(gamma(z))
-
-
-def gamma_ratio(num, den) -> complex:
-    """gamma(num)/gamma(den), both arguments away from poles."""
-    return gamma(num) / gamma(den)
-
-
 # ----------------------------------------------------------------------
 # confluent hypergeometric family
 # ----------------------------------------------------------------------
@@ -288,7 +278,6 @@ def legendre_q(nu, sigma, x):
 class ODESolverConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
-    dense_output: bool = True
     max_steps: int = 200000
 
     def __post_init__(self):
@@ -436,7 +425,7 @@ def ode_integrate(p, q, v0, phi0, dphi0, v1, config: ODESolverConfig | None = No
     raise StepSizeUnderflow("maximum step count exceeded")
 
 
-def solution_jet(fn, v, dv=None):
+def solution_jet(fn, v):
     """Evaluate a dual-capable function of one variable as a 2-jet at v."""
     seed = Dual.variable(v, 0, 1)
     out = fn(seed)

@@ -18,10 +18,11 @@ from dskg.fields import (FieldConfig, cocycle_from_config, invariance_residual,
                          invariant_two_form, lie_derivative)
 from dskg.geometry import (chart_for, chart_jets, rect_components, rectify,
                            sample_domain, so12_generators, so12_section)
-from dskg.integrate import (CASE_RUN_DEFAULTS, default_grid, lambda_rep,
-                            reduced_ode, reduction_residual, solution_basis)
+from dskg.cases import case_spec, integration
+from dskg.integrate import (default_grid, lambda_rep, reduced_ode, reduction_residual,
+                            solution_basis)
 from dskg.lie_core import (ALL_CASES, CaseId, Cocycle, INTEGRABLE_CASES,
-                           PARAMETERIZED_CASES, TABLE3_REFERENCE, case_extension,
+                           PARAMETERIZED_CASES, case_extension,
                            closure_check, coboundary_shift, coboundary_solve,
                            integrability_check, standard_cocycle, subalgebra)
 from dskg.operators import (commutation_table_fit, kg_cross_residual, random_probe,
@@ -58,8 +59,8 @@ def test_criterion_01_table3_rows(case):
     t0 = time.time()
     rec = integrability_check(case_extension(case, mu=1.0, a=1.0))
     assert time.time() - t0 < 5.0
-    assert rec.as_tuple() == TABLE3_REFERENCE[case], (
-        f"{case}: computed {rec.as_tuple()} vs reference {TABLE3_REFERENCE[case]}")
+    ref = case_spec(case).table3_reference
+    assert rec.as_tuple() == ref, f"{case}: computed {rec.as_tuple()} vs reference {ref}"
     report(1, f"classification row {case.value}", rec)
 
 
@@ -188,7 +189,7 @@ def test_criterion_06_symmetry_algebra_tables():
         worst = max(worst, fit.residual,
                     float(np.max(np.abs(fit.structure - sub.algebra.structure_constants))),
                     float(np.max(np.abs(fit.central
-                                        - standard_cocycle(case, cfg.mu, sub.dim).F))))
+                                        - standard_cocycle(case, cfg.mu).F))))
     assert worst < 1e-9
     for mu in (0.5, 1.0, 2.0):
         cfg = make_config(CaseId.G32, mu=mu)
@@ -234,7 +235,7 @@ def test_criterion_08_lambda_representations():
         rep = lambda_rep(case, 1.0, cfg)
         worst = max(worst, representation_residual(
             rep.ops, sub.algebra.structure_constants,
-            standard_cocycle(case, cfg.mu, 3).F, rep.ell0,
+            standard_cocycle(case, cfg.mu).F, rep.ell0,
             [(0.35,), (0.8,), (-0.6,), (1.3,), (2.1,)]))
     assert worst < 1e-10
     report(8, "lambda representations", worst, f"(max residual {worst:.1e})")
@@ -246,7 +247,7 @@ def test_criterion_08_lambda_representations():
 def test_criterion_09_end_to_end_solutions(case):
     t0 = time.time()
     cfg = make_config(case)
-    lam = CASE_RUN_DEFAULTS[case]["lam"]
+    lam = integration(case).lam
     basis = solution_basis(case, cfg, 1.0)
     grid = default_grid(case, (10, 10, 10))
     worst = 0.0

@@ -42,6 +42,16 @@ def test_catalog_json_document():
     assert by_id["g2_3"]["field_template"].startswith("exp(q2)")
 
 
+def test_catalog_zero_magnetic_charge():
+    # with mu = 0 the translation pairs of g2_1 and g2_2 lose their central charge
+    code, out, _ = run_cli("catalog", "--mu", "0")
+    assert code == 0
+    diff = json.loads(out)["table3_diff"]
+    assert sorted(diff) == ["g2_1", "g2_2", "g4_1"]
+    for case in ("g2_1", "g2_2"):
+        assert diff[case]["computed"] == [3, 3, 0, 2, 1, True]
+
+
 def test_catalog_csv_format():
     code, out, _ = run_cli("catalog", "--format", "csv")
     assert code == 0
@@ -86,8 +96,10 @@ def test_verify_all_cases_summary():
 
 
 def test_verify_tolerance_override_can_fail():
-    code, out, _ = run_cli("verify", "--case", "g3_1", "--tol", "killing=1e-30")
-    assert code == 1
+    for key in ("killing", "symmetry_commutator", "structure_vs_catalog"):
+        code, out, _ = run_cli("verify", "--case", "g3_1", "--tol", f"{key}=1e-30")
+        assert code == 1, key
+        assert json.loads(out)["cases"]["g3_1"]["residuals"][key]["tolerance"] == 1e-30
 
 
 def test_solve_summary_and_csv():

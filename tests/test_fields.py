@@ -124,7 +124,7 @@ def test_cocycle_matches_standard(case):
     pts = chart_points(case, 6)
     coc = cocycle_from_config(case, cfg, pts)
     sub = subalgebra(case, cfg.parameter_a)
-    want = standard_cocycle(case, 0.9, sub.dim)
+    want = standard_cocycle(case, 0.9)
     assert np.max(np.abs(coc.F - want.F)) < 1e-10
     coc.validate(sub.algebra, tol=1e-10)
 

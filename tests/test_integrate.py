@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from dskg.cases import integration
 from dskg.fields import FieldConfig
-from dskg.integrate import (BranchPointError, CASE_RUN_DEFAULTS, ansatz, default_grid,
+from dskg.integrate import (BranchPointError, ansatz, default_grid,
                             joint_system_residual, lambda_rep, reduced_ode,
                             reduction_coefficients, reduction_residual, solution_basis)
 from dskg.lie_core import CaseId, INTEGRABLE_CASES, standard_cocycle, subalgebra
@@ -26,7 +27,7 @@ def make_config(case, **kw):
 
 def run_points(case, n=8, seed=311):
     rng = np.random.default_rng(seed)
-    box = CASE_RUN_DEFAULTS[case]["grid"]
+    box = integration(case).grid
     return [[rng.uniform(lo, hi) for lo, hi in box] for _ in range(n)]
 
 
@@ -50,7 +51,7 @@ def test_lambda_rep_reproduces_operator_tables(case):
     rep = lambda_rep(case, 1.0, cfg)
     sub = subalgebra(case, cfg.parameter_a)
     res = representation_residual(rep.ops, sub.algebra.structure_constants,
-                                  standard_cocycle(case, cfg.mu, 3).F,
+                                  standard_cocycle(case, cfg.mu).F,
                                   rep.ell0, LAMBDA_PROBES)
     assert res < 1e-10
 
@@ -116,7 +117,7 @@ def test_ansatz_branch_point_reported():
 def test_joint_system(case):
     cfg = make_config(case)
     rep = lambda_rep(case, 1.0, cfg)
-    ans = ansatz(case, cfg, 1.0, CASE_RUN_DEFAULTS[case]["lam"])
+    ans = ansatz(case, cfg, 1.0, integration(case).lam)
     assert joint_system_residual(ans, rep, run_points(case)) < 1e-8
 
 
@@ -161,7 +162,7 @@ def test_reduced_ode_g35_singularity():
 def test_reduction_extraction_matches_closed_form(case):
     cfg = make_config(case)
     ode = reduced_ode(case, cfg, 1.0)
-    lam = CASE_RUN_DEFAULTS[case]["lam"]
+    lam = integration(case).lam
     for pt in run_points(case, 5):
         p_num, q_num, v = reduction_coefficients(case, cfg, 1.0, lam, pt)
         assert abs(p_num - ode.p(v)) < 1e-9
@@ -252,7 +253,7 @@ def test_g33a_numeric_basis_self_convergence():
 @pytest.mark.parametrize("case", INTEGRABLE_CASES)
 def test_end_to_end_wave_residual(case):
     cfg = make_config(case)
-    lam = CASE_RUN_DEFAULTS[case]["lam"]
+    lam = integration(case).lam
     basis = solution_basis(case, cfg, 1.0)
     grid = default_grid(case, (5, 5, 5))
     for phi in (basis.phi1, basis.phi2):

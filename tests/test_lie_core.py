@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from dskg import lie_core
+from dskg.cases import case_spec
 from dskg.lie_core import (ALL_CASES, CaseId, Cocycle, INTEGRABLE_CASES,
-                           PARAMETERIZED_CASES, TABLE3_REFERENCE, case_extension,
+                           PARAMETERIZED_CASES, case_extension,
                            catalog, change_basis, closure_check, coboundary_shift,
                            coboundary_solve, index, integrability_check,
                            so13_algebra, standard_cocycle, subalgebra, table3,
@@ -105,7 +106,7 @@ def test_cocycle_identity_for_standard_cocycles():
     for case in ALL_CASES:
         a = 1.0 if case in PARAMETERIZED_CASES else None
         sub = subalgebra(case, a)
-        coc = standard_cocycle(case, mu=0.8, n=sub.dim)
+        coc = standard_cocycle(case, mu=0.8)
         coc.validate(sub.algebra)
 
 
@@ -256,7 +257,7 @@ def test_table3_matches_reference_except_documented_row():
     diff = table3_diff()
     assert set(diff) == {CaseId.G41}
     assert diff[CaseId.G41]["computed"] == (5, 1, 2, 0, 1, True)
-    assert diff[CaseId.G41]["reference"] == TABLE3_REFERENCE[CaseId.G41]
+    assert diff[CaseId.G41]["reference"] == case_spec(CaseId.G41).table3_reference
 
 
 def test_every_integrable_case_is_marked():

@@ -122,7 +122,7 @@ def test_commutation_table_fit_recovers_catalog(case):
     fit = commutation_table_fit(ops, pts, 1j * cfg.e)
     assert fit.residual < 1e-9
     assert np.max(np.abs(fit.structure - sub.algebra.structure_constants)) < 1e-9
-    want = standard_cocycle(case, cfg.mu, sub.dim)
+    want = standard_cocycle(case, cfg.mu)
     assert np.max(np.abs(fit.central - want.F)) < 1e-9
 
 
