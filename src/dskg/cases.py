@@ -87,16 +87,19 @@ class ChartSpec:
 
 @dataclass(frozen=True)
 class Profiles:
-    """Default profile functions f1, f2 and their antiderivatives."""
+    """Default profile functions f1, f2 and their antiderivatives.
+
+    An antiderivative is present exactly where the entry's gauge potential
+    uses it, so a caller's own profile must then come with one.
+    """
 
     f1: Callable
     f1_antideriv: Optional[Callable]
     f2: Callable
-    f2_antideriv: Callable
+    f2_antideriv: Optional[Callable]
 
 
-_PROFILES = Profiles(lambda u1: u1, lambda u1: 0.5 * u1 * u1, lambda u1: 1.0,
-                     lambda u1: u1 * 1.0)
+_PROFILES = Profiles(lambda u1: u1, None, lambda u1: 1.0, None)
 
 
 @dataclass(frozen=True)
@@ -260,7 +263,9 @@ _PLANE_FIELD = FieldSpec(
     gauge=lambda k: [lambda c: -0.5 * k.mu * c[1] - k.f1_antideriv(c[2]),
                      lambda c: 0.5 * k.mu * c[0] - k.f2_antideriv(c[2]), _zero],
     chi=lambda k: [lambda c: -k.mu * c[1] - k.f1_antideriv(c[2]),
-                   lambda c: k.mu * c[0] - k.f2_antideriv(c[2])])
+                   lambda c: k.mu * c[0] - k.f2_antideriv(c[2])],
+    profiles=replace(_PROFILES, f1_antideriv=lambda u1: 0.5 * u1 * u1,
+                     f2_antideriv=lambda u1: u1 * 1.0))
 
 _G21 = CaseSpec(CaseId.G21, lambda a: ([_N1, _N2], {}), _TWO_DIM_ROW, _TRANSLATION_CHART,
                 _plane_rect, _PLANE_FIELD, magnetic_pair=True)
@@ -280,7 +285,8 @@ _G23 = CaseSpec(
         gauge=lambda k: [lambda c: -dual.exp(c[1]) * k.f1(c[2]),
                          lambda c: -k.f2_antideriv(c[2]), _zero],
         chi=lambda k: [lambda c: -dual.exp(c[1]) * k.f1(c[2]),
-                       lambda c: c[0] * dual.exp(c[1]) * k.f1(c[2]) - k.f2_antideriv(c[2])]))
+                       lambda c: c[0] * dual.exp(c[1]) * k.f1(c[2]) - k.f2_antideriv(c[2])],
+        profiles=replace(_PROFILES, f2_antideriv=lambda u1: u1 * 1.0)))
 
 
 # ----------------------------------------------------------------------

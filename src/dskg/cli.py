@@ -296,11 +296,12 @@ def cmd_solve(run: RunConfig, out, err) -> int:
     worst = 0.0
     for pt in grid:
         try:
-            val, scale = h.apply_scaled(f, pt)
-            phi = dual.value(f(Dual.seed([complex(c) for c in pt])))
+            fv = f(Dual.seed(pt))
+            val, scale = h.apply_jet(fv, pt)
         except integrate.BranchPointError:
             dropped += 1
             continue
+        phi = dual.value(fv)
         r = abs(val) / (1.0 + scale)
         worst = max(worst, r)
         writer.writerow([f"{c:.12g}" for c in pt]

@@ -210,9 +210,9 @@ def gradient(f, point):
 
 def partial(jet, index):
     """The 1-jet of one partial derivative of a 2-jet, so first-order operators
-    can act on it (its Hessian is dropped)."""
+    can act on it (its Hessian is dropped); a constant's partial is 0."""
     if not isinstance(jet, Dual):
-        raise TypeError("partial of a non-dual value")
+        return 0.0
     k = len(jet.grad)
     z = (0j,) * k
     return Dual(jet.grad[index], jet.hess[index], (z,) * k)

@@ -10,7 +10,8 @@ commutation relations, including the central charges.
 Arbitrary profile functions f1, f2 (allowed for the low-dimensional entries)
 are supplied by the caller as dual-evaluable callables; defaults suitable for
 tests are installed automatically.  Where a gauge needs an antiderivative of
-a profile, the config carries it alongside.
+a profile, the config carries it alongside, and a caller's own profile
+without it is rejected at construction.
 """
 
 from __future__ import annotations
@@ -53,14 +54,15 @@ class FieldConfig:
         if not (abs(self.zeta) < 1e-14 or abs(self.zeta - ZETA_CONFORMAL) < 1e-14):
             raise ValueError("zeta must be 0 (minimal) or 1/6 (conformal coupling)")
         defaults = spec.field.profiles
-        if self.f1 is None:
-            self.f1 = defaults.f1
-            if self.f1_antideriv is None:
-                self.f1_antideriv = defaults.f1_antideriv
-        if self.f2 is None:
-            self.f2 = defaults.f2
-            if self.f2_antideriv is None:
-                self.f2_antideriv = defaults.f2_antideriv
+        for name in ("f1", "f2"):
+            anti = f"{name}_antideriv"
+            if getattr(self, name) is None:
+                setattr(self, name, getattr(defaults, name))
+                if getattr(self, anti) is None:
+                    setattr(self, anti, getattr(defaults, anti))
+            elif getattr(self, anti) is None and getattr(defaults, anti) is not None:
+                raise ValueError(f"{self.case_id.value}: a custom {name} needs {anti}, "
+                                 "the antiderivative its gauge potential uses")
 
     @property
     def mass_term(self) -> float:
@@ -105,10 +107,7 @@ class TwoForm:
         permutations = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
         total = 0.0
         for c, a, b in permutations:
-            val = self.component(a, b, coords)
-            if isinstance(val, Dual):
-                total = total + dual.partial(val, c)
-            # constant entries contribute nothing
+            total = total + dual.partial(self.component(a, b, coords), c)
         return total
 
     def closedness_residual(self, point: Sequence[float]) -> float:

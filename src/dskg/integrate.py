@@ -98,16 +98,17 @@ def joint_system_residual(ans: SolutionAnsatz, rep: LambdaRep,
         seeds = Dual.seed([complex(p) for p in list(pt) + [ans.lam]])
         qs, lam = seeds[:3], seeds[3]
         v = ans.char(qs, lam)
+        phase = ans.phase(qs, lam)
+        xs = [(op.scalar(qs), [op.coeffs[u](qs) for u in range(3)]) for op in ops]
+        ls = [(lop.scalar([lam]), lop.coeffs[0]([lam])) for lop in rep.ops]
         for phi in (Dual.constant(1.0, 4), v):
-            f = ans.phase(qs, lam) * phi
-            for A, op in enumerate(ops):
-                xphi = op.scalar(qs) * f
-                for u in range(3):
-                    cu = op.coeffs[u](qs)
+            f = phase * phi
+            for (xscalar, xcoeffs), (lscalar, lcoeff) in zip(xs, ls):
+                xphi = xscalar * f
+                for u, cu in enumerate(xcoeffs):
                     if isinstance(cu, Dual) or cu != 0.0:
                         xphi = xphi + cu * dual.partial(f, u)
-                lop = rep.ops[A]
-                lphi = lop.scalar([lam]) * f + lop.coeffs[0]([lam]) * dual.partial(f, 3)
+                lphi = lscalar * f + lcoeff * dual.partial(f, 3)
                 lhs = dual.value(xphi) + dual.value(lphi)
                 worst = max(worst, abs(lhs) / (1.0 + abs(dual.value(xphi)) + abs(dual.value(lphi))))
     return worst

@@ -36,8 +36,10 @@ class DiffOp1:
         self.nvars = nvars if nvars is not None else len(self.coeffs)
 
     def apply(self, f: Callable, point: Sequence[complex]):
-        seeds = Dual.seed([complex(p) for p in point])
-        fv = f(seeds)
+        return self.apply_jet(f(Dual.seed(point)), point)
+
+    def apply_jet(self, fv, point: Sequence[complex]):
+        """The operator at ``point`` contracted with an evaluated 2-jet ``fv``."""
         grad = fv.grad if isinstance(fv, Dual) else (0j,) * self.nvars
         val = _as_value(fv)
         total = _as_value(self.scalar(list(point))) * val
@@ -45,16 +47,17 @@ class DiffOp1:
             total += _as_value(a(list(point))) * grad[u]
         return total
 
+    def combine(self, coords, fv, dfv):
+        """(op f) at ``coords`` from the values ``fv`` of f and ``dfv`` of its partials."""
+        total = self.scalar(coords) * fv
+        for u, a in enumerate(self.coeffs):
+            total = total + a(coords) * dfv[u]
+        return total
+
     def as_function(self, f) -> Callable:
         """The function (op f), evaluable at dual points; f must expose .partial."""
         partials = [f.partial(u) for u in range(self.nvars)]
-
-        def g(coords):
-            total = self.scalar(coords) * f(coords)
-            for u, a in enumerate(self.coeffs):
-                total = total + a(coords) * partials[u](coords)
-            return total
-        return g
+        return lambda coords: self.combine(coords, f(coords), [p(coords) for p in partials])
 
     def coeff_values(self, point):
         pt = list(point)
@@ -77,8 +80,10 @@ class DiffOp2:
 
     def apply_scaled(self, f: Callable, point: Sequence[complex]):
         """(value, scale): scale sums the magnitudes of the individual terms."""
-        seeds = Dual.seed([complex(p) for p in point])
-        fv = f(seeds)
+        return self.apply_jet(f(Dual.seed(point)), point)
+
+    def apply_jet(self, fv, point: Sequence[complex]):
+        """:meth:`apply_scaled` on an already evaluated 2-jet ``fv`` of f at ``point``."""
         if isinstance(fv, Dual):
             val, grad, hess = fv.val, fv.grad, fv.hess
         else:
@@ -105,20 +110,23 @@ class DiffOp2:
         scale += abs(term)
         return total, scale
 
+    def combine(self, coords, fv, dfv, d2fv):
+        """(op f) at ``coords`` from the values of f, its partials ``dfv`` and
+        its second partials ``d2fv``."""
+        total = self.scalar(coords) * fv
+        for a in range(self.nvars):
+            total = total + self.first[a](coords) * dfv[a]
+            for b in range(self.nvars):
+                total = total + self.second[a][b](coords) * d2fv[a][b]
+        return total
+
     def as_function(self, f) -> Callable:
         partials = [f.partial(u) for u in range(self.nvars)]
         second_partials = [[partials[a].partial(b) for b in range(self.nvars)]
                            for a in range(self.nvars)]
-
-        def g(coords):
-            total = self.scalar(coords) * f(coords)
-            for a in range(self.nvars):
-                total = total + self.first[a](coords) * partials[a](coords)
-                for b in range(self.nvars):
-                    fn = self.second[a][b]
-                    total = total + fn(coords) * second_partials[a][b](coords)
-            return total
-        return g
+        return lambda coords: self.combine(
+            coords, f(coords), [p(coords) for p in partials],
+            [[p(coords) for p in row] for row in second_partials])
 
 
 def apply(op, f: Callable, point: Sequence[complex]):
@@ -287,16 +295,20 @@ def kg_apply_generic(case_id: CaseId, config: FieldConfig, f: Callable,
     the gauge potential,
         (1/sqrt g) D_a ( sqrt g g^{ab} D_b f ) + (6 zeta + m^2) f.
     """
+    return kg_apply_generic_jet(case_id, config, f(Dual.seed(point)), point)
+
+
+def kg_apply_generic_jet(case_id: CaseId, config: FieldConfig, fv,
+                         point: Sequence[float]) -> complex:
+    """:func:`kg_apply_generic` on an already evaluated 2-jet ``fv`` of f at ``point``."""
     case_id = CaseId(case_id)
     g, dg, ginv, sqrtg, dsqrtg, dginv = metric_jet(case_id, point, config.parameter_a)
     gauge = gauge_one_form(case_id, config)
     e = config.e
-    seeds = Dual.seed([complex(p) for p in point])
-    avals_d = gauge.values(seeds)
+    avals_d = gauge.values(Dual.seed(point))
     aval = np.array([_as_value(v) for v in avals_d])
     agrad = np.array([list(v.grad) if isinstance(v, Dual) else [0j, 0j, 0j]
                       for v in avals_d])  # agrad[b][c] = d_c A_b
-    fv = f(seeds)
     if isinstance(fv, Dual):
         val, grad, hess = fv.val, np.array(fv.grad), np.array(fv.hess)
     else:
@@ -317,10 +329,14 @@ def kg_apply_generic(case_id: CaseId, config: FieldConfig, f: Callable,
 
 def kg_cross_residual(case_id: CaseId, config: FieldConfig, f: Callable,
                       point: Sequence[float]) -> float:
-    """|closed-form - generic| of the wave operator acting on f at one point."""
+    """|closed-form - generic| of the wave operator acting on f at one point.
+
+    The two builds share only the jet of f.
+    """
     op = kg_operator(case_id, config)
-    direct, scale = op.apply_scaled(f, point)
-    generic = kg_apply_generic(case_id, config, f, point)
+    fv = f(Dual.seed(point))
+    direct, scale = op.apply_jet(fv, point)
+    generic = kg_apply_generic_jet(case_id, config, fv, point)
     return abs(direct - generic) / (1.0 + scale)
 
 
@@ -378,7 +394,11 @@ def symmetry_check(case_id: CaseId, config: FieldConfig, points: Sequence[Sequen
                    n_probes: int = 5, seed: int = 7130,
                    chi_extra: Optional[Sequence[Optional[Callable]]] = None) -> float:
     """max over operators, probe functions and points of the normalized
-    commutator residual |H(X f) - X(H f)| / (1 + |H(X f)| + |X(H f)|)."""
+    commutator residual |H(X f) - X(H f)| / (1 + |H(X f)| + |X(H f)|).
+
+    The jets of f, its partials and H f are evaluated once per probe and
+    point and shared by every operator.
+    """
     case_id = CaseId(case_id)
     rng = np.random.default_rng(seed)
     h = kg_operator(case_id, config)
@@ -386,12 +406,16 @@ def symmetry_check(case_id: CaseId, config: FieldConfig, points: Sequence[Sequen
     worst = 0.0
     for _ in range(n_probes):
         f = random_probe(rng)
-        hf = h.as_function(f)
-        for op in ops:
-            xf = op.as_function(f)
-            for pt in points:
-                lhs = h.apply(xf, pt)
-                rhs = op.apply(hf, pt)
+        partials = [f.partial(a) for a in range(3)]
+        second_partials = [[p.partial(b) for b in range(3)] for p in partials]
+        for pt in points:
+            seeds = Dual.seed(pt)
+            fv = f(seeds)
+            dfv = [p(seeds) for p in partials]
+            hf = h.combine(seeds, fv, dfv, [[p(seeds) for p in row] for row in second_partials])
+            for op in ops:
+                lhs, _ = h.apply_jet(op.combine(seeds, fv, dfv), pt)
+                rhs = op.apply_jet(hf, pt)
                 res = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
                 worst = max(worst, res)
     return worst

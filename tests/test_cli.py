@@ -7,6 +7,7 @@ import json
 import pytest
 
 from dskg.cli import main, parse_complex, UsageError
+from dskg.integrate import SolutionAnsatz
 
 
 def run_cli(*argv):
@@ -115,6 +116,25 @@ def test_solve_summary_and_csv():
     assert sf["kind"] == "legendre"
     assert abs(sf["sigma"]["re"] - 0.75 ** 0.5) < 1e-12
     assert summary["max_residual"] < 1e-6
+
+
+def test_solve_evaluates_wave_function_once_per_node(monkeypatch):
+    calls = []
+    assemble = SolutionAnsatz.assemble
+
+    def counting(self, phi_jet):
+        f = assemble(self, phi_jet)
+
+        def counted(coords):
+            calls.append(coords)
+            return f(coords)
+        return counted
+
+    monkeypatch.setattr(SolutionAnsatz, "assemble", counting)
+    code, out, _ = run_cli("solve", "--case", "g3_1", "--grid", "3")
+    assert code == 0
+    assert len(list(csv.reader(io.StringIO(out)))) == 1 + 27
+    assert len(calls) == 27
 
 
 def test_solve_free_field_refused():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dskg import dual
-from dskg.fields import (FieldConfig, chi_residual, cocycle_from_config,
+from dskg.fields import (FORM_TOL, FieldConfig, chi_residual, cocycle_from_config,
                          gauge_residual, invariance_residual, invariant_two_form,
                          lie_derivative, potential, solve_chi)
 from dskg.geometry import rect_components
@@ -156,6 +156,36 @@ def test_config_validation():
     assert abs(cfg.mass_term - (0.25 + 1.0)) < 1e-15
     d = cfg.to_dict()
     assert d["case"] == "g3_1"
+
+
+@pytest.mark.parametrize("case, f1, derived", [
+    (CaseId.G11, lambda u1, u2: 2.0, [(0, 1), (0, 2)]),
+    (CaseId.G23, lambda u1: 2.0, [(0, 2)]),
+], ids=["g1_1", "g2_3"])
+def test_constant_profile_f1(case, f1, derived):
+    # the 2-form components built from partials of a constant f1 vanish
+    cfg = make_config(case, f1=f1)
+    form = invariant_two_form(case, cfg)
+    for p in chart_points(case, 6):
+        m = form.matrix(p)
+        for a, b in derived:
+            assert m[a, b] == 0 and m[b, a] == 0
+        assert form.closedness_residual(p) <= FORM_TOL
+        assert invariance_residual(case, cfg, p, form) <= FORM_TOL
+
+
+def test_custom_profile_without_needed_antiderivative_rejected():
+    with pytest.raises(ValueError, match="g2_1: a custom f1 needs f1_antideriv"):
+        FieldConfig(CaseId.G21, f1=lambda u: u)
+    with pytest.raises(ValueError, match="g2_2: a custom f2 needs f2_antideriv"):
+        FieldConfig(CaseId.G22, f2=lambda u: u)
+    with pytest.raises(ValueError, match="g1_1: a custom f2 needs f2_antideriv"):
+        FieldConfig(CaseId.G11, f2=lambda u1, u2: u1)
+    cfg = FieldConfig(CaseId.G21, f1=lambda u: u, f1_antideriv=lambda u: 0.5 * u * u)
+    assert gauge_residual(CaseId.G21, cfg, (0.1, 0.5, 0.6)) < 1e-10
+    assert chi_residual(CaseId.G21, cfg, (0.1, 0.5, 0.6)) < 1e-10
+    # the orbit-1 gauge uses f1 itself, so a bare f1 is complete there
+    FieldConfig(CaseId.G11, f1=lambda u1, u2: u1 * u2)
 
 
 def test_custom_profile_functions():

@@ -9,9 +9,10 @@ import pytest
 from dskg import dual
 from dskg.fields import FieldConfig, gauge_one_form, invariant_two_form
 from dskg.lie_core import ALL_CASES, CaseId, INTEGRABLE_CASES, standard_cocycle, subalgebra
+from dskg.dual import Dual
 from dskg.operators import (DiffOp1, PolyExpProbe, apply, central_operator,
                             commutation_table_fit, commutator, kg_apply_generic,
-                            kg_cross_residual, kg_operator, random_probe,
+                            kg_apply_generic_jet, kg_cross_residual, kg_operator, random_probe,
                             representation_residual, symmetry_check, symmetry_operators)
 
 from conftest import case_param_a, chart_points
@@ -201,6 +202,23 @@ def test_kg_cross_construction_agreement(case):
     assert worst < 1e-10
 
 
+@pytest.mark.parametrize("case", INTEGRABLE_CASES)
+def test_apply_jet_equals_apply(case):
+    # contracting an evaluated jet is exactly applying the operator to f
+    cfg = make_config(case)
+    h = kg_operator(case, cfg)
+    ops = symmetry_operators(case, cfg)
+    rng = np.random.default_rng(23)
+    for p in chart_points(case, 4):
+        f = random_probe(rng)
+        fv = f(Dual.seed(p))
+        assert h.apply_jet(fv, p) == h.apply_scaled(f, p)
+        assert h.apply_jet(fv, p)[0] == h.apply(f, p)
+        assert kg_apply_generic_jet(case, cfg, fv, p) == kg_apply_generic(case, cfg, f, p)
+        for op in ops:
+            assert op.apply_jet(fv, p) == op.apply(f, p)
+
+
 def test_kg_generic_assembly_zero_charge_reduces_to_wave():
     # with e = 0 the generic assembly is the pure Laplace-Beltrami operator
     cfg = make_config(CaseId.G35, e=0.0, m=0.0, zeta=0.0)
@@ -227,6 +245,33 @@ def test_symmetry_check_free_field_killing_only():
     cfg = make_config(CaseId.G34, e=0.0)
     pts = [tuple(p) for p in chart_points(CaseId.G34, 8)]
     assert symmetry_check(CaseId.G34, cfg, pts, n_probes=2) < 1e-8
+
+
+def _reference_symmetry_check(case, cfg, points, n_probes, seed=7130, chi_extra=None):
+    """symmetry_check as one jet of X f and one of H f per operator and point."""
+    rng = np.random.default_rng(seed)
+    h = kg_operator(case, cfg)
+    ops = symmetry_operators(case, cfg, chi_extra=chi_extra)
+    worst = 0.0
+    for _ in range(n_probes):
+        f = random_probe(rng)
+        hf = h.as_function(f)
+        for op in ops:
+            xf = op.as_function(f)
+            for pt in points:
+                lhs = h.apply(xf, pt)
+                rhs = op.apply(hf, pt)
+                worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
+    return worst
+
+
+@pytest.mark.parametrize("chi_extra", [None, [lambda c: 1e-3 * c[0], None, None]])
+def test_symmetry_check_matches_reference_loop(chi_extra):
+    # sharing the jets of f, its partials and H f across operators changes no bit
+    cfg = make_config(CaseId.G32, mu=1.0)
+    pts = [tuple(p) for p in chart_points(CaseId.G32, 6)]
+    got = symmetry_check(CaseId.G32, cfg, pts, n_probes=2, chi_extra=chi_extra)
+    assert got == _reference_symmetry_check(CaseId.G32, cfg, pts, 2, chi_extra=chi_extra)
 
 
 def test_perturbed_chi_is_detected():
