@@ -198,8 +198,29 @@ def power(x, p):
     return cmath.exp(p * cmath.log(x))
 
 
+# -- read-outs: the only code outside this class that knows a jet's layout --
+
 def value(x):
     return x.val if isinstance(x, Dual) else complex(x)
+
+
+def parts(x, k):
+    """(value, gradient, Hessian) of a jet; a constant in ``k`` variables has
+    zero gradient and Hessian."""
+    if isinstance(x, Dual):
+        return x.val, x.grad, x.hess
+    z = (0j,) * k
+    return complex(x), z, (z,) * k
+
+
+def is_zero(x):
+    """True for a plain constant 0; a jet is never zero, whatever its value."""
+    return not isinstance(x, Dual) and x == 0
+
+
+def compose(x, f0, f1, f2):
+    """A univariate function with 2-jet (f0, f1, f2) at value(x), composed with x."""
+    return x.lift(f0, f1, f2) if isinstance(x, Dual) else f0
 
 
 def gradient(f, point):

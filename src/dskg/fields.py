@@ -128,6 +128,16 @@ class TwoForm:
         return TwoForm(new)
 
 
+def _d_one_form(w) -> np.ndarray:
+    """(dw)_ab = d_a w_b - d_b w_a of a 1-form given by the jets of its components."""
+    grads = [dual.parts(v, 3)[1] for v in w]
+    m = np.zeros((3, 3), dtype=complex)
+    for a in range(3):
+        for b in range(3):
+            m[a, b] = grads[b][a] - grads[a][b]
+    return m
+
+
 class OneForm:
     """Gauge potential; components are dual-evaluable callables."""
 
@@ -139,19 +149,7 @@ class OneForm:
 
     def d(self, point: Sequence[float]) -> np.ndarray:
         """(dA)_ab at a real point, by exact differentiation."""
-        seeds = Dual.seed([complex(p) for p in point])
-        vals = self.values(seeds)
-        grads = []
-        for v in vals:
-            if isinstance(v, Dual):
-                grads.append(v.grad)
-            else:
-                grads.append((0j, 0j, 0j))
-        m = np.zeros((3, 3), dtype=complex)
-        for a in range(3):
-            for b in range(3):
-                m[a, b] = grads[b][a] - grads[a][b]
-        return m
+        return _d_one_form(self.values(Dual.seed([complex(p) for p in point])))
 
 
 def invariant_two_form(case_id: CaseId, config: FieldConfig) -> TwoForm:
@@ -188,7 +186,7 @@ def interior_product(x_comp: Sequence[Callable], f: TwoForm, coords):
         total = 0.0
         for a in range(3):
             comp = f.component(a, b, coords)
-            if isinstance(comp, Dual) or comp != 0.0:
+            if not dual.is_zero(comp):
                 total = total + comp * xv[a]
         out.append(total)
     return out
@@ -198,12 +196,7 @@ def lie_derivative(x_comp: Sequence[Callable], f: TwoForm,
                    point: Sequence[float]) -> np.ndarray:
     """(L_X F)_ab = d(i_X F)_ab + (i_X dF)_ab at a real point."""
     seeds = Dual.seed([complex(p) for p in point])
-    w = interior_product(x_comp, f, seeds)
-    grads = [v.grad if isinstance(v, Dual) else (0j, 0j, 0j) for v in w]
-    m = np.zeros((3, 3), dtype=complex)
-    for a in range(3):
-        for b in range(3):
-            m[a, b] = grads[b][a] - grads[a][b]
+    m = _d_one_form(interior_product(x_comp, f, seeds))
     t = dual.value(f.exterior_derivative(seeds))
     if t != 0:
         xv = [dual.value(fn(seeds)) for fn in x_comp]
@@ -237,8 +230,7 @@ def chi_residual(case_id: CaseId, config: FieldConfig, point: Sequence[float]) -
     worst = 0.0
     for comp, chi in zip(comps, chis):
         w = interior_product(comp, f, seeds)
-        cv = chi(seeds)
-        grad = cv.grad if isinstance(cv, Dual) else (0j, 0j, 0j)
+        grad = dual.parts(chi(seeds), 3)[1]
         for b in range(3):
             worst = max(worst, abs(grad[b] + dual.value(w[b])))
     return worst

@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import dual
 from .dual import Dual
 from .cases import RECTIFY_EXAMPLE, CaseId, resolve
 from .lie_core import subalgebra
@@ -63,7 +64,7 @@ class Chart:
 
     def embed(self, point: Sequence[float]) -> AmbientPoint:
         x = self.map_fn(list(point))
-        vals = [complex(v).real if not isinstance(v, Dual) else v.val.real for v in x]
+        vals = [dual.value(v).real for v in x]
         return AmbientPoint(*vals)
 
 
@@ -173,10 +174,10 @@ def chart_jets(chart: Chart, point: Sequence[float]):
     jac = np.empty((4, 3))
     hes = np.empty((4, 3, 3))
     for i in range(4):
-        xi = x[i] if isinstance(x[i], Dual) else Dual.constant(x[i], 3)
-        vals[i] = xi.val.real
-        jac[i] = [g.real for g in xi.grad]
-        hes[i] = [[h.real for h in row] for row in xi.hess]
+        val, grad, hess = dual.parts(x[i], 3)
+        vals[i] = val.real
+        jac[i] = [g.real for g in grad]
+        hes[i] = [[h.real for h in row] for row in hess]
     return vals, jac, hes
 
 
@@ -262,12 +263,9 @@ def killing_residual(case_id: CaseId, point: Sequence[float],
         xval = np.zeros(3)
         dx = np.zeros((3, 3))  # dx[a][c] = d_c X^a
         for a_idx, fn in enumerate(comp):
-            out = fn(seeds)
-            if isinstance(out, Dual):
-                xval[a_idx] = out.val.real
-                dx[a_idx] = [gr.real for gr in out.grad]
-            else:
-                xval[a_idx] = complex(out).real
+            val, grad, _ = dual.parts(fn(seeds), 3)
+            xval[a_idx] = val.real
+            dx[a_idx] = [gr.real for gr in grad]
         # dx[c, a] = d_a X^c; (L_X g)_ab = X^c d_c g_ab + g_cb d_a X^c + g_ac d_b X^c
         lie = np.einsum("c,cab->ab", xval, dg) \
             + np.einsum("cb,ca->ab", g, dx) \

@@ -69,11 +69,7 @@ class SolutionAnsatz:
 
         def f(coords):
             v = self.char(coords, lam)
-            if isinstance(v, Dual):
-                f0, f1, f2 = phi_jet.jet(v.val)
-                phi = v.lift(f0, f1, f2)
-            else:
-                phi = phi_jet.jet(v)[0]
+            phi = dual.compose(v, *phi_jet.jet(dual.value(v)))
             return self.phase(coords, lam) * phi
         return f
 
@@ -101,12 +97,11 @@ def joint_system_residual(ans: SolutionAnsatz, rep: LambdaRep,
         phase = ans.phase(qs, lam)
         xs = [(op.scalar(qs), [op.coeffs[u](qs) for u in range(3)]) for op in ops]
         ls = [(lop.scalar([lam]), lop.coeffs[0]([lam])) for lop in rep.ops]
-        for phi in (Dual.constant(1.0, 4), v):
-            f = phase * phi
+        for f in (phase, phase * v):
             for (xscalar, xcoeffs), (lscalar, lcoeff) in zip(xs, ls):
                 xphi = xscalar * f
                 for u, cu in enumerate(xcoeffs):
-                    if isinstance(cu, Dual) or cu != 0.0:
+                    if not dual.is_zero(cu):
                         xphi = xphi + cu * dual.partial(f, u)
                 lphi = lscalar * f + lcoeff * dual.partial(f, 3)
                 lhs = dual.value(xphi) + dual.value(lphi)

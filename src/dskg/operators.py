@@ -23,10 +23,6 @@ from .fields import FieldConfig, gauge_one_form, solve_chi
 from .geometry import metric_jet, rect_components
 
 
-def _as_value(x):
-    return x.val if isinstance(x, Dual) else complex(x)
-
-
 class DiffOp1:
     """First-order operator sum_u a^u(x) d_u + b(x) in ``nvars`` variables."""
 
@@ -40,11 +36,10 @@ class DiffOp1:
 
     def apply_jet(self, fv, point: Sequence[complex]):
         """The operator at ``point`` contracted with an evaluated 2-jet ``fv``."""
-        grad = fv.grad if isinstance(fv, Dual) else (0j,) * self.nvars
-        val = _as_value(fv)
-        total = _as_value(self.scalar(list(point))) * val
+        val, grad, _ = dual.parts(fv, self.nvars)
+        total = dual.value(self.scalar(list(point))) * val
         for u, a in enumerate(self.coeffs):
-            total += _as_value(a(list(point))) * grad[u]
+            total += dual.value(a(list(point))) * grad[u]
         return total
 
     def combine(self, coords, fv, dfv):
@@ -61,7 +56,7 @@ class DiffOp1:
 
     def coeff_values(self, point):
         pt = list(point)
-        return [_as_value(a(pt)) for a in self.coeffs] + [_as_value(self.scalar(pt))]
+        return [dual.value(a(pt)) for a in self.coeffs] + [dual.value(self.scalar(pt))]
 
 
 class DiffOp2:
@@ -84,28 +79,24 @@ class DiffOp2:
 
     def apply_jet(self, fv, point: Sequence[complex]):
         """:meth:`apply_scaled` on an already evaluated 2-jet ``fv`` of f at ``point``."""
-        if isinstance(fv, Dual):
-            val, grad, hess = fv.val, fv.grad, fv.hess
-        else:
-            k = self.nvars
-            val, grad, hess = complex(fv), (0j,) * k, ((0j,) * k,) * k
+        val, grad, hess = dual.parts(fv, self.nvars)
         pt = list(point)
         total = 0j
         scale = 0.0
         for a in range(self.nvars):
             for b in range(self.nvars):
-                c = _as_value(self.second[a][b](pt))
+                c = dual.value(self.second[a][b](pt))
                 if c != 0:
                     term = c * hess[a][b]
                     total += term
                     scale += abs(term)
         for a in range(self.nvars):
-            c = _as_value(self.first[a](pt))
+            c = dual.value(self.first[a](pt))
             if c != 0:
                 term = c * grad[a]
                 total += term
                 scale += abs(term)
-        term = _as_value(self.scalar(pt)) * val
+        term = dual.value(self.scalar(pt)) * val
         total += term
         scale += abs(term)
         return total, scale
@@ -129,11 +120,6 @@ class DiffOp2:
             [[p(coords) for p in row] for row in second_partials])
 
 
-def apply(op, f: Callable, point: Sequence[complex]):
-    """Apply a first- or second-order operator to f at a point, exactly."""
-    return op.apply(f, point)
-
-
 @dataclass(frozen=True)
 class CommutatorSample:
     coeffs: np.ndarray
@@ -149,12 +135,7 @@ def commutator(op_a: DiffOp1, op_b: DiffOp1, point: Sequence[complex]) -> Commut
         vals = np.zeros(k + 1, dtype=complex)
         grads = np.zeros((k + 1, k), dtype=complex)
         for i, fn in enumerate(list(op.coeffs) + [op.scalar]):
-            out = fn(seeds)
-            if isinstance(out, Dual):
-                vals[i] = out.val
-                grads[i] = out.grad
-            else:
-                vals[i] = complex(out)
+            vals[i], grads[i], _ = dual.parts(fn(seeds), k)
         return vals, grads
 
     av, ag = jets(op_a)
@@ -265,7 +246,7 @@ def symmetry_operators(case_id: CaseId, config: FieldConfig,
             avals = gauge.values(coords)
             for u in range(3):
                 xu = comp[u](coords)
-                if isinstance(xu, Dual) or xu != 0.0:
+                if not dual.is_zero(xu):
                     total = total - xu * avals[u]
             return total * (1j * e)
 
@@ -305,14 +286,11 @@ def kg_apply_generic_jet(case_id: CaseId, config: FieldConfig, fv,
     g, dg, ginv, sqrtg, dsqrtg, dginv = metric_jet(case_id, point, config.parameter_a)
     gauge = gauge_one_form(case_id, config)
     e = config.e
-    avals_d = gauge.values(Dual.seed(point))
-    aval = np.array([_as_value(v) for v in avals_d])
-    agrad = np.array([list(v.grad) if isinstance(v, Dual) else [0j, 0j, 0j]
-                      for v in avals_d])  # agrad[b][c] = d_c A_b
-    if isinstance(fv, Dual):
-        val, grad, hess = fv.val, np.array(fv.grad), np.array(fv.hess)
-    else:
-        val, grad, hess = complex(fv), np.zeros(3, complex), np.zeros((3, 3), complex)
+    apot = [dual.parts(v, 3) for v in gauge.values(Dual.seed(point))]
+    aval = np.array([v for v, _, _ in apot])
+    agrad = np.array([g for _, g, _ in apot])  # agrad[b][c] = d_c A_b
+    val, grad, hess = dual.parts(fv, 3)
+    grad, hess = np.array(grad), np.array(hess)
 
     total = np.einsum("ab,ab->", ginv, hess)
     drift = (np.einsum("a,ab->b", dsqrtg, ginv) / sqrtg

@@ -96,7 +96,7 @@ def kummer_m(a, b, z):
     _check_radius(z, "kummer_m")
     a = complex(a)
     b = complex(b)
-    term = 1.0 + 0j if not isinstance(z, Dual) else Dual.constant(1.0, len(z.grad))
+    term = 1.0 + 0j
     total = term
     for n in range(_MAX_TERMS):
         term = term * ((a + n) / ((b + n) * (n + 1.0))) * z
@@ -188,7 +188,7 @@ def bessel_y(order, z):
 # ----------------------------------------------------------------------
 
 def _hyp2f1_series(a, b, c, z):
-    term = 1.0 + 0j if not isinstance(z, Dual) else Dual.constant(1.0, len(z.grad))
+    term = 1.0 + 0j
     total = term
     flat = 0
     for n in range(_MAX_TERMS):
@@ -217,7 +217,7 @@ def hyp2f1(a, b, c, z):
         s = c - a - b
         if _near_integer(s, 1e-9):
             raise PoleError("hyp2f1: integer c-a-b in the 1-z connection")
-        one_m_z = 1.0 - z if not isinstance(z, Dual) else -(z - 1.0)
+        one_m_z = 1.0 - z
         t1 = _hyp2f1_series(a, b, a + b - c + 1.0, one_m_z) \
             * (gamma(c) * gamma(s) / (gamma(c - a) * gamma(c - b)))
         t2 = dual.power(one_m_z, s) \
@@ -427,8 +427,5 @@ def ode_integrate(p, q, v0, phi0, dphi0, v1, config: ODESolverConfig | None = No
 
 def solution_jet(fn, v):
     """Evaluate a dual-capable function of one variable as a 2-jet at v."""
-    seed = Dual.variable(v, 0, 1)
-    out = fn(seed)
-    if isinstance(out, Dual):
-        return out.val, out.grad[0], out.hess[0][0]
-    return complex(out), 0j, 0j
+    val, grad, hess = dual.parts(fn(Dual.variable(v, 0, 1)), 1)
+    return val, grad[0], hess[0][0]

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from dskg.cli import main, parse_complex, UsageError
+from dskg.cli import RunConfig, UsageError, _run_config_from, build_parser, main, parse_complex
 from dskg.integrate import SolutionAnsatz
 
 
@@ -137,6 +137,16 @@ def test_solve_evaluates_wave_function_once_per_node(monkeypatch):
     assert len(calls) == 27
 
 
+def test_solve_with_every_node_dropped_fails():
+    code, out, err = run_cli("solve", "--case", "g3_5", "--lambda=10+0i", "--grid", "3")
+    assert code == 1
+    assert len(list(csv.reader(io.StringIO(out)))) == 1
+    assert "warning: dropped 27 grid nodes at branch points" in err
+    summary = json.loads(err[err.index("{"):])
+    assert summary["dropped_branch_points"] == 27
+    assert summary["max_residual"] == 0.0
+
+
 def test_solve_free_field_refused():
     code, _, err = run_cli("solve", "--case", "g4_1")
     assert code == 2
@@ -166,6 +176,16 @@ def test_chart_family_requires_parameter():
     assert "requires --a" in err
     code, _, _ = run_cli("chart", "--case", "g1_3a", "--a", "0.5", "--grid", "2")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv,case,grid", [
+    (["verify"], None, (10, 10, 10)),
+    (["solve", "--case", "g3_1"], "g3_1", (10, 10, 10)),
+    (["chart", "--case", "g3_1"], "g3_1", (5, 5, 5)),
+])
+def test_flags_left_out_take_the_run_config_defaults(argv, case, grid):
+    run = _run_config_from(build_parser().parse_args(argv))
+    assert run == RunConfig(command=argv[0], case=case, grid=grid)
 
 
 def test_unknown_case_is_usage_error():

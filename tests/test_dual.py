@@ -100,3 +100,36 @@ def test_gradient_helper():
     g = dual.gradient(lambda c: c[0] * c[0] + 2.0 * c[1], [3.0, 1.0])
     assert abs(g[0] - 6.0) < 1e-14
     assert abs(g[1] - 2.0) < 1e-14
+
+
+def test_parts_of_a_jet_are_its_own_tuples():
+    x, y = Dual.seed([0.4, -1.1])
+    f = x * y + dual.sin(x)
+    val, grad, hess = dual.parts(f, 2)
+    assert val is f.val and grad is f.grad and hess is f.hess
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("c", [0, 2.0, 1 + 2j])
+def test_parts_of_a_constant_are_zero_derivatives(c, k):
+    val, grad, hess = dual.parts(c, k)
+    assert type(val) is complex and val == c
+    assert grad == (0j,) * k
+    assert hess == ((0j,) * k,) * k
+
+
+def test_is_zero_only_for_a_plain_zero():
+    assert dual.is_zero(0) and dual.is_zero(0.0) and dual.is_zero(0j)
+    assert not dual.is_zero(1e-300)
+    (x,) = Dual.seed([0.0])
+    assert x.val == 0
+    assert not dual.is_zero(x)
+    assert not dual.is_zero(x * 0.0)
+
+
+def test_compose_lifts_a_jet_and_passes_a_constant_value():
+    assert dual.compose(0.7, 2.0, 3.0, 4.0) == 2.0
+    seeds = Dual.seed([0.3, 0.9, -0.2])
+    v = seeds[0] * seeds[1] + seeds[2]
+    got, want = dual.compose(v, 2.0, 3.0, 4.0), v.lift(2.0, 3.0, 4.0)
+    assert (got.val, got.grad, got.hess) == (want.val, want.grad, want.hess)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dskg import specfun
+from dskg.dual import Dual
 from dskg.specfun import (DomainError, ODESolverConfig, PoleError, bessel_j, bessel_y,
                           gamma, hyp2f1, kummer_m, kummer_u, legendre_p, legendre_q,
                           ode_integrate, solution_jet, whittaker_m, whittaker_w)
@@ -267,6 +268,19 @@ def test_ode_integrate_jet_uses_the_equation():
 def test_ode_integrate_rejects_bad_config():
     with pytest.raises(ValueError):
         ODESolverConfig(rtol=-1.0)
+
+
+@pytest.mark.parametrize("fn,z", [
+    (lambda z: kummer_m(0.7 - 0.1j, 1.3, z), 2.0 + 1.0j),
+    (lambda z: kummer_m(0.3, 1.1 + 0.4j, z), -3.0 + 0.5j),
+    (lambda z: bessel_j(math.sqrt(0.91), z), 1.7 + 0.2j),
+    (lambda z: bessel_j(0.0, z), 2.5),
+    (lambda z: hyp2f1(0.3 - 0.2j, 1.1, 1.4 + 0.5j, z), 0.5 + 0.2j),
+    (lambda z: hyp2f1(0.4, 0.9 - 0.3j, 1.7, z), 0.95),   # through 1 - z
+], ids=["kummer_m", "kummer_m_complex_b", "bessel_j", "bessel_j_order_0", "hyp2f1",
+        "hyp2f1_one_minus_z"])
+def test_jet_argument_gives_the_plain_value_exactly(fn, z):
+    assert fn(Dual.variable(z, 0, 1)).val == fn(complex(z))
 
 
 def test_series_determinism():
