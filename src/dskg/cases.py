@@ -24,6 +24,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import dual, specfun
 
 
@@ -54,11 +56,20 @@ class BranchPointError(ValueError):
 
 
 def _safe_power(base, expo, what: str):
+    """base ** expo on the principal branch.
+
+    A point base on the cut raises :class:`BranchPointError`.  On a grid jet,
+    the lanes whose base is on the cut, zero or not finite (a vanishing
+    denominator) are dropped instead: they come back NaN in every entry.
+    """
     if isinstance(expo, complex) and expo.imag == 0 and float(expo.real).is_integer():
         return base ** int(expo.real)
     if isinstance(expo, (int, float)) and float(expo).is_integer():
         return base ** int(expo)
     b = dual.value(base)
+    if isinstance(b, np.ndarray):
+        off = ~np.isfinite(b) | ((b.real <= 0) & (np.abs(b.imag) < BRANCH_TOL))
+        return dual.drop_lanes(dual.power(base, expo), off)
     if b.real <= 0 and abs(b.imag) < BRANCH_TOL:
         raise BranchPointError(f"{what}: base {b} on the principal cut")
     return dual.power(base, expo)

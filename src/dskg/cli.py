@@ -16,9 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import dual, integrate, lie_core, operators
+from . import integrate, lie_core, operators
 from .cases import CASES, FREE_FIELD, case_spec
-from .dual import Dual
 from .fields import (FieldConfig, chi_residual, gauge_residual,
                      invariance_residual, invariant_two_form)
 from .geometry import (chart_for, hyperboloid_residual, induced_metric,
@@ -290,22 +289,17 @@ def cmd_solve(run: RunConfig, out, err) -> int:
     f = ans.assemble(basis.phi1)
     grid = default_grid(case, run.grid)
     chart = chart_for(case, cfg.parameter_a)
+    phi, residual = integrate.grid_residuals(f, h, grid)
+    kept = np.isfinite(phi)
+    dropped = len(grid) - int(np.count_nonzero(kept))
+    verified = dropped < len(grid)
+    worst = float(residual[kept].max()) if verified else 0.0
     writer = csv.writer(out)
     writer.writerow(list(chart.coord_names) + ["re_phi", "im_phi", "residual"])
-    dropped = 0
-    worst = 0.0
-    for pt in grid:
-        try:
-            fv = f(Dual.seed(pt))
-            val, scale = h.apply_jet(fv, pt)
-        except integrate.BranchPointError:
-            dropped += 1
-            continue
-        phi = dual.value(fv)
-        r = abs(val) / (1.0 + scale)
-        worst = max(worst, r)
-        writer.writerow([f"{c:.12g}" for c in pt]
-                        + [f"{phi.real:.15g}", f"{phi.imag:.15g}", f"{r:.3e}"])
+    for pt, p, r, ok in zip(grid, phi.tolist(), residual.tolist(), kept):
+        if ok:
+            writer.writerow([f"{c:.12g}" for c in pt]
+                            + [f"{p.real:.15g}", f"{p.imag:.15g}", f"{r:.3e}"])
     summary = {
         "schema": SCHEMA_VERSION,
         "case": case.value,
@@ -320,7 +314,6 @@ def cmd_solve(run: RunConfig, out, err) -> int:
     if dropped:
         err.write(f"warning: dropped {dropped} grid nodes at branch points\n")
     err.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    verified = dropped < len(grid)
     return 0 if verified and worst <= run.tolerances["wave_residual"] else 1
 
 
@@ -353,45 +346,44 @@ def cmd_chart(run: RunConfig, out) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
+_FLAGS = {
+    "--case": {},
+    "--seed": {"type": int},
+    "--format": {"dest": "fmt", "choices": ("json", "csv")},
+    "--grid": {"help": "comma-separated axis counts, e.g. 10,10,10"},
+    "--lambda": {"dest": "lam",
+                 "help": "complex value as a+bi, both parts required; attach a "
+                         "negative value with =, e.g. --lambda=-0.5+0.1i"},
+    "--perturb": {"help": "inject a fault, e.g. chi:1e-3"},
+    "--tol": {"action": "append", "help": "tolerance override KEY=VALUE (repeatable)"},
+}  # any other flag is a float
+_PHYSICS = ("--e", "--m", "--zeta", "--mu", "--mu1", "--mu2", "--a", "--J", "--lambda")
+
+# each command is offered exactly the flags it reads
+_COMMANDS = {
+    "catalog": ("emit the subalgebra catalog with the computed classification table",
+                ("--mu", "--a", "--format")),
+    "verify": ("run the per-case verification suite",
+               ("--case", "--seed") + _PHYSICS + ("--perturb", "--tol")),
+    "solve": ("sample a solution family and its residuals", ("--case", "--grid") + _PHYSICS),
+    "chart": ("export embedding samples of one chart", ("--case", "--a", "--grid")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dskg",
         description="Symmetry algebras and noncommutative integration of the "
                     "charged wave equation on the 3D de Sitter hyperboloid.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def command(name, help, with_phys=True):
+    for name, (help, flags) in _COMMANDS.items():
         # a flag the user leaves out stays out of the namespace: RunConfig holds
         # every default
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"))
-        p.add_argument("--grid", help="comma-separated axis counts, e.g. 10,10,10")
-        if with_phys:
-            p.add_argument("--e", type=float)
-            p.add_argument("--m", type=float)
-            p.add_argument("--zeta", type=float)
-            p.add_argument("--mu", type=float)
-            p.add_argument("--mu1", type=float)
-            p.add_argument("--mu2", type=float)
-            p.add_argument("--a", type=float)
-            p.add_argument("--J", type=float)
-            p.add_argument("--lambda", dest="lam",
-                           help="complex value as a+bi, both parts required; attach a "
-                                "negative value with =, e.g. --lambda=-0.5+0.1i")
-        return p
-
-    command("catalog", "emit the subalgebra catalog with the computed classification table")
-    p = command("verify", "run the per-case verification suite")
-    p.add_argument("--case")
-    p.add_argument("--perturb", help="inject a fault, e.g. chi:1e-3")
-    p.add_argument("--tol", action="append",
-                   help="tolerance override KEY=VALUE (repeatable)")
-    p = command("solve", "sample a solution family and its residuals")
-    p.add_argument("--case", required=True)
-    p = command("chart", "export embedding samples of one chart", with_phys=False)
-    p.add_argument("--case", required=True)
-    p.add_argument("--a", type=float)
+        for flag in flags:
+            # verify runs every entry without --case; solve and chart need one
+            p.add_argument(flag, required=flag == "--case" and name != "verify",
+                           **_FLAGS.get(flag, {"type": float}))
     return ap
 
 

@@ -5,17 +5,30 @@ Hessian with respect to up to four seed variables (three chart coordinates
 plus, optionally, one auxiliary variable).  All derivatives produced this
 way are exact to rounding; no finite-difference truncation enters anywhere
 in the main computation paths.
+
+Each entry of a jet is either a point value (a Python ``complex``) or an
+``(N,)`` numpy array with one lane per grid node; the arithmetic is the same
+for both and mixes them by broadcasting (Taylor arithmetic applied lane-wise;
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
+:meth:`Dual.seed` starts a point jet and :meth:`Dual.seed_grid` a grid jet.
+The elementary functions take ``cmath`` for a point value and ``numpy`` for
+lane arrays.  A lane dropped by :func:`drop_lanes` is NaN in every entry.
 """
 
 from __future__ import annotations
 
 import cmath
 
+import numpy as np
+
 
 class Dual:
-    """Second-order jet (value, gradient, Hessian) over complex scalars."""
+    """Second-order jet (value, gradient, Hessian) over point values or grid lanes."""
 
     __slots__ = ("val", "grad", "hess")
+    # numpy hands ``array * jet`` to Dual.__rmul__ instead of building an
+    # object array of jets
+    __array_ufunc__ = None
 
     def __init__(self, val, grad, hess):
         self.val = val
@@ -41,6 +54,16 @@ class Dual:
         """All coordinates of ``point`` as simultaneous dual variables."""
         k = len(point)
         return [Dual.variable(point[i], i, k) for i in range(k)]
+
+    @staticmethod
+    def seed_grid(columns):
+        """The coordinate ``columns`` of a grid, each an (N,) array, as
+        simultaneous dual variables with one lane per grid node."""
+        k = len(columns)
+        z = (0j,) * k
+        return [Dual(np.asarray(columns[i], dtype=complex),
+                     tuple(1 + 0j if j == i else 0j for j in range(k)), (z,) * k)
+                for i in range(k)]
 
     def _coerce(self, other):
         if isinstance(other, Dual):
@@ -132,40 +155,48 @@ class Dual:
 
 
 # -- elementary functions, usable on Dual or plain scalars -------------
+# numpy for lane arrays, cmath for point values: one type check per call
 
 def exp(x):
     if isinstance(x, Dual):
-        e = cmath.exp(x.val)
+        v = x.val
+        e = np.exp(v) if isinstance(v, np.ndarray) else cmath.exp(v)
         return x.lift(e, e, e)
-    return cmath.exp(x)
+    return np.exp(x) if isinstance(x, np.ndarray) else cmath.exp(x)
 
 
 def log(x):
     if isinstance(x, Dual):
         v = x.val
-        return x.lift(cmath.log(v), 1.0 / v, -1.0 / (v * v))
-    return cmath.log(x)
+        lv = np.log(v) if isinstance(v, np.ndarray) else cmath.log(v)
+        return x.lift(lv, 1.0 / v, -1.0 / (v * v))
+    return np.log(x) if isinstance(x, np.ndarray) else cmath.log(x)
 
 
 def sqrt(x):
     if isinstance(x, Dual):
-        s = cmath.sqrt(x.val)
+        v = x.val
+        s = np.sqrt(v) if isinstance(v, np.ndarray) else cmath.sqrt(v)
         return x.lift(s, 0.5 / s, -0.25 / (s * s * s))
-    return cmath.sqrt(x)
+    return np.sqrt(x) if isinstance(x, np.ndarray) else cmath.sqrt(x)
 
 
 def sin(x):
     if isinstance(x, Dual):
-        s, c = cmath.sin(x.val), cmath.cos(x.val)
+        v = x.val
+        m = np if isinstance(v, np.ndarray) else cmath
+        s, c = m.sin(v), m.cos(v)
         return x.lift(s, c, -s)
-    return cmath.sin(x)
+    return np.sin(x) if isinstance(x, np.ndarray) else cmath.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
-        s, c = cmath.sin(x.val), cmath.cos(x.val)
+        v = x.val
+        m = np if isinstance(v, np.ndarray) else cmath
+        s, c = m.sin(v), m.cos(v)
         return x.lift(c, -s, -c)
-    return cmath.cos(x)
+    return np.cos(x) if isinstance(x, np.ndarray) else cmath.cos(x)
 
 
 def tan(x):
@@ -174,16 +205,20 @@ def tan(x):
 
 def sinh(x):
     if isinstance(x, Dual):
-        s, c = cmath.sinh(x.val), cmath.cosh(x.val)
+        v = x.val
+        m = np if isinstance(v, np.ndarray) else cmath
+        s, c = m.sinh(v), m.cosh(v)
         return x.lift(s, c, s)
-    return cmath.sinh(x)
+    return np.sinh(x) if isinstance(x, np.ndarray) else cmath.sinh(x)
 
 
 def cosh(x):
     if isinstance(x, Dual):
-        s, c = cmath.sinh(x.val), cmath.cosh(x.val)
+        v = x.val
+        m = np if isinstance(v, np.ndarray) else cmath
+        s, c = m.sinh(v), m.cosh(v)
         return x.lift(c, s, c)
-    return cmath.cosh(x)
+    return np.cosh(x) if isinstance(x, np.ndarray) else cmath.cosh(x)
 
 
 def tanh(x):
@@ -201,7 +236,9 @@ def power(x, p):
 # -- read-outs: the only code outside this class that knows a jet's layout --
 
 def value(x):
-    return x.val if isinstance(x, Dual) else complex(x)
+    if isinstance(x, Dual):
+        return x.val
+    return x if isinstance(x, np.ndarray) else complex(x)
 
 
 def parts(x, k):
@@ -214,8 +251,9 @@ def parts(x, k):
 
 
 def is_zero(x):
-    """True for a plain constant 0; a jet is never zero, whatever its value."""
-    return not isinstance(x, Dual) and x == 0
+    """True for a plain constant 0; a jet or a lane array is never zero,
+    whatever its value."""
+    return not isinstance(x, (Dual, np.ndarray)) and x == 0
 
 
 def compose(x, f0, f1, f2):
@@ -237,3 +275,12 @@ def partial(jet, index):
     k = len(jet.grad)
     z = (0j,) * k
     return Dual(jet.grad[index], jet.hess[index], (z,) * k)
+
+
+def drop_lanes(x, mask):
+    """The grid jet ``x`` with the lanes where ``mask`` holds set to NaN in
+    every entry, so that they read as dropped nodes."""
+    def cut(a):
+        return np.where(mask, np.nan, a)
+    return Dual(cut(x.val), tuple(cut(a) for a in x.grad),
+                tuple(tuple(cut(a) for a in r) for r in x.hess))

@@ -64,14 +64,27 @@ class SolutionAnsatz:
     char: Callable   # (q_triple, lam) -> v
 
     def assemble(self, phi_jet) -> Callable:
-        """Wave function as a dual-evaluable callable of the chart coordinates."""
+        """Wave function as a dual-evaluable callable of the chart coordinates.
+
+        On a grid jet, Phi's 2-jet is evaluated once per distinct value of the
+        characteristic variable and scattered to the lanes.
+        """
         lam = self.lam
 
         def f(coords):
             v = self.char(coords, lam)
-            phi = dual.compose(v, *phi_jet.jet(dual.value(v)))
+            phi = dual.compose(v, *_phi_jets(phi_jet, dual.value(v)))
             return self.phase(coords, lam) * phi
         return f
+
+
+def _phi_jets(phi_jet, v):
+    """(Phi, Phi', Phi'') at a point value ``v``, or per lane of a lane array."""
+    if not isinstance(v, np.ndarray):
+        return phi_jet.jet(v)
+    keys, lane = np.unique(v, return_inverse=True)
+    table = np.array([phi_jet.jet(key) for key in keys], dtype=complex)
+    return table[lane].T
 
 
 def ansatz(case_id: CaseId, config: FieldConfig, J: float, lam: complex) -> SolutionAnsatz:
@@ -179,6 +192,21 @@ def reduction_residual(case_id: CaseId, config: FieldConfig, J: float, lam: comp
         val, scale = h.apply_scaled(f, pt)
         worst = max(worst, abs(val) / (1.0 + scale))
     return worst
+
+
+def grid_residuals(f: Callable, op, grid: Sequence[Sequence[float]]):
+    """(phi, residual) at every node of ``grid`` from one grid jet of f.
+
+    The residual is |op phi| / (1 + scale), as in :func:`reduction_residual`.
+    A node dropped at a branch point of the ansatz phase has NaN phi.
+    """
+    cols = [np.array(axis, dtype=complex) for axis in zip(*grid)]
+    # a dropped lane divides by zero or takes the log of 0 on its way to NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fv = f(Dual.seed_grid(cols))
+        val, scale = op.apply_jet(fv, cols)
+        residual = np.abs(val) / (1.0 + scale)
+    return dual.value(fv), residual
 
 
 # ----------------------------------------------------------------------

@@ -78,7 +78,11 @@ class DiffOp2:
         return self.apply_jet(f(Dual.seed(point)), point)
 
     def apply_jet(self, fv, point: Sequence[complex]):
-        """:meth:`apply_scaled` on an already evaluated 2-jet ``fv`` of f at ``point``."""
+        """:meth:`apply_scaled` on an already evaluated 2-jet ``fv`` of f at ``point``.
+
+        ``point`` may also hold a grid's coordinate columns, with ``fv`` a grid
+        jet (:meth:`Dual.seed_grid`); value and scale then have one lane per node.
+        """
         val, grad, hess = dual.parts(fv, self.nvars)
         pt = list(point)
         total = 0j
@@ -86,13 +90,13 @@ class DiffOp2:
         for a in range(self.nvars):
             for b in range(self.nvars):
                 c = dual.value(self.second[a][b](pt))
-                if c != 0:
+                if not dual.is_zero(c):
                     term = c * hess[a][b]
                     total += term
                     scale += abs(term)
         for a in range(self.nvars):
             c = dual.value(self.first[a](pt))
-            if c != 0:
+            if not dual.is_zero(c):
                 term = c * grad[a]
                 total += term
                 scale += abs(term)

@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
+from dskg import dual
 from dskg.cli import RunConfig, UsageError, _run_config_from, build_parser, main, parse_complex
 from dskg.integrate import SolutionAnsatz
 
@@ -118,7 +120,7 @@ def test_solve_summary_and_csv():
     assert summary["max_residual"] < 1e-6
 
 
-def test_solve_evaluates_wave_function_once_per_node(monkeypatch):
+def test_solve_evaluates_wave_function_once_per_grid(monkeypatch):
     calls = []
     assemble = SolutionAnsatz.assemble
 
@@ -134,7 +136,8 @@ def test_solve_evaluates_wave_function_once_per_node(monkeypatch):
     code, out, _ = run_cli("solve", "--case", "g3_1", "--grid", "3")
     assert code == 0
     assert len(list(csv.reader(io.StringIO(out)))) == 1 + 27
-    assert len(calls) == 27
+    assert len(calls) == 1
+    assert [dual.value(c).shape for c in calls[0]] == [(27,)] * 3
 
 
 def test_solve_with_every_node_dropped_fails():
@@ -145,6 +148,29 @@ def test_solve_with_every_node_dropped_fails():
     summary = json.loads(err[err.index("{"):])
     assert summary["dropped_branch_points"] == 27
     assert summary["max_residual"] == 0.0
+
+
+def test_solve_with_some_nodes_dropped():
+    code, out, err = run_cli("solve", "--case", "g3_4", "--lambda=0+1i", "--grid", "5")
+    assert code == 0
+    assert len(list(csv.reader(io.StringIO(out)))) == 1 + 110
+    assert "warning: dropped 15 grid nodes at branch points" in err
+    assert json.loads(err[err.index("{"):])["dropped_branch_points"] == 15
+
+
+def test_solve_drops_nodes_where_the_charge_base_blows_up():
+    # the g3_5 charge base has a zero denominator on the q1 = q2 = 0 line at
+    # lambda = 1; those nodes are dropped with the ones on the principal cut
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("solve", "--case", "g3_5", "--lambda=1+0i", "--grid", "5")
+    assert code == 0
+    assert len(list(csv.reader(io.StringIO(out)))) == 1 + 60
+    head, body = err.split("{", 1)
+    assert head == "warning: dropped 65 grid nodes at branch points\n"
+    summary = json.loads("{" + body)
+    assert summary["dropped_branch_points"] == 65
+    assert summary["max_residual"] < 1e-6
 
 
 def test_solve_free_field_refused():
@@ -186,6 +212,19 @@ def test_chart_family_requires_parameter():
 def test_flags_left_out_take_the_run_config_defaults(argv, case, grid):
     run = _run_config_from(build_parser().parse_args(argv))
     assert run == RunConfig(command=argv[0], case=case, grid=grid)
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--e", "7"],
+    ["catalog", "--lambda=2+1i"],
+    ["verify", "--case", "g3_1", "--format", "csv"],
+    ["solve", "--case", "g3_1", "--seed", "5"],
+    ["chart", "--case", "g3_1", "--format", "json"],
+])
+def test_flag_the_command_does_not_read_is_usage_error(argv):
+    code, out, _ = run_cli(*argv)
+    assert code == 2
+    assert out == ""
 
 
 def test_unknown_case_is_usage_error():

@@ -3,6 +3,7 @@ differences (the only place finite differences are allowed)."""
 
 import cmath
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,6 +95,30 @@ def test_lift_composes_univariate_jet():
     assert max(abs(a - b) for a, b in zip(lifted.grad, direct.grad)) < 1e-14
     assert max(abs(lifted.hess[i][j] - direct.hess[i][j])
                for i in range(3) for j in range(3)) < 1e-14
+
+
+def test_point_seed_keeps_plain_complex_entries():
+    # no numpy scalar may leak into a point jet: it would change repr(jet)
+    # and slow the point path down
+    x, y = Dual.seed([0.4, -1.1])
+    for f in (x * y, dual.exp(x) / dual.cos(y), dual.sqrt(dual.sinh(x) + 2.0),
+              dual.power(x, 0.5 + 0.3j), dual.log(dual.tanh(x)) * y):
+        entries = [f.val, *f.grad, *(h for row in f.hess for h in row)]
+        assert all(type(e) is complex for e in entries)
+
+
+def test_grid_seed_lanes_are_point_seeds():
+    cols = [np.array([0.4, 1.3, -0.2]), np.array([-1.1, 0.5, 0.9])]
+    f = lambda c: dual.exp(c[0] * c[1]) * dual.sin(c[1]) + c[0] ** 3
+    grid = f(Dual.seed_grid(cols))
+    for n, pt in enumerate(zip(*cols)):
+        point = f(Dual.seed(list(pt)))
+        assert grid.val[n] == pytest.approx(point.val, rel=1e-15)
+        for i in range(2):
+            assert np.broadcast_to(grid.grad[i], 3)[n] == pytest.approx(point.grad[i], rel=1e-15)
+            for j in range(2):
+                assert np.broadcast_to(grid.hess[i][j], 3)[n] == pytest.approx(
+                    point.hess[i][j], rel=1e-14, abs=1e-15)
 
 
 def test_gradient_helper():

@@ -7,13 +7,15 @@ import math
 import numpy as np
 import pytest
 
+from dskg import dual
 from dskg.cases import integration
+from dskg.dual import Dual
 from dskg.fields import FieldConfig
-from dskg.integrate import (BranchPointError, ansatz, default_grid,
+from dskg.integrate import (BranchPointError, ansatz, default_grid, grid_residuals,
                             joint_system_residual, lambda_rep, reduced_ode,
                             reduction_coefficients, reduction_residual, solution_basis)
 from dskg.lie_core import CaseId, INTEGRABLE_CASES, standard_cocycle, subalgebra
-from dskg.operators import commutation_table_fit, representation_residual
+from dskg.operators import commutation_table_fit, kg_operator, representation_residual
 from dskg.specfun import ODESolverConfig, ode_integrate
 
 from conftest import case_param_a
@@ -258,6 +260,33 @@ def test_end_to_end_wave_residual(case):
     grid = default_grid(case, (5, 5, 5))
     for phi in (basis.phi1, basis.phi2):
         assert reduction_residual(case, cfg, 1.0, lam, phi, grid) < 1e-6
+
+
+@pytest.mark.parametrize("case,lam,n,drops", [(c, None, 4, 0) for c in INTEGRABLE_CASES]
+                         + [(CaseId.G34, 1j, 5, 15)])
+def test_grid_jet_matches_the_point_jets(case, lam, n, drops):
+    # oracle: the point route, one jet and one apply_jet per node; a node where
+    # it raises at a branch point must be a NaN lane of the grid
+    cfg = make_config(case)
+    lam = integration(case).lam if lam is None else lam
+    h = kg_operator(case, cfg)
+    f = ansatz(case, cfg, 1.0, lam).assemble(solution_basis(case, cfg, 1.0).phi1)
+    grid = default_grid(case, (n, n, n))
+    phi, residual = grid_residuals(f, h, grid)
+    assert phi.shape == residual.shape == (len(grid),)
+    dropped = []
+    for i, pt in enumerate(grid):
+        try:
+            fv = f(Dual.seed(pt))
+            h.apply_jet(fv, pt)
+        except BranchPointError:
+            dropped.append(i)
+            continue
+        want = dual.value(fv)
+        assert abs(phi[i] - want) <= 1e-14 * abs(want)
+        assert residual[i] <= 1e-6
+    assert len(dropped) == drops
+    assert np.flatnonzero(np.isnan(phi)).tolist() == dropped
 
 
 def test_zero_solution_gives_zero_residual():
