@@ -230,6 +230,8 @@ def power(x, p):
     if isinstance(x, Dual) or isinstance(p, Dual):
         xd = x if isinstance(x, Dual) else Dual.constant(x, len(p.grad))
         return exp(log(xd) * p)
+    if isinstance(x, np.ndarray):
+        return np.exp(p * np.log(x))
     return cmath.exp(p * cmath.log(x))
 
 

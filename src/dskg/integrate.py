@@ -11,6 +11,10 @@ Every object here is verifiable: representations are checked against the
 operator commutation tables, ansatz phases against the joint system, reduced
 coefficients against an on-the-fly extraction from the wave operator, and
 solution bases against their defining ODEs and the end-to-end residual.
+The joint-system, extraction and residual sweeps evaluate all their sample
+points as one grid jet (:meth:`Dual.seed_grid`), with one lane per point.  A
+point at a branch point of the ansatz phase is a NaN lane, and a check that
+reads it is NaN, so it fails.
 """
 
 from __future__ import annotations
@@ -98,28 +102,22 @@ def joint_system_residual(ans: SolutionAnsatz, rep: LambdaRep,
     """max |X_A phi + l_A phi| / (1 + |X_A phi| + |l_A phi|) over probes.
 
     Checked for Phi = 1 and Phi = v, which spans the general solution of the
-    characteristic system.
+    characteristic system.  All probes are one grid jet in the chart
+    coordinates and lambda; a probe lost at a branch point makes it NaN.
     """
-    cfg = ans.config
-    ops = symmetry_operators(ans.case_id, cfg)
-    worst = 0.0
-    for pt in points:
-        seeds = Dual.seed([complex(p) for p in list(pt) + [ans.lam]])
-        qs, lam = seeds[:3], seeds[3]
+    ops = symmetry_operators(ans.case_id, ans.config)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        *qs, lam = Dual.seed_grid(_columns(points) + [np.full(len(points), ans.lam)])
         v = ans.char(qs, lam)
         phase = ans.phase(qs, lam)
-        xs = [(op.scalar(qs), [op.coeffs[u](qs) for u in range(3)]) for op in ops]
-        ls = [(lop.scalar([lam]), lop.coeffs[0]([lam])) for lop in rep.ops]
+        res = []
         for f in (phase, phase * v):
-            for (xscalar, xcoeffs), (lscalar, lcoeff) in zip(xs, ls):
-                xphi = xscalar * f
-                for u, cu in enumerate(xcoeffs):
-                    if not dual.is_zero(cu):
-                        xphi = xphi + cu * dual.partial(f, u)
-                lphi = lscalar * f + lcoeff * dual.partial(f, 3)
-                lhs = dual.value(xphi) + dual.value(lphi)
-                worst = max(worst, abs(lhs) / (1.0 + abs(dual.value(xphi)) + abs(dual.value(lphi))))
-    return worst
+            df = [dual.partial(f, u) for u in range(4)]
+            for op, lop in zip(ops, rep.ops):
+                xphi = dual.value(op.combine(qs, f, df[:3]))
+                lphi = dual.value(lop.combine([lam], f, df[3:]))
+                res.append(np.abs(xphi + lphi) / (1.0 + np.abs(xphi) + np.abs(lphi)))
+    return float(np.max(res))
 
 
 # ----------------------------------------------------------------------
@@ -147,51 +145,40 @@ def reduced_ode(case_id: CaseId, config: FieldConfig, J: float) -> ReducedODE:
     return ReducedODE(case_id, *integration(case_id).reduced_ode(config, J))
 
 
-class _MonomialJet:
-    def __init__(self, degree):
-        self.degree = degree
-
-    def jet(self, v):
-        if self.degree == 0:
-            return 1.0 + 0j, 0j, 0j
-        if self.degree == 1:
-            return complex(v), 1.0 + 0j, 0j
-        return complex(v) ** 2, 2.0 * complex(v), 2.0 + 0j
-
-
 def reduction_coefficients(case_id: CaseId, config: FieldConfig, J: float, lam: complex,
-                           point: Sequence[float]):
-    """Extract (p, q) of the reduced operator at one chart point.
+                           points: Sequence[Sequence[float]]):
+    """Extract (p, q, v) of the reduced operator at chart points, one lane each.
 
-    Applies the wave operator to exp(R) Phi for Phi = 1, v, v^2 and solves for
-    the second-order coefficients; this is the independent route that each
-    :func:`reduced_ode` closed form is compared against.
+    Applies the wave operator to exp(R) Phi for Phi = 1, v, v^2 on one grid
+    jet of the points and solves for the second-order coefficients; this is
+    the independent route that each :func:`reduced_ode` closed form is
+    compared against.  A point lost at a branch point is a NaN lane.
     """
     ans = ansatz(case_id, config, J, lam)
     h = kg_operator(case_id, config)
-    emr = dual.value(ans.phase([complex(p) for p in point], ans.lam))
-    vals = []
-    for deg in range(3):
-        f = ans.assemble(_MonomialJet(deg))
-        vals.append(h.apply(f, point) / emr)
-    v = dual.value(ans.char([complex(p) for p in point], ans.lam))
-    gamma = vals[0]
-    beta = vals[1] - v * gamma
-    alpha = (vals[2] - 2.0 * v * beta - v * v * gamma) / 2.0
-    return beta / alpha, gamma / alpha, v
+    cols = _columns(points)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qs = Dual.seed_grid(cols)
+        phase, vj = ans.phase(qs, ans.lam), ans.char(qs, ans.lam)
+        emr, v = dual.value(phase), dual.value(vj)
+        gamma, h1, h2 = (h.apply_jet(f, cols)[0] / emr
+                         for f in (phase, phase * vj, phase * vj * vj))
+        beta = h1 - v * gamma
+        alpha = (h2 - 2.0 * v * beta - v * v * gamma) / 2.0
+        return beta / alpha, gamma / alpha, v
 
 
 def reduction_residual(case_id: CaseId, config: FieldConfig, J: float, lam: complex,
                        phi_jet, points: Sequence[Sequence[float]]) -> float:
-    """max normalized |H phi| with phi assembled from the ansatz and Phi."""
-    ans = ansatz(case_id, config, J, lam)
-    h = kg_operator(case_id, config)
-    f = ans.assemble(phi_jet)
-    worst = 0.0
-    for pt in points:
-        val, scale = h.apply_scaled(f, pt)
-        worst = max(worst, abs(val) / (1.0 + scale))
-    return worst
+    """max normalized |H phi| with phi assembled from the ansatz and Phi; NaN
+    when a point is lost at a branch point."""
+    f = ansatz(case_id, config, J, lam).assemble(phi_jet)
+    _, residual = grid_residuals(f, kg_operator(case_id, config), points)
+    return float(np.max(residual))
+
+
+def _columns(points):
+    return [np.array(axis, dtype=complex) for axis in zip(*points)]
 
 
 def grid_residuals(f: Callable, op, grid: Sequence[Sequence[float]]):
@@ -200,7 +187,7 @@ def grid_residuals(f: Callable, op, grid: Sequence[Sequence[float]]):
     The residual is |op phi| / (1 + scale), as in :func:`reduction_residual`.
     A node dropped at a branch point of the ansatz phase has NaN phi.
     """
-    cols = [np.array(axis, dtype=complex) for axis in zip(*grid)]
+    cols = _columns(grid)
     # a dropped lane divides by zero or takes the log of 0 on its way to NaN
     with np.errstate(divide="ignore", invalid="ignore"):
         fv = f(Dual.seed_grid(cols))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -171,6 +172,23 @@ def test_solve_drops_nodes_where_the_charge_base_blows_up():
     summary = json.loads("{" + body)
     assert summary["dropped_branch_points"] == 65
     assert summary["max_residual"] < 1e-6
+
+
+def test_verify_at_a_branch_cut_fails_its_integration_checks():
+    # at lambda = 1 some g3_5 probes put the boost base on the principal cut;
+    # the checks that read them come out NaN and fail, with no error or warning
+    moved = ("joint_system", "reduced_coefficients", "wave_residual")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("verify", "--case", "g3_5", "--lambda=1+0i")
+    assert code == 1
+    assert err == ""
+    rep = json.loads(out)
+    assert rep["pass"] is False
+    res = rep["cases"]["g3_5"]["residuals"]
+    for key in moved:
+        assert math.isnan(res[key]["residual"]) and res[key]["pass"] is False, key
+    assert all(check["pass"] for key, check in res.items() if key not in moved)
 
 
 def test_solve_free_field_refused():

@@ -51,6 +51,16 @@ def test_complex_power_principal_branch():
     assert abs(f.grad[0] - p * want / 2.0) < 1e-14
 
 
+def test_power_of_a_lane_array():
+    # plain values dispatch like exp and log: numpy on lanes, cmath on a point
+    x = np.array([4 + 0j, 9 + 0j, 2 - 1j])
+    p = 0.5 + 0.3j
+    lanes = dual.power(x, p)
+    assert np.array_equal(lanes, np.exp(p * np.log(x)))
+    np.testing.assert_allclose(lanes, x ** p, rtol=1e-15)
+    assert dual.power(2 - 1j, p) == cmath.exp(p * cmath.log(2 - 1j))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0.1, 2), st.floats(-2, 2))
 def test_product_rule_property(a, b, c, d):

@@ -3,6 +3,7 @@ bases and the end-to-end wave-equation residual."""
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from dskg.integrate import (BranchPointError, ansatz, default_grid, grid_residua
                             joint_system_residual, lambda_rep, reduced_ode,
                             reduction_coefficients, reduction_residual, solution_basis)
 from dskg.lie_core import CaseId, INTEGRABLE_CASES, standard_cocycle, subalgebra
-from dskg.operators import commutation_table_fit, kg_operator, representation_residual
+from dskg.operators import (DiffOp1, commutation_table_fit, kg_operator,
+                            representation_residual, symmetry_operators)
 from dskg.specfun import ODESolverConfig, ode_integrate
 
 from conftest import case_param_a
@@ -123,6 +125,50 @@ def test_joint_system(case):
     assert joint_system_residual(ans, rep, run_points(case)) < 1e-8
 
 
+def point_joint_system_residual(ans, rep, points):
+    # oracle: the per-point route, one 4-variable jet per probe
+    ops = symmetry_operators(ans.case_id, ans.config)
+    worst = 0.0
+    for pt in points:
+        *qs, lam = Dual.seed([complex(p) for p in pt] + [ans.lam])
+        phase = ans.phase(qs, lam)
+        for f in (phase, phase * ans.char(qs, lam)):
+            for op, lop in zip(ops, rep.ops):
+                xphi = op.scalar(qs) * f
+                for u in range(3):
+                    xphi = xphi + op.coeffs[u](qs) * dual.partial(f, u)
+                lphi = lop.scalar([lam]) * f + lop.coeffs[0]([lam]) * dual.partial(f, 3)
+                xphi, lphi = dual.value(xphi), dual.value(lphi)
+                worst = max(worst, abs(xphi + lphi) / (1.0 + abs(xphi) + abs(lphi)))
+    return worst
+
+
+@pytest.mark.parametrize("case", INTEGRABLE_CASES)
+def test_joint_system_sees_a_shifted_lambda_scalar(case):
+    cfg = make_config(case)
+    rep = lambda_rep(case, 1.0, cfg)
+    lop = rep.ops[0]
+    shifted = DiffOp1(lop.coeffs, lambda c, s=lop.scalar: s(c) + 1e-3, 1)
+    rep = replace(rep, ops=[shifted] + rep.ops[1:])
+    ans = ansatz(case, cfg, 1.0, integration(case).lam)
+    points = run_points(case)
+    batched = joint_system_residual(ans, rep, points)
+    assert batched > 1e-4
+    assert abs(batched - point_joint_system_residual(ans, rep, points)) <= 1e-12 * batched
+
+
+def test_probe_on_the_cut_is_nan():
+    # the batch must not swallow a probe lost at a branch point
+    cfg = make_config(CaseId.G32)
+    a = ansatz(CaseId.G32, cfg, 0.5, 0.0 + 0.0j)
+    probes = [(0.3, 0.2, 0.1), (-1.0, 0.0, 0.0)]
+    assert math.isnan(joint_system_residual(a, lambda_rep(CaseId.G32, 0.5, cfg), probes))
+    p, q, _ = reduction_coefficients(CaseId.G32, cfg, 0.5, 0.0, probes)
+    assert np.isfinite(p[0]) and np.isfinite(q[0]) and np.isnan(p[1]) and np.isnan(q[1])
+    basis = solution_basis(CaseId.G32, cfg, 0.5)
+    assert math.isnan(reduction_residual(CaseId.G32, cfg, 0.5, 0.0, basis.phi1, probes))
+
+
 # ---------------------------------------------------------------- reduced ODEs
 
 def test_reduced_ode_g31_coefficients():
@@ -165,10 +211,44 @@ def test_reduction_extraction_matches_closed_form(case):
     cfg = make_config(case)
     ode = reduced_ode(case, cfg, 1.0)
     lam = integration(case).lam
-    for pt in run_points(case, 5):
-        p_num, q_num, v = reduction_coefficients(case, cfg, 1.0, lam, pt)
+    for p_num, q_num, v in zip(*reduction_coefficients(case, cfg, 1.0, lam,
+                                                       run_points(case, 5))):
         assert abs(p_num - ode.p(v)) < 1e-9
         assert abs(q_num - ode.q(v)) < 1e-9
+
+
+def point_reduction_coefficients(case, cfg, J, lam, point):
+    # oracle: the per-point extraction, one jet and one apply per monomial
+    class Monomial:
+        def __init__(self, degree):
+            self.degree = degree
+
+        def jet(self, v):
+            v = complex(v)
+            return [(1.0 + 0j, 0j, 0j), (v, 1.0 + 0j, 0j), (v ** 2, 2.0 * v, 2.0 + 0j)][self.degree]
+
+    ans = ansatz(case, cfg, J, lam)
+    h = kg_operator(case, cfg)
+    q = [complex(c) for c in point]
+    emr = dual.value(ans.phase(q, ans.lam))
+    v = dual.value(ans.char(q, ans.lam))
+    gamma, h1, h2 = (h.apply(ans.assemble(Monomial(deg)), point) / emr for deg in range(3))
+    beta = h1 - v * gamma
+    alpha = (h2 - 2.0 * v * beta - v * v * gamma) / 2.0
+    return beta / alpha, gamma / alpha, v
+
+
+@pytest.mark.parametrize("case", INTEGRABLE_CASES)
+def test_batched_reduction_coefficients_match_the_point_route(case):
+    cfg = make_config(case)
+    lam = integration(case).lam
+    points = run_points(case, 5)
+    batched = np.array(reduction_coefficients(case, cfg, 1.0, lam, points))
+    assert batched.shape == (3, 5)
+    for lane, pt in zip(batched.T, points):
+        want = np.array(point_reduction_coefficients(case, cfg, 1.0, lam, pt))
+        # relative to the point's largest coefficient: g3_1's p is 0 up to rounding
+        assert np.max(np.abs(lane - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------- solution bases
