@@ -24,8 +24,8 @@ from .geometry import (chart_for, hyperboloid_residual, induced_metric,
                        killing_residual, sample_domain)
 from .integrate import (ansatz, default_grid, joint_system_residual, lambda_rep,
                         reduced_ode, reduction_coefficients, solution_basis)
-from .lie_core import (ALL_CASES, CaseId, INTEGRABLE_CASES, case_extension,
-                       integrability_check, subalgebra, table3_diff)
+from .lie_core import (ALL_CASES, CaseId, INTEGRABLE_CASES, subalgebra, table3,
+                       table3_diff)
 from .operators import (commutation_table_fit, kg_operator, symmetry_check,
                         symmetry_operators)
 
@@ -125,12 +125,11 @@ def _resolve_case(text: str) -> CaseId:
 
 def cmd_catalog(run: RunConfig, out) -> int:
     a = run.a if run.a is not None else 1.0
+    table = table3(run.mu, a)
     entries = []
     for spec in CASES:
-        case = spec.case_id
-        sub = subalgebra(case, a)
-        rec = integrability_check(case_extension(case, mu=run.mu, a=a))
-        d = sub.to_dict()
+        rec = table[spec.case_id]
+        d = subalgebra(spec.case_id, a).to_dict()
         if spec.parameterized:
             d["parameter"] = {"name": "a", "value": a}
         d["field_template"] = spec.field.template
@@ -140,7 +139,7 @@ def cmd_catalog(run: RunConfig, out) -> int:
         }
         d["table3_reference"] = list(spec.table3_reference)
         entries.append(d)
-    diff = {c.value: v for c, v in table3_diff(mu=run.mu, a=a).items()}
+    diff = {c.value: v for c, v in table3_diff(table).items()}
     doc = {"schema": SCHEMA_VERSION, "entries": entries, "table3_diff": diff}
     if run.fmt == "csv":
         w = csv.writer(out)
@@ -176,7 +175,6 @@ def _verify_case(case: CaseId, run: RunConfig) -> dict:
     res["field_closedness"] = max(f2.closedness_residual(p) for p in pts[:15])
     res["field_invariance"] = max(invariance_residual(case, cfg, p, f2) for p in pts[:15])
     res["gauge_consistency"] = max(gauge_residual(case, cfg, p) for p in pts[:15])
-    res["chi_gradient"] = max(chi_residual(case, cfg, p) for p in pts[:15])
 
     chi_extra = None
     if run.perturb is not None:
@@ -184,6 +182,7 @@ def _verify_case(case: CaseId, run: RunConfig) -> dict:
         if kind != "chi":
             raise UsageError(f"unknown perturbation target '{kind}'")
         chi_extra = [lambda c, s=eps: s * c[0]] + [None] * (sub.dim - 1)
+    res["chi_gradient"] = max(chi_residual(case, cfg, p, chi_extra) for p in pts[:15])
 
     ops = symmetry_operators(case, cfg, chi_extra=chi_extra)
     fit = commutation_table_fit(ops, [tuple(p) for p in pts[:12]], 1j * cfg.e)
@@ -437,10 +436,7 @@ def main(argv: Optional[Sequence[str]] = None,
         if run.command == "chart":
             return cmd_chart(run, out)
         raise UsageError(f"unknown command {run.command}")
-    except UsageError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # UsageError is a ValueError
         err.write(f"error: {exc}\n")
         return 2
 

@@ -252,6 +252,15 @@ def parts(x, k):
     return complex(x), z, (z,) * k
 
 
+def arrays(jets, k):
+    """Values (m,), gradients (m, k) and Hessians (m, k, k) of ``m`` point jets
+    in ``k`` variables, as complex arrays."""
+    rows = [parts(x, k) for x in jets]
+    return (np.array([r[0] for r in rows], dtype=complex),
+            np.array([r[1] for r in rows], dtype=complex).reshape(len(rows), k),
+            np.array([r[2] for r in rows], dtype=complex).reshape(len(rows), k, k))
+
+
 def is_zero(x):
     """True for a plain constant 0; a jet or a lane array is never zero,
     whatever its value."""

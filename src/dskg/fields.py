@@ -96,11 +96,8 @@ class TwoForm:
 
     def matrix(self, point: Sequence[float]) -> np.ndarray:
         seeds = Dual.seed([complex(p) for p in point])
-        m = np.zeros((3, 3), dtype=complex)
-        for a in range(3):
-            for b in range(3):
-                m[a, b] = dual.value(self.component(a, b, seeds))
-        return m
+        jets = [self.component(a, b, seeds) for a in range(3) for b in range(3)]
+        return dual.arrays(jets, 3)[0].reshape(3, 3)
 
     def exterior_derivative(self, coords):
         """The single independent component (dF)_{012} at possibly-dual coords."""
@@ -130,12 +127,8 @@ class TwoForm:
 
 def _d_one_form(w) -> np.ndarray:
     """(dw)_ab = d_a w_b - d_b w_a of a 1-form given by the jets of its components."""
-    grads = [dual.parts(v, 3)[1] for v in w]
-    m = np.zeros((3, 3), dtype=complex)
-    for a in range(3):
-        for b in range(3):
-            m[a, b] = grads[b][a] - grads[a][b]
-    return m
+    grads = dual.arrays(w, 3)[1]  # grads[b, a] = d_a w_b
+    return grads.T - grads
 
 
 class OneForm:
@@ -221,18 +214,25 @@ def invariance_residual(case_id: CaseId, config: FieldConfig,
     return worst
 
 
-def chi_residual(case_id: CaseId, config: FieldConfig, point: Sequence[float]) -> float:
-    """Max |d chi_A + i_{X_A} F| over generators at one point."""
+def chi_residual(case_id: CaseId, config: FieldConfig, point: Sequence[float],
+                 chi_extra: Optional[Sequence[Optional[Callable]]] = None) -> float:
+    """Max |d chi_A + i_{X_A} F| over generators at one point.
+
+    ``chi_extra`` adds perturbations to the chi functions, as in
+    :func:`dskg.operators.symmetry_operators`.
+    """
     f = invariant_two_form(case_id, config)
     comps = rect_components(case_id, config.parameter_a)
     chis = solve_chi(case_id, config)
     seeds = Dual.seed([complex(p) for p in point])
     worst = 0.0
-    for comp, chi in zip(comps, chis):
-        w = interior_product(comp, f, seeds)
-        grad = dual.parts(chi(seeds), 3)[1]
-        for b in range(3):
-            worst = max(worst, abs(grad[b] + dual.value(w[b])))
+    for A, (comp, chi) in enumerate(zip(comps, chis)):
+        jet = chi(seeds)
+        if chi_extra is not None and chi_extra[A] is not None:
+            jet = jet + chi_extra[A](seeds)
+        w = dual.arrays(interior_product(comp, f, seeds), 3)[0]
+        grad = dual.arrays([jet], 3)[1][0]
+        worst = max(worst, float(np.max(np.abs(grad + w))))
     return worst
 
 

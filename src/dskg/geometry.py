@@ -168,17 +168,8 @@ def so12_generators() -> list[RepMatrix]:
 
 def chart_jets(chart: Chart, point: Sequence[float]):
     """Ambient 2-jet of the chart map: values, Jacobian (4x3), second derivatives."""
-    seeds = Dual.seed([complex(p) for p in point])
-    x = chart.map_fn(seeds)
-    vals = np.empty(4)
-    jac = np.empty((4, 3))
-    hes = np.empty((4, 3, 3))
-    for i in range(4):
-        val, grad, hess = dual.parts(x[i], 3)
-        vals[i] = val.real
-        jac[i] = [g.real for g in grad]
-        hes[i] = [[h.real for h in row] for row in hess]
-    return vals, jac, hes
+    x = chart.map_fn(Dual.seed([complex(p) for p in point]))
+    return tuple(part.real.copy() for part in dual.arrays(x, 3))
 
 
 def hyperboloid_residual(chart: Chart, point: Sequence[float]) -> float:
@@ -257,15 +248,11 @@ def killing_residual(case_id: CaseId, point: Sequence[float],
     """Max |(L_X g)_ab| over the entry's generators, in chart coordinates."""
     g, dg, *_ = metric_jet(case_id, point, parameter_a)
     comps = rect_components(case_id, parameter_a)
+    seeds = Dual.seed([complex(p) for p in point])
     worst = 0.0
     for comp in comps:
-        seeds = Dual.seed([complex(p) for p in point])
-        xval = np.zeros(3)
-        dx = np.zeros((3, 3))  # dx[a][c] = d_c X^a
-        for a_idx, fn in enumerate(comp):
-            val, grad, _ = dual.parts(fn(seeds), 3)
-            xval[a_idx] = val.real
-            dx[a_idx] = [gr.real for gr in grad]
+        xval, dx, _ = dual.arrays([fn(seeds) for fn in comp], 3)
+        xval, dx = xval.real.copy(), dx.real.copy()
         # dx[c, a] = d_a X^c; (L_X g)_ab = X^c d_c g_ab + g_cb d_a X^c + g_ac d_b X^c
         lie = np.einsum("c,cab->ab", xval, dg) \
             + np.einsum("cb,ca->ab", g, dx) \

@@ -22,12 +22,11 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .cases import (ALL_CASES, CASES, INTEGRABLE_CASES, PARAMETERIZED_CASES,  # noqa: F401
+from .cases import (ALL_CASES, INTEGRABLE_CASES, PARAMETERIZED_CASES,  # noqa: F401
                     CaseId, case_spec, resolve)
 
 AMBIENT_LABELS = ("J01", "J02", "J03", "J12", "J13", "J23")
@@ -149,22 +148,6 @@ def subalgebra(case_id: CaseId, a: Optional[float] = None) -> SubalgebraSpec:
     if np.linalg.matrix_rank(coeffs) != n:
         raise ValueError("generator rows are linearly dependent")
     return SubalgebraSpec(spec.case_id, a, coeffs, alg)
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    case_id: CaseId
-    parameterized: bool
-    make: Callable[..., SubalgebraSpec]
-
-    def build(self, a: Optional[float] = None) -> SubalgebraSpec:
-        return self.make(a) if self.parameterized else self.make()
-
-
-def catalog() -> list[CatalogEntry]:
-    """All 13 inequivalent entries; parameterized families appear once."""
-    return [CatalogEntry(s.case_id, s.parameterized, partial(subalgebra, s.case_id))
-            for s in CASES]
 
 
 @dataclass(frozen=True)
@@ -302,22 +285,23 @@ def coboundary_shift(alg: LieAlgebraSpec, coc: Cocycle, lam: np.ndarray) -> Cocy
     return Cocycle(coc.F - delta)
 
 
+def coadjoint_singular_values(ext: ExtendedAlgebraSpec, samples: int = INDEX_SAMPLES,
+                              seed: int = INDEX_SEED) -> np.ndarray:
+    """Singular values of the coadjoint matrices C_AB^C f_C, one row per probe
+    covector f: all ones, the unit covectors, then ``samples`` uniform draws."""
+    n1 = ext.dim_hat
+    rng = np.random.default_rng(seed)
+    probes = np.vstack([np.ones(n1), np.eye(n1), rng.uniform(-1.0, 1.0, size=(samples, n1))])
+    mats = np.einsum("abc,pc->pab", ext.structure_constants(), probes)
+    return np.linalg.svd(mats, compute_uv=False)
+
+
 def index(ext: ExtendedAlgebraSpec, samples: int = INDEX_SAMPLES,
           seed: int = INDEX_SEED, threshold: float = RANK_THRESHOLD) -> int:
     """dim of the extension minus the generic coadjoint rank, by sampling."""
-    n1 = ext.dim_hat
-    c = ext.structure_constants()
-    rng = np.random.default_rng(seed)
-    probes = [np.ones(n1)]
-    probes.extend(np.eye(n1))
-    probes.extend(rng.uniform(-1.0, 1.0, size=(samples, n1)))
-    best = 0
-    for f in probes:
-        m = np.einsum("abc,c->ab", c, f)
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv.size and sv[0] > 0:
-            best = max(best, int(np.sum(sv > threshold * sv[0])))
-    return n1 - best
+    sv = coadjoint_singular_values(ext, samples, seed)
+    # a zero matrix has rank 0: none of its values exceeds threshold * 0
+    return ext.dim_hat - int(np.max(np.sum(sv > threshold * sv[:, :1], axis=1)))
 
 
 @dataclass(frozen=True)
@@ -356,14 +340,15 @@ def table3(mu: float = 1.0, a: float = 1.0) -> dict[CaseId, IntegrabilityRecord]
     return {case: integrability_check(case_extension(case, mu, a)) for case in ALL_CASES}
 
 
-def table3_diff(mu: float = 1.0, a: float = 1.0) -> dict[CaseId, dict]:
-    """Computed-vs-reference discrepancies, empty when everything matches.
+def table3_diff(table: dict[CaseId, IntegrabilityRecord]) -> dict[CaseId, dict]:
+    """Discrepancies of a computed :func:`table3` against the reference rows,
+    empty when everything matches.
 
     The reference rows live in the registry; the G41 row is a documented
     mismatch there.
     """
     out = {}
-    for case, rec in table3(mu, a).items():
+    for case, rec in table.items():
         ref = case_spec(case).table3_reference
         if rec.as_tuple() != ref:
             out[case] = {"computed": rec.as_tuple(), "reference": ref}

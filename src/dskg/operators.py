@@ -136,10 +136,7 @@ def commutator(op_a: DiffOp1, op_b: DiffOp1, point: Sequence[complex]) -> Commut
     seeds = Dual.seed([complex(p) for p in point])
 
     def jets(op):
-        vals = np.zeros(k + 1, dtype=complex)
-        grads = np.zeros((k + 1, k), dtype=complex)
-        for i, fn in enumerate(list(op.coeffs) + [op.scalar]):
-            vals[i], grads[i], _ = dual.parts(fn(seeds), k)
+        vals, grads, _ = dual.arrays([fn(seeds) for fn in op.coeffs + [op.scalar]], k)
         return vals, grads
 
     av, ag = jets(op_a)
@@ -290,11 +287,8 @@ def kg_apply_generic_jet(case_id: CaseId, config: FieldConfig, fv,
     g, dg, ginv, sqrtg, dsqrtg, dginv = metric_jet(case_id, point, config.parameter_a)
     gauge = gauge_one_form(case_id, config)
     e = config.e
-    apot = [dual.parts(v, 3) for v in gauge.values(Dual.seed(point))]
-    aval = np.array([v for v, _, _ in apot])
-    agrad = np.array([g for _, g, _ in apot])  # agrad[b][c] = d_c A_b
-    val, grad, hess = dual.parts(fv, 3)
-    grad, hess = np.array(grad), np.array(hess)
+    aval, agrad, _ = dual.arrays(gauge.values(Dual.seed(point)), 3)  # agrad[b][c] = d_c A_b
+    (val,), (grad,), (hess,) = dual.arrays([fv], 3)
 
     total = np.einsum("ab,ab->", ginv, hess)
     drift = (np.einsum("a,ab->b", dsqrtg, ginv) / sqrtg

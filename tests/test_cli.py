@@ -9,8 +9,10 @@ import warnings
 import pytest
 
 from dskg import dual
+from dskg.cases import case_spec
 from dskg.cli import RunConfig, UsageError, _run_config_from, build_parser, main, parse_complex
 from dskg.integrate import SolutionAnsatz
+from dskg.lie_core import ALL_CASES, CaseId
 
 
 def run_cli(*argv):
@@ -89,6 +91,18 @@ def test_verify_perturbation_fails_with_exit_1():
     rep = json.loads(out)
     assert rep["pass"] is False
     assert not rep["cases"]["g3_2"]["residuals"]["symmetry_commutator"]["pass"]
+
+
+@pytest.mark.parametrize("case", [c.value for c in ALL_CASES])
+def test_verify_perturbation_is_caught_by_chi_gradient(case):
+    # chi_gradient checks the same perturbed chi as the symmetry operators, so
+    # the fault shows on every entry, also where no bracket or wave operator sees it
+    family = ("--a", "1") if case_spec(CaseId(case)).parameterized else ()
+    code, out, _ = run_cli("verify", "--case", case, "--perturb", "chi:1e-3", *family)
+    assert code == 1
+    check = json.loads(out)["cases"][case]["residuals"]["chi_gradient"]
+    assert check["residual"] == pytest.approx(1e-3, rel=1e-9)
+    assert check["pass"] is False
 
 
 def test_verify_all_cases_summary():

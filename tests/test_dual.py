@@ -153,6 +153,20 @@ def test_parts_of_a_constant_are_zero_derivatives(c, k):
     assert hess == ((0j,) * k,) * k
 
 
+def test_arrays_of_point_jets_match_their_parts():
+    x, y, z = Dual.seed([0.4, -1.1, 0.3])
+    jets = [x * y + dual.sin(z), dual.exp(x * z), 2.5, x * x * y * z]
+    vals, grads, hess = dual.arrays(jets, 3)
+    assert vals.shape == (4,) and grads.shape == (4, 3) and hess.shape == (4, 3, 3)
+    for m, jet in enumerate(jets):
+        val, grad, h = dual.parts(jet, 3)
+        assert vals[m] == val
+        assert all(grads[m, i] == grad[i] for i in range(3))
+        assert all(hess[m, i, j] == h[i][j] for i in range(3) for j in range(3))
+    # the plain constant has zero derivatives
+    assert vals[2] == 2.5 and not grads[2].any() and not hess[2].any()
+
+
 def test_is_zero_only_for_a_plain_zero():
     assert dual.is_zero(0) and dual.is_zero(0.0) and dual.is_zero(0j)
     assert not dual.is_zero(1e-300)

@@ -4,16 +4,17 @@ The index sampler is checked against an exact-rational rank oracle, and the
 coboundary machinery against explicitly constructed shifts.
 """
 
+import io
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dskg import lie_core
-from dskg.cases import case_spec
+from dskg import cli, lie_core
+from dskg.cases import CASES, case_spec
 from dskg.lie_core import (ALL_CASES, CaseId, Cocycle, INTEGRABLE_CASES,
                            PARAMETERIZED_CASES, case_extension,
-                           catalog, change_basis, closure_check, coboundary_shift,
+                           change_basis, closure_check, coboundary_shift,
                            coboundary_solve, index, integrability_check,
                            so13_algebra, standard_cocycle, subalgebra, table3,
                            table3_diff)
@@ -37,15 +38,14 @@ def test_so13_structure():
 
 
 def test_catalog_has_13_entries_and_families_are_factories():
-    entries = catalog()
-    assert len(entries) == 13
-    assert [e.case_id for e in entries] == ALL_CASES
-    for e in entries:
-        if e.parameterized:
-            sub = e.build(0.7)
+    assert len(CASES) == 13
+    assert [s.case_id for s in CASES] == ALL_CASES
+    for s in CASES:
+        if s.parameterized:
+            sub = subalgebra(s.case_id, 0.7)
             assert sub.parameter_a == 0.7
         else:
-            sub = e.build()
+            sub = subalgebra(s.case_id)
         assert sub.algebra.jacobi_residual() < 1e-12
 
 
@@ -242,6 +242,49 @@ def test_index_invariant_under_center_preserving_basis_change(rng):
         assert index(ext2) == base_index
 
 
+def _looped_singular_values(ext, samples=lie_core.INDEX_SAMPLES, seed=lie_core.INDEX_SEED):
+    """One SVD per probe covector, in the sampler's probe order."""
+    n1 = ext.dim_hat
+    c = ext.structure_constants()
+    rng = np.random.default_rng(seed)
+    probes = [np.ones(n1)]
+    probes.extend(np.eye(n1))
+    probes.extend(rng.uniform(-1.0, 1.0, size=(samples, n1)))
+    return [np.linalg.svd(np.einsum("abc,c->ab", c, f), compute_uv=False) for f in probes]
+
+
+def _looped_index(ext, threshold=lie_core.RANK_THRESHOLD):
+    best = 0
+    for sv in _looped_singular_values(ext):
+        if sv.size and sv[0] > 0:
+            best = max(best, int(np.sum(sv > threshold * sv[0])))
+    return ext.dim_hat - best
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_batched_rank_equals_the_per_probe_loop(case):
+    for mu in (0.0, 0.3, 1.0, 2.0):
+        for a in (0.5, 1.0, 2.0):
+            ext = case_extension(case, mu, a)
+            batched = lie_core.coadjoint_singular_values(ext)
+            looped = _looped_singular_values(ext)
+            assert batched.shape == (len(looped), ext.dim_hat)
+            assert all(np.array_equal(row, sv) for row, sv in zip(batched, looped))
+            assert index(ext) == _looped_index(ext)
+
+
+def test_catalog_classifies_each_entry_once(monkeypatch):
+    calls = []
+
+    def counted(ext, *args, **kwargs):
+        calls.append(ext)
+        return index(ext, *args, **kwargs)
+
+    monkeypatch.setattr(lie_core, "index", counted)
+    assert cli.main(["catalog"], io.StringIO(), io.StringIO()) == 0
+    assert len(calls) == len(ALL_CASES)
+
+
 def test_integrability_records():
     rec = integrability_check(case_extension(CaseId.G32))
     assert rec.as_tuple() == (4, 2, 1, 1, 1, True)
@@ -254,7 +297,7 @@ def test_integrability_records():
 
 
 def test_table3_matches_reference_except_documented_row():
-    diff = table3_diff()
+    diff = table3_diff(table3())
     assert set(diff) == {CaseId.G41}
     assert diff[CaseId.G41]["computed"] == (5, 1, 2, 0, 1, True)
     assert diff[CaseId.G41]["reference"] == case_spec(CaseId.G41).table3_reference
