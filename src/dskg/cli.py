@@ -1,7 +1,7 @@
 """Command-line surface: catalog emission, verification, solving, chart export.
 
-Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage error.  Reports are deterministic for a fixed seed and flag set
+Exit codes are a stable contract: 0 success, 1 verification or numerical
+failure, 2 usage error.  Reports are deterministic for a fixed seed and flag set
 (sorted keys, default float repr, cases ordered by id).
 """
 
@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import integrate, lie_core, operators
+from . import integrate, lie_core, operators, specfun
 from .cases import CASES, FREE_FIELD, case_spec
 from .fields import (FieldConfig, chi_residual, gauge_residual,
                      invariance_residual, invariant_two_form)
@@ -436,6 +436,10 @@ def main(argv: Optional[Sequence[str]] = None,
         if run.command == "chart":
             return cmd_chart(run, out)
         raise UsageError(f"unknown command {run.command}")
+    except (ArithmeticError, specfun.DomainError, specfun.PoleError,
+            specfun.StepSizeUnderflow) as exc:
+        err.write(f"error: {exc}\n")
+        return 1
     except (ValueError, KeyError) as exc:  # UsageError is a ValueError
         err.write(f"error: {exc}\n")
         return 2

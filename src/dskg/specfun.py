@@ -6,10 +6,14 @@ the complex gamma function, and an adaptive Runge-Kutta integrator used as an
 independent oracle (and as the only solver for the reduced equation that has
 no closed form).
 
-All evaluators accept either plain complex arguments or :class:`dskg.dual.Dual`
-jets in the argument slot, so derivatives of special functions are exact.
-Parameters (orders, degrees) are plain complex constants.  Branches are
-principal throughout.
+All evaluators accept either plain complex arguments or point jets
+(:class:`dskg.dual.Dual` with ``complex`` entries) in the argument slot, so
+derivatives of special functions are exact.  A power series is summed in plain
+complex arithmetic together with its first two derivatives, and that scalar
+2-jet is lifted onto the argument's jet once (:func:`dskg.dual.compose`), not
+carried through every term.  Lane arrays are not accepted.  Parameters
+(orders, degrees) are plain complex constants.  Branches are principal
+throughout.
 """
 
 from __future__ import annotations
@@ -89,6 +93,36 @@ def _check_radius(z, what):
         raise DomainError(f"{what}: |z| = {abs(value(z)):.3g} beyond series regime {SERIES_RADIUS}")
 
 
+def _power_series(ratio, z, flat_needed, label):
+    """Sum of t_n z^n with t_0 = 1 and t_(n+1) = t_n ratio(n), composed with z.
+
+    S, S' and S'' are summed in plain complex at value(z), then lifted onto
+    z's jet once.  The sum stops after ``flat_needed`` terms in a row with
+    |t_n z^n| <= _TERM_TOL |S|, and not before the z^2 term, which carries S''
+    at z = 0; the jet is exact for that truncated polynomial.
+    """
+    x = value(z)
+    term = 1.0 + 0j
+    s0, s1, s2 = term, 0j, 0j
+    prev = 0j           # t_n z^(n-1), the previous term's derivative base
+    flat = 0
+    for n in range(_MAX_TERMS):
+        r = ratio(n)
+        base = term * r     # t_(n+1) z^n
+        s1 += (n + 1) * base
+        s2 += (n + 1) * n * r * prev
+        prev = base
+        term = base * x
+        s0 += term
+        if abs(term) <= _TERM_TOL * (abs(s0) + 1e-300):
+            flat += 1
+            if flat >= flat_needed and n >= 1:
+                return dual.compose(z, s0, s1, s2)
+        else:
+            flat = 0
+    raise DomainError(f"{label} series did not converge")
+
+
 def kummer_m(a, b, z):
     """Kummer's confluent hypergeometric M(a, b, z) by Taylor series."""
     if _is_nonpositive_integer(b):
@@ -96,14 +130,7 @@ def kummer_m(a, b, z):
     _check_radius(z, "kummer_m")
     a = complex(a)
     b = complex(b)
-    term = 1.0 + 0j
-    total = term
-    for n in range(_MAX_TERMS):
-        term = term * ((a + n) / ((b + n) * (n + 1.0))) * z
-        total = total + term
-        if abs(value(term)) <= _TERM_TOL * (abs(value(total)) + 1e-300):
-            return total
-    raise DomainError("kummer_m series did not converge")
+    return _power_series(lambda n: (a + n) / ((b + n) * (n + 1.0)), z, 1, "kummer_m")
 
 
 def kummer_u(a, b, z):
@@ -157,15 +184,9 @@ def bessel_j(order, z):
         pre = 1.0 / gamma(order + 1.0)
     else:
         pre = dual.power(half, order) / gamma(order + 1.0)
-    w = half * half
-    term = pre
-    total = term
-    for n in range(_MAX_TERMS):
-        term = term * (-1.0 / ((n + 1.0) * (order + n + 1.0))) * w
-        total = total + term
-        if abs(value(term)) <= _TERM_TOL * (abs(value(total)) + 1e-300):
-            return total
-    raise DomainError("bessel_j series did not converge")
+    series = _power_series(lambda n: -1.0 / ((n + 1.0) * (order + n + 1.0)),
+                           half * half, 1, "bessel_j")
+    return pre * series
 
 
 def bessel_y(order, z):
@@ -188,19 +209,7 @@ def bessel_y(order, z):
 # ----------------------------------------------------------------------
 
 def _hyp2f1_series(a, b, c, z):
-    term = 1.0 + 0j
-    total = term
-    flat = 0
-    for n in range(_MAX_TERMS):
-        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
-        total = total + term
-        if abs(value(term)) <= _TERM_TOL * (abs(value(total)) + 1e-300):
-            flat += 1
-            if flat >= 2:
-                return total
-        else:
-            flat = 0
-    raise DomainError("hyp2f1 series did not converge")
+    return _power_series(lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0)), z, 2, "hyp2f1")
 
 
 def hyp2f1(a, b, c, z):

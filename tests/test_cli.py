@@ -205,6 +205,18 @@ def test_verify_at_a_branch_cut_fails_its_integration_checks():
     assert all(check["pass"] for key, check in res.items() if key not in moved)
 
 
+@pytest.mark.parametrize("argv,message", [
+    # the g3_1 closed form q(v) is singular at v = 0, where lambda = 0 puts a probe
+    (["verify", "--case", "g3_1", "--lambda=0+0i"],
+     "error: reduced equation singular at v = 0\n"),
+    # neutral spherical case: the Legendre connection meets a gamma pole
+    (["solve", "--case", "g3_4", "--e", "0", "--J", "1", "--grid", "3"],
+     "error: gamma pole at (-1-0j)\n"),
+], ids=["verify_g3_1_lambda_0", "solve_g3_4_neutral"])
+def test_numerical_failure_exits_1_with_its_message(argv, message):
+    assert run_cli(*argv) == (1, "", message)
+
+
 def test_solve_free_field_refused():
     code, _, err = run_cli("solve", "--case", "g4_1")
     assert code == 2

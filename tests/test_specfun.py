@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dskg import specfun
+from dskg import dual, specfun
 from dskg.dual import Dual
 from dskg.specfun import (DomainError, ODESolverConfig, PoleError, bessel_j, bessel_y,
                           gamma, hyp2f1, kummer_m, kummer_u, legendre_p, legendre_q,
@@ -281,6 +281,110 @@ def test_ode_integrate_rejects_bad_config():
         "hyp2f1_one_minus_z"])
 def test_jet_argument_gives_the_plain_value_exactly(fn, z):
     assert fn(Dual.variable(z, 0, 1)).val == fn(complex(z))
+
+
+# ---------------------------------------------------------------- lifted series
+
+def termwise_series(ratio, z, flat_needed, start=1.0 + 0j):
+    """The term-by-term jet loop that the lifted series replaced, kept as its
+    oracle: every term is a full jet."""
+    term = start
+    total = term
+    flat = 0
+    for n in range(20000):
+        term = term * ratio(n) * z
+        total = total + term
+        if abs(dual.value(term)) <= 1e-15 * (abs(dual.value(total)) + 1e-300):
+            flat += 1
+            if flat >= flat_needed:
+                return total
+        else:
+            flat = 0
+    raise AssertionError("oracle series did not converge")
+
+
+def termwise_bessel_j(order, z):
+    half = z * 0.5
+    pre = dual.power(half, order) / gamma(order + 1.0)
+    return termwise_series(lambda n: -1.0 / ((n + 1.0) * (order + n + 1.0)),
+                           half * half, 1, start=pre)
+
+
+def jet_parts(x):
+    f0, (f1,), ((f2,),) = dual.parts(x, 1)
+    return np.array([f0, f1, f2])
+
+
+def assert_jets_agree(got, want):
+    # bound fixed before the first run: 1e-12 of the oracle's largest entry
+    got, want = jet_parts(got), jet_parts(want)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def polar(rng, r_lo, r_hi):
+    return rng.uniform(r_lo, r_hi) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+
+
+def test_lifted_kummer_m_matches_the_termwise_jet():
+    rng = np.random.default_rng(1301)
+    for _ in range(40):
+        a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        b = complex(rng.uniform(0.3, 3), rng.uniform(-1, 1))
+        z = Dual.variable(polar(rng, 0.0, 3.0), 0, 1)
+        ratio = lambda n: (a + n) / ((b + n) * (n + 1.0))
+        assert_jets_agree(kummer_m(a, b, z), termwise_series(ratio, z, 1))
+
+
+def test_lifted_bessel_j_matches_the_termwise_jet():
+    rng = np.random.default_rng(1302)
+    for _ in range(40):
+        order = complex(rng.uniform(0.1, 2.5), rng.uniform(-1, 1))
+        z = Dual.variable(polar(rng, 0.2, 4.0), 0, 1)
+        assert_jets_agree(bessel_j(order, z), termwise_bessel_j(order, z))
+
+
+def test_lifted_hyp2f1_matches_the_termwise_jet():
+    rng = np.random.default_rng(1303)
+    for _ in range(40):
+        a = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+        b = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+        c = complex(rng.uniform(0.5, 3), rng.uniform(-1, 1))
+        z = Dual.variable(polar(rng, 0.0, 0.9), 0, 1)
+        ratio = lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        assert_jets_agree(hyp2f1(a, b, c, z), termwise_series(ratio, z, 2))
+
+
+def test_series_jets_at_zero():
+    a, b, c = 0.3 + 0.2j, 1.1 - 0.4j, 1.7 + 0.1j
+    zero = Dual.variable(0.0, 0, 1)
+    m = jet_parts(kummer_m(a, b, zero))
+    assert m[0] == 1.0
+    assert m[1] == pytest.approx(a / b, rel=1e-15)
+    assert m[2] == pytest.approx(a * (a + 1.0) / (b * (b + 1.0)), rel=1e-15)
+    f = jet_parts(hyp2f1(a, b, c, zero))
+    assert f[0] == 1.0
+    assert f[1] == pytest.approx(a * b / c, rel=1e-15)
+
+
+@pytest.mark.parametrize("fn,small,large", [
+    (lambda z: kummer_m(0.7 - 0.1j, 1.3, z), 0.01, 3.0 + 1.0j),
+    (lambda z: hyp2f1(0.3 - 0.2j, 1.1, 1.4 + 0.5j, z), 0.01, 0.85 + 0.2j),
+    (lambda z: bessel_j(math.sqrt(0.91), z), 0.3, 4.0),
+], ids=["kummer_m", "hyp2f1", "bessel_j"])
+def test_series_jet_cost_does_not_grow_with_the_term_count(monkeypatch, fn, small, large):
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counted(self, other, _op=getattr(Dual, name)):
+            calls.append(1)
+            return _op(self, other)
+        monkeypatch.setattr(Dual, name, counted)
+
+    def jet_ops(z):
+        calls.clear()
+        fn(Dual.variable(z, 0, 1))
+        return len(calls)
+
+    assert jet_ops(small) == jet_ops(large)
 
 
 def test_series_determinism():
