@@ -253,12 +253,25 @@ def parts(x, k):
 
 
 def arrays(jets, k):
-    """Values (m,), gradients (m, k) and Hessians (m, k, k) of ``m`` point jets
-    in ``k`` variables, as complex arrays."""
+    """Values ``(..., m)``, gradients ``(..., m, k)`` and Hessians
+    ``(..., m, k, k)`` of ``m`` jets in ``k`` variables, as complex arrays.
+
+    The leading axis ``...`` is the lane axis ``(N,)`` when any entry is a
+    lane array, and empty for point jets; an entry without lanes, such as a
+    constant's zero derivatives, is broadcast to every lane.
+    """
     rows = [parts(x, k) for x in jets]
-    return (np.array([r[0] for r in rows], dtype=complex),
-            np.array([r[1] for r in rows], dtype=complex).reshape(len(rows), k),
-            np.array([r[2] for r in rows], dtype=complex).reshape(len(rows), k, k))
+    flat = [e for val, grad, hess in rows for e in (val, *grad, *(h for r in hess for h in r))]
+    block = np.stack(np.broadcast_arrays(*flat), axis=-1).astype(complex, copy=False)
+    block = block.reshape(block.shape[:-1] + (len(rows), 1 + k + k * k))
+    return (block[..., 0], block[..., 1:k + 1],
+            block[..., k + 1:].reshape(block.shape[:-1] + (k, k)))
+
+
+def columns(points):
+    """The coordinate columns of a list of points, each an (N,) complex array,
+    as :meth:`Dual.seed_grid` takes them."""
+    return list(np.array(points, dtype=complex).T.copy())
 
 
 def is_zero(x):

@@ -24,7 +24,7 @@ import numpy as np
 from . import dual
 from .cases import CaseId, case_spec, resolve
 from .dual import Dual
-from .geometry import rect_components
+from .geometry import generator_jets
 from .lie_core import Cocycle, subalgebra
 
 ZETA_CONFORMAL = 1.0 / 6.0
@@ -94,26 +94,18 @@ class TwoForm:
             return -self.entries[(b, a)](coords)
         return 0.0
 
-    def matrix(self, point: Sequence[float]) -> np.ndarray:
-        seeds = Dual.seed([complex(p) for p in point])
-        jets = [self.component(a, b, seeds) for a in range(3) for b in range(3)]
-        return dual.arrays(jets, 3)[0].reshape(3, 3)
+    def jets(self, coords):
+        """The nine components F_ab at ``coords`` (a point or grid seed), as a
+        nested list of jets; the checks below read them."""
+        return [[self.component(a, b, coords) for b in range(3)] for a in range(3)]
 
-    def exterior_derivative(self, coords):
-        """The single independent component (dF)_{012} at possibly-dual coords."""
-        permutations = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-        total = 0.0
-        for c, a, b in permutations:
-            total = total + dual.partial(self.component(a, b, coords), c)
-        return total
+    def matrix(self, coords) -> np.ndarray:
+        """F_ab values at ``coords``, with a grid's lane axis first."""
+        return _form_values(self.jets(coords))
 
-    def closedness_residual(self, point: Sequence[float]) -> float:
-        seeds = Dual.seed([complex(p) for p in point])
-        return abs(dual.value(self.exterior_derivative(seeds)))
-
-    def antisymmetry_residual(self, point: Sequence[float]) -> float:
-        m = self.matrix(point)
-        return float(np.max(np.abs(m + m.T)))
+    def antisymmetry_residual(self, coords) -> float:
+        m = self.matrix(coords)
+        return float(np.max(np.abs(m + np.swapaxes(m, -1, -2))))
 
     def perturbed(self, entry: tuple[int, int], extra: Callable) -> "TwoForm":
         new = dict(self.entries)
@@ -125,10 +117,15 @@ class TwoForm:
         return TwoForm(new)
 
 
+def _form_values(form) -> np.ndarray:
+    vals = dual.arrays([x for row in form for x in row], 3)[0]
+    return vals.reshape(vals.shape[:-1] + (3, 3))
+
+
 def _d_one_form(w) -> np.ndarray:
     """(dw)_ab = d_a w_b - d_b w_a of a 1-form given by the jets of its components."""
-    grads = dual.arrays(w, 3)[1]  # grads[b, a] = d_a w_b
-    return grads.T - grads
+    grads = dual.arrays(w, 3)[1]  # grads[..., b, a] = d_a w_b
+    return np.swapaxes(grads, -1, -2) - grads
 
 
 class OneForm:
@@ -139,10 +136,6 @@ class OneForm:
 
     def values(self, coords):
         return [c(coords) for c in self.components]
-
-    def d(self, point: Sequence[float]) -> np.ndarray:
-        """(dA)_ab at a real point, by exact differentiation."""
-        return _d_one_form(self.values(Dual.seed([complex(p) for p in point])))
 
 
 def invariant_two_form(case_id: CaseId, config: FieldConfig) -> TwoForm:
@@ -162,86 +155,91 @@ def potential(case_id: CaseId, config: FieldConfig) -> OneForm:
     return gauge_one_form(case_id, config)
 
 
-def solve_chi(case_id: CaseId, config: FieldConfig) -> list[Callable]:
-    """Closed-form chi_A with d chi_A = -i_{X_A} F, one per generator."""
-    return case_spec(case_id).field.chi(config)
+def solve_chi(case_id: CaseId, config: FieldConfig,
+              chi_extra: Optional[Sequence[Optional[Callable]]] = None) -> list[Callable]:
+    """Closed-form chi_A with d chi_A = -i_{X_A} F, one per generator.
+
+    ``chi_extra`` adds an evaluable perturbation to each chi_A that has one,
+    to show that a broken defining equation is detected.
+    """
+    chis = case_spec(case_id).field.chi(config)
+    if chi_extra is None:
+        return chis
+    return [chi if extra is None else (lambda c, chi=chi, extra=extra: chi(c) + extra(c))
+            for chi, extra in zip(chis, chi_extra)]
 
 
 # ----------------------------------------------------------------------
-# pointwise checks
+# checks on jets evaluated at a point or grid seed
 # ----------------------------------------------------------------------
 
-def interior_product(x_comp: Sequence[Callable], f: TwoForm, coords):
-    """(i_X F)_b = F_ab X^a as a list of three dual scalars."""
-    xv = [fn(coords) for fn in x_comp]
+def exterior_derivative(form):
+    """The single independent component (dF)_{012} of the 2-form with
+    component jets ``form`` (:meth:`TwoForm.jets`)."""
+    total = 0.0
+    for c, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        total = total + dual.partial(form[a][b], c)
+    return total
+
+
+def closedness_residual(form) -> float:
+    """Max |dF| over the points of the component jets ``form``."""
+    return float(np.max(np.abs(dual.value(exterior_derivative(form)))))
+
+
+def interior_product(x, form):
+    """(i_X F)_b = F_ab X^a as a list of three jets, from the component jets
+    ``x`` of the vector field and ``form`` of the 2-form."""
     out = []
     for b in range(3):
         total = 0.0
         for a in range(3):
-            comp = f.component(a, b, coords)
+            comp = form[a][b]
             if not dual.is_zero(comp):
-                total = total + comp * xv[a]
+                total = total + comp * x[a]
         out.append(total)
     return out
 
 
-def lie_derivative(x_comp: Sequence[Callable], f: TwoForm,
-                   point: Sequence[float]) -> np.ndarray:
-    """(L_X F)_ab = d(i_X F)_ab + (i_X dF)_ab at a real point."""
-    seeds = Dual.seed([complex(p) for p in point])
-    m = _d_one_form(interior_product(x_comp, f, seeds))
-    t = dual.value(f.exterior_derivative(seeds))
-    if t != 0:
-        xv = [dual.value(fn(seeds)) for fn in x_comp]
-        # (i_X dF)_{bc} = T eps_{abc} X^a with T = (dF)_{012}
-        m[1, 2] += t * xv[0]
-        m[2, 1] -= t * xv[0]
-        m[2, 0] += t * xv[1]
-        m[0, 2] -= t * xv[1]
-        m[0, 1] += t * xv[2]
-        m[1, 0] -= t * xv[2]
-    return m
+_EPS = np.zeros((3, 3, 3))
+_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
+_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
 
 
-def invariance_residual(case_id: CaseId, config: FieldConfig,
-                        point: Sequence[float], f: Optional[TwoForm] = None) -> float:
-    """Max |L_{X_A} F| over the entry's generators at one point."""
-    f = f or invariant_two_form(case_id, config)
-    comps = rect_components(case_id, config.parameter_a)
+def lie_derivative(x, form) -> np.ndarray:
+    """(L_X F)_ab = d(i_X F)_ab + (i_X dF)_ab from the component jets ``x`` of
+    the vector field and ``form`` of the 2-form, with a grid's lane axis first."""
+    m = _d_one_form(interior_product(x, form))
+    t = exterior_derivative(form)
+    if dual.is_zero(t):
+        return m
+    # (i_X dF)_{bc} = T eps_{abc} X^a with T = (dF)_{012}
+    eps_x = np.einsum("abc,...a->...bc", _EPS, dual.arrays(x, 3)[0])
+    return m + np.asarray(dual.value(t))[..., None, None] * eps_x
+
+
+def invariance_residual(generators, form) -> float:
+    """Max |L_{X_A} F| over the generators and points, from the generator
+    component jets (:func:`dskg.geometry.generator_jets`) and the 2-form's."""
+    return max(float(np.max(np.abs(lie_derivative(x, form)))) for x in generators)
+
+
+def chi_residual(chis, generators, form) -> float:
+    """Max |d chi_A + i_{X_A} F| over the generators and points, from the jets
+    of each chi_A (:func:`solve_chi`), of the generator components and of the
+    2-form."""
     worst = 0.0
-    for comp in comps:
-        worst = max(worst, float(np.max(np.abs(lie_derivative(comp, f, point)))))
-    return worst
-
-
-def chi_residual(case_id: CaseId, config: FieldConfig, point: Sequence[float],
-                 chi_extra: Optional[Sequence[Optional[Callable]]] = None) -> float:
-    """Max |d chi_A + i_{X_A} F| over generators at one point.
-
-    ``chi_extra`` adds perturbations to the chi functions, as in
-    :func:`dskg.operators.symmetry_operators`.
-    """
-    f = invariant_two_form(case_id, config)
-    comps = rect_components(case_id, config.parameter_a)
-    chis = solve_chi(case_id, config)
-    seeds = Dual.seed([complex(p) for p in point])
-    worst = 0.0
-    for A, (comp, chi) in enumerate(zip(comps, chis)):
-        jet = chi(seeds)
-        if chi_extra is not None and chi_extra[A] is not None:
-            jet = jet + chi_extra[A](seeds)
-        w = dual.arrays(interior_product(comp, f, seeds), 3)[0]
-        grad = dual.arrays([jet], 3)[1][0]
+    for chi, x in zip(chis, generators):
+        w = dual.arrays(interior_product(x, form), 3)[0]
+        grad = dual.arrays([chi], 3)[1][..., 0, :]
         worst = max(worst, float(np.max(np.abs(grad + w))))
     return worst
 
 
-def gauge_residual(case_id: CaseId, config: FieldConfig, point: Sequence[float],
-                   one_form: Optional[OneForm] = None) -> float:
-    """|dA - F| at one point for the entry's gauge."""
-    a = one_form or gauge_one_form(case_id, config)
-    f = invariant_two_form(case_id, config)
-    return float(np.max(np.abs(a.d(point) - f.matrix(point))))
+def gauge_residual(gauge, form) -> float:
+    """Max |dA - F| from the component jets ``gauge`` of the potential
+    (:meth:`OneForm.values`) and ``form`` of the 2-form."""
+    return float(np.max(np.abs(_d_one_form(gauge) - _form_values(form))))
 
 
 def cocycle_from_config(case_id: CaseId, config: FieldConfig,
@@ -250,25 +248,17 @@ def cocycle_from_config(case_id: CaseId, config: FieldConfig,
     """Central-charge matrix F(X_A, X_B) - C_AB^C chi_C, checked constant."""
     case_id = CaseId(case_id)
     sub = subalgebra(case_id, config.parameter_a)
-    f = invariant_two_form(case_id, config)
-    comps = rect_components(case_id, config.parameter_a)
-    chis = solve_chi(case_id, config)
-    n = sub.dim
-    samples = []
-    for point in points:
-        seeds = Dual.seed([complex(p) for p in point])
-        xv = [[dual.value(fn(seeds)) for fn in comp] for comp in comps]
-        chiv = [dual.value(chi(seeds)) for chi in chis]
-        fm = f.matrix(point)
-        mat = np.zeros((n, n), dtype=complex)
-        for A in range(n):
-            for B in range(n):
-                pair = np.dot(np.array(xv[A]), fm @ np.array(xv[B]))
-                shift = np.dot(sub.algebra.structure_constants[A, B], chiv)
-                mat[A, B] = pair - shift
-        samples.append(mat)
-    stack = np.array(samples)
-    spread = float(np.max(np.abs(stack - stack[0]))) if len(samples) > 1 else 0.0
+    n, dim = len(points), sub.dim
+    coords = Dual.seed_grid(dual.columns(points))
+    xv = dual.arrays([x for comp in generator_jets(case_id, coords, config.parameter_a)
+                      for x in comp], 3)[0]
+    xv = xv.reshape(xv.shape[:-1] + (dim, 3))
+    chiv = dual.arrays([chi(coords) for chi in solve_chi(case_id, config)], 3)[0]
+    fm = invariant_two_form(case_id, config).matrix(coords)
+    pair = np.einsum("...Aa,...ab,...Bb->...AB", xv, fm, xv)
+    shift = np.einsum("ABC,...C->...AB", sub.algebra.structure_constants, chiv)
+    stack = np.broadcast_to(pair - shift, (n, dim, dim))
+    spread = float(np.max(np.abs(stack - stack[0])))
     if spread > tol:
         raise RuntimeError(f"cocycle candidates vary across points by {spread:.3e}")
     mean = stack.mean(axis=0)

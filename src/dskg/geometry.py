@@ -166,10 +166,14 @@ def so12_generators() -> list[RepMatrix]:
 # Jacobians, pushforwards, metrics
 # ----------------------------------------------------------------------
 
-def chart_jets(chart: Chart, point: Sequence[float]):
-    """Ambient 2-jet of the chart map: values, Jacobian (4x3), second derivatives."""
-    x = chart.map_fn(Dual.seed([complex(p) for p in point]))
-    return tuple(part.real.copy() for part in dual.arrays(x, 3))
+def chart_jets(chart: Chart, coords):
+    """Ambient 2-jet of the chart map at ``coords``: values (4), Jacobian (4x3)
+    and second derivatives (4x3x3), real.
+
+    ``coords`` is a point seed (:meth:`Dual.seed`) or a grid seed
+    (:meth:`Dual.seed_grid`); a grid's arrays carry its lane axis first.
+    """
+    return tuple(part.real.copy() for part in dual.arrays(chart.map_fn(coords), 3))
 
 
 def hyperboloid_residual(chart: Chart, point: Sequence[float]) -> float:
@@ -184,7 +188,7 @@ def pushforward(case_id: CaseId, generator: int, point: Sequence[float],
     rectification has vanishing u-components.
     """
     chart = chart_for(case_id, parameter_a)
-    vals, jac, _ = chart_jets(chart, point)
+    vals, jac, _ = chart_jets(chart, Dual.seed([complex(p) for p in point]))
     if np.linalg.matrix_rank(jac, tol=1e-8) < 3:
         raise RankDeficientError(f"chart Jacobian rank-deficient at {point}")
     mats = subalgebra(case_id, parameter_a).generator_matrices()
@@ -195,70 +199,84 @@ def pushforward(case_id: CaseId, generator: int, point: Sequence[float],
     return sol
 
 
+def _signature(g: np.ndarray):
+    """(positive, negative) eigenvalue counts of each symmetric part of ``g``."""
+    ev = np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, -1, -2)))
+    return np.sum(ev > 0, axis=-1), np.sum(ev < 0, axis=-1)
+
+
 @dataclass(frozen=True)
 class MetricSample:
-    g: np.ndarray
-    g_inv: np.ndarray
-    sqrt_abs_det: float
-    point: tuple[float, ...]
+    """The induced metric, its first derivatives dg[..., c, a, b] = d_c g_ab,
+    inverse and sqrt|det| at a point or at every lane of a grid."""
 
-    def signature_counts(self) -> tuple[int, int]:
-        ev = np.linalg.eigvalsh(0.5 * (self.g + self.g.T))
-        return int(np.sum(ev > 0)), int(np.sum(ev < 0))
+    g: np.ndarray
+    dg: np.ndarray
+    g_inv: np.ndarray
+    sqrt_abs_det: np.ndarray
+
+    def signature_counts(self):
+        return _signature(self.g)
 
     def identity_residual(self) -> float:
         return float(np.max(np.abs(self.g @ self.g_inv - np.eye(3))))
 
 
-def metric_jet(case_id: CaseId, point: Sequence[float],
-               parameter_a: Optional[float] = None):
-    """Induced metric with first derivatives, from the exact chart 2-jet.
+def metric_jet(case_id: CaseId, coords, parameter_a: Optional[float] = None):
+    """Induced metric with first derivatives, from one exact chart 2-jet at
+    ``coords`` (a point or grid seed, as for :func:`chart_jets`).
 
-    Returns (g, dg, g_inv, sqrtg, dsqrtg, d_ginv) with dg[c][a][b] the
-    coordinate derivative d_c g_ab.
+    Returns (g, dg, g_inv, sqrtg, dsqrtg, d_ginv) with dg[..., c, a, b] the
+    coordinate derivative d_c g_ab.  Raises :class:`RankDeficientError`, naming
+    the entry and the first point, where the metric is not of signature
+    (+, -, -): such a point lies outside the chart domain.
     """
     chart = chart_for(case_id, parameter_a)
-    _, jac, hes = chart_jets(chart, point)
-    g = np.einsum("i,ia,ib->ab", ETA, jac, jac)
-    dg = np.einsum("i,iac,ib->cab", ETA, hes, jac) \
-        + np.einsum("i,ia,ibc->cab", ETA, jac, hes)
+    _, jac, hes = chart_jets(chart, coords)
+    g = np.einsum("i,...ia,...ib->...ab", ETA, jac, jac)
+    pos, neg = _signature(g)
+    bad = np.flatnonzero((pos != 1) | (neg != 2))
+    if bad.size:
+        n = bad[0]
+        points = np.stack(np.broadcast_arrays(*(dual.value(c).real for c in coords)), axis=-1)
+        raise RankDeficientError(
+            f"{chart.case_id}: induced metric signature ({np.ravel(pos)[n]}, "
+            f"{np.ravel(neg)[n]}) at {points.reshape(-1, 3)[n]}; outside chart domain")
+    dg = np.einsum("i,...iac,...ib->...cab", ETA, hes, jac) \
+        + np.einsum("i,...ia,...ibc->...cab", ETA, jac, hes)
     ginv = np.linalg.inv(g)
-    det = np.linalg.det(g)
-    sqrtg = math.sqrt(abs(det))
+    sqrtg = np.sqrt(np.abs(np.linalg.det(g)))
     # d(det)/dx_c = det * tr(ginv dg); d sqrt|det| = sqrt|det| tr(ginv dg)/2
-    tr = np.einsum("ab,cba->c", ginv, dg)
-    dsqrtg = 0.5 * sqrtg * tr
-    dginv = -np.einsum("ae,ceb,bf->caf", ginv, dg, ginv)
+    tr = np.einsum("...ab,...cba->...c", ginv, dg)
+    dsqrtg = 0.5 * sqrtg[..., None] * tr
+    dginv = -np.einsum("...ae,...ceb,...bf->...caf", ginv, dg, ginv)
     return g, dg, ginv, sqrtg, dsqrtg, dginv
 
 
-def induced_metric(case_id: CaseId, point: Sequence[float],
+def induced_metric(case_id: CaseId, coords,
                    parameter_a: Optional[float] = None) -> MetricSample:
-    g, _, ginv, sqrtg, _, _ = metric_jet(case_id, point, parameter_a)
-    sample = MetricSample(g, ginv, sqrtg, tuple(float(p) for p in point))
-    pos, neg = sample.signature_counts()
-    if (pos, neg) != (1, 2):
-        raise RankDeficientError(
-            f"induced metric signature {(pos, neg)} at {point}; outside chart domain")
-    return sample
+    """The induced metric at ``coords``; raises as :func:`metric_jet` does."""
+    g, dg, ginv, sqrtg, _, _ = metric_jet(case_id, coords, parameter_a)
+    return MetricSample(g, dg, ginv, sqrtg)
 
 
-def killing_residual(case_id: CaseId, point: Sequence[float],
-                     parameter_a: Optional[float] = None) -> float:
-    """Max |(L_X g)_ab| over the entry's generators, in chart coordinates."""
-    g, dg, *_ = metric_jet(case_id, point, parameter_a)
-    comps = rect_components(case_id, parameter_a)
-    seeds = Dual.seed([complex(p) for p in point])
-    worst = 0.0
-    for comp in comps:
-        xval, dx, _ = dual.arrays([fn(seeds) for fn in comp], 3)
-        xval, dx = xval.real.copy(), dx.real.copy()
-        # dx[c, a] = d_a X^c; (L_X g)_ab = X^c d_c g_ab + g_cb d_a X^c + g_ac d_b X^c
-        lie = np.einsum("c,cab->ab", xval, dg) \
-            + np.einsum("cb,ca->ab", g, dx) \
-            + np.einsum("ac,cb->ab", g, dx)
-        worst = max(worst, float(np.max(np.abs(lie))))
-    return worst
+def generator_jets(case_id: CaseId, coords, parameter_a: Optional[float] = None):
+    """The jets at ``coords`` of every generator's three chart components."""
+    return [[fn(coords) for fn in comp] for comp in rect_components(case_id, parameter_a)]
+
+
+def killing_residual(metric: MetricSample, generators) -> float:
+    """Max |(L_X g)_ab| over the generators and points, from the metric and the
+    generator-component jets (:func:`generator_jets`) at the same coordinates."""
+    xval, dx, _ = dual.arrays([x for comp in generators for x in comp], 3)
+    xval = xval.real.reshape(xval.shape[:-1] + (-1, 3))      # [..., A, c] = X_A^c
+    dx = dx.real.reshape(dx.shape[:-2] + (-1, 3, 3))         # [..., A, c, a] = d_a X_A^c
+    g, dg = metric.g, metric.dg
+    # (L_X g)_ab = X^c d_c g_ab + g_cb d_a X^c + g_ac d_b X^c
+    lie = np.einsum("...Ac,...cab->...Aab", xval, dg) \
+        + np.einsum("...cb,...Aca->...Aab", g, dx) \
+        + np.einsum("...ac,...Acb->...Aab", g, dx)
+    return float(np.max(np.abs(lie)))
 
 
 def orbit_rank(case_id: CaseId, n_points: int = 60, seed: int = 4801,

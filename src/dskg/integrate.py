@@ -107,7 +107,7 @@ def joint_system_residual(ans: SolutionAnsatz, rep: LambdaRep,
     """
     ops = symmetry_operators(ans.case_id, ans.config)
     with np.errstate(divide="ignore", invalid="ignore"):
-        *qs, lam = Dual.seed_grid(_columns(points) + [np.full(len(points), ans.lam)])
+        *qs, lam = Dual.seed_grid(dual.columns(points) + [np.full(len(points), ans.lam)])
         v = ans.char(qs, lam)
         phase = ans.phase(qs, lam)
         res = []
@@ -156,7 +156,7 @@ def reduction_coefficients(case_id: CaseId, config: FieldConfig, J: float, lam: 
     """
     ans = ansatz(case_id, config, J, lam)
     h = kg_operator(case_id, config)
-    cols = _columns(points)
+    cols = dual.columns(points)
     with np.errstate(divide="ignore", invalid="ignore"):
         qs = Dual.seed_grid(cols)
         phase, vj = ans.phase(qs, ans.lam), ans.char(qs, ans.lam)
@@ -177,17 +177,13 @@ def reduction_residual(case_id: CaseId, config: FieldConfig, J: float, lam: comp
     return float(np.max(residual))
 
 
-def _columns(points):
-    return [np.array(axis, dtype=complex) for axis in zip(*points)]
-
-
 def grid_residuals(f: Callable, op, grid: Sequence[Sequence[float]]):
     """(phi, residual) at every node of ``grid`` from one grid jet of f.
 
     The residual is |op phi| / (1 + scale), as in :func:`reduction_residual`.
     A node dropped at a branch point of the ansatz phase has NaN phi.
     """
-    cols = _columns(grid)
+    cols = dual.columns(grid)
     # a dropped lane divides by zero or takes the log of 0 on its way to NaN
     with np.errstate(divide="ignore", invalid="ignore"):
         fv = f(Dual.seed_grid(cols))

@@ -35,7 +35,9 @@ class DiffOp1:
         return self.apply_jet(f(Dual.seed(point)), point)
 
     def apply_jet(self, fv, point: Sequence[complex]):
-        """The operator at ``point`` contracted with an evaluated 2-jet ``fv``."""
+        """The operator at ``point`` contracted with an evaluated 2-jet ``fv``;
+        ``point`` may also hold a grid's coordinate columns, as in
+        :meth:`DiffOp2.apply_jet`."""
         val, grad, _ = dual.parts(fv, self.nvars)
         total = dual.value(self.scalar(list(point))) * val
         for u, a in enumerate(self.coeffs):
@@ -54,9 +56,12 @@ class DiffOp1:
         partials = [f.partial(u) for u in range(self.nvars)]
         return lambda coords: self.combine(coords, f(coords), [p(coords) for p in partials])
 
-    def coeff_values(self, point):
-        pt = list(point)
-        return [dual.value(a(pt)) for a in self.coeffs] + [dual.value(self.scalar(pt))]
+    def jets(self, coords):
+        """Values (..., k + 1) and gradients (..., k + 1, k) of the coefficients
+        and then the scalar part at ``coords`` (a point or grid seed)."""
+        vals, grads, _ = dual.arrays([a(coords) for a in self.coeffs + [self.scalar]],
+                                     self.nvars)
+        return vals, grads
 
 
 class DiffOp2:
@@ -130,22 +135,15 @@ class CommutatorSample:
     scalar: complex
 
 
-def commutator(op_a: DiffOp1, op_b: DiffOp1, point: Sequence[complex]) -> CommutatorSample:
-    """Coefficients and scalar part of [A, B] at one point."""
-    k = op_a.nvars
-    seeds = Dual.seed([complex(p) for p in point])
-
-    def jets(op):
-        vals, grads, _ = dual.arrays([fn(seeds) for fn in op.coeffs + [op.scalar]], k)
-        return vals, grads
-
-    av, ag = jets(op_a)
-    bv, bg = jets(op_b)
-    coeffs = np.zeros(k, dtype=complex)
-    for mu in range(k):
-        coeffs[mu] = np.dot(av[:k], bg[mu]) - np.dot(bv[:k], ag[mu])
-    scalar = np.dot(av[:k], bg[k]) - np.dot(bv[:k], ag[k])
-    return CommutatorSample(coeffs, scalar)
+def commutator(a, b) -> CommutatorSample:
+    """Coefficients and scalar part of [A, B] from the coefficient jets
+    (:meth:`DiffOp1.jets`) of A and B at the same point or grid."""
+    (av, ag), (bv, bg) = a, b
+    k = ag.shape[-1]
+    # [A, B]^m = A^u d_u B^m - B^u d_u A^m, for the scalar part (m = k) too
+    full = np.einsum("...u,...mu->...m", av[..., :k], bg) \
+        - np.einsum("...u,...mu->...m", bv[..., :k], ag)
+    return CommutatorSample(full[..., :k], full[..., k])
 
 
 @dataclass(frozen=True)
@@ -158,26 +156,28 @@ class TableFit:
 
 def commutation_table_fit(ops: Sequence[DiffOp1], probes: Sequence[Sequence[complex]],
                           central_scalar: complex, tol: float = 1e-9) -> TableFit:
-    """Least-squares fit of every commutator into span(ops, central)."""
+    """Least-squares fit of every commutator into span(ops, central).
+
+    Every operator's coefficient jets are evaluated once, over all probes as
+    one grid jet; the rows are the probes in order, k + 1 per probe.
+    """
     n = len(ops)
     k = ops[0].nvars if n else 0
     structure = np.zeros((n, n, n))
     central = np.zeros((n, n))
     worst = 0.0
-    basis_rows = {}
-    for pt in probes:
-        cols = [op.coeff_values(pt) for op in ops]
-        cols.append([0j] * k + [central_scalar])
-        basis_rows[tuple(pt)] = np.array(cols, dtype=complex).T  # (k+1) x (n+1)
+    coords = Dual.seed_grid(dual.columns(probes))
+    jets = [op.jets(coords) for op in ops]
+    shape = (len(probes), k + 1)
+    central_col = np.zeros(shape, dtype=complex)
+    central_col[:, k] = central_scalar
+    basis = np.stack([np.broadcast_to(v, shape) for v, _ in jets] + [central_col], axis=-1)
+    m = basis.reshape(-1, n + 1)
     for A in range(n):
         for B in range(A + 1, n):
-            mats, rhs = [], []
-            for pt in probes:
-                sample = commutator(ops[A], ops[B], pt)
-                mats.append(basis_rows[tuple(pt)])
-                rhs.append(np.concatenate([sample.coeffs, [sample.scalar]]))
-            m = np.vstack(mats)
-            b = np.concatenate(rhs)
+            sample = commutator(jets[A], jets[B])
+            b = np.broadcast_to(np.concatenate([sample.coeffs, sample.scalar[..., None]], -1),
+                                shape).reshape(-1)
             sol, *_ = np.linalg.lstsq(m, b, rcond=None)
             res = float(np.max(np.abs(m @ sol - b)))
             worst = max(worst, res)
@@ -200,19 +200,19 @@ def representation_residual(ops: Sequence[DiffOp1], structure: np.ndarray,
     """
     n = len(ops)
     k = ops[0].nvars if n else 0
+    coords = Dual.seed_grid(dual.columns(probes))
+    jets = [op.jets(coords) for op in ops]
     worst = 0.0
-    for pt in probes:
-        vals = [np.array(op.coeff_values(pt)) for op in ops]
-        for A in range(n):
-            for B in range(A + 1, n):
-                sample = commutator(ops[A], ops[B], pt)
-                target = np.zeros(k + 1, dtype=complex)
-                for C in range(n):
-                    if structure[A, B, C] != 0:
-                        target += structure[A, B, C] * vals[C]
-                target[k] += central[A, B] * central_scalar
-                got = np.concatenate([sample.coeffs, [sample.scalar]])
-                worst = max(worst, float(np.max(np.abs(got - target))))
+    for A in range(n):
+        for B in range(A + 1, n):
+            sample = commutator(jets[A], jets[B])
+            target = np.zeros(k + 1, dtype=complex)
+            for C in range(n):
+                if structure[A, B, C] != 0:
+                    target = target + structure[A, B, C] * jets[C][0]
+            target[..., k] += central[A, B] * central_scalar
+            got = np.concatenate([sample.coeffs, sample.scalar[..., None]], -1)
+            worst = max(worst, float(np.max(np.abs(got - target))))
     return worst
 
 
@@ -231,19 +231,15 @@ def symmetry_operators(case_id: CaseId, config: FieldConfig,
     """
     case_id = CaseId(case_id)
     comps = rect_components(case_id, config.parameter_a)
-    chis = solve_chi(case_id, config)
+    chis = solve_chi(case_id, config, chi_extra)
     gauge = gauge_one_form(case_id, config)
     e = config.e
     ops = []
     for A, comp in enumerate(comps):
-        chi = chis[A]
         shift = 0.0 if chi_constants is None else chi_constants[A]
-        extra = None if chi_extra is None else chi_extra[A]
 
-        def scalar(coords, comp=comp, chi=chi, shift=shift, extra=extra):
+        def scalar(coords, comp=comp, chi=chis[A], shift=shift):
             total = chi(coords) + shift
-            if extra is not None:
-                total = total + extra(coords)
             avals = gauge.values(coords)
             for u in range(3):
                 xu = comp[u](coords)
@@ -284,10 +280,11 @@ def kg_apply_generic_jet(case_id: CaseId, config: FieldConfig, fv,
                          point: Sequence[float]) -> complex:
     """:func:`kg_apply_generic` on an already evaluated 2-jet ``fv`` of f at ``point``."""
     case_id = CaseId(case_id)
-    g, dg, ginv, sqrtg, dsqrtg, dginv = metric_jet(case_id, point, config.parameter_a)
+    coords = Dual.seed(point)
+    g, dg, ginv, sqrtg, dsqrtg, dginv = metric_jet(case_id, coords, config.parameter_a)
     gauge = gauge_one_form(case_id, config)
     e = config.e
-    aval, agrad, _ = dual.arrays(gauge.values(Dual.seed(point)), 3)  # agrad[b][c] = d_c A_b
+    aval, agrad, _ = dual.arrays(gauge.values(coords), 3)  # agrad[b][c] = d_c A_b
     (val,), (grad,), (hess,) = dual.arrays([fv], 3)
 
     total = np.einsum("ab,ab->", ginv, hess)
@@ -328,17 +325,30 @@ class PolyExpProbe:
         self.dvec = tuple(dvec)
 
     def __call__(self, coords):
+        return self._at(coords, self._exp(coords), {})
+
+    def jets(self, coords):
+        """The jets of f, of its partials [d_a f] and of its second partials
+        [[d_a d_b f]] at ``coords``.  They share exp(d . x) and the monomials
+        x^m, which are evaluated once."""
+        e, monomials = self._exp(coords), {}
+        partials = [self.partial(a) for a in range(len(self.dvec))]
+        return (self._at(coords, e, monomials),
+                [p._at(coords, e, monomials) for p in partials],
+                [[p.partial(b)._at(coords, e, monomials) for b in range(len(self.dvec))]
+                 for p in partials])
+
+    def _exp(self, coords):
         expo = 0.0
         for d, c in zip(self.dvec, coords):
             expo = c * d + expo
+        return dual.exp(expo)
+
+    def _at(self, coords, e, monomials):
         poly = 0.0
         for powers, coeff in self.terms.items():
-            term = coeff
-            for p, c in zip(powers, coords):
-                for _ in range(p):
-                    term = term * c
-            poly = poly + term
-        return poly * dual.exp(expo)
+            poly = poly + coeff * _monomial(powers, coords, monomials)
+        return poly * e
 
     def partial(self, i: int) -> "PolyExpProbe":
         new: dict[tuple[int, ...], complex] = {}
@@ -354,6 +364,17 @@ class PolyExpProbe:
                 add(tuple(lowered), coeff * powers[i])
             add(powers, coeff * self.dvec[i])
         return PolyExpProbe(new, self.dvec)
+
+
+def _monomial(powers, coords, cache):
+    """x^powers at ``coords``: one product with a lower monomial, kept in ``cache``."""
+    if not any(powers):
+        return 1.0
+    if powers not in cache:
+        i = max(i for i, p in enumerate(powers) if p)
+        lower = powers[:i] + (powers[i] - 1,) + powers[i + 1:]
+        cache[powers] = _monomial(lower, coords, cache) * coords[i]
+    return cache[powers]
 
 
 def random_probe(rng: np.random.Generator, nvars: int = 3) -> PolyExpProbe:
@@ -372,26 +393,23 @@ def symmetry_check(case_id: CaseId, config: FieldConfig, points: Sequence[Sequen
     """max over operators, probe functions and points of the normalized
     commutator residual |H(X f) - X(H f)| / (1 + |H(X f)| + |X(H f)|).
 
-    The jets of f, its partials and H f are evaluated once per probe and
-    point and shared by every operator.
+    The jets of f, its partials and H f are evaluated once per probe, over
+    all points as one grid jet (:meth:`PolyExpProbe.jets`), and shared by
+    every operator.
     """
     case_id = CaseId(case_id)
     rng = np.random.default_rng(seed)
     h = kg_operator(case_id, config)
     ops = symmetry_operators(case_id, config, chi_extra=chi_extra)
-    worst = 0.0
+    cols = dual.columns(points)
+    coords = Dual.seed_grid(cols)
+    worst = []
     for _ in range(n_probes):
-        f = random_probe(rng)
-        partials = [f.partial(a) for a in range(3)]
-        second_partials = [[p.partial(b) for b in range(3)] for p in partials]
-        for pt in points:
-            seeds = Dual.seed(pt)
-            fv = f(seeds)
-            dfv = [p(seeds) for p in partials]
-            hf = h.combine(seeds, fv, dfv, [[p(seeds) for p in row] for row in second_partials])
-            for op in ops:
-                lhs, _ = h.apply_jet(op.combine(seeds, fv, dfv), pt)
-                rhs = op.apply_jet(hf, pt)
-                res = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
-                worst = max(worst, res)
-    return worst
+        fv, dfv, d2fv = random_probe(rng).jets(coords)
+        hf = h.combine(coords, fv, dfv, d2fv)
+        for op in ops:
+            lhs, _ = h.apply_jet(op.combine(coords, fv, dfv), cols)
+            rhs = op.apply_jet(hf, cols)
+            worst.append(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))))
+    # a NaN lane (a singular point) makes the result NaN, which fails the check
+    return float(np.max(worst, initial=0.0))

@@ -93,6 +93,12 @@ def _check_radius(z, what):
         raise DomainError(f"{what}: |z| = {abs(value(z)):.3g} beyond series regime {SERIES_RADIUS}")
 
 
+def _check_nonzero(z, what):
+    # the principal-branch z^p has no 2-jet at z = 0 (log 0)
+    if value(z) == 0:
+        raise DomainError(f"{what}: z = {value(z)} is the branch point of a complex power")
+
+
 def _power_series(ratio, z, flat_needed, label):
     """Sum of t_n z^n with t_0 = 1 and t_(n+1) = t_n ratio(n), composed with z.
 
@@ -137,6 +143,7 @@ def kummer_u(a, b, z):
     """Tricomi U(a, b, z) from two M's via the standard connection formula."""
     if _near_integer(b, 1e-9):
         raise PoleError(f"kummer_u: connection formula degenerate at b = {b}")
+    _check_nonzero(z, "kummer_u")
     a = complex(a)
     b = complex(b)
     c1 = gamma(1.0 - b) / gamma(a - b + 1.0)
@@ -147,6 +154,7 @@ def kummer_u(a, b, z):
 
 def whittaker_m(alpha, beta, z):
     """Whittaker M: exp(-z/2) z^(1/2+beta) M(1/2+beta-alpha, 1+2 beta, z)."""
+    _check_nonzero(z, "whittaker_m")
     alpha = complex(alpha)
     beta = complex(beta)
     pre = dual.exp(z * (-0.5)) * dual.power(z, 0.5 + beta)
@@ -155,6 +163,7 @@ def whittaker_m(alpha, beta, z):
 
 def whittaker_w(alpha, beta, z):
     """Whittaker W via Tricomi U; near-degenerate 2 beta handled by offsetting."""
+    _check_nonzero(z, "whittaker_w")
     alpha = complex(alpha)
     beta = complex(beta)
 
@@ -183,6 +192,7 @@ def bessel_j(order, z):
     if order == 0:
         pre = 1.0 / gamma(order + 1.0)
     else:
+        _check_nonzero(z, "bessel_j")
         pre = dual.power(half, order) / gamma(order + 1.0)
     series = _power_series(lambda n: -1.0 / ((n + 1.0) * (order + n + 1.0)),
                            half * half, 1, "bessel_j")

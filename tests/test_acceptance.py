@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from dskg import dual
-from dskg.fields import (FieldConfig, cocycle_from_config, invariance_residual,
-                         invariant_two_form, lie_derivative)
-from dskg.geometry import (chart_for, chart_jets, rect_components, rectify,
+from dskg.dual import Dual
+from dskg.fields import (FieldConfig, closedness_residual, cocycle_from_config,
+                         invariance_residual, invariant_two_form, lie_derivative)
+from dskg.geometry import (chart_for, chart_jets, generator_jets, rect_components, rectify,
                            sample_domain, so12_generators, so12_section)
 from dskg.cases import case_spec, integration
 from dskg.integrate import (default_grid, lambda_rep, reduced_ode, reduction_residual,
@@ -94,8 +95,8 @@ def test_criterion_03_chart_validity():
         pts = sample_domain(chart, 1000, rng)
         mats = subalgebra(case, a).generator_matrices()
         comps = rect_components(case, a)
-        for p in pts:
-            vals, jac, _ = chart_jets(chart, p)
+        all_vals, all_jac, _ = chart_jets(chart, Dual.seed_grid(dual.columns(pts)))
+        for p, vals, jac in zip(pts, all_vals, all_jac):
             worst_hyp = max(worst_hyp, abs(vals[0] ** 2 - vals[1] ** 2
                                            - vals[2] ** 2 - vals[3] ** 2 + 1.0))
             rhs = np.stack([m @ vals for m in mats], axis=1)
@@ -159,13 +160,14 @@ def test_criterion_05_field_invariance():
         f = invariant_two_form(case, cfg)
         pts = chart_points(case, 30)
         for p in pts:
-            worst = max(worst, f.closedness_residual(p),
-                        invariance_residual(case, cfg, p, f))
+            s = Dual.seed(p)
+            worst = max(worst, closedness_residual(f.jets(s)),
+                        invariance_residual(generator_jets(case, s, cfg.parameter_a), f.jets(s)))
         # every chart carries X1 = d/dq1, so a q1-dependent entry must be seen
         broken = f.perturbed((0, 1), lambda c: eps * c[0])
-        comps = rect_components(case, cfg.parameter_a)
-        detected = max(float(np.max(np.abs(lie_derivative(comps[0], broken, p))))
-                       for p in pts[:10])
+        detected = max(float(np.max(np.abs(lie_derivative(
+            generator_jets(case, Dual.seed(p), cfg.parameter_a)[0],
+            broken.jets(Dual.seed(p)))))) for p in pts[:10])
         min_detect = min(min_detect, detected)
     elapsed = time.time() - t0
     assert worst < 1e-10

@@ -212,9 +212,38 @@ def test_verify_at_a_branch_cut_fails_its_integration_checks():
     # neutral spherical case: the Legendre connection meets a gamma pole
     (["solve", "--case", "g3_4", "--e", "0", "--J", "1", "--grid", "3"],
      "error: gamma pole at (-1-0j)\n"),
-], ids=["verify_g3_1_lambda_0", "solve_g3_4_neutral"])
+    # a steep family parameter makes the induced metric degenerate at a sampled point
+    (["verify", "--case", "g3_3a", "--a", "40"],
+     "error: g3_3a: induced metric signature (1, 1) at "
+     "[ 0.26358255 -1.04529064 -0.38786703]; outside chart domain\n"),
+    (["verify", "--case", "g1_3a", "--a", "50"],
+     "error: g1_3a: induced metric signature (0, 0) at "
+     "[-0.64265803 -0.87879379  0.48633574]; outside chart domain\n"),
+    # a complex power of a zero argument: a grid node at v = 0, or a neutral
+    # charge that scales the Bessel argument to 0
+    (["solve", "--case", "g3_1", "--lambda=0+0i", "--grid", "3"],
+     "error: whittaker_m: z = 0j is the branch point of a complex power\n"),
+    (["solve", "--case", "g3_2", "--e", "0", "--grid", "3"],
+     "error: bessel_j: z = 0j is the branch point of a complex power\n"),
+    (["verify", "--case", "g3_2", "--e", "0"],
+     "error: bessel_j: z = 0j is the branch point of a complex power\n"),
+], ids=["verify_g3_1_lambda_0", "solve_g3_4_neutral", "verify_g3_3a_a_40",
+        "verify_g1_3a_a_50", "solve_g3_1_lambda_0", "solve_g3_2_neutral",
+        "verify_g3_2_neutral"])
 def test_numerical_failure_exits_1_with_its_message(argv, message):
     assert run_cli(*argv) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--case", "g3_1", "--grid", "a,b"],
+     "error: invalid literal for int() with base 10: 'a'\n"),
+    (["verify", "--case", "g3_1", "--perturb", "chi:x"],
+     "error: could not convert string to float: 'x'\n"),
+    (["verify", "--case", "g3_1", "--tol", "killing=x"],
+     "error: could not convert string to float: 'x'\n"),
+], ids=["grid", "perturb", "tol"])
+def test_bad_flag_value_is_usage_error(argv, message):
+    assert run_cli(*argv) == (2, "", message)
 
 
 def test_solve_free_field_refused():

@@ -167,6 +167,25 @@ def test_arrays_of_point_jets_match_their_parts():
     assert vals[2] == 2.5 and not grads[2].any() and not hess[2].any()
 
 
+def test_arrays_of_grid_jets_carry_the_lane_axis_first():
+    points = [[0.4, -1.1, 0.3], [0.2, 0.5, -0.7]]
+    x, y, z = Dual.seed_grid(dual.columns(points))
+    vals, grads, hess = dual.arrays([x * y + dual.sin(z), 2.5, z * z], 3)
+    assert vals.shape == (2, 3) and grads.shape == (2, 3, 3) and hess.shape == (2, 3, 3, 3)
+    for n, point in enumerate(points):
+        px, py, pz = Dual.seed(point)
+        want = dual.arrays([px * py + dual.sin(pz), 2.5, pz * pz], 3)
+        for got, w in zip((vals, grads, hess), want):
+            assert np.allclose(got[n], w, rtol=1e-15, atol=0)
+    # the constant is broadcast to every lane, with zero derivatives
+    assert (vals[:, 1] == 2.5).all() and not grads[:, 1].any() and not hess[:, 1].any()
+
+
+def test_arrays_of_constants_alone_have_no_lane_axis():
+    vals, grads, hess = dual.arrays([1.0, 0.0], 3)
+    assert vals.shape == (2,) and grads.shape == (2, 3) and hess.shape == (2, 3, 3)
+
+
 def test_is_zero_only_for_a_plain_zero():
     assert dual.is_zero(0) and dual.is_zero(0.0) and dual.is_zero(0j)
     assert not dual.is_zero(1e-300)

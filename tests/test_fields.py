@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from dskg import dual
-from dskg.fields import (FORM_TOL, FieldConfig, chi_residual, cocycle_from_config,
-                         gauge_residual, invariance_residual, invariant_two_form,
-                         lie_derivative, potential, solve_chi)
-from dskg.geometry import rect_components
+from dskg.dual import Dual
+from dskg.fields import (FORM_TOL, FieldConfig, chi_residual, closedness_residual,
+                         cocycle_from_config, gauge_one_form, gauge_residual,
+                         invariance_residual, invariant_two_form, lie_derivative, potential,
+                         solve_chi)
+from dskg.geometry import generator_jets
 from dskg.lie_core import ALL_CASES, CaseId, Cocycle, coboundary_solve, \
     standard_cocycle, subalgebra
 
@@ -20,44 +22,63 @@ def make_config(case, **kw):
     return FieldConfig(case, parameter_a=case_param_a(case), **kw)
 
 
+def gauge_at(case, cfg, p):
+    s = Dual.seed(p)
+    return gauge_residual(gauge_one_form(case, cfg).values(s),
+                          invariant_two_form(case, cfg).jets(s))
+
+
+def chi_at(case, cfg, p):
+    s = Dual.seed(p)
+    return chi_residual([chi(s) for chi in solve_chi(case, cfg)],
+                        generator_jets(case, s, cfg.parameter_a),
+                        invariant_two_form(case, cfg).jets(s))
+
+
+def invariance_at(case, cfg, p, f=None):
+    s = Dual.seed(p)
+    f = f or invariant_two_form(case, cfg)
+    return invariance_residual(generator_jets(case, s, cfg.parameter_a), f.jets(s))
+
+
 @pytest.mark.parametrize("case", ALL_CASES)
 def test_closedness_and_invariance(case):
     cfg = make_config(case)
     f = invariant_two_form(case, cfg)
     for p in chart_points(case, 20):
-        assert f.closedness_residual(p) < 1e-10
-        assert f.antisymmetry_residual(p) < 1e-14
-        assert invariance_residual(case, cfg, p, f) < 1e-10
+        assert closedness_residual(f.jets(Dual.seed(p))) < 1e-10
+        assert f.antisymmetry_residual(Dual.seed(p)) < 1e-14
+        assert invariance_at(case, cfg, p, f) < 1e-10
 
 
 @pytest.mark.parametrize("case", ALL_CASES)
 def test_gauge_consistency(case):
     cfg = make_config(case)
     for p in chart_points(case, 12):
-        assert gauge_residual(case, cfg, p) < 1e-10
+        assert gauge_at(case, cfg, p) < 1e-10
 
 
 @pytest.mark.parametrize("case", ALL_CASES)
 def test_chi_solves_the_gradient_equation(case):
     cfg = make_config(case)
     for p in chart_points(case, 12):
-        assert chi_residual(case, cfg, p) < 1e-10
+        assert chi_at(case, cfg, p) < 1e-10
 
 
 def test_two_form_specific_entries():
     cfg = make_config(CaseId.G32, mu=2.0)
     f = invariant_two_form(CaseId.G32, cfg)
-    m = f.matrix((0.4, -0.2, 0.1))
+    m = f.matrix(Dual.seed((0.4, -0.2, 0.1)))
     assert abs(m[0, 1] - 2.0) < 1e-15
     assert abs(m[0, 2]) == 0.0
 
     cfg = make_config(CaseId.G34, mu=1.0)
     f = invariant_two_form(CaseId.G34, cfg)
-    m = f.matrix((0.7, 0.0, 0.3))
+    m = f.matrix(Dual.seed((0.7, 0.0, 0.3)))
     assert abs(m[0, 1] - 1.0) < 1e-15  # cos(0) = 1
 
     f = invariant_two_form(CaseId.G41, make_config(CaseId.G41))
-    assert np.max(np.abs(f.matrix((0.2, 0.3, 0.1)))) == 0.0
+    assert np.max(np.abs(f.matrix(Dual.seed((0.2, 0.3, 0.1))))) == 0.0
 
 
 def test_potential_reference_gauges():
@@ -95,10 +116,11 @@ def test_lie_derivative_detects_broken_invariance():
     f = invariant_two_form(CaseId.G32, cfg)
     eps = 1e-3
     broken = f.perturbed((0, 2), lambda c: eps * c[0])  # q1-dependent dq1^du1 piece
-    comps = rect_components(CaseId.G32)
     worst = 0.0
     for p in chart_points(CaseId.G32, 12):
-        worst = max(worst, float(np.max(np.abs(lie_derivative(comps[2], broken, p)))))
+        s = Dual.seed(p)
+        x = generator_jets(CaseId.G32, s)[2]
+        worst = max(worst, float(np.max(np.abs(lie_derivative(x, broken.jets(s))))))
     assert worst >= eps / 2
 
 
@@ -106,16 +128,16 @@ def test_lie_derivative_coordinate_example():
     # F with a q1-dependent coefficient against the translation field
     f = invariant_two_form(CaseId.G32, make_config(CaseId.G32)).perturbed(
         (0, 1), lambda c: 0.5 * c[0] * c[0])
-    one = [lambda c: 1.0, lambda c: 0.0, lambda c: 0.0]
+    one = [1.0, 0.0, 0.0]
     point = (0.7, -0.3, 0.2)
-    lie = lie_derivative(one, f, point)
+    lie = lie_derivative(one, f.jets(Dual.seed(point)))
     assert abs(lie[0, 1] - 0.7) < 1e-12  # d/dq1 of the added coefficient
 
 
 def test_lie_derivative_zero_form():
     zero = invariant_two_form(CaseId.G41, make_config(CaseId.G41))
-    one = [lambda c: 1.0, lambda c: 0.0, lambda c: 0.0]
-    assert np.max(np.abs(lie_derivative(one, zero, (0.1, 0.2, 0.3)))) == 0.0
+    one = [1.0, 0.0, 0.0]
+    assert np.max(np.abs(lie_derivative(one, zero.jets(Dual.seed((0.1, 0.2, 0.3)))))) == 0.0
 
 
 @pytest.mark.parametrize("case", ALL_CASES)
@@ -167,11 +189,11 @@ def test_constant_profile_f1(case, f1, derived):
     cfg = make_config(case, f1=f1)
     form = invariant_two_form(case, cfg)
     for p in chart_points(case, 6):
-        m = form.matrix(p)
+        m = form.matrix(Dual.seed(p))
         for a, b in derived:
             assert m[a, b] == 0 and m[b, a] == 0
-        assert form.closedness_residual(p) <= FORM_TOL
-        assert invariance_residual(case, cfg, p, form) <= FORM_TOL
+        assert closedness_residual(form.jets(Dual.seed(p))) <= FORM_TOL
+        assert invariance_at(case, cfg, p, form) <= FORM_TOL
 
 
 def test_custom_profile_without_needed_antiderivative_rejected():
@@ -182,8 +204,8 @@ def test_custom_profile_without_needed_antiderivative_rejected():
     with pytest.raises(ValueError, match="g1_1: a custom f2 needs f2_antideriv"):
         FieldConfig(CaseId.G11, f2=lambda u1, u2: u1)
     cfg = FieldConfig(CaseId.G21, f1=lambda u: u, f1_antideriv=lambda u: 0.5 * u * u)
-    assert gauge_residual(CaseId.G21, cfg, (0.1, 0.5, 0.6)) < 1e-10
-    assert chi_residual(CaseId.G21, cfg, (0.1, 0.5, 0.6)) < 1e-10
+    assert gauge_at(CaseId.G21, cfg, (0.1, 0.5, 0.6)) < 1e-10
+    assert chi_at(CaseId.G21, cfg, (0.1, 0.5, 0.6)) < 1e-10
     # the orbit-1 gauge uses f1 itself, so a bare f1 is complete there
     FieldConfig(CaseId.G11, f1=lambda u1, u2: u1 * u2)
 
@@ -195,7 +217,8 @@ def test_custom_profile_functions():
                       f2=lambda u: dual.cos(u),
                       f2_antideriv=lambda u: dual.sin(u))
     for p in chart_points(CaseId.G23, 8):
-        assert invariant_two_form(CaseId.G23, cfg).closedness_residual(p) < 1e-10
-        assert invariance_residual(CaseId.G23, cfg, p) < 1e-10
-        assert gauge_residual(CaseId.G23, cfg, p) < 1e-10
-        assert chi_residual(CaseId.G23, cfg, p) < 1e-10
+        assert closedness_residual(invariant_two_form(CaseId.G23, cfg).jets(Dual.seed(p))) \
+            < 1e-10
+        assert invariance_at(CaseId.G23, cfg, p) < 1e-10
+        assert gauge_at(CaseId.G23, cfg, p) < 1e-10
+        assert chi_at(CaseId.G23, cfg, p) < 1e-10

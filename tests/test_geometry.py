@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from dskg import dual
+from dskg.dual import Dual
 from dskg.geometry import (AmbientPoint, RankDeficientError, chart_for, chart_jets,
-                           hyperboloid_residual, induced_metric, killing_residual,
-                           matexp, metric_jet, orbit_rank, pushforward, rect_components,
-                           rectify, rep_matrices, so12_generators, so12_section)
+                           generator_jets, hyperboloid_residual, induced_metric,
+                           killing_residual, matexp, metric_jet, orbit_rank, pushforward,
+                           rect_components, rectify, rep_matrices, so12_generators,
+                           so12_section)
 from dskg.lie_core import ALL_CASES, CaseId, subalgebra
 
 from conftest import case_param_a, chart_points
@@ -82,7 +84,7 @@ def test_pushforward_rank_deficient_boundary():
 
 def test_metric_g31_closed_form():
     for p in chart_points(CaseId.G31, 10):
-        g = induced_metric(CaseId.G31, p).g
+        g = induced_metric(CaseId.G31, Dual.seed(p)).g
         e2 = math.exp(2.0 * p[2])
         want = np.diag([-e2, -e2, 1.0])
         assert np.max(np.abs(g - want)) < 1e-12
@@ -90,7 +92,7 @@ def test_metric_g31_closed_form():
 
 def test_metric_g32_closed_form():
     for p in chart_points(CaseId.G32, 10):
-        g = induced_metric(CaseId.G32, p).g
+        g = induced_metric(CaseId.G32, Dual.seed(p)).g
         e2 = math.exp(-2.0 * p[2])
         assert np.max(np.abs(g - np.diag([-e2, -e2, 1.0]))) < 1e-12
 
@@ -98,16 +100,16 @@ def test_metric_g32_closed_form():
 def test_metric_g33a_closed_form():
     a = 1.0
     for p in chart_points(CaseId.G33a, 10):
-        g = induced_metric(CaseId.G33a, p, a).g
+        g = induced_metric(CaseId.G33a, Dual.seed(p), a).g
         e2 = math.exp(2.0 * a * p[2])
         assert np.max(np.abs(g - np.diag([-e2, -e2, a * a]))) < 1e-12
-    g0 = induced_metric(CaseId.G33a, (0.0, 0.0, 0.0), 1.0).g
+    g0 = induced_metric(CaseId.G33a, Dual.seed((0.0, 0.0, 0.0)), 1.0).g
     assert np.max(np.abs(g0 - np.diag([-1.0, -1.0, 1.0]))) < 1e-14
 
 
 def test_metric_g34_closed_form():
     for p in chart_points(CaseId.G34, 10):
-        g = induced_metric(CaseId.G34, p).g
+        g = induced_metric(CaseId.G34, Dual.seed(p)).g
         c2 = math.cosh(p[2]) ** 2
         want = np.diag([-c2 * math.cos(p[1]) ** 2, -c2, 1.0])
         assert np.max(np.abs(g - want)) < 1e-12
@@ -116,7 +118,7 @@ def test_metric_g34_closed_form():
 def test_metric_g35_closed_form():
     # the boost direction is timelike: + s^2 cos^2, the orbit label spacelike
     for p in chart_points(CaseId.G35, 10):
-        g = induced_metric(CaseId.G35, p).g
+        g = induced_metric(CaseId.G35, Dual.seed(p)).g
         s2 = math.sin(p[2]) ** 2
         want = np.diag([s2 * math.cos(p[1]) ** 2, -s2, -1.0])
         assert np.max(np.abs(g - want)) < 1e-12
@@ -124,7 +126,7 @@ def test_metric_g35_closed_form():
 
 def test_metric_g23_closed_form():
     for p in chart_points(CaseId.G23, 10):
-        g = induced_metric(CaseId.G23, p).g
+        g = induced_metric(CaseId.G23, Dual.seed(p)).g
         c2 = math.cos(p[2]) ** 2
         want = np.diag([-math.exp(2.0 * p[1]) * c2, c2, -1.0])
         assert np.max(np.abs(g - want)) < 1e-12
@@ -134,7 +136,7 @@ def test_metric_g23_closed_form():
 def test_metric_signature_and_inverse(case):
     a = case_param_a(case)
     for p in chart_points(case, 8):
-        sample = induced_metric(case, p, a)
+        sample = induced_metric(case, Dual.seed(p), a)
         assert sample.signature_counts() == (1, 2)
         assert sample.identity_residual() < 1e-10
         assert sample.sqrt_abs_det > 0
@@ -144,15 +146,15 @@ def test_metric_jet_derivatives_against_central_differences():
     # independent cross-check of the metric first derivatives
     case, a = CaseId.G33a, 1.2
     p = np.array([0.3, -0.2, 0.25])
-    _, dg, *_ = metric_jet(case, p, a)
+    _, dg, *_ = metric_jet(case, Dual.seed(p), a)
     h = 1e-5
     for c in range(3):
         dp = p.copy()
         dm = p.copy()
         dp[c] += h
         dm[c] -= h
-        gp = induced_metric(case, dp, a).g
-        gm = induced_metric(case, dm, a).g
+        gp = induced_metric(case, Dual.seed(dp), a).g
+        gm = induced_metric(case, Dual.seed(dm), a).g
         fd = (gp - gm) / (2 * h)
         assert np.max(np.abs(dg[c] - fd)) < 1e-5
 
@@ -161,7 +163,8 @@ def test_metric_jet_derivatives_against_central_differences():
 def test_killing_equation(case):
     a = case_param_a(case)
     for p in chart_points(case, 8):
-        assert killing_residual(case, p, a) < 1e-8
+        s = Dual.seed(p)
+        assert killing_residual(induced_metric(case, s, a), generator_jets(case, s, a)) < 1e-8
 
 
 @pytest.mark.parametrize("case", ALL_CASES)
@@ -234,7 +237,7 @@ def test_rectify_restricted_matches_chart():
 
 
 def test_chart_jets_shapes():
-    vals, jac, hes = chart_jets(chart_for(CaseId.G34), (0.1, 0.2, 0.3))
+    vals, jac, hes = chart_jets(chart_for(CaseId.G34), Dual.seed([0.1, 0.2, 0.3]))
     assert vals.shape == (4,)
     assert jac.shape == (4, 3)
     assert hes.shape == (4, 3, 3)

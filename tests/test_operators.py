@@ -15,11 +15,17 @@ from dskg.operators import (DiffOp1, PolyExpProbe, central_operator,
                             kg_apply_generic_jet, kg_cross_residual, kg_operator, random_probe,
                             representation_residual, symmetry_check, symmetry_operators)
 
+import pointwise
 from conftest import case_param_a, chart_points
 
 
 def make_config(case, **kw):
     return FieldConfig(case, parameter_a=case_param_a(case), **kw)
+
+
+def commutator_at(A, B, point):
+    s = Dual.seed(point)
+    return commutator(A.jets(s), B.jets(s))
 
 
 def op1(coeffs, scalar=None):
@@ -79,7 +85,7 @@ def _regression_pairs():
 
 def test_commutator_regressions():
     for A, B, pt, coeffs, scalar in _regression_pairs():
-        s = commutator(A, B, pt)
+        s = commutator_at(A, B, pt)
         assert np.max(np.abs(s.coeffs - np.array(coeffs, dtype=complex))) < 1e-13
         assert abs(s.scalar - scalar) < 1e-13
 
@@ -89,7 +95,7 @@ def test_commutator_mixed_pair_derivation():
     # [A,B]^1 = A(q2) - B(0) = q1, [A,B]^2 = A(0) - B(q1) = -q2
     A = op1([None, lambda c: c[0], None])
     B = op1([lambda c: c[1], None, None])
-    s = commutator(A, B, (0.4, 0.7, 0.0))
+    s = commutator_at(A, B, (0.4, 0.7, 0.0))
     assert abs(s.coeffs[0] - 0.4) < 1e-14
     assert abs(s.coeffs[1] + 0.7) < 1e-14
 
@@ -106,10 +112,10 @@ def test_covariant_derivative_commutator_is_field_strength():
         coeffs[a] = lambda c: 1.0
         ds.append(DiffOp1(coeffs, lambda c, a=a: -1j * e * gauge.values(c)[a], 3))
     for p in chart_points(case, 6):
-        m = f2.matrix(p)
+        m = f2.matrix(Dual.seed(p))
         for a in range(3):
             for b in range(3):
-                s = commutator(ds[a], ds[b], p)
+                s = commutator_at(ds[a], ds[b], p)
                 assert np.max(np.abs(s.coeffs)) < 1e-14
                 assert abs(s.scalar - (-1j * e * m[a, b])) < 1e-10
 
@@ -267,11 +273,21 @@ def _reference_symmetry_check(case, cfg, points, n_probes, seed=7130, chi_extra=
 
 @pytest.mark.parametrize("chi_extra", [None, [lambda c: 1e-3 * c[0], None, None]])
 def test_symmetry_check_matches_reference_loop(chi_extra):
-    # sharing the jets of f, its partials and H f across operators changes no bit
+    # sharing the jets of f, its partials and H f across operators changes no
+    # bit of the per-point route, the oracle of the batched symmetry_check
     cfg = make_config(CaseId.G32, mu=1.0)
     pts = [tuple(p) for p in chart_points(CaseId.G32, 6)]
-    got = symmetry_check(CaseId.G32, cfg, pts, n_probes=2, chi_extra=chi_extra)
+    got = pointwise.symmetry(CaseId.G32, cfg, pts, 2, chi_extra=chi_extra)
     assert got == _reference_symmetry_check(CaseId.G32, cfg, pts, 2, chi_extra=chi_extra)
+
+
+def test_symmetry_check_at_a_singular_point_is_nan():
+    # sin(u1) = 0 is singular for the g3_5 wave operator; the lane it puts
+    # NaN in must fail the check, not drop out of the maximum
+    cfg = make_config(CaseId.G35)
+    pts = [tuple(p) for p in chart_points(CaseId.G35, 4)] + [(0.1, 0.2, 0.0)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert math.isnan(symmetry_check(CaseId.G35, cfg, pts, n_probes=1))
 
 
 def test_perturbed_chi_is_detected():

@@ -225,6 +225,23 @@ def test_legendre_domain_errors():
         legendre_q(1.0, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("fn, name", [
+    (lambda z: whittaker_m(0.1j, 0.8, z), "whittaker_m"),
+    (lambda z: whittaker_w(0.1j, 0.8, z), "whittaker_w"),
+    (lambda z: kummer_u(0.4, 1.3, z), "kummer_u"),
+    (lambda z: bessel_j(0.5, z), "bessel_j"),
+])
+@pytest.mark.parametrize("jet", [False, True], ids=["value", "jet"])
+def test_complex_power_of_zero_is_a_domain_error(fn, name, jet):
+    z = Dual.variable(0.0, 0, 1) if jet else 0j
+    with pytest.raises(DomainError, match=f"^{name}: z = 0j is the branch point"):
+        fn(z)
+
+
+def test_bessel_j_of_order_zero_at_zero():
+    assert abs(bessel_j(0.0, 0j) - 1.0) < 1e-15  # J_0(0) = 1 needs no power of z
+
+
 # ---------------------------------------------------------------- RK oracle
 
 def test_ode_integrate_sine():
