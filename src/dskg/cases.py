@@ -511,25 +511,34 @@ def _g33a_ansatz(k, J):
     return phase, char
 
 
-def _g33a_reduced_ode(k, J):
+def _g33a_q_terms(k, J):
+    """q of the reduced equation as (c, rate) pairs: q(v) = sum c exp(rate v).
+
+    It is -2 e a^2 J exp(-a v) ((a mu1 - mu2) cos v + (mu1 + a mu2) sin v) / (1 + a^2)
+    + a^2 J^2 exp(-2 a v) + a^2 m_t + (e a)^2 (mu1^2 + mu2^2) / (1 + a^2), with
+    cos and sin split into exp(+-i v).
+    """
     e, mt, mu1, mu2, a = k.e, k.mass_term, k.mu1, k.mu2, k.parameter_a
     den = 1.0 + a * a
+    amp = -e * a * a * J / den
+    return ((amp * complex(a * mu1 - mu2, -(mu1 + a * mu2)), complex(-a, 1.0)),
+            (amp * complex(a * mu1 - mu2, mu1 + a * mu2), complex(-a, -1.0)),
+            (a * a * J * J, -2.0 * a),
+            (a * a * mt + (e * a) ** 2 * (mu1 * mu1 + mu2 * mu2) / den, 0.0))
 
-    def q(v):
-        osc = (a * mu1 - mu2) * cmath.cos(v) + (mu1 + a * mu2) * cmath.sin(v)
-        return (-2.0 * e * a * a * J * cmath.exp(-a * v) * osc / den
-                + a * a * J * J * cmath.exp(-2.0 * a * v)
-                + a * a * mt + (e * a) ** 2 * (mu1 * mu1 + mu2 * mu2) / den)
-    return lambda v: 2.0 * a, q, {"J": J, "a": a}
+
+def _g33a_reduced_ode(k, J):
+    terms, a = _g33a_q_terms(k, J), k.parameter_a
+    return lambda v: 2.0 * a, lambda v: specfun.exp_sum(terms, v), {"J": J, "a": a}
 
 
 def _g33a_basis(k, J, span, wrap):
-    # no known closed form; serve the basis from the RK oracle
-    p, q, _ = _g33a_reduced_ode(k, J)
-    v0, v1 = span
-    sol1 = specfun.ode_integrate(p, q, v0, 1.0, 0.0, v1)
-    sol2 = specfun.ode_integrate(p, q, v0, 0.0, 1.0, v1)
-    return sol1, sol2, {"kind": "numeric", "span": [v0, v1]}
+    # no known closed form, but q is entire: a piecewise Taylor series
+    a = k.parameter_a
+    phi1, phi2, segments = specfun.taylor_basis(2.0 * a, _g33a_q_terms(k, J), span,
+                                                f"g3_3a (a = {a}, J = {J})")
+    return phi1, phi2, {"kind": "taylor_series", "span": list(span), "segments": segments,
+                        "terms": specfun.TAYLOR_TERMS}
 
 
 _G33a = CaseSpec(

@@ -36,6 +36,10 @@ class RankDeficientError(RuntimeError):
     """Chart Jacobian lost rank (the point sits on the chart boundary)."""
 
 
+class ChartOverflowError(OverflowError):
+    """A chart point maps beyond floating-point range (a steep family parameter)."""
+
+
 @dataclass(frozen=True)
 class AmbientPoint:
     x0: float
@@ -63,8 +67,15 @@ class Chart:
     parameter_a: Optional[float] = None
 
     def embed(self, point: Sequence[float]) -> AmbientPoint:
-        x = self.map_fn(list(point))
-        vals = [dual.value(v).real for v in x]
+        try:
+            vals = [dual.value(v).real for v in self.map_fn(list(point))]
+        except OverflowError:
+            vals = [math.inf]
+        # the hyperboloid identity squares every component
+        if not all(math.isfinite(v * v) for v in vals):
+            raise ChartOverflowError(
+                f"{self.case_id}: chart map at a = {self.parameter_a} overflows at "
+                f"{np.asarray(point, dtype=float)}")
         return AmbientPoint(*vals)
 
 

@@ -4,7 +4,7 @@ For each integrable entry this module wraps the registry's auxiliary-variable
 representation of the symmetry algebra, the joint-system solution ansatz
 phi = exp(R(x, lambda)) Phi(v), the reduced second-order ODE satisfied by
 Phi, and its solution basis (Whittaker, Bessel or Legendre pairs; one entry
-has no closed form and is served by the adaptive RK integrator).  The
+has no closed form and is served by a piecewise Taylor series).  The
 formulas themselves live in :mod:`dskg.cases`.
 
 Every object here is verifiable: representations are checked against the

@@ -2,9 +2,10 @@
 
 Everything is built from three ingredients that keep the verification chain
 auditable: power series with term-ratio stopping, connection formulas through
-the complex gamma function, and an adaptive Runge-Kutta integrator used as an
-independent oracle (and as the only solver for the reduced equation that has
-no closed form).
+the complex gamma function, and an adaptive Runge-Kutta integrator used only
+as an independent oracle.  The one reduced equation with no closed form has
+entire coefficients, so it is summed as a piecewise Taylor series
+(:func:`taylor_basis`), which the integrator checks.
 
 All evaluators accept either plain complex arguments or point jets
 (:class:`dskg.dual.Dual` with ``complex`` entries) in the argument slot, so
@@ -18,9 +19,12 @@ throughout.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import dual
 from .dual import Dual, value
@@ -287,6 +291,110 @@ def legendre_q(nu, sigma, x):
         hi = build(sigma - _EPS_OFFSET)
         return (lo + hi) * 0.5
     return build(sigma)
+
+
+# ----------------------------------------------------------------------
+# piecewise Taylor series for a reduced equation with entire coefficients
+# ----------------------------------------------------------------------
+
+TAYLOR_TERMS = 40
+TAYLOR_MAX_STEP = 0.1
+TAYLOR_STEP_SCALE = 4.0     # h sqrt|q| of a segment shorter than TAYLOR_MAX_STEP
+TAYLOR_MAX_SEGMENTS = 10000
+
+
+def exp_sum(terms, v):
+    """sum of c exp(rate v) over the (c, rate) pairs of ``terms``."""
+    return sum(c * cmath.exp(rate * v) for c, rate in terms)
+
+
+class TaylorSolution:
+    """Phi on a span as one Taylor polynomial per segment, about its left end."""
+
+    def __init__(self, starts, coeffs, span):
+        self._starts = starts    # left ends of the segments, increasing
+        self._coeffs = coeffs    # (segments, TAYLOR_TERMS) complex
+        self.span = span
+
+    def jet(self, v):
+        """(Phi, Phi', Phi''), all three from the segment's polynomial."""
+        v = complex(v)
+        lo, hi = self.span
+        if abs(v.imag) > 1e-9 * (1.0 + abs(v.real)):
+            raise DomainError(f"Taylor series queried off the real axis: {v}")
+        t = v.real
+        if not lo - 1e-12 <= t <= hi + 1e-12:
+            raise DomainError(f"Taylor series queried at v = {t} outside [{lo}, {hi}]")
+        k = max(bisect.bisect_right(self._starts, t) - 1, 0)
+        t -= self._starts[k]
+        f0 = f1 = f2 = 0j
+        for c in reversed(self._coeffs[k].tolist()):
+            f2 = f2 * t + f1
+            f1 = f1 * t + f0
+            f0 = f0 * t + c
+        return f0, f1, 2.0 * f2
+
+
+def _taylor_mesh(q_terms, span, label):
+    """Left ends of segments of length min(TAYLOR_MAX_STEP, TAYLOR_STEP_SCALE / sqrt(Q))
+    where Q = sum |c| exp(Re(rate) v) >= |q(v)|, summed in logs so it cannot overflow."""
+    logs = [(math.log(abs(c)), complex(rate).real) for c, rate in q_terms if c != 0]
+    v, end = span
+    starts = []
+    for _ in range(TAYLOR_MAX_SEGMENTS):
+        starts.append(v)
+        log_q = 0.0
+        if logs:
+            parts = [lc + r * v for lc, r in logs]
+            top = max(parts)
+            log_q = top + math.log(sum(math.exp(x - top) for x in parts))
+        v += min(TAYLOR_MAX_STEP, TAYLOR_STEP_SCALE * math.exp(-0.5 * max(log_q, 0.0)))
+        if v >= end:
+            return starts
+    raise DomainError(
+        f"{label}: |q| reaches 10^{log_q / math.log(10.0):.1f} at v = {starts[-1]:.6g}; "
+        f"[{span[0]}, {end}] needs more than {TAYLOR_MAX_SEGMENTS} Taylor segments")
+
+
+def taylor_basis(p, q_terms, span, label):
+    """Solutions of Phi'' + p Phi' + q(v) Phi = 0 with q = exp_sum(q_terms, v).
+
+    ``p`` is a constant.  On each segment of one shared mesh, q's Taylor
+    coefficients are closed form and Phi's follow from the Cauchy-product
+    recurrence (n+2)(n+1) phi_(n+2) = -(p (n+1) phi_(n+1) + sum_j q_j phi_(n-j)).
+    Returns the solutions with (Phi, Phi') = (1, 0) and (0, 1) at span[0], and
+    the number of segments.  A mesh beyond TAYLOR_MAX_SEGMENTS raises
+    :class:`DomainError` naming ``label`` before any series is summed.
+    """
+    starts = _taylor_mesh(q_terms, span, label)
+    s = np.array(starts)
+    h = np.diff(np.append(s, span[1]))
+    n = np.arange(TAYLOR_TERMS)
+    qc = np.zeros((len(starts), TAYLOR_TERMS), dtype=complex)
+    for c, rate in q_terms:
+        # rate^n / n!
+        scale = np.cumprod(np.concatenate(([1.0], rate / n[1:])))
+        qc += c * np.exp(rate * s)[:, None] * scale
+    # the two unit solutions about every segment's left end, (1, 0) and (0, 1)
+    unit = np.zeros((2, len(starts), TAYLOR_TERMS), dtype=complex)
+    unit[0, :, 0] = 1.0
+    unit[1, :, 1] = 1.0
+    for m in range(TAYLOR_TERMS - 2):
+        conv = np.sum(qc[:, m::-1] * unit[:, :, :m + 1], axis=-1)
+        unit[:, :, m + 2] = -(p * (m + 1) * unit[:, :, m + 1] + conv) / ((m + 2) * (m + 1))
+    powers = h[:, None] ** n
+    ends = np.sum(unit * powers, axis=-1).tolist()
+    slopes = np.sum(unit[:, :, 1:] * n[1:] * powers[:, :-1], axis=-1).tolist()
+    # carry (Phi, Phi') of both solutions (the columns of y) across the segments
+    y, carried = ((1.0, 0.0), (0.0, 1.0)), []
+    for u, v, du, dv in zip(ends[0], ends[1], slopes[0], slopes[1]):
+        carried.append(y)
+        y = ((u * y[0][0] + v * y[1][0], u * y[0][1] + v * y[1][1]),
+             (du * y[0][0] + dv * y[1][0], du * y[0][1] + dv * y[1][1]))
+    state = np.array(carried, dtype=complex)
+    return (*(TaylorSolution(starts, state[:, 0, j, None] * unit[0]
+                             + state[:, 1, j, None] * unit[1], tuple(span))
+              for j in range(2)), len(starts))
 
 
 # ----------------------------------------------------------------------

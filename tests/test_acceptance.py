@@ -323,13 +323,14 @@ def test_criterion_10_special_function_oracles():
             worst = max(worst, ode_res(lambda x: legendre_q(nu, sigma, x), lp, lq, x0))
     assert worst < 1e-8
 
-    # cross-oracle: RK from matched initial data tracks each closed form
+    # cross-oracle: RK from matched initial data tracks each closed form and
+    # the g3_3a series
     worst_cross = 0.0
-    for case in (CaseId.G31, CaseId.G32, CaseId.G34, CaseId.G35):
+    for case in INTEGRABLE_CASES:
         cfg = make_config(case)
         ode = reduced_ode(case, cfg, 1.0)
         basis = solution_basis(case, cfg, 1.0)
-        v0, v1 = {CaseId.G31: (0.3, 1.3), CaseId.G32: (-0.5, 0.5),
+        v0, v1 = {CaseId.G31: (0.3, 1.3), CaseId.G32: (-0.5, 0.5), CaseId.G33a: (-0.7, 0.3),
                   CaseId.G34: (-1.0, 1.0), CaseId.G35: (0.8, 2.3)}[case]
         f0, f1, _ = basis.phi1.jet(v0)
         sol = ode_integrate(ode.p, ode.q, v0, f0, f1, v1)

@@ -227,11 +227,42 @@ def test_verify_at_a_branch_cut_fails_its_integration_checks():
      "error: bessel_j: z = 0j is the branch point of a complex power\n"),
     (["verify", "--case", "g3_2", "--e", "0"],
      "error: bessel_j: z = 0j is the branch point of a complex power\n"),
+    # a steeper family needs more Taylor segments than the budget, refused up front
+    (["solve", "--case", "g3_3a", "--a", "40", "--grid", "3"],
+     "error: g3_3a (a = 40.0, J = 1.0): |q| reaches 10^65.7 at v = -1.8; "
+     "[-1.8, 1.8] needs more than 10000 Taylor segments\n"),
+    (["solve", "--case", "g3_3a", "--a", "1000", "--grid", "3"],
+     "error: g3_3a (a = 1000.0, J = 1.0): |q| reaches 10^1569.5 at v = -1.8; "
+     "[-1.8, 1.8] needs more than 10000 Taylor segments\n"),
+    # cosh(a q) and exp(a q) of the family charts leave floating-point range
+    (["verify", "--case", "g1_3a", "--a", "1000"],
+     "error: g1_3a: chart map at a = 1000.0 overflows at "
+     "[-0.64265803 -0.87879379  0.48633574]\n"),
+    (["verify", "--case", "g3_3a", "--a", "1000"],
+     "error: g3_3a: chart map at a = 1000.0 overflows at "
+     "[-0.64265803 -1.09849224  0.35478337]\n"),
+    (["chart", "--case", "g1_3a", "--a", "1000"],
+     "error: g1_3a: chart map at a = 1000.0 overflows at "
+     "[-1.5        -1.2        -1.37079633]\n"),
 ], ids=["verify_g3_1_lambda_0", "solve_g3_4_neutral", "verify_g3_3a_a_40",
         "verify_g1_3a_a_50", "solve_g3_1_lambda_0", "solve_g3_2_neutral",
-        "verify_g3_2_neutral"])
+        "verify_g3_2_neutral", "solve_g3_3a_a_40", "solve_g3_3a_a_1000",
+        "verify_g1_3a_a_1000", "verify_g3_3a_a_1000", "chart_g1_3a_a_1000"])
 def test_numerical_failure_exits_1_with_its_message(argv, message):
     assert run_cli(*argv) == (1, "", message)
+
+
+def test_solve_steep_g3_3a_family_from_the_series():
+    # a = 5 took the RK integrator past its step limit; the series needs ~2000 segments
+    code, out, err = run_cli("solve", "--case", "g3_3a", "--a", "5", "--grid", "3")
+    assert code == 0
+    summary = json.loads(err)
+    assert summary["max_residual"] < 1e-6
+    record = summary["special_function"]
+    assert sorted(record) == ["kind", "segments", "span", "terms"]
+    assert record["kind"] == "taylor_series" and record["terms"] == 40
+    assert 1000 < record["segments"] < 10000
+    assert len(out.splitlines()) == 1 + 27
 
 
 @pytest.mark.parametrize("argv,message", [

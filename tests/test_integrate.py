@@ -5,8 +5,10 @@ import cmath
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from dskg import dual
 from dskg.cases import integration
@@ -278,6 +280,11 @@ def test_solution_records():
     rec = solution_basis(CaseId.G32, make_config(CaseId.G32), 1.0).record
     assert abs(rec["order"] - math.sqrt(0.75)) < 1e-14
 
+    rec = solution_basis(CaseId.G33a, make_config(CaseId.G33a), 1.0).record
+    assert sorted(rec) == ["kind", "segments", "span", "terms"]
+    assert rec["kind"] == "taylor_series" and rec["span"] == [-1.8, 1.8]
+    assert rec["terms"] == 40 and rec["segments"] >= 36
+
 
 @pytest.mark.parametrize("case", INTEGRABLE_CASES)
 def test_solution_basis_satisfies_reduced_ode(case):
@@ -328,6 +335,62 @@ def test_g33a_numeric_basis_self_convergence():
                             ODESolverConfig(rtol=rtol, atol=1e-13))
         vals.append(sol(2.0)[0])
     assert abs(vals[0] - vals[1]) < 1e-8
+
+
+def g33a_config(J, a, e, mu, mu1, mu2, m, zeta):
+    return FieldConfig(CaseId.G33a, mu=mu, mu1=mu1, mu2=mu2, e=e, m=m, zeta=zeta,
+                       parameter_a=a)
+
+
+# the parameter box of the benchmark's basis draws
+@seed(3301)
+@settings(max_examples=10, deadline=None, database=None)
+@given(J=st.floats(0.25, 4.0), a=st.floats(0.5, 2.0), e=st.floats(0.05, 1.0),
+       mu=st.floats(0.05, 1.0), mu1=st.floats(0.05, 1.0), mu2=st.floats(0.05, 1.0),
+       m=st.floats(0.0, 1.5), zeta=st.sampled_from([0.0, 1.0 / 6.0]))
+def test_g33a_series_matches_tight_rk(J, a, e, mu, mu1, mu2, m, zeta):
+    # oracle: Dormand-Prince from the same initial data at v = -1.8, run far
+    # tighter than its default (which is itself about 1e-9 off)
+    cfg = g33a_config(J, a, e, mu, mu1, mu2, m, zeta)
+    ode = reduced_ode(CaseId.G33a, cfg, J)
+    basis = solution_basis(CaseId.G33a, cfg, J)
+    tight = ODESolverConfig(rtol=1e-13, atol=1e-15)
+    vs = np.linspace(-1.8, 1.8, 37)
+    for phi, (f0, f1) in ((basis.phi1, (1.0, 0.0)), (basis.phi2, (0.0, 1.0))):
+        sol = ode_integrate(ode.p, ode.q, -1.8, f0, f1, 1.8, tight)
+        series = np.array([phi.jet(v)[0] for v in vs])
+        rk = np.array([sol(v)[0] for v in vs])
+        assert np.max(np.abs(series - rk)) <= 1e-8 * np.max(np.abs(series))
+        assert max(ode.residual(phi, v) for v in vs) <= 1e-12
+
+
+def test_g33a_series_matches_mpmath_odefun():
+    # a 20-digit Taylor integration of the cos/sin form of q, written out here,
+    # from the series' own (Phi, Phi') at v = -0.7 (both are real)
+    J, a, e, mu1, mu2 = 1.2, 1.1, 0.4, 0.3, 0.6
+    cfg = g33a_config(J, a, e, 0.5, mu1, mu2, 0.7, 0.0)
+    basis = solution_basis(CaseId.G33a, cfg, J)
+    vs = np.linspace(-0.7, 0.3, 11)
+    with mpmath.workdps(20):
+        A = mpmath.mpf(a)
+        den = 1 + A * A
+
+        def q(v):
+            osc = (A * mu1 - mu2) * mpmath.cos(v) + (mu1 + A * mu2) * mpmath.sin(v)
+            return (-2 * e * A * A * J * mpmath.exp(-A * v) * osc / den
+                    + (A * J) ** 2 * mpmath.exp(-2 * A * v)
+                    + A * A * cfg.mass_term + (e * A) ** 2 * (mu1 ** 2 + mu2 ** 2) / den)
+
+        def rhs(v, y):
+            qv = q(v)
+            return [y[1], -2 * A * y[1] - qv * y[0], y[3], -2 * A * y[3] - qv * y[2]]
+        start = [x.real for phi in (basis.phi1, basis.phi2) for x in phi.jet(-0.7)[:2]]
+        sol = mpmath.odefun(rhs, -0.7, start)
+        ref = np.array([[complex(y) for y in sol(v)] for v in vs])
+    for i, phi in enumerate((basis.phi1, basis.phi2)):
+        series = np.array([phi.jet(v)[:2] for v in vs])
+        assert np.max(np.abs(series - ref[:, 2 * i:2 * i + 2])) \
+            <= 1e-12 * np.max(np.abs(series[:, 0]))
 
 
 # ---------------------------------------------------------------- end to end

@@ -287,6 +287,42 @@ def test_ode_integrate_rejects_bad_config():
         ODESolverConfig(rtol=-1.0)
 
 
+# ---------------------------------------------------------------- Taylor series
+
+def test_taylor_basis_damped_oscillator():
+    # Phi'' + p Phi' + (w^2 + p^2/4) Phi = 0 solves to exp(-p t/2) (cos, sin)(w t);
+    # its constant q is split into two terms, with a float and a complex rate 0
+    p, w = 0.6, 7.0
+    terms = ((3.0, 0.0), (w * w + p * p / 4.0 - 3.0, 0j))
+    phi1, phi2, segments = specfun.taylor_basis(p, terms, (-1.0, 2.0), "oscillator")
+    assert segments == 30   # 4 / sqrt|q| > 0.1: every segment is TAYLOR_MAX_STEP long
+    for v in np.linspace(-1.0, 2.0, 31):
+        t = v + 1.0
+        damp = math.exp(-0.5 * p * t)
+        c, s = math.cos(w * t), math.sin(w * t)
+        want1 = damp * (c + 0.5 * p / w * s)
+        want2 = damp * s / w
+        f0, f1, f2 = phi1.jet(v)
+        assert abs(f0 - want1) < 1e-13
+        assert abs(f2 + p * f1 + (w * w + p * p / 4.0) * f0) < 1e-11
+        assert abs(phi2.jet(v)[0] - want2) < 1e-13
+
+
+def test_taylor_basis_refuses_a_mesh_over_budget():
+    # 4 / sqrt(1e12) per segment: the budget runs out at v = 10000 * 4e-6
+    with pytest.raises(DomainError) as info:
+        specfun.taylor_basis(0.0, ((1e12, 0.0),), (0.0, 1.0), "steep")
+    assert str(info.value) == ("steep: |q| reaches 10^12.0 at v = 0.039996; "
+                               "[0.0, 1.0] needs more than 10000 Taylor segments")
+
+
+def test_taylor_solution_outside_its_span():
+    phi1, _, _ = specfun.taylor_basis(0.0, ((1.0, 0.0),), (0.0, 1.0), "unit")
+    for v in (-0.5, 1.5, 0.5 + 0.1j):
+        with pytest.raises(DomainError):
+            phi1.jet(v)
+
+
 @pytest.mark.parametrize("fn,z", [
     (lambda z: kummer_m(0.7 - 0.1j, 1.3, z), 2.0 + 1.0j),
     (lambda z: kummer_m(0.3, 1.1 + 0.4j, z), -3.0 + 0.5j),
