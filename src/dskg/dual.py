@@ -260,12 +260,31 @@ def arrays(jets, k):
     lane array, and empty for point jets; an entry without lanes, such as a
     constant's zero derivatives, is broadcast to every lane.
     """
-    rows = [parts(x, k) for x in jets]
-    flat = [e for val, grad, hess in rows for e in (val, *grad, *(h for r in hess for h in r))]
-    block = np.stack(np.broadcast_arrays(*flat), axis=-1).astype(complex, copy=False)
-    block = block.reshape(block.shape[:-1] + (len(rows), 1 + k + k * k))
+    width = 1 + k + k * k
+    flat = []
+    for x in jets:
+        if isinstance(x, Dual):
+            flat.append(x.val)
+            flat.extend(x.grad)
+            for row in x.hess:
+                flat.extend(row)
+        else:
+            flat.append(complex(x))
+            flat.extend((0j,) * (width - 1))
+    # one assignment for the lane arrays, one for the entries without lanes
+    lane_at = [i for i, e in enumerate(flat) if isinstance(e, np.ndarray)]
+    if lane_at:
+        lead = flat[lane_at[0]].shape
+        fixed_at = [i for i, e in enumerate(flat) if not isinstance(e, np.ndarray)]
+        block = np.empty(lead + (len(flat),), dtype=complex)
+        block[..., lane_at] = np.array([flat[i] for i in lane_at]).T
+        block[..., fixed_at] = [flat[i] for i in fixed_at]
+    else:
+        lead = ()
+        block = np.array(flat, dtype=complex)
+    block = block.reshape(lead + (len(jets), width))
     return (block[..., 0], block[..., 1:k + 1],
-            block[..., k + 1:].reshape(block.shape[:-1] + (k, k)))
+            block[..., k + 1:].reshape(lead + (len(jets), k, k)))
 
 
 def columns(points):

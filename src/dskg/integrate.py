@@ -104,18 +104,26 @@ def joint_system_residual(ans: SolutionAnsatz, rep: LambdaRep,
     Checked for Phi = 1 and Phi = v, which spans the general solution of the
     characteristic system.  All probes are one grid jet in the chart
     coordinates and lambda; a probe lost at a branch point makes it NaN.
+    Only the values of X_A phi and l_A phi are read, so each operator's
+    coefficients are evaluated once, as plain values on the coordinate and
+    lambda columns, and contracted with the value and gradient of phi.
     """
     ops = symmetry_operators(ans.case_id, ans.config)
+    cols = dual.columns(points)
+    lam_col = [np.full(len(points), ans.lam, dtype=complex)]
     with np.errstate(divide="ignore", invalid="ignore"):
-        *qs, lam = Dual.seed_grid(dual.columns(points) + [np.full(len(points), ans.lam)])
+        *qs, lam = Dual.seed_grid(cols + lam_col)
         v = ans.char(qs, lam)
         phase = ans.phase(qs, lam)
+        coeffs = [(op.values(cols), lop.values(lam_col)) for op, lop in zip(ops, rep.ops)]
         res = []
         for f in (phase, phase * v):
-            df = [dual.partial(f, u) for u in range(4)]
-            for op, lop in zip(ops, rep.ops):
-                xphi = dual.value(op.combine(qs, f, df[:3]))
-                lphi = dual.value(lop.combine([lam], f, df[3:]))
+            val, grad, _ = dual.parts(f, 4)
+            for (*x, xs), (lx, ls) in coeffs:
+                xphi = xs * val
+                for u in range(3):
+                    xphi = xphi + x[u] * grad[u]
+                lphi = ls * val + lx * grad[3]
                 res.append(np.abs(xphi + lphi) / (1.0 + np.abs(xphi) + np.abs(lphi)))
     return float(np.max(res))
 

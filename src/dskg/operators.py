@@ -39,10 +39,16 @@ class DiffOp1:
         ``point`` may also hold a grid's coordinate columns, as in
         :meth:`DiffOp2.apply_jet`."""
         val, grad, _ = dual.parts(fv, self.nvars)
-        total = dual.value(self.scalar(list(point))) * val
-        for u, a in enumerate(self.coeffs):
-            total += dual.value(a(list(point))) * grad[u]
+        *coeffs, scalar = self.values(point)
+        total = scalar * val
+        for u, a in enumerate(coeffs):
+            total += a * grad[u]
         return total
+
+    def values(self, point):
+        """The values of the coefficients and then the scalar part at ``point``
+        (plain coordinates or a grid's coordinate columns)."""
+        return [dual.value(a(list(point))) for a in self.coeffs + [self.scalar]]
 
     def combine(self, coords, fv, dfv):
         """(op f) at ``coords`` from the values ``fv`` of f and ``dfv`` of its partials."""
@@ -328,15 +334,11 @@ class PolyExpProbe:
         return self._at(coords, self._exp(coords), {})
 
     def jets(self, coords):
-        """The jets of f, of its partials [d_a f] and of its second partials
-        [[d_a d_b f]] at ``coords``.  They share exp(d . x) and the monomials
-        x^m, which are evaluated once."""
+        """The jets of f and of its partials [d_a f] at ``coords``.  They share
+        exp(d . x) and the monomials x^m, which are evaluated once."""
         e, monomials = self._exp(coords), {}
-        partials = [self.partial(a) for a in range(len(self.dvec))]
         return (self._at(coords, e, monomials),
-                [p._at(coords, e, monomials) for p in partials],
-                [[p.partial(b)._at(coords, e, monomials) for b in range(len(self.dvec))]
-                 for p in partials])
+                [self.partial(a)._at(coords, e, monomials) for a in range(len(self.dvec))])
 
     def _exp(self, coords):
         expo = 0.0
@@ -393,23 +395,51 @@ def symmetry_check(case_id: CaseId, config: FieldConfig, points: Sequence[Sequen
     """max over operators, probe functions and points of the normalized
     commutator residual |H(X f) - X(H f)| / (1 + |H(X f)| + |X(H f)|).
 
-    The jets of f, its partials and H f are evaluated once per probe, over
-    all points as one grid jet (:meth:`PolyExpProbe.jets`), and shared by
-    every operator.
+    All points are one grid jet.  H's coefficients are evaluated once per
+    call as 1-jets and every X's as 2-jets; per probe, the jets of f and of
+    its partials (:meth:`PolyExpProbe.jets`) give f's derivatives up to third
+    order, and H(X f) and X(H f) are their product-rule contractions with
+    the coefficients, for all operators at once.
     """
     case_id = CaseId(case_id)
     rng = np.random.default_rng(seed)
     h = kg_operator(case_id, config)
     ops = symmetry_operators(case_id, config, chi_extra=chi_extra)
-    cols = dual.columns(points)
-    coords = Dual.seed_grid(cols)
+    n, m = h.nvars, len(ops)
+    coords = Dual.seed_grid(dual.columns(points))
+    # lane axis first, then: H = s^ab d_a d_b + t^a d_a + r as 1-jets, the
+    # derivative axis last
+    hv, hg, _ = dual.arrays([c(coords) for row in h.second for c in row]
+                            + [c(coords) for c in h.first] + [h.scalar(coords)], n)
+    s, t, r = hv[:, :n * n].reshape(-1, n, n), hv[:, n * n:-1], hv[:, -1]
+    ds, dt, dr = hg[:, :n * n].reshape(-1, n, n, n), hg[:, n * n:-1], hg[:, -1]
+    # X_A = c_A^u d_u + b_A as 2-jets, operator axis A before the coefficient axis
+    xv, xg, xh = (part.reshape((-1, m, n + 1) + part.shape[2:]) for part in
+                  dual.arrays([a(coords) for op in ops for a in op.coeffs + [op.scalar]], n))
+    c, dc, ddc = xv[..., :n], xg[..., :n, :], xh[..., :n, :, :]
+    b, db, ddb = xv[..., n], xg[..., n, :], xh[..., n, :, :]
     worst = []
     for _ in range(n_probes):
-        fv, dfv, d2fv = random_probe(rng).jets(coords)
-        hf = h.combine(coords, fv, dfv, d2fv)
-        for op in ops:
-            lhs, _ = h.apply_jet(op.combine(coords, fv, dfv), cols)
-            rhs = op.apply_jet(hf, cols)
-            worst.append(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))))
+        fv, dfv = random_probe(rng).jets(coords)
+        vals, grads, hess = dual.arrays([fv] + dfv, n)
+        # f and its partials of order 1, 2 and 3: f2[u, a] = d_a d_u f
+        f0, f1, f2, f3 = vals[:, 0], vals[:, 1:], grads[:, 1:], hess[:, 1:]
+        hf = r * f0 + np.einsum("pa,pa->p", t, f1) + np.einsum("pab,pab->p", s, f2)
+        dhf = (dr * f0[:, None] + r[:, None] * f1
+               + np.einsum("pac,pa->pc", dt, f1) + np.einsum("pa,pac->pc", t, f2)
+               + np.einsum("pabc,pab->pc", ds, f2) + np.einsum("pab,pabc->pc", s, f3))
+        rhs = b * hf[:, None] + np.einsum("pAu,pu->pA", c, dhf)
+        xf = b * f0[:, None] + np.einsum("pAu,pu->pA", c, f1)
+        dxf = (db * f0[:, None, None] + b[..., None] * f1[:, None]
+               + np.einsum("pAua,pu->pAa", dc, f1) + np.einsum("pAu,pua->pAa", c, f2))
+        ddxf = (ddb * f0[:, None, None, None]
+                + np.einsum("pAa,pb->pAab", db, f1) + np.einsum("pAb,pa->pAab", db, f1)
+                + b[..., None, None] * f2[:, None]
+                + np.einsum("pAuab,pu->pAab", ddc, f1)
+                + np.einsum("pAua,pub->pAab", dc, f2) + np.einsum("pAub,pua->pAab", dc, f2)
+                + np.einsum("pAu,puab->pAab", c, f3))
+        lhs = (np.einsum("pab,pAab->pA", s, ddxf) + np.einsum("pa,pAa->pA", t, dxf)
+               + r[:, None] * xf)
+        worst.append(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))))
     # a NaN lane (a singular point) makes the result NaN, which fails the check
     return float(np.max(worst, initial=0.0))

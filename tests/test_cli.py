@@ -1,5 +1,6 @@
 """CLI contract: exit codes, document schemas, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,9 +9,10 @@ import warnings
 
 import pytest
 
-from dskg import dual
+from dskg import cli, dual
 from dskg.cases import case_spec
-from dskg.cli import RunConfig, UsageError, _run_config_from, build_parser, main, parse_complex
+from dskg.cli import (DEFAULT_TOLERANCES, RunConfig, UsageError, _run_config_from, build_parser,
+                      main, parse_complex)
 from dskg.integrate import SolutionAnsatz
 from dskg.lie_core import ALL_CASES, CaseId
 
@@ -265,6 +267,15 @@ def test_solve_steep_g3_3a_family_from_the_series():
     assert len(out.splitlines()) == 1 + 27
 
 
+def test_verify_steep_g3_3a_family_passes():
+    # |q| reaches ~2.7e4 at a = 5; the extracted (p, q) agree with the closed
+    # form relative to that size
+    code, out, _ = run_cli("verify", "--case", "g3_3a", "--a", "5")
+    assert code == 0
+    check = json.loads(out)["cases"]["g3_3a"]["residuals"]["reduced_coefficients"]
+    assert check["pass"] and check["tolerance"] == 1e-9
+
+
 @pytest.mark.parametrize("argv,message", [
     (["solve", "--case", "g3_1", "--grid", "a,b"],
      "error: invalid literal for int() with base 10: 'a'\n"),
@@ -344,3 +355,41 @@ def test_bad_zeta_is_usage_error():
 def test_missing_subcommand_exits_2():
     code, _, _ = run_cli()
     assert code == 2
+
+
+def test_successive_calls_parse_independently(monkeypatch):
+    # the parser is built once per process; what one call gives does not leak
+    # into the next
+    runs = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda run, out: runs.append(run) or 0)
+    assert run_cli("verify", "--case", "g3_1", "--tol", "killing=1e-3",
+                   "--tol", "joint_system=1e-5") == (0, "", "")
+    assert run_cli("verify", "--case", "g3_2", "--perturb", "chi:1e-3") == (0, "", "")
+    assert run_cli("verify", "--case", "g3_2", "--tol", "wave_residual=1e-4") == (0, "", "")
+    assert build_parser() is build_parser()
+    first, second, third = runs
+    assert first.tolerances == {**DEFAULT_TOLERANCES, "killing": 1e-3, "joint_system": 1e-5}
+    assert first.perturb is None
+    assert second.tolerances == DEFAULT_TOLERANCES and second.perturb == ("chi", 1e-3)
+    assert third.tolerances == {**DEFAULT_TOLERANCES, "wave_residual": 1e-4}
+    assert third.perturb is None
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["solve", "-h"]])
+def test_help_goes_to_the_given_stdout(argv):
+    fresh = build_parser.__wrapped__()
+    with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()) as want:
+        fresh.parse_args(argv)
+    assert run_cli(*argv) == (0, want.getvalue(), "")
+    assert want.getvalue().startswith("usage: dskg")
+
+
+@pytest.mark.parametrize("argv,usage,message", [
+    (["verify", "--bogus"], "usage: dskg [-h]", "unrecognized arguments: --bogus"),
+    (["solve"], "usage: dskg solve", "the following arguments are required: --case"),
+    (["frobnicate"], "usage: dskg", "invalid choice: 'frobnicate'"),
+])
+def test_parse_error_goes_to_the_given_stderr(argv, usage, message):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(usage) and message in err

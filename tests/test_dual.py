@@ -186,6 +186,40 @@ def test_arrays_of_constants_alone_have_no_lane_axis():
     assert vals.shape == (2,) and grads.shape == (2, 3) and hess.shape == (2, 3, 3)
 
 
+def _broadcast_arrays(jets, k):
+    """dual.arrays as one broadcast view per entry, the oracle of its block fill."""
+    rows = [dual.parts(x, k) for x in jets]
+    flat = [e for val, grad, hess in rows for e in (val, *grad, *(h for r in hess for h in r))]
+    block = np.stack(np.broadcast_arrays(*flat), axis=-1).astype(complex, copy=False)
+    block = block.reshape(block.shape[:-1] + (len(rows), 1 + k + k * k))
+    return (block[..., 0], block[..., 1:k + 1],
+            block[..., k + 1:].reshape(block.shape[:-1] + (k, k)))
+
+
+def _arrays_cases():
+    px, py, pz = Dual.seed([0.4, -1.1, 0.3])
+    x, y, z = Dual.seed_grid(dual.columns([[0.4, -1.1, 0.3], [0.2, 0.5, -0.7],
+                                           [1.5, 0.0, 2.0]]))
+    mask = np.array([False, True, False])
+    return {
+        "point jets": ([px * py + dual.sin(pz), dual.exp(px * pz), px * px * py * pz], 3),
+        "grid jets": ([x * y + dual.sin(z), dual.exp(x * z), x / (y + 2.0), x], 3),
+        "constants only": ([1.0, 0.0, 2j, -0.0], 3),
+        # a seed's derivatives are plain constants beside its lane values, and
+        # a dropped lane is NaN in every entry
+        "lanes and constants": ([x, 2.5, z * z, 0.0, dual.drop_lanes(y * z, mask), -1j], 3),
+        "one variable": ([Dual.seed_grid([np.array([0.3, 0.9])])[0] ** 3, 4.0], 1),
+    }
+
+
+@pytest.mark.parametrize("name", list(_arrays_cases()))
+def test_arrays_fill_matches_the_broadcast_oracle(name):
+    jets, k = _arrays_cases()[name]
+    for got, want in zip(dual.arrays(jets, k), _broadcast_arrays(jets, k)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_is_zero_only_for_a_plain_zero():
     assert dual.is_zero(0) and dual.is_zero(0.0) and dual.is_zero(0j)
     assert not dual.is_zero(1e-300)

@@ -145,6 +145,34 @@ def point_joint_system_residual(ans, rep, points):
     return worst
 
 
+def coefficient_jet_joint_system_residual(ans, rep, points):
+    # oracle: the same grid jet, with every operator coefficient evaluated as
+    # a 4-variable 2-jet and the operators applied through DiffOp1.combine
+    ops = symmetry_operators(ans.case_id, ans.config)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        *qs, lam = Dual.seed_grid(dual.columns(points) + [np.full(len(points), ans.lam)])
+        phase = ans.phase(qs, lam)
+        res = []
+        for f in (phase, phase * ans.char(qs, lam)):
+            df = [dual.partial(f, u) for u in range(4)]
+            for op, lop in zip(ops, rep.ops):
+                xphi = dual.value(op.combine(qs, f, df[:3]))
+                lphi = dual.value(lop.combine([lam], f, df[3:]))
+                res.append(np.abs(xphi + lphi) / (1.0 + np.abs(xphi) + np.abs(lphi)))
+    return float(np.max(res))
+
+
+@pytest.mark.parametrize("case", INTEGRABLE_CASES)
+def test_joint_system_values_match_the_coefficient_jets(case):
+    # plain coefficient values give the bits of the coefficient jets' values
+    cfg = make_config(case)
+    rep = lambda_rep(case, 1.0, cfg)
+    ans = ansatz(case, cfg, 1.0, integration(case).lam)
+    points = run_points(case, seed=20813)
+    assert joint_system_residual(ans, rep, points) \
+        == coefficient_jet_joint_system_residual(ans, rep, points)
+
+
 @pytest.mark.parametrize("case", INTEGRABLE_CASES)
 def test_joint_system_sees_a_shifted_lambda_scalar(case):
     cfg = make_config(case)

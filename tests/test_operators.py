@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from dskg import dual
+from dskg import dual, operators
+from dskg.cases import case_spec
 from dskg.fields import FieldConfig, gauge_one_form, invariant_two_form
 from dskg.lie_core import ALL_CASES, CaseId, INTEGRABLE_CASES, standard_cocycle, subalgebra
 from dskg.dual import Dual
@@ -279,6 +280,44 @@ def test_symmetry_check_matches_reference_loop(chi_extra):
     pts = [tuple(p) for p in chart_points(CaseId.G32, 6)]
     got = pointwise.symmetry(CaseId.G32, cfg, pts, 2, chi_extra=chi_extra)
     assert got == _reference_symmetry_check(CaseId.G32, cfg, pts, 2, chi_extra=chi_extra)
+
+
+def _counted(fn, calls):
+    def wrapper(coords):
+        calls[wrapper] += 1
+        return fn(coords)
+    calls[wrapper] = 0
+    return wrapper
+
+
+@pytest.mark.parametrize("n_probes", [1, 3])
+@pytest.mark.parametrize("case", [CaseId.G32, CaseId.G35])
+def test_symmetry_check_evaluates_each_coefficient_once(monkeypatch, case, n_probes):
+    # every coefficient of H and of each X_A runs once per call, whatever the
+    # number of probes
+    calls = {}
+
+    def counted_h(*args):
+        h = kg_operator(*args)
+        h.second = [[_counted(c, calls) for c in row] for row in h.second]
+        h.first = [_counted(c, calls) for c in h.first]
+        h.scalar = _counted(h.scalar, calls)
+        return h
+
+    def counted_ops(*args, **kwargs):
+        ops = symmetry_operators(*args, **kwargs)
+        for op in ops:
+            op.coeffs = [_counted(c, calls) for c in op.coeffs]
+            op.scalar = _counted(op.scalar, calls)
+        return ops
+
+    monkeypatch.setattr(operators, "kg_operator", counted_h)
+    monkeypatch.setattr(operators, "symmetry_operators", counted_ops)
+    cfg = make_config(case)
+    pts = [tuple(p) for p in chart_points(case, 6)]
+    assert symmetry_check(case, cfg, pts, n_probes=n_probes) < 1e-8
+    assert len(calls) == 13 + 4 * case_spec(case).dim
+    assert set(calls.values()) == {1}
 
 
 def test_symmetry_check_at_a_singular_point_is_nan():
