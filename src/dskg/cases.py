@@ -129,8 +129,8 @@ class IntegrationSpec:
     lambda_rep: Callable    # (J, k) -> ([(coefficient, scalar)] per generator, measure)
     kg_operator: Callable   # k -> (second, first, scalar) coefficients
     ansatz: Callable        # (k, J) -> (phase, char), both of (coords, lam)
-    reduced_ode: Callable   # (k, J) -> (p, q, params[, singular points])
-    basis: Callable         # (k, J, numeric span, wrap) -> (phi1, phi2, record)
+    reduced_ode: Callable   # (k, J) -> (p, q)
+    basis: Callable         # (k, J, wrap) -> (phi1, phi2, record)
 
 
 @dataclass(frozen=True)
@@ -347,10 +347,10 @@ def _g31_reduced_ode(k, J):
         if abs(v) < 1e-300:
             raise ZeroDivisionError("reduced equation singular at v = 0")
         return (J * J + 1.0) + (-2.0 * e * (J * mu1 + mu2) * v + c0) / (v * v)
-    return lambda v: 0.0, q, {"J": J, "constant": c0}, "v = 0"
+    return lambda v: 0.0, q
 
 
-def _g31_basis(k, J, span, wrap):
+def _g31_basis(k, J, wrap):
     e, mt, mu1, mu2 = k.e, k.mass_term, k.mu1, k.mu2
     root = math.sqrt(J * J + 1.0)
     alpha = 1j * e * (J * mu1 + mu2) / root
@@ -426,10 +426,10 @@ def _g32_reduced_ode(k, J):
 
     def q(v):
         return mt - e * mu * (2.0 * J + 1.0) * cmath.exp(2.0 * v)
-    return lambda v: -2.0, q, {"J": J}
+    return lambda v: -2.0, q
 
 
-def _g32_basis(k, J, span, wrap):
+def _g32_basis(k, J, wrap):
     e, mt, mu = k.e, k.mass_term, k.mu
     order = cmath.sqrt(1.0 - mt)
     scale = 1j * cmath.sqrt(e * mu * (2.0 * J + 1.0))
@@ -529,16 +529,20 @@ def _g33a_q_terms(k, J):
 
 def _g33a_reduced_ode(k, J):
     terms, a = _g33a_q_terms(k, J), k.parameter_a
-    return lambda v: 2.0 * a, lambda v: specfun.exp_sum(terms, v), {"J": J, "a": a}
+    return lambda v: 2.0 * a, lambda v: specfun.exp_sum(terms, v)
 
 
-def _g33a_basis(k, J, span, wrap):
+# the v-range on which the Taylor basis is summed
+_G33A_SPAN = (-1.8, 1.8)
+
+
+def _g33a_basis(k, J, wrap):
     # no known closed form, but q is entire: a piecewise Taylor series
     a = k.parameter_a
-    phi1, phi2, segments = specfun.taylor_basis(2.0 * a, _g33a_q_terms(k, J), span,
+    phi1, phi2, segments = specfun.taylor_basis(2.0 * a, _g33a_q_terms(k, J), _G33A_SPAN,
                                                 f"g3_3a (a = {a}, J = {J})")
-    return phi1, phi2, {"kind": "taylor_series", "span": list(span), "segments": segments,
-                        "terms": specfun.TAYLOR_TERMS}
+    return phi1, phi2, {"kind": "taylor_series", "span": list(_G33A_SPAN),
+                        "segments": segments, "terms": specfun.TAYLOR_TERMS}
 
 
 _G33a = CaseSpec(
@@ -664,7 +668,7 @@ def _g34_reduced_ode(k, J):
 
     def q(v):
         return mt + top / cmath.cosh(v) ** 2
-    return lambda v: 2.0 * cmath.tanh(v), q, {"J": J}
+    return lambda v: 2.0 * cmath.tanh(v), q
 
 
 def _g35_reduced_ode(k, J):
@@ -682,10 +686,10 @@ def _g35_reduced_ode(k, J):
         if abs(s) < 1e-12:
             raise ZeroDivisionError("reduced equation singular at multiples of pi")
         return 2.0 * cmath.cos(v) / s
-    return p, q, {"J": J}, "v in pi Z"
+    return p, q
 
 
-def _g34_basis(k, J, span, wrap):
+def _g34_basis(k, J, wrap):
     e, mt, mu = k.e, k.mass_term, k.mu
     nu = cmath.sqrt((J + 0.5) ** 2 - (e * mu) ** 2) - 0.5
     sigma = cmath.sqrt(1.0 - mt)
@@ -700,7 +704,7 @@ def _g34_basis(k, J, span, wrap):
     return wrap(p_fn, "legendre_p"), wrap(q_fn, "legendre_q"), rec
 
 
-def _g35_basis(k, J, span, wrap):
+def _g35_basis(k, J, wrap):
     e, mt, mu = k.e, k.mass_term, k.mu
     nu = cmath.sqrt(1.0 - mt) - 0.5
     sigma = cmath.sqrt((e * mu) ** 2 - J * J)
@@ -797,9 +801,6 @@ _BY_ID = {spec.case_id: spec for spec in CASES}
 ALL_CASES = [spec.case_id for spec in CASES]
 PARAMETERIZED_CASES = tuple(spec.case_id for spec in CASES if spec.parameterized)
 INTEGRABLE_CASES = tuple(spec.case_id for spec in CASES if spec.integration is not None)
-
-# the entry whose chart geometry.rectify reproduces in closed form
-RECTIFY_EXAMPLE = CaseId.G35
 
 
 def case_spec(case_id) -> CaseSpec:

@@ -221,14 +221,10 @@ def _verify_case(case: CaseId, run: RunConfig) -> dict:
         grid = default_grid(case, (4, 4, 4))
         res["wave_residual"] = integrate.reduction_residual(case, cfg, run.J, lam,
                                                             basis.phi1, grid)
-        if run.perturb is not None:
-            # a perturbed chi must break the symmetry commutators detectably
-            sym = symmetry_check(case, cfg, [tuple(p) for p in pts[:10]],
-                                 n_probes=2, chi_extra=chi_extra)
-            res["symmetry_commutator"] = sym
-        else:
-            res["symmetry_commutator"] = symmetry_check(
-                case, cfg, [tuple(p) for p in pts[:6]], n_probes=2)
+        # a perturbed chi must break the symmetry commutators detectably
+        sym_pts = pts[:10] if run.perturb is not None else pts[:6]
+        res["symmetry_commutator"] = symmetry_check(
+            case, cfg, [tuple(p) for p in sym_pts], n_probes=2, chi_extra=chi_extra)
 
     tol = run.tolerances
     checks = {}

@@ -304,12 +304,6 @@ def compose(x, f0, f1, f2):
     return x.lift(f0, f1, f2) if isinstance(x, Dual) else f0
 
 
-def gradient(f, point):
-    """Exact gradient of ``f`` at ``point`` (tuple of partials)."""
-    r = f(Dual.seed(point))
-    return r.grad if isinstance(r, Dual) else (0j,) * len(point)
-
-
 def partial(jet, index):
     """The 1-jet of one partial derivative of a 2-jet, so first-order operators
     can act on it (its Hessian is dropped); a constant's partial is 0."""

@@ -103,19 +103,6 @@ class TwoForm:
         """F_ab values at ``coords``, with a grid's lane axis first."""
         return _form_values(self.jets(coords))
 
-    def antisymmetry_residual(self, coords) -> float:
-        m = self.matrix(coords)
-        return float(np.max(np.abs(m + np.swapaxes(m, -1, -2))))
-
-    def perturbed(self, entry: tuple[int, int], extra: Callable) -> "TwoForm":
-        new = dict(self.entries)
-        base = new.get(entry)
-        if base is None:
-            new[entry] = extra
-        else:
-            new[entry] = lambda c, b=base, x=extra: b(c) + x(c)
-        return TwoForm(new)
-
 
 def _form_values(form) -> np.ndarray:
     vals = dual.arrays([x for row in form for x in row], 3)[0]
@@ -146,13 +133,6 @@ def invariant_two_form(case_id: CaseId, config: FieldConfig) -> TwoForm:
 def gauge_one_form(case_id: CaseId, config: FieldConfig) -> OneForm:
     """A gauge potential with dA = F for any catalog entry."""
     return OneForm(case_spec(case_id).field.gauge(config))
-
-
-def potential(case_id: CaseId, config: FieldConfig) -> OneForm:
-    """The reference gauge of the five integrable entries."""
-    if case_spec(case_id).integration is None:
-        raise ValueError(f"no reference potential for {CaseId(case_id)}")
-    return gauge_one_form(case_id, config)
 
 
 def solve_chi(case_id: CaseId, config: FieldConfig,

@@ -5,8 +5,9 @@ rectifies the subalgebra orbits: generators act only along the q coordinates
 and the u coordinates label the orbits.  The charts are hard coded in the
 registry of :mod:`dskg.cases`; the algebraic construction behind them
 (products of matrix exponentials applied to a transversal section) is
-implemented in :func:`rectify` and validated on the three-dimensional
-boost-rotation example whose closed form is known.
+implemented in :func:`rectify`; the three-dimensional boost-rotation
+example whose closed form is known validates it, and lives in
+``tests/test_geometry.py`` until every chart is built this way.
 
 Metrics are always induced from the ambient Minkowski form
 eta = diag(1,-1,-1,-1); every closed-form metric used elsewhere is checked
@@ -24,12 +25,11 @@ import numpy as np
 
 from . import dual
 from .dual import Dual
-from .cases import RECTIFY_EXAMPLE, CaseId, resolve
+from .cases import CaseId, resolve
 from .lie_core import subalgebra
 
 ETA = (1.0, -1.0, -1.0, -1.0)
-HYPERBOLOID_TOL = 1e-12
-PUSHFORWARD_TOL = 1e-10
+SAMPLE_MARGIN = 0.1
 
 
 class RankDeficientError(RuntimeError):
@@ -52,9 +52,6 @@ class AmbientPoint:
 
     def hyperboloid_residual(self) -> float:
         return abs(self.x0 ** 2 - self.x1 ** 2 - self.x2 ** 2 - self.x3 ** 2 + 1.0)
-
-    def on_hyperboloid(self, tol: float = HYPERBOLOID_TOL) -> bool:
-        return self.hyperboloid_residual() < tol
 
 
 @dataclass(frozen=True)
@@ -86,12 +83,12 @@ def chart_for(case_id: CaseId, parameter_a: Optional[float] = None) -> Chart:
     return Chart(spec.case_id, c.r, c.coord_names, c.domain, c.map(a), a)
 
 
-def sample_domain(chart: Chart, n: int, rng: np.random.Generator,
-                  margin: float = 0.1) -> np.ndarray:
-    """Uniform interior samples of the chart box, shrunk by a relative margin."""
+def sample_domain(chart: Chart, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform interior samples of the chart box, shrunk by SAMPLE_MARGIN of
+    its width at each end."""
     lo = np.array([d[0] for d in chart.domain])
     hi = np.array([d[1] for d in chart.domain])
-    pad = (hi - lo) * margin
+    pad = (hi - lo) * SAMPLE_MARGIN
     return rng.uniform(lo + pad, hi - pad, size=(n, 3))
 
 
@@ -132,45 +129,20 @@ def matexp(y: np.ndarray) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
-class RepMatrix:
-    rho: np.ndarray
-
-    def commutator_residual(self, others: "list[RepMatrix]",
-                            structure: np.ndarray) -> float:
-        worst = 0.0
-        for A, ma in enumerate(others):
-            for B, mb in enumerate(others):
-                br = ma.rho @ mb.rho - mb.rho @ ma.rho
-                target = sum(structure[A, B, C] * others[C].rho for C in range(len(others)))
-                worst = max(worst, float(np.max(np.abs(br - target))))
-        return worst
-
-
-def rep_matrices(case_id: CaseId, parameter_a: Optional[float] = None) -> list[RepMatrix]:
+def rep_matrices(case_id: CaseId, parameter_a: Optional[float] = None) -> list[np.ndarray]:
     """Representation matrices rho_A with X_A = -rho_A x for a catalog entry."""
     sub = subalgebra(case_id, parameter_a)
-    return [RepMatrix(-m) for m in sub.generator_matrices()]
+    return [-m for m in sub.generator_matrices()]
 
 
-def rectify(generators: Sequence[RepMatrix], section: Callable[[Sequence[float]], np.ndarray],
+def rectify(generators: Sequence[np.ndarray], section: Callable[[Sequence[float]], np.ndarray],
             q: Sequence[float], u: Sequence[float]) -> AmbientPoint:
-    """Point of the rectifying chart built from exponentials of the first r generators."""
+    """Point of the rectifying chart built from exponentials of the first r
+    generators, given as their representation matrices rho_A."""
     x = np.asarray(section(list(u)), dtype=float)
-    for qa, g in zip(reversed(list(q)), reversed(list(generators[: len(q)]))):
-        x = matexp(-qa * g.rho) @ x
+    for qa, rho in zip(reversed(list(q)), reversed(list(generators[: len(q)]))):
+        x = matexp(-qa * rho) @ x
     return AmbientPoint(*x)
-
-
-def so12_section(u: Sequence[float]) -> np.ndarray:
-    """Transversal section of the boost-rotation worked example, in ambient order."""
-    ut1, ut2 = u
-    return np.array([0.0, ut2 + 1.0, 0.0, ut1])
-
-
-def so12_generators() -> list[RepMatrix]:
-    """Generators of the worked example, ordered with the two transversal ones first."""
-    return rep_matrices(RECTIFY_EXAMPLE)
 
 
 # ----------------------------------------------------------------------
@@ -225,9 +197,6 @@ class MetricSample:
     dg: np.ndarray
     g_inv: np.ndarray
     sqrt_abs_det: np.ndarray
-
-    def signature_counts(self):
-        return _signature(self.g)
 
     def identity_residual(self) -> float:
         return float(np.max(np.abs(self.g @ self.g_inv - np.eye(3))))
@@ -289,19 +258,3 @@ def killing_residual(metric: MetricSample, generators) -> float:
         + np.einsum("...ac,...Acb->...Aab", g, dx)
     return float(np.max(np.abs(lie)))
 
-
-def orbit_rank(case_id: CaseId, n_points: int = 60, seed: int = 4801,
-               parameter_a: Optional[float] = None) -> int:
-    """Generic rank of the ambient generator components over sampled points."""
-    chart = chart_for(case_id, parameter_a)
-    mats = subalgebra(case_id, parameter_a).generator_matrices()
-    rng = np.random.default_rng(seed)
-    pts = sample_domain(chart, n_points, rng)
-    best = 0
-    for p in pts:
-        x = chart.embed(p).as_array()
-        rows = np.array([m @ x for m in mats])
-        sv = np.linalg.svd(rows, compute_uv=False)
-        if sv.size and sv[0] > 0:
-            best = max(best, int(np.sum(sv > 1e-10 * sv[0])))
-    return best

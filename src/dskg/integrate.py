@@ -48,7 +48,7 @@ def lambda_rep(case_id: CaseId, J: float, config: FieldConfig) -> LambdaRep:
     """Auxiliary-variable realization of the extended symmetry algebra."""
     case_id = CaseId(case_id)
     rows, measure = integration(case_id).lambda_rep(J, config)
-    ops = [DiffOp1([coeff], scalar, 1) for coeff, scalar in rows]
+    ops = [DiffOp1([coeff], scalar) for coeff, scalar in rows]
     return LambdaRep(case_id, J, ops, -1j * config.e, measure)
 
 
@@ -137,8 +137,6 @@ class ReducedODE:
     case_id: CaseId
     p: Callable[[complex], complex]
     q: Callable[[complex], complex]
-    params: dict
-    singular_points: str = ""
 
     def residual(self, jet, v: complex) -> float:
         f0, f1, f2 = jet.jet(v)
@@ -237,11 +235,10 @@ class SolutionBasis:
         return f0 * g1 - f1 * g0
 
 
-def solution_basis(case_id: CaseId, config: FieldConfig, J: float,
-                   numeric_span: tuple[float, float] = (-1.8, 1.8)) -> SolutionBasis:
+def solution_basis(case_id: CaseId, config: FieldConfig, J: float) -> SolutionBasis:
     """Two independent solutions of the reduced equation, with parameter record."""
     case_id = CaseId(case_id)
-    phi1, phi2, rec = integration(case_id).basis(config, J, numeric_span, SpecialSolution)
+    phi1, phi2, rec = integration(case_id).basis(config, J, SpecialSolution)
     return SolutionBasis(case_id, phi1, phi2, rec)
 
 

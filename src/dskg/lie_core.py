@@ -39,6 +39,7 @@ COBOUNDARY_TOL = 1e-10
 RANK_THRESHOLD = 1e-10
 INDEX_SAMPLES = 200
 INDEX_SEED = 20813
+MANIFOLD_DIM = 3    # dS_3
 
 
 def ambient_matrices() -> list[np.ndarray]:
@@ -80,9 +81,6 @@ class LieAlgebraSpec:
             raise ValueError("structure constants not antisymmetric")
         if self.jacobi_residual() > tol:
             raise ValueError("Jacobi identity violated")
-
-    def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("abc,a,b->c", self.structure_constants, u, v)
 
 
 def so13_algebra() -> LieAlgebraSpec:
@@ -285,23 +283,23 @@ def coboundary_shift(alg: LieAlgebraSpec, coc: Cocycle, lam: np.ndarray) -> Cocy
     return Cocycle(coc.F - delta)
 
 
-def coadjoint_singular_values(ext: ExtendedAlgebraSpec, samples: int = INDEX_SAMPLES,
-                              seed: int = INDEX_SEED) -> np.ndarray:
+def coadjoint_singular_values(ext: ExtendedAlgebraSpec) -> np.ndarray:
     """Singular values of the coadjoint matrices C_AB^C f_C, one row per probe
-    covector f: all ones, the unit covectors, then ``samples`` uniform draws."""
+    covector f: all ones, the unit covectors, then INDEX_SAMPLES uniform draws
+    seeded with INDEX_SEED."""
     n1 = ext.dim_hat
-    rng = np.random.default_rng(seed)
-    probes = np.vstack([np.ones(n1), np.eye(n1), rng.uniform(-1.0, 1.0, size=(samples, n1))])
+    rng = np.random.default_rng(INDEX_SEED)
+    probes = np.vstack([np.ones(n1), np.eye(n1),
+                        rng.uniform(-1.0, 1.0, size=(INDEX_SAMPLES, n1))])
     mats = np.einsum("abc,pc->pab", ext.structure_constants(), probes)
     return np.linalg.svd(mats, compute_uv=False)
 
 
-def index(ext: ExtendedAlgebraSpec, samples: int = INDEX_SAMPLES,
-          seed: int = INDEX_SEED, threshold: float = RANK_THRESHOLD) -> int:
+def index(ext: ExtendedAlgebraSpec) -> int:
     """dim of the extension minus the generic coadjoint rank, by sampling."""
-    sv = coadjoint_singular_values(ext, samples, seed)
-    # a zero matrix has rank 0: none of its values exceeds threshold * 0
-    return ext.dim_hat - int(np.max(np.sum(sv > threshold * sv[:, :1], axis=1)))
+    sv = coadjoint_singular_values(ext)
+    # a zero matrix has rank 0: none of its values exceeds RANK_THRESHOLD * 0
+    return ext.dim_hat - int(np.max(np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1)))
 
 
 @dataclass(frozen=True)
@@ -317,18 +315,17 @@ class IntegrabilityRecord:
         return (self.dim, self.ind, self.s, self.l, self.m_tilde, self.integrable)
 
 
-def integrability_check(ext: ExtendedAlgebraSpec, manifold_dim: int = 3) -> IntegrabilityRecord:
-    """Counting record (dim, ind, s, l, m_tilde, decision) of the extension."""
-    if manifold_dim < 1:
-        raise ValueError("manifold_dim must be >= 1")
+def integrability_check(ext: ExtendedAlgebraSpec) -> IntegrabilityRecord:
+    """Counting record (dim, ind, s, l, m_tilde, decision) of the extension on
+    the MANIFOLD_DIM-dimensional hyperboloid."""
     dim = ext.dim_hat
     ind = index(ext)
     if (dim - ind) % 2 != 0:
         raise RuntimeError(f"index parity violated: dim = {dim}, ind = {ind}")
     s = (dim - ind) // 2
     l = ind - 1
-    m_tilde = manifold_dim - (dim + ind) // 2 + 1
-    return IntegrabilityRecord(dim, ind, s, l, m_tilde, dim + ind >= 2 * manifold_dim)
+    m_tilde = MANIFOLD_DIM - (dim + ind) // 2 + 1
+    return IntegrabilityRecord(dim, ind, s, l, m_tilde, dim + ind >= 2 * MANIFOLD_DIM)
 
 
 def case_extension(case_id: CaseId, mu: float = 1.0, a: float = 1.0) -> ExtendedAlgebraSpec:
@@ -354,26 +351,3 @@ def table3_diff(table: dict[CaseId, IntegrabilityRecord]) -> dict[CaseId, dict]:
             out[case] = {"computed": rec.as_tuple(), "reference": ref}
     return out
 
-
-def change_basis(ext: ExtendedAlgebraSpec, transform: np.ndarray) -> ExtendedAlgebraSpec:
-    """Rewrite the extension in a new basis that keeps the center central.
-
-    ``transform`` is the (n+1) x (n+1) matrix of new basis vectors in terms of
-    the old ones (columns), with the central direction preserved up to scale.
-    """
-    n = ext.base.dim
-    t = np.asarray(transform, dtype=float)
-    if t.shape != (n + 1, n + 1):
-        raise ValueError("transform has wrong shape")
-    if np.max(np.abs(t[:n, n])) > 1e-13 or abs(t[n, n]) < 1e-13:
-        raise ValueError("transform does not preserve the center")
-    c = ext.structure_constants()
-    tinv = np.linalg.inv(t)
-    cprime = np.einsum("ai,bj,abc,ck->ijk", t, t, c, tinv)
-    base = LieAlgebraSpec(n, cprime[:n, :n, :n],
-                          tuple(f"Y{k+1}" for k in range(n)))
-    coc = Cocycle(cprime[:n, :n, n])
-    # central column in the transformed constants must stay exact
-    if np.max(np.abs(cprime[n, :, :])) > 1e-10 or np.max(np.abs(cprime[:, n, :])) > 1e-10:
-        raise ValueError("transformed center failed to stay central")
-    return ExtendedAlgebraSpec(base, coc)

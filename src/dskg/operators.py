@@ -18,18 +18,22 @@ import numpy as np
 
 from . import dual
 from .dual import Dual
-from .cases import CaseId, const, integration
+from .cases import CaseId, integration
 from .fields import FieldConfig, gauge_one_form, solve_chi
 from .geometry import metric_jet, rect_components
 
+FIT_TOL = 1e-9        # commutation_table_fit: largest residual of a closed table
+PROBE_SEED = 7130     # symmetry_check: seed of its probe functions
+
 
 class DiffOp1:
-    """First-order operator sum_u a^u(x) d_u + b(x) in ``nvars`` variables."""
+    """First-order operator sum_u a^u(x) d_u + b(x), one coefficient a^u per
+    variable."""
 
-    def __init__(self, coeffs: Sequence[Callable], scalar: Callable, nvars: Optional[int] = None):
+    def __init__(self, coeffs: Sequence[Callable], scalar: Callable):
         self.coeffs = list(coeffs)
         self.scalar = scalar
-        self.nvars = nvars if nvars is not None else len(self.coeffs)
+        self.nvars = len(self.coeffs)
 
     def apply(self, f: Callable, point: Sequence[complex]):
         return self.apply_jet(f(Dual.seed(point)), point)
@@ -50,18 +54,6 @@ class DiffOp1:
         (plain coordinates or a grid's coordinate columns)."""
         return [dual.value(a(list(point))) for a in self.coeffs + [self.scalar]]
 
-    def combine(self, coords, fv, dfv):
-        """(op f) at ``coords`` from the values ``fv`` of f and ``dfv`` of its partials."""
-        total = self.scalar(coords) * fv
-        for u, a in enumerate(self.coeffs):
-            total = total + a(coords) * dfv[u]
-        return total
-
-    def as_function(self, f) -> Callable:
-        """The function (op f), evaluable at dual points; f must expose .partial."""
-        partials = [f.partial(u) for u in range(self.nvars)]
-        return lambda coords: self.combine(coords, f(coords), [p(coords) for p in partials])
-
     def jets(self, coords):
         """Values (..., k + 1) and gradients (..., k + 1, k) of the coefficients
         and then the scalar part at ``coords`` (a point or grid seed)."""
@@ -71,14 +63,16 @@ class DiffOp1:
 
 
 class DiffOp2:
-    """Second-order operator with symmetric leading coefficients."""
+    """Second-order operator with symmetric leading coefficients, in the three
+    chart coordinates."""
+
+    nvars = 3
 
     def __init__(self, second: Sequence[Sequence[Callable]], first: Sequence[Callable],
-                 scalar: Callable, nvars: int = 3):
+                 scalar: Callable):
         self.second = [list(row) for row in second]
         self.first = list(first)
         self.scalar = scalar
-        self.nvars = nvars
 
     def apply(self, f: Callable, point: Sequence[complex]):
         value, _ = self.apply_scaled(f, point)
@@ -116,24 +110,6 @@ class DiffOp2:
         scale += abs(term)
         return total, scale
 
-    def combine(self, coords, fv, dfv, d2fv):
-        """(op f) at ``coords`` from the values of f, its partials ``dfv`` and
-        its second partials ``d2fv``."""
-        total = self.scalar(coords) * fv
-        for a in range(self.nvars):
-            total = total + self.first[a](coords) * dfv[a]
-            for b in range(self.nvars):
-                total = total + self.second[a][b](coords) * d2fv[a][b]
-        return total
-
-    def as_function(self, f) -> Callable:
-        partials = [f.partial(u) for u in range(self.nvars)]
-        second_partials = [[partials[a].partial(b) for b in range(self.nvars)]
-                           for a in range(self.nvars)]
-        return lambda coords: self.combine(
-            coords, f(coords), [p(coords) for p in partials],
-            [[p(coords) for p in row] for row in second_partials])
-
 
 @dataclass(frozen=True)
 class CommutatorSample:
@@ -161,8 +137,9 @@ class TableFit:
 
 
 def commutation_table_fit(ops: Sequence[DiffOp1], probes: Sequence[Sequence[complex]],
-                          central_scalar: complex, tol: float = 1e-9) -> TableFit:
-    """Least-squares fit of every commutator into span(ops, central).
+                          central_scalar: complex) -> TableFit:
+    """Least-squares fit of every commutator into span(ops, central); the fit
+    is closed when its residual is at most FIT_TOL.
 
     Every operator's coefficient jets are evaluated once, over all probes as
     one grid jet; the rows are the probes in order, k + 1 per probe.
@@ -187,13 +164,13 @@ def commutation_table_fit(ops: Sequence[DiffOp1], probes: Sequence[Sequence[comp
             sol, *_ = np.linalg.lstsq(m, b, rcond=None)
             res = float(np.max(np.abs(m @ sol - b)))
             worst = max(worst, res)
-            if float(np.max(np.abs(sol.imag))) > max(tol, 1e-9):
+            if float(np.max(np.abs(sol.imag))) > FIT_TOL:
                 worst = max(worst, float(np.max(np.abs(sol.imag))))
             structure[A, B] = sol[:n].real
             structure[B, A] = -sol[:n].real
             central[A, B] = sol[n].real
             central[B, A] = -sol[n].real
-    return TableFit(structure, central, worst, worst <= tol)
+    return TableFit(structure, central, worst, worst <= FIT_TOL)
 
 
 def representation_residual(ops: Sequence[DiffOp1], structure: np.ndarray,
@@ -227,13 +204,13 @@ def representation_residual(ops: Sequence[DiffOp1], structure: np.ndarray,
 # ----------------------------------------------------------------------
 
 def symmetry_operators(case_id: CaseId, config: FieldConfig,
-                       chi_constants: Optional[Sequence[float]] = None,
                        chi_extra: Optional[Sequence[Optional[Callable]]] = None) -> list[DiffOp1]:
     """Explicit first-order symmetry operators X^a d_a + i e (chi - X.A).
 
-    ``chi_constants`` adds constant shifts lambda_A to the chi functions (the
-    central-charge transformation law); ``chi_extra`` adds arbitrary evaluable
-    perturbations, used to demonstrate detection of broken defining equations.
+    ``chi_extra`` adds an evaluable term to each chi_A that has one: a
+    constant one shifts chi_A by lambda_A (the central-charge transformation
+    law), any other breaks the defining equation, to demonstrate that the
+    break is detected.
     """
     case_id = CaseId(case_id)
     comps = rect_components(case_id, config.parameter_a)
@@ -241,11 +218,9 @@ def symmetry_operators(case_id: CaseId, config: FieldConfig,
     gauge = gauge_one_form(case_id, config)
     e = config.e
     ops = []
-    for A, comp in enumerate(comps):
-        shift = 0.0 if chi_constants is None else chi_constants[A]
-
-        def scalar(coords, comp=comp, chi=chis[A], shift=shift):
-            total = chi(coords) + shift
+    for comp, chi in zip(comps, chis):
+        def scalar(coords, comp=comp, chi=chi):
+            total = chi(coords)
             avals = gauge.values(coords)
             for u in range(3):
                 xu = comp[u](coords)
@@ -253,13 +228,8 @@ def symmetry_operators(case_id: CaseId, config: FieldConfig,
                     total = total - xu * avals[u]
             return total * (1j * e)
 
-        ops.append(DiffOp1(list(comp), scalar, 3))
+        ops.append(DiffOp1(list(comp), scalar))
     return ops
-
-
-def central_operator(config: FieldConfig) -> DiffOp1:
-    """The trivial symmetry operator, multiplication by i e."""
-    return DiffOp1([const(0.0)] * 3, const(1j * config.e), 3)
 
 
 # ----------------------------------------------------------------------
@@ -271,20 +241,15 @@ def kg_operator(case_id: CaseId, config: FieldConfig) -> DiffOp2:
     return DiffOp2(*integration(case_id).kg_operator(config))
 
 
-def kg_apply_generic(case_id: CaseId, config: FieldConfig, f: Callable,
-                     point: Sequence[float]) -> complex:
-    """Divergence-form assembly of the wave operator applied to f at a point.
+def kg_apply_generic_jet(case_id: CaseId, config: FieldConfig, fv,
+                         point: Sequence[float]) -> complex:
+    """Divergence-form assembly of the wave operator applied to f at a point,
+    from the evaluated 2-jet ``fv`` of f at ``point``.
 
     Independent of the registry's closed forms: uses only the chart metric jet and
     the gauge potential,
         (1/sqrt g) D_a ( sqrt g g^{ab} D_b f ) + (6 zeta + m^2) f.
     """
-    return kg_apply_generic_jet(case_id, config, f(Dual.seed(point)), point)
-
-
-def kg_apply_generic_jet(case_id: CaseId, config: FieldConfig, fv,
-                         point: Sequence[float]) -> complex:
-    """:func:`kg_apply_generic` on an already evaluated 2-jet ``fv`` of f at ``point``."""
     case_id = CaseId(case_id)
     coords = Dual.seed(point)
     g, dg, ginv, sqrtg, dsqrtg, dginv = metric_jet(case_id, coords, config.parameter_a)
@@ -379,18 +344,18 @@ def _monomial(powers, coords, cache):
     return cache[powers]
 
 
-def random_probe(rng: np.random.Generator, nvars: int = 3) -> PolyExpProbe:
+def random_probe(rng: np.random.Generator) -> PolyExpProbe:
+    """A probe in the three chart coordinates with 2-4 random terms."""
     terms = {}
     for _ in range(rng.integers(2, 5)):
-        powers = tuple(int(p) for p in rng.integers(0, 3, nvars))
+        powers = tuple(int(p) for p in rng.integers(0, 3, 3))
         terms[powers] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    dvec = tuple(complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
-                 for _ in range(nvars))
+    dvec = tuple(complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for _ in range(3))
     return PolyExpProbe(terms, dvec)
 
 
 def symmetry_check(case_id: CaseId, config: FieldConfig, points: Sequence[Sequence[float]],
-                   n_probes: int = 5, seed: int = 7130,
+                   n_probes: int = 5,
                    chi_extra: Optional[Sequence[Optional[Callable]]] = None) -> float:
     """max over operators, probe functions and points of the normalized
     commutator residual |H(X f) - X(H f)| / (1 + |H(X f)| + |X(H f)|).
@@ -402,7 +367,7 @@ def symmetry_check(case_id: CaseId, config: FieldConfig, points: Sequence[Sequen
     the coefficients, for all operators at once.
     """
     case_id = CaseId(case_id)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROBE_SEED)
     h = kg_operator(case_id, config)
     ops = symmetry_operators(case_id, config, chi_extra=chi_extra)
     n, m = h.nvars, len(ops)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dskg.fields import TwoForm
 from dskg.geometry import chart_for, sample_domain
 from dskg.lie_core import PARAMETERIZED_CASES
 
@@ -12,12 +13,24 @@ def case_param_a(case):
     return DEFAULT_A if case in PARAMETERIZED_CASES else None
 
 
-def chart_points(case, n=25, seed=9041, a=None, margin=0.1):
+def chart_points(case, n=25, seed=9041, a=None):
     """Seeded interior samples of a case's chart box."""
     a = a if a is not None else case_param_a(case)
     chart = chart_for(case, a)
     rng = np.random.default_rng(seed)
-    return sample_domain(chart, n, rng, margin)
+    return sample_domain(chart, n, rng)
+
+
+def perturbed_form(form, entry, extra):
+    """``form`` with the evaluable ``extra`` added to its ``entry`` component,
+    a broken 2-form that the invariance and chi checks must detect."""
+    new = dict(form.entries)
+    base = new.get(entry)
+    if base is None:
+        new[entry] = extra
+    else:
+        new[entry] = lambda c, b=base, x=extra: b(c) + x(c)
+    return TwoForm(new)
 
 
 @pytest.fixture

@@ -3,7 +3,9 @@ symmetry checks: one point jet per point, read in plain complex arithmetic.
 
 The batched checks in `src` evaluate all points as one grid jet; these loops
 are the route they replaced, kept as their oracle
-(`test_pointwise_oracle.py`).
+(`test_pointwise_oracle.py`).  An operator applied to a function by the
+product rule (`combine1`, `combine2`, `as_function`) is the oracle of the
+contractions in `symmetry_check` and `joint_system_residual`.
 """
 
 import numpy as np
@@ -13,7 +15,37 @@ from dskg.cases import case_spec
 from dskg.dual import Dual
 from dskg.fields import gauge_one_form
 from dskg.geometry import ETA, RankDeficientError, chart_for, rect_components
-from dskg.operators import kg_operator, random_probe, symmetry_operators
+from dskg.operators import DiffOp1, kg_operator, random_probe, symmetry_operators
+
+
+def combine1(op, coords, fv, dfv):
+    """(op f) at ``coords`` for a first-order ``op``, from the values ``fv`` of f
+    and ``dfv`` of its partials."""
+    total = op.scalar(coords) * fv
+    for u, a in enumerate(op.coeffs):
+        total = total + a(coords) * dfv[u]
+    return total
+
+
+def combine2(op, coords, fv, dfv, d2fv):
+    """(op f) at ``coords`` for a second-order ``op``, from the values of f, its
+    partials ``dfv`` and its second partials ``d2fv``."""
+    total = op.scalar(coords) * fv
+    for a in range(op.nvars):
+        total = total + op.first[a](coords) * dfv[a]
+        for b in range(op.nvars):
+            total = total + op.second[a][b](coords) * d2fv[a][b]
+    return total
+
+
+def as_function(op, f):
+    """The function (op f), evaluable at dual points; f must expose .partial."""
+    partials = [f.partial(u) for u in range(op.nvars)]
+    if isinstance(op, DiffOp1):
+        return lambda coords: combine1(op, coords, f(coords), [p(coords) for p in partials])
+    second_partials = [[p.partial(b) for b in range(op.nvars)] for p in partials]
+    return lambda coords: combine2(op, coords, f(coords), [p(coords) for p in partials],
+                                   [[p(coords) for p in row] for row in second_partials])
 
 
 def _seed(point):
@@ -183,9 +215,9 @@ def symmetry(case, cfg, points, n_probes, seed=7130, chi_extra=None):
             seeds = Dual.seed(pt)
             fv = f(seeds)
             dfv = [p(seeds) for p in partials]
-            hf = h.combine(seeds, fv, dfv, [[p(seeds) for p in row] for row in second_partials])
+            hf = combine2(h, seeds, fv, dfv, [[p(seeds) for p in row] for row in second_partials])
             for op in ops:
-                lhs, _ = h.apply_jet(op.combine(seeds, fv, dfv), pt)
+                lhs, _ = h.apply_jet(combine1(op, seeds, fv, dfv), pt)
                 rhs = op.apply_jet(hf, pt)
                 worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
     return worst

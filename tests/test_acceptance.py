@@ -18,7 +18,7 @@ from dskg.dual import Dual
 from dskg.fields import (FieldConfig, closedness_residual, cocycle_from_config,
                          invariance_residual, invariant_two_form, lie_derivative)
 from dskg.geometry import (chart_for, chart_jets, generator_jets, rect_components, rectify,
-                           sample_domain, so12_generators, so12_section)
+                           sample_domain)
 from dskg.cases import case_spec, integration
 from dskg.integrate import (default_grid, lambda_rep, reduced_ode, reduction_residual,
                             solution_basis)
@@ -30,7 +30,8 @@ from dskg.operators import (commutation_table_fit, kg_cross_residual, random_pro
                             representation_residual, symmetry_check, symmetry_operators)
 from dskg.specfun import ode_integrate, solution_jet
 
-from conftest import case_param_a, chart_points
+from conftest import case_param_a, chart_points, perturbed_form
+from test_geometry import so12_generators, so12_section
 
 
 def report(num, name, value, budget_note=""):
@@ -164,7 +165,7 @@ def test_criterion_05_field_invariance():
             worst = max(worst, closedness_residual(f.jets(s)),
                         invariance_residual(generator_jets(case, s, cfg.parameter_a), f.jets(s)))
         # every chart carries X1 = d/dq1, so a q1-dependent entry must be seen
-        broken = f.perturbed((0, 1), lambda c: eps * c[0])
+        broken = perturbed_form(f, (0, 1), lambda c: eps * c[0])
         detected = max(float(np.max(np.abs(lie_derivative(
             generator_jets(case, Dual.seed(p), cfg.parameter_a)[0],
             broken.jets(Dual.seed(p)))))) for p in pts[:10])

@@ -131,12 +131,6 @@ def test_grid_seed_lanes_are_point_seeds():
                     point.hess[i][j], rel=1e-14, abs=1e-15)
 
 
-def test_gradient_helper():
-    g = dual.gradient(lambda c: c[0] * c[0] + 2.0 * c[1], [3.0, 1.0])
-    assert abs(g[0] - 6.0) < 1e-14
-    assert abs(g[1] - 2.0) < 1e-14
-
-
 def test_parts_of_a_jet_are_its_own_tuples():
     x, y = Dual.seed([0.4, -1.1])
     f = x * y + dual.sin(x)

@@ -9,13 +9,12 @@ from dskg import dual
 from dskg.dual import Dual
 from dskg.fields import (FORM_TOL, FieldConfig, chi_residual, closedness_residual,
                          cocycle_from_config, gauge_one_form, gauge_residual,
-                         invariance_residual, invariant_two_form, lie_derivative, potential,
-                         solve_chi)
+                         invariance_residual, invariant_two_form, lie_derivative, solve_chi)
 from dskg.geometry import generator_jets
 from dskg.lie_core import ALL_CASES, CaseId, Cocycle, coboundary_solve, \
     standard_cocycle, subalgebra
 
-from conftest import case_param_a, chart_points
+from conftest import case_param_a, chart_points, perturbed_form
 
 
 def make_config(case, **kw):
@@ -47,7 +46,8 @@ def test_closedness_and_invariance(case):
     f = invariant_two_form(case, cfg)
     for p in chart_points(case, 20):
         assert closedness_residual(f.jets(Dual.seed(p))) < 1e-10
-        assert f.antisymmetry_residual(Dual.seed(p)) < 1e-14
+        m = f.matrix(Dual.seed(p))
+        assert np.max(np.abs(m + m.T)) < 1e-14
         assert invariance_at(case, cfg, p, f) < 1e-10
 
 
@@ -83,19 +83,16 @@ def test_two_form_specific_entries():
 
 def test_potential_reference_gauges():
     cfg = make_config(CaseId.G34, mu=0.9)
-    a34 = potential(CaseId.G34, cfg)
+    a34 = gauge_one_form(CaseId.G34, cfg)
     vals = [dual.value(v) for v in a34.values([0.1, 0.5, -0.2])]
     assert abs(vals[0] + 0.9 * math.sin(0.5)) < 1e-15
     assert vals[1] == 0.0 and vals[2] == 0.0
 
     cfg = make_config(CaseId.G32, mu=1.4)
-    a32 = potential(CaseId.G32, cfg)
+    a32 = gauge_one_form(CaseId.G32, cfg)
     vals = [dual.value(v) for v in a32.values([0.3, -0.6, 0.0])]
     assert abs(vals[0] - 0.5 * 1.4 * 0.6) < 1e-15
     assert abs(vals[1] - 0.5 * 1.4 * 0.3) < 1e-15
-
-    with pytest.raises(ValueError):
-        potential(CaseId.G21, make_config(CaseId.G21))
 
 
 def test_chi_closed_forms_match_operator_scalars():
@@ -115,7 +112,7 @@ def test_lie_derivative_detects_broken_invariance():
     cfg = make_config(CaseId.G32)
     f = invariant_two_form(CaseId.G32, cfg)
     eps = 1e-3
-    broken = f.perturbed((0, 2), lambda c: eps * c[0])  # q1-dependent dq1^du1 piece
+    broken = perturbed_form(f, (0, 2), lambda c: eps * c[0])  # q1-dependent dq1^du1 piece
     worst = 0.0
     for p in chart_points(CaseId.G32, 12):
         s = Dual.seed(p)
@@ -126,8 +123,8 @@ def test_lie_derivative_detects_broken_invariance():
 
 def test_lie_derivative_coordinate_example():
     # F with a q1-dependent coefficient against the translation field
-    f = invariant_two_form(CaseId.G32, make_config(CaseId.G32)).perturbed(
-        (0, 1), lambda c: 0.5 * c[0] * c[0])
+    f = perturbed_form(invariant_two_form(CaseId.G32, make_config(CaseId.G32)),
+                       (0, 1), lambda c: 0.5 * c[0] * c[0])
     one = [1.0, 0.0, 0.0]
     point = (0.7, -0.3, 0.2)
     lie = lie_derivative(one, f.jets(Dual.seed(point)))

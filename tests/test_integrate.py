@@ -22,6 +22,7 @@ from dskg.operators import (DiffOp1, commutation_table_fit, kg_operator,
                             representation_residual, symmetry_operators)
 from dskg.specfun import ODESolverConfig, ode_integrate
 
+import pointwise
 from conftest import case_param_a
 
 LAMBDA_PROBES = [(0.35,), (0.8,), (-0.6,), (1.3,)]
@@ -147,7 +148,7 @@ def point_joint_system_residual(ans, rep, points):
 
 def coefficient_jet_joint_system_residual(ans, rep, points):
     # oracle: the same grid jet, with every operator coefficient evaluated as
-    # a 4-variable 2-jet and the operators applied through DiffOp1.combine
+    # a 4-variable 2-jet and the operators applied through pointwise.combine1
     ops = symmetry_operators(ans.case_id, ans.config)
     with np.errstate(divide="ignore", invalid="ignore"):
         *qs, lam = Dual.seed_grid(dual.columns(points) + [np.full(len(points), ans.lam)])
@@ -156,8 +157,8 @@ def coefficient_jet_joint_system_residual(ans, rep, points):
         for f in (phase, phase * ans.char(qs, lam)):
             df = [dual.partial(f, u) for u in range(4)]
             for op, lop in zip(ops, rep.ops):
-                xphi = dual.value(op.combine(qs, f, df[:3]))
-                lphi = dual.value(lop.combine([lam], f, df[3:]))
+                xphi = dual.value(pointwise.combine1(op, qs, f, df[:3]))
+                lphi = dual.value(pointwise.combine1(lop, [lam], f, df[3:]))
                 res.append(np.abs(xphi + lphi) / (1.0 + np.abs(xphi) + np.abs(lphi)))
     return float(np.max(res))
 
@@ -178,7 +179,7 @@ def test_joint_system_sees_a_shifted_lambda_scalar(case):
     cfg = make_config(case)
     rep = lambda_rep(case, 1.0, cfg)
     lop = rep.ops[0]
-    shifted = DiffOp1(lop.coeffs, lambda c, s=lop.scalar: s(c) + 1e-3, 1)
+    shifted = DiffOp1(lop.coeffs, lambda c, s=lop.scalar: s(c) + 1e-3)
     rep = replace(rep, ops=[shifted] + rep.ops[1:])
     ans = ansatz(case, cfg, 1.0, integration(case).lam)
     points = run_points(case)

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from dskg import dual, operators
-from dskg.cases import case_spec
+from dskg.cases import case_spec, const
 from dskg.fields import FieldConfig, gauge_one_form, invariant_two_form
 from dskg.lie_core import ALL_CASES, CaseId, INTEGRABLE_CASES, standard_cocycle, subalgebra
 from dskg.dual import Dual
-from dskg.operators import (DiffOp1, PolyExpProbe, central_operator,
-                            commutation_table_fit, commutator, kg_apply_generic,
+from dskg.operators import (DiffOp1, PolyExpProbe, commutation_table_fit, commutator,
                             kg_apply_generic_jet, kg_cross_residual, kg_operator, random_probe,
                             representation_residual, symmetry_check, symmetry_operators)
 
@@ -32,7 +31,7 @@ def commutator_at(A, B, point):
 def op1(coeffs, scalar=None):
     zero = lambda c: 0.0
     cs = [c if c is not None else zero for c in coeffs]
-    return DiffOp1(cs, scalar if scalar is not None else zero, 3)
+    return DiffOp1(cs, scalar if scalar is not None else zero)
 
 
 def test_apply_partial_derivative():
@@ -111,7 +110,7 @@ def test_covariant_derivative_commutator_is_field_strength():
     for a in range(3):
         coeffs = [lambda c: 0.0] * 3
         coeffs[a] = lambda c: 1.0
-        ds.append(DiffOp1(coeffs, lambda c, a=a: -1j * e * gauge.values(c)[a], 3))
+        ds.append(DiffOp1(coeffs, lambda c, a=a: -1j * e * gauge.values(c)[a]))
     for p in chart_points(case, 6):
         m = f2.matrix(Dual.seed(p))
         for a in range(3):
@@ -163,7 +162,7 @@ def test_chi_constant_shift_transforms_central_charge(rng):
     pts = [tuple(p) for p in chart_points(CaseId.G32, 10)]
     for _ in range(20):
         lam = rng.uniform(-2, 2, 3)
-        ops = symmetry_operators(CaseId.G32, cfg, chi_constants=lam)
+        ops = symmetry_operators(CaseId.G32, cfg, chi_extra=[const(x) for x in lam])
         fit = commutation_table_fit(ops, pts, 1j * cfg.e)
         want = standard_cocycle(CaseId.G32, 1.0).F \
             - np.einsum("abc,c->ab", sub.algebra.structure_constants, lam)
@@ -175,7 +174,7 @@ def test_non_closed_set_is_reported_not_fatal():
     ops = symmetry_operators(CaseId.G31, cfg)
     # drop the dilation, add an alien operator outside the span
     alien = DiffOp1([lambda c: c[0] * c[0], lambda c: 0.0, lambda c: 0.0],
-                    lambda c: 0.0, 3)
+                    lambda c: 0.0)
     pts = [tuple(p) for p in chart_points(CaseId.G31, 10)]
     fit = commutation_table_fit([ops[0], alien], pts, 1j * cfg.e)
     assert not fit.closed
@@ -221,7 +220,6 @@ def test_apply_jet_equals_apply(case):
         fv = f(Dual.seed(p))
         assert h.apply_jet(fv, p) == h.apply_scaled(f, p)
         assert h.apply_jet(fv, p)[0] == h.apply(f, p)
-        assert kg_apply_generic_jet(case, cfg, fv, p) == kg_apply_generic(case, cfg, f, p)
         for op in ops:
             assert op.apply_jet(fv, p) == op.apply(f, p)
 
@@ -231,7 +229,7 @@ def test_kg_generic_assembly_zero_charge_reduces_to_wave():
     cfg = make_config(CaseId.G35, e=0.0, m=0.0, zeta=0.0)
     f = PolyExpProbe({(0, 0, 0): 1.0}, (0, 0, 0))
     for p in chart_points(CaseId.G35, 4):
-        assert abs(kg_apply_generic(CaseId.G35, cfg, f, p)) < 1e-12
+        assert abs(kg_apply_generic_jet(CaseId.G35, cfg, f(Dual.seed(p)), p)) < 1e-12
 
 
 def test_kg_operator_rejects_nonintegrable():
@@ -262,9 +260,9 @@ def _reference_symmetry_check(case, cfg, points, n_probes, seed=7130, chi_extra=
     worst = 0.0
     for _ in range(n_probes):
         f = random_probe(rng)
-        hf = h.as_function(f)
+        hf = pointwise.as_function(h, f)
         for op in ops:
-            xf = op.as_function(f)
+            xf = pointwise.as_function(op, f)
             for pt in points:
                 lhs = h.apply(xf, pt)
                 rhs = op.apply(hf, pt)
@@ -344,9 +342,9 @@ def test_perturbed_chi_is_detected():
 def test_lambda_style_representation_residual():
     # representation check utility on a hand-built sl2-like triple
     ops = [
-        DiffOp1([lambda c: c[0]], lambda c: 0.5, 1),
-        DiffOp1([lambda c: 0.0], lambda c: 1j * c[0], 1),
-        DiffOp1([lambda c: 0.0], lambda c: 1j * 2.0 * c[0], 1),
+        DiffOp1([lambda c: c[0]], lambda c: 0.5),
+        DiffOp1([lambda c: 0.0], lambda c: 1j * c[0]),
+        DiffOp1([lambda c: 0.0], lambda c: 1j * 2.0 * c[0]),
     ]
     # [l1, l2] = l2 and [l1, l3] = l3 for l1 = x d/dx + 1/2, l2 = ix, l3 = 2ix
     structure = np.zeros((3, 3, 3))
@@ -358,10 +356,3 @@ def test_lambda_style_representation_residual():
     res = representation_residual(ops, structure, central, -1j * 0.1,
                                   [(0.4,), (0.9,)])
     assert res < 1e-14
-
-
-def test_central_operator():
-    cfg = make_config(CaseId.G31, e=0.25)
-    c = central_operator(cfg)
-    f = PolyExpProbe({(0, 0, 0): 2.0}, (0, 0, 0))
-    assert abs(c.apply(f, (0.1, 0.2, 0.3)) - 0.5j) < 1e-15

@@ -21,7 +21,7 @@ from dskg.lie_core import ALL_CASES, CaseId
 from dskg.operators import commutation_table_fit, symmetry_check, symmetry_operators
 
 import pointwise
-from conftest import case_param_a
+from conftest import case_param_a, perturbed_form
 
 EPS = 1e-3
 
@@ -80,7 +80,7 @@ def _routes(case, seed, perturbed):
     form = invariant_two_form(case, cfg)
     chi_extra = None
     if perturbed:
-        form = form.perturbed((0, 1), lambda c: EPS * c[0])
+        form = perturbed_form(form, (0, 1), lambda c: EPS * c[0])
         chi_extra = [lambda c: EPS * c[0]] + [None] * (case_spec(case).dim - 1)
     pts = verify_points(case, seed)
     return (batched_route(case, cfg, form, chi_extra, pts),
