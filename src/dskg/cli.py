@@ -8,6 +8,7 @@ failure, 2 usage error.  Reports are deterministic for a fixed seed and flag set
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import csv
 import functools
@@ -76,6 +77,16 @@ class RunConfig:
     perturb: Optional[tuple[str, float]] = None
 
     def __post_init__(self):
+        values = {"--e": self.e, "--m": self.m, "--mu": self.mu, "--mu1": self.mu1,
+                  "--mu2": self.mu2, "--a": self.a, "--J": self.J, "--lambda": self.lam,
+                  "--perturb": self.perturb[1] if self.perturb else None}
+        for flag, value in values.items():
+            if value is not None and not cmath.isfinite(value):
+                raise UsageError(f"{flag} must be finite, got {value}")
+        for key, limit in self.tolerances.items():
+            # an infinite tolerance waives its check; a NaN one fails whatever the residual
+            if cmath.isnan(limit):
+                raise UsageError(f"--tol {key} must not be NaN")
         if not (abs(self.zeta) < 1e-14 or abs(self.zeta - 1.0 / 6.0) < 1e-14):
             raise UsageError("zeta must be 0 or 1/6")
         if self.a is not None and self.a <= 0:
@@ -224,7 +235,7 @@ def _verify_case(case: CaseId, run: RunConfig) -> dict:
         # a perturbed chi must break the symmetry commutators detectably
         sym_pts = pts[:10] if run.perturb is not None else pts[:6]
         res["symmetry_commutator"] = symmetry_check(
-            case, cfg, [tuple(p) for p in sym_pts], n_probes=2, chi_extra=chi_extra)
+            kg_operator(case, cfg), ops, [tuple(p) for p in sym_pts], n_probes=2)
 
     tol = run.tolerances
     checks = {}

@@ -288,90 +288,60 @@ def kg_cross_residual(case_id: CaseId, config: FieldConfig, f: Callable,
 # probe functions (polynomial x exponential, closed under differentiation)
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class PolyExpProbe:
-    """sum_m c_m x^m * exp(d . x) with exact symbolic partial derivatives."""
+    """f = P(x) exp(d . x), P = sum c[i, j, k] x1^i x2^j x3^k.  df/dx_a = (D_a P)
+    exp(d . x), where D_a = diag([1, 2], 1) + d[a] I acts along P's axis a, so
+    every derivative of f is closed form."""
 
-    def __init__(self, terms: dict[tuple[int, ...], complex], dvec: tuple[complex, ...]):
-        self.terms = dict(terms)
-        self.dvec = tuple(dvec)
+    c: np.ndarray          # (3, 3, 3)
+    dvec: tuple[complex, ...]
 
-    def __call__(self, coords):
-        return self._at(coords, self._exp(coords), {})
-
-    def jets(self, coords):
-        """The jets of f and of its partials [d_a f] at ``coords``.  They share
-        exp(d . x) and the monomials x^m, which are evaluated once."""
-        e, monomials = self._exp(coords), {}
-        return (self._at(coords, e, monomials),
-                [self.partial(a)._at(coords, e, monomials) for a in range(len(self.dvec))])
-
-    def _exp(self, coords):
-        expo = 0.0
-        for d, c in zip(self.dvec, coords):
-            expo = c * d + expo
-        return dual.exp(expo)
-
-    def _at(self, coords, e, monomials):
-        poly = 0.0
-        for powers, coeff in self.terms.items():
-            poly = poly + coeff * _monomial(powers, coords, monomials)
-        return poly * e
-
-    def partial(self, i: int) -> "PolyExpProbe":
-        new: dict[tuple[int, ...], complex] = {}
-
-        def add(powers, coeff):
-            if coeff != 0:
-                new[powers] = new.get(powers, 0j) + coeff
-
-        for powers, coeff in self.terms.items():
-            if powers[i] > 0:
-                lowered = list(powers)
-                lowered[i] -= 1
-                add(tuple(lowered), coeff * powers[i])
-            add(powers, coeff * self.dvec[i])
-        return PolyExpProbe(new, self.dvec)
-
-
-def _monomial(powers, coords, cache):
-    """x^powers at ``coords``: one product with a lower monomial, kept in ``cache``."""
-    if not any(powers):
-        return 1.0
-    if powers not in cache:
-        i = max(i for i, p in enumerate(powers) if p)
-        lower = powers[:i] + (powers[i] - 1,) + powers[i + 1:]
-        cache[powers] = _monomial(lower, coords, cache) * coords[i]
-    return cache[powers]
+    def derivatives(self, columns):
+        """f and its partials of order 1, 2 and 3 at the points whose
+        coordinate ``columns`` are given, lane axis first: f0 (N,), f1 (N, 3),
+        f2 (N, 3, 3) with f2[u, a] = d_a d_u f, and f3 (N, 3, 3, 3)."""
+        x = np.asarray(columns, dtype=complex)
+        v = x[..., None] ** np.arange(3)               # v[a, p, i] = x_a^i
+        # f's derivatives are the cubes D_a D_b ... c contracted with this row
+        row = np.einsum("pi,pj,pk->pijk", *v).reshape(-1, 27) \
+            * np.exp(np.einsum("a,ap->p", self.dvec, x))[:, None]
+        eye, steps = np.eye(3), []
+        for a, d in enumerate(self.dvec):  # D_a on the flattened cube
+            m = [np.diag([1.0, 2.0], 1) + d * eye if b == a else eye for b in range(3)]
+            steps.append(np.kron(np.kron(m[0], m[1]), m[2]))
+        cubes = [self.c.reshape(27)]
+        for _ in range(3):  # the new derivative axis goes last, before the cube's
+            cubes.append(np.einsum("aij,...j->...ai", steps, cubes[-1]))
+        return tuple(np.einsum("pi,...i->p...", row, cube) for cube in cubes)
 
 
 def random_probe(rng: np.random.Generator) -> PolyExpProbe:
-    """A probe in the three chart coordinates with 2-4 random terms."""
-    terms = {}
+    """A probe in the three chart coordinates with 2-4 random terms; a
+    repeated power overwrites the earlier coefficient."""
+    c = np.zeros((3, 3, 3), dtype=complex)
     for _ in range(rng.integers(2, 5)):
-        powers = tuple(int(p) for p in rng.integers(0, 3, 3))
-        terms[powers] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        powers = tuple(rng.integers(0, 3, 3))  # drawn before its coefficient
+        c[powers] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     dvec = tuple(complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for _ in range(3))
-    return PolyExpProbe(terms, dvec)
+    return PolyExpProbe(c, dvec)
 
 
-def symmetry_check(case_id: CaseId, config: FieldConfig, points: Sequence[Sequence[float]],
-                   n_probes: int = 5,
-                   chi_extra: Optional[Sequence[Optional[Callable]]] = None) -> float:
-    """max over operators, probe functions and points of the normalized
-    commutator residual |H(X f) - X(H f)| / (1 + |H(X f)| + |X(H f)|).
+def symmetry_check(h: DiffOp2, ops: Sequence[DiffOp1], points: Sequence[Sequence[float]],
+                   n_probes: int) -> float:
+    """max over the operators X in ``ops``, probe functions f and points of
+    |H(X f) - X(H f)| / (1 + |H(X f)| + |X(H f)|), H the wave operator ``h``.
 
-    All points are one grid jet.  H's coefficients are evaluated once per
-    call as 1-jets and every X's as 2-jets; per probe, the jets of f and of
-    its partials (:meth:`PolyExpProbe.jets`) give f's derivatives up to third
-    order, and H(X f) and X(H f) are their product-rule contractions with
-    the coefficients, for all operators at once.
+    All points are one grid jet: H's coefficients are evaluated once per call
+    as 1-jets and every X's as 2-jets.  Each probe's derivatives up to third
+    order are closed form (:meth:`PolyExpProbe.derivatives`), and H(X f) and
+    X(H f) are their product-rule contractions with the coefficients, for
+    all operators at once.
     """
-    case_id = CaseId(case_id)
     rng = np.random.default_rng(PROBE_SEED)
-    h = kg_operator(case_id, config)
-    ops = symmetry_operators(case_id, config, chi_extra=chi_extra)
     n, m = h.nvars, len(ops)
-    coords = Dual.seed_grid(dual.columns(points))
+    columns = dual.columns(points)
+    coords = Dual.seed_grid(columns)
     # lane axis first, then: H = s^ab d_a d_b + t^a d_a + r as 1-jets, the
     # derivative axis last
     hv, hg, _ = dual.arrays([c(coords) for row in h.second for c in row]
@@ -385,10 +355,7 @@ def symmetry_check(case_id: CaseId, config: FieldConfig, points: Sequence[Sequen
     b, db, ddb = xv[..., n], xg[..., n, :], xh[..., n, :, :]
     worst = []
     for _ in range(n_probes):
-        fv, dfv = random_probe(rng).jets(coords)
-        vals, grads, hess = dual.arrays([fv] + dfv, n)
-        # f and its partials of order 1, 2 and 3: f2[u, a] = d_a d_u f
-        f0, f1, f2, f3 = vals[:, 0], vals[:, 1:], grads[:, 1:], hess[:, 1:]
+        f0, f1, f2, f3 = random_probe(rng).derivatives(columns)
         hf = r * f0 + np.einsum("pa,pa->p", t, f1) + np.einsum("pab,pab->p", s, f2)
         dhf = (dr * f0[:, None] + r[:, None] * f1
                + np.einsum("pac,pa->pc", dt, f1) + np.einsum("pa,pac->pc", t, f2)

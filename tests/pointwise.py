@@ -5,7 +5,11 @@ The batched checks in `src` evaluate all points as one grid jet; these loops
 are the route they replaced, kept as their oracle
 (`test_pointwise_oracle.py`).  An operator applied to a function by the
 product rule (`combine1`, `combine2`, `as_function`) is the oracle of the
-contractions in `symmetry_check` and `joint_system_residual`.
+contractions in `symmetry_check` and `joint_system_residual`.  `DualProbe`
+evaluates a `src` probe's function on jets, with its partials taken
+symbolically term by term: it is the oracle of the probe's closed-form
+derivatives (`PolyExpProbe.derivatives`), and the function that
+`as_function`, `symmetry` and the wave-operator cross check apply operators to.
 """
 
 import numpy as np
@@ -15,7 +19,58 @@ from dskg.cases import case_spec
 from dskg.dual import Dual
 from dskg.fields import gauge_one_form
 from dskg.geometry import ETA, RankDeficientError, chart_for, rect_components
-from dskg.operators import DiffOp1, kg_operator, random_probe, symmetry_operators
+from dskg.operators import PROBE_SEED, DiffOp1, random_probe
+
+
+class DualProbe:
+    """sum_m c_m x^m * exp(d . x), evaluable at dual points, with exact
+    symbolic partial derivatives."""
+
+    def __init__(self, terms, dvec):
+        self.terms = dict(terms)
+        self.dvec = tuple(dvec)
+
+    @classmethod
+    def of(cls, probe):
+        """The function of a `src` probe, one term per nonzero coefficient of
+        its cube."""
+        return cls({tuple(int(i) for i in m): complex(probe.c[m])
+                    for m in zip(*np.nonzero(probe.c))}, probe.dvec)
+
+    def __call__(self, coords):
+        expo = 0.0
+        for d, c in zip(self.dvec, coords):
+            expo = c * d + expo
+        poly, monomials = 0.0, {}
+        for powers, coeff in self.terms.items():
+            poly = poly + coeff * _monomial(powers, coords, monomials)
+        return poly * dual.exp(expo)
+
+    def partial(self, i):
+        new = {}
+
+        def add(powers, coeff):
+            if coeff != 0:
+                new[powers] = new.get(powers, 0j) + coeff
+
+        for powers, coeff in self.terms.items():
+            if powers[i] > 0:
+                lowered = list(powers)
+                lowered[i] -= 1
+                add(tuple(lowered), coeff * powers[i])
+            add(powers, coeff * self.dvec[i])
+        return DualProbe(new, self.dvec)
+
+
+def _monomial(powers, coords, cache):
+    """x^powers at ``coords``: one product with a lower monomial, kept in ``cache``."""
+    if not any(powers):
+        return 1.0
+    if powers not in cache:
+        i = max(i for i, p in enumerate(powers) if p)
+        lower = powers[:i] + (powers[i] - 1,) + powers[i + 1:]
+        cache[powers] = _monomial(lower, coords, cache) * coords[i]
+    return cache[powers]
 
 
 def combine1(op, coords, fv, dfv):
@@ -200,15 +255,13 @@ def table_fit(ops, probes, central_scalar, tol=1e-9):
     return worst, structure, central
 
 
-def symmetry(case, cfg, points, n_probes, seed=7130, chi_extra=None):
+def symmetry(h, ops, points, n_probes):
     """symmetry_check with the jets of f, its partials and H f evaluated once
     per probe and point and shared by every operator."""
-    rng = np.random.default_rng(seed)
-    h = kg_operator(case, cfg)
-    ops = symmetry_operators(case, cfg, chi_extra=chi_extra)
+    rng = np.random.default_rng(PROBE_SEED)
     worst = 0.0
     for _ in range(n_probes):
-        f = random_probe(rng)
+        f = DualProbe.of(random_probe(rng))
         partials = [f.partial(a) for a in range(3)]
         second_partials = [[p.partial(b) for b in range(3)] for p in partials]
         for pt in points:

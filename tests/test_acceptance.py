@@ -26,11 +26,12 @@ from dskg.lie_core import (ALL_CASES, CaseId, Cocycle, INTEGRABLE_CASES,
                            PARAMETERIZED_CASES, case_extension,
                            closure_check, coboundary_shift, coboundary_solve,
                            integrability_check, standard_cocycle, subalgebra)
-from dskg.operators import (commutation_table_fit, kg_cross_residual, random_probe,
+from dskg.operators import (commutation_table_fit, kg_cross_residual, kg_operator, random_probe,
                             representation_residual, symmetry_check, symmetry_operators)
 from dskg.specfun import ode_integrate, solution_jet
 
 from conftest import case_param_a, chart_points, perturbed_form
+from pointwise import DualProbe
 from test_geometry import so12_generators, so12_section
 
 
@@ -216,10 +217,11 @@ def test_criterion_07_wave_operator_symmetry():
     for case in INTEGRABLE_CASES:
         cfg = make_config(case)
         pts = [tuple(p) for p in chart_points(case, 50)]
-        worst_sym = max(worst_sym, symmetry_check(case, cfg, pts, n_probes=5))
+        worst_sym = max(worst_sym, symmetry_check(kg_operator(case, cfg),
+                                                  symmetry_operators(case, cfg), pts, n_probes=5))
         for p in chart_points(case, 100, seed=551):
             worst_cross = max(worst_cross,
-                              kg_cross_residual(case, cfg, random_probe(rng), p))
+                              kg_cross_residual(case, cfg, DualProbe.of(random_probe(rng)), p))
     elapsed = time.time() - t0
     assert worst_sym < 1e-8
     assert worst_cross < 1e-10

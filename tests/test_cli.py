@@ -14,7 +14,7 @@ from dskg.cases import case_spec
 from dskg.cli import (DEFAULT_TOLERANCES, RunConfig, UsageError, _run_config_from, build_parser,
                       main, parse_complex)
 from dskg.integrate import SolutionAnsatz
-from dskg.lie_core import ALL_CASES, CaseId
+from dskg.lie_core import ALL_CASES, CaseId, INTEGRABLE_CASES
 
 
 def run_cli(*argv):
@@ -102,9 +102,14 @@ def test_verify_perturbation_is_caught_by_chi_gradient(case):
     family = ("--a", "1") if case_spec(CaseId(case)).parameterized else ()
     code, out, _ = run_cli("verify", "--case", case, "--perturb", "chi:1e-3", *family)
     assert code == 1
-    check = json.loads(out)["cases"][case]["residuals"]["chi_gradient"]
+    residuals = json.loads(out)["cases"][case]["residuals"]
+    check = residuals["chi_gradient"]
     assert check["residual"] == pytest.approx(1e-3, rel=1e-9)
     assert check["pass"] is False
+    # symmetry_check is handed the same perturbed operators
+    assert ("symmetry_commutator" in residuals) == (CaseId(case) in INTEGRABLE_CASES)
+    if CaseId(case) in INTEGRABLE_CASES:
+        assert residuals["symmetry_commutator"]["pass"] is False
 
 
 def test_verify_all_cases_summary():
@@ -283,9 +288,31 @@ def test_verify_steep_g3_3a_family_passes():
      "error: could not convert string to float: 'x'\n"),
     (["verify", "--case", "g3_1", "--tol", "killing=x"],
      "error: could not convert string to float: 'x'\n"),
-], ids=["grid", "perturb", "tol"])
+    (["verify", "--case", "g3_1", "--e", "nan"], "error: --e must be finite, got nan\n"),
+    (["catalog", "--mu", "nan"], "error: --mu must be finite, got nan\n"),
+    (["solve", "--case", "g3_3a", "--a", "nan"], "error: --a must be finite, got nan\n"),
+    (["chart", "--case", "g1_3a", "--a", "nan"], "error: --a must be finite, got nan\n"),
+    (["solve", "--case", "g3_2", "--mu", "inf"], "error: --mu must be finite, got inf\n"),
+    (["solve", "--case", "g3_1", "--J=-inf"], "error: --J must be finite, got -inf\n"),
+    (["verify", "--case", "g3_1", "--lambda=nan+0i"],
+     "error: --lambda must be finite, got (nan+0j)\n"),
+    (["verify", "--case", "g3_1", "--lambda=0+infi"],
+     "error: --lambda must be finite, got infj\n"),
+    (["verify", "--case", "g3_1", "--perturb", "chi:inf"],
+     "error: --perturb must be finite, got inf\n"),
+    (["verify", "--case", "g3_1", "--tol", "killing=nan"],
+     "error: --tol killing must not be NaN\n"),
+], ids=["grid", "perturb", "tol", "verify_e_nan", "catalog_mu_nan", "solve_a_nan", "chart_a_nan",
+        "solve_mu_inf", "solve_J_minus_inf", "lambda_nan", "lambda_inf", "perturb_inf", "tol_nan"])
 def test_bad_flag_value_is_usage_error(argv, message):
     assert run_cli(*argv) == (2, "", message)
+
+
+def test_infinite_tolerance_waives_its_check():
+    code, out, _ = run_cli("verify", "--case", "g3_1", "--tol", "killing=inf")
+    assert code == 0
+    check = json.loads(out)["cases"]["g3_1"]["residuals"]["killing"]
+    assert check["tolerance"] == math.inf and check["pass"] is True
 
 
 def test_solve_free_field_refused():

@@ -11,11 +11,12 @@ from dskg.cases import case_spec, const
 from dskg.fields import FieldConfig, gauge_one_form, invariant_two_form
 from dskg.lie_core import ALL_CASES, CaseId, INTEGRABLE_CASES, standard_cocycle, subalgebra
 from dskg.dual import Dual
-from dskg.operators import (DiffOp1, PolyExpProbe, commutation_table_fit, commutator,
-                            kg_apply_generic_jet, kg_cross_residual, kg_operator, random_probe,
+from dskg.operators import (DiffOp1, commutation_table_fit, commutator, kg_apply_generic_jet,
+                            kg_cross_residual, kg_operator, random_probe,
                             representation_residual, symmetry_check, symmetry_operators)
 
 import pointwise
+from pointwise import DualProbe
 from conftest import case_param_a, chart_points
 
 
@@ -36,7 +37,7 @@ def op1(coeffs, scalar=None):
 
 def test_apply_partial_derivative():
     d1 = op1([lambda c: 1.0, None, None])
-    f = PolyExpProbe({(1, 1, 0): 1.0}, (0, 0, 0))  # q1 q2
+    f = DualProbe({(1, 1, 0): 1.0}, (0, 0, 0))  # q1 q2
     assert abs(d1.apply(f, (1.0, 2.0, 0.0)) - 2.0) < 1e-14
 
 
@@ -44,7 +45,7 @@ def test_apply_second_order():
     # pure Laplace-Beltrami part of the translation-dilation case acting on q3
     cfg = make_config(CaseId.G31, e=0.0, m=0.0, zeta=0.0)
     h = kg_operator(CaseId.G31, cfg)
-    f = PolyExpProbe({(0, 0, 1): 1.0}, (0, 0, 0))  # f = q3
+    f = DualProbe({(0, 0, 1): 1.0}, (0, 0, 0))  # f = q3
     for p in chart_points(CaseId.G31, 5):
         assert abs(h.apply(f, p) - 2.0) < 1e-13
 
@@ -150,7 +151,7 @@ def test_minimal_and_chi_parts_cancel_on_constants():
     # the rotation entry's first operator is a bare derivative in its gauge
     cfg = make_config(CaseId.G34, mu=0.8)
     ops = symmetry_operators(CaseId.G34, cfg)
-    one = PolyExpProbe({(0, 0, 0): 1.0}, (0, 0, 0))
+    one = DualProbe({(0, 0, 0): 1.0}, (0, 0, 0))
     for p in chart_points(CaseId.G34, 5):
         assert abs(ops[0].apply(one, p)) < 1e-15
 
@@ -186,7 +187,7 @@ def test_non_closed_set_is_reported_not_fatal():
 def test_kg_operator_on_constants():
     cfg = make_config(CaseId.G31, e=0.1, m=0.5, zeta=0.0, mu1=0.3, mu2=0.4)
     h = kg_operator(CaseId.G31, cfg)
-    one = PolyExpProbe({(0, 0, 0): 1.0}, (0, 0, 0))
+    one = DualProbe({(0, 0, 0): 1.0}, (0, 0, 0))
     for p in chart_points(CaseId.G31, 5):
         hh = math.exp(p[2]) * (0.3 * p[0] + 0.4 * p[1])
         want = -3j * 0.1 * hh - (0.1 * hh) ** 2 + 0.25
@@ -203,7 +204,7 @@ def test_kg_cross_construction_agreement(case):
     rng = np.random.default_rng(17)
     worst = 0.0
     for p in chart_points(case, 20):
-        f = random_probe(rng)
+        f = DualProbe.of(random_probe(rng))
         worst = max(worst, kg_cross_residual(case, cfg, f, p))
     assert worst < 1e-10
 
@@ -216,7 +217,7 @@ def test_apply_jet_equals_apply(case):
     ops = symmetry_operators(case, cfg)
     rng = np.random.default_rng(23)
     for p in chart_points(case, 4):
-        f = random_probe(rng)
+        f = DualProbe.of(random_probe(rng))
         fv = f(Dual.seed(p))
         assert h.apply_jet(fv, p) == h.apply_scaled(f, p)
         assert h.apply_jet(fv, p)[0] == h.apply(f, p)
@@ -227,7 +228,7 @@ def test_apply_jet_equals_apply(case):
 def test_kg_generic_assembly_zero_charge_reduces_to_wave():
     # with e = 0 the generic assembly is the pure Laplace-Beltrami operator
     cfg = make_config(CaseId.G35, e=0.0, m=0.0, zeta=0.0)
-    f = PolyExpProbe({(0, 0, 0): 1.0}, (0, 0, 0))
+    f = DualProbe({(0, 0, 0): 1.0}, (0, 0, 0))
     for p in chart_points(CaseId.G35, 4):
         assert abs(kg_apply_generic_jet(CaseId.G35, cfg, f(Dual.seed(p)), p)) < 1e-12
 
@@ -239,27 +240,48 @@ def test_kg_operator_rejects_nonintegrable():
 
 # ---------------------------------------------------------------- symmetry
 
+def check_symmetry(case, cfg, pts, n_probes, chi_extra=None):
+    return symmetry_check(kg_operator(case, cfg),
+                          symmetry_operators(case, cfg, chi_extra=chi_extra), pts, n_probes)
+
+
+def test_probe_derivatives_match_the_dual_probe():
+    # the closed-form derivatives of every order against the jets of the
+    # same function, with partials taken term by term
+    rng = np.random.default_rng(3301)
+    for _ in range(60):
+        probe = random_probe(rng)
+        pts = rng.uniform(-1.5, 1.5, (12, 3))
+        cols = dual.columns(pts)
+        f = DualProbe.of(probe)
+        coords = Dual.seed_grid(cols)
+        vals, grads, hess = dual.arrays([f(coords)] + [f.partial(a)(coords) for a in range(3)],
+                                        3)
+        want = (vals[:, 0], vals[:, 1:], grads[:, 1:], hess[:, 1:])
+        for order, (got, ref) in enumerate(zip(probe.derivatives(cols), want)):
+            assert got.shape == ref.shape == (12,) + (3,) * order
+            assert np.all(np.abs(got - ref) <= 1e-14 * (1 + np.abs(ref))), order
+
+
 @pytest.mark.parametrize("case", INTEGRABLE_CASES)
 def test_symmetry_commutators_vanish(case):
     cfg = make_config(case)
     pts = [tuple(p) for p in chart_points(case, 10)]
-    assert symmetry_check(case, cfg, pts, n_probes=3) < 1e-8
+    assert check_symmetry(case, cfg, pts, 3) < 1e-8
 
 
 def test_symmetry_check_free_field_killing_only():
     cfg = make_config(CaseId.G34, e=0.0)
     pts = [tuple(p) for p in chart_points(CaseId.G34, 8)]
-    assert symmetry_check(CaseId.G34, cfg, pts, n_probes=2) < 1e-8
+    assert check_symmetry(CaseId.G34, cfg, pts, 2) < 1e-8
 
 
-def _reference_symmetry_check(case, cfg, points, n_probes, seed=7130, chi_extra=None):
+def _reference_symmetry_check(h, ops, points, n_probes):
     """symmetry_check as one jet of X f and one of H f per operator and point."""
-    rng = np.random.default_rng(seed)
-    h = kg_operator(case, cfg)
-    ops = symmetry_operators(case, cfg, chi_extra=chi_extra)
+    rng = np.random.default_rng(operators.PROBE_SEED)
     worst = 0.0
     for _ in range(n_probes):
-        f = random_probe(rng)
+        f = DualProbe.of(random_probe(rng))
         hf = pointwise.as_function(h, f)
         for op in ops:
             xf = pointwise.as_function(op, f)
@@ -275,15 +297,16 @@ def test_symmetry_check_matches_reference_loop(chi_extra):
     # sharing the jets of f, its partials and H f across operators changes no
     # bit of the per-point route, the oracle of the batched symmetry_check
     cfg = make_config(CaseId.G32, mu=1.0)
+    h = kg_operator(CaseId.G32, cfg)
+    ops = symmetry_operators(CaseId.G32, cfg, chi_extra=chi_extra)
     pts = [tuple(p) for p in chart_points(CaseId.G32, 6)]
-    got = pointwise.symmetry(CaseId.G32, cfg, pts, 2, chi_extra=chi_extra)
-    assert got == _reference_symmetry_check(CaseId.G32, cfg, pts, 2, chi_extra=chi_extra)
+    assert pointwise.symmetry(h, ops, pts, 2) == _reference_symmetry_check(h, ops, pts, 2)
 
 
 def _counted(fn, calls):
-    def wrapper(coords):
+    def wrapper(*args):
         calls[wrapper] += 1
-        return fn(coords)
+        return fn(*args)
     calls[wrapper] = 0
     return wrapper
 
@@ -292,30 +315,30 @@ def _counted(fn, calls):
 @pytest.mark.parametrize("case", [CaseId.G32, CaseId.G35])
 def test_symmetry_check_evaluates_each_coefficient_once(monkeypatch, case, n_probes):
     # every coefficient of H and of each X_A runs once per call, whatever the
-    # number of probes
-    calls = {}
-
-    def counted_h(*args):
-        h = kg_operator(*args)
+    # number of probes, and the probes build no jets: a call makes as many jet
+    # products as one without probes
+    cfg = make_config(case)
+    pts = [tuple(p) for p in chart_points(case, 6)]
+    products = {}
+    monkeypatch.setattr(Dual, "__mul__", _counted(Dual.__mul__, products))
+    monkeypatch.setattr(Dual, "__rmul__", _counted(Dual.__rmul__, products))
+    seen = []
+    for probes in (0, n_probes):
+        calls = {}
+        h = kg_operator(case, cfg)
         h.second = [[_counted(c, calls) for c in row] for row in h.second]
         h.first = [_counted(c, calls) for c in h.first]
         h.scalar = _counted(h.scalar, calls)
-        return h
-
-    def counted_ops(*args, **kwargs):
-        ops = symmetry_operators(*args, **kwargs)
+        ops = symmetry_operators(case, cfg)
         for op in ops:
             op.coeffs = [_counted(c, calls) for c in op.coeffs]
             op.scalar = _counted(op.scalar, calls)
-        return ops
-
-    monkeypatch.setattr(operators, "kg_operator", counted_h)
-    monkeypatch.setattr(operators, "symmetry_operators", counted_ops)
-    cfg = make_config(case)
-    pts = [tuple(p) for p in chart_points(case, 6)]
-    assert symmetry_check(case, cfg, pts, n_probes=n_probes) < 1e-8
-    assert len(calls) == 13 + 4 * case_spec(case).dim
-    assert set(calls.values()) == {1}
+        products.update(dict.fromkeys(products, 0))
+        assert symmetry_check(h, ops, pts, probes) < 1e-8
+        assert len(calls) == 13 + 4 * case_spec(case).dim
+        assert set(calls.values()) == {1}
+        seen.append(sum(products.values()))
+    assert seen[0] == seen[1] > 0
 
 
 def test_symmetry_check_at_a_singular_point_is_nan():
@@ -324,15 +347,15 @@ def test_symmetry_check_at_a_singular_point_is_nan():
     cfg = make_config(CaseId.G35)
     pts = [tuple(p) for p in chart_points(CaseId.G35, 4)] + [(0.1, 0.2, 0.0)]
     with np.errstate(divide="ignore", invalid="ignore"):
-        assert math.isnan(symmetry_check(CaseId.G35, cfg, pts, n_probes=1))
+        assert math.isnan(check_symmetry(CaseId.G35, cfg, pts, 1))
 
 
 def test_perturbed_chi_is_detected():
     eps = 1e-3
     cfg = make_config(CaseId.G32, mu=1.0)
     pts = [tuple(p) for p in chart_points(CaseId.G32, 8)]
-    clean = symmetry_check(CaseId.G32, cfg, pts, n_probes=2)
-    broken = symmetry_check(CaseId.G32, cfg, pts, n_probes=2,
+    clean = check_symmetry(CaseId.G32, cfg, pts, 2)
+    broken = check_symmetry(CaseId.G32, cfg, pts, 2,
                             chi_extra=[lambda c: eps * c[0], None, None])
     assert clean < 1e-10
     assert broken > eps * 1e-3  # detectably nonzero against a ~1e-16 baseline

@@ -1,5 +1,6 @@
 """Source scans that pin which module owns a decision: only `dual` knows how a
-jet is stored, and only `cases` names a catalog entry."""
+jet is stored and assembles one from its parts, and only `cases` names a
+catalog entry."""
 
 import re
 from pathlib import Path
@@ -11,7 +12,7 @@ import dskg
 SRC = Path(dskg.__file__).parent
 
 RULES = {
-    "dual.py": re.compile(r"\.(val|grad|hess)\b|isinstance\([^)]*Dual\)|Dual\.constant"),
+    "dual.py": re.compile(r"\.(val|grad|hess)\b|isinstance\([^)]*Dual\)|Dual\.constant|\bDual\("),
     "cases.py": re.compile(r"CaseId\.G[0-9]"),
 }
 

@@ -18,7 +18,8 @@ from dskg.fields import (FieldConfig, chi_residual, closedness_residual, gauge_o
 from dskg.geometry import (RankDeficientError, chart_for, generator_jets, induced_metric,
                            killing_residual, sample_domain)
 from dskg.lie_core import ALL_CASES, CaseId
-from dskg.operators import commutation_table_fit, symmetry_check, symmetry_operators
+from dskg.operators import (commutation_table_fit, kg_operator, symmetry_check,
+                            symmetry_operators)
 
 import pointwise
 from conftest import case_param_a, perturbed_form
@@ -46,7 +47,7 @@ def pointwise_route(case, cfg, form, chi_extra, pts):
     res.update(commutation_table=fit, fit_structure=structure, fit_central=central)
     if case_spec(case).integration is not None:
         res["symmetry_commutator"] = pointwise.symmetry(
-            case, cfg, [tuple(p) for p in pts[:6]], 2, chi_extra=chi_extra)
+            kg_operator(case, cfg), ops, [tuple(p) for p in pts[:6]], 2)
     return res
 
 
@@ -70,8 +71,8 @@ def batched_route(case, cfg, form, chi_extra, pts):
     res.update(commutation_table=fit.residual, fit_structure=fit.structure,
                fit_central=fit.central)
     if case_spec(case).integration is not None:
-        res["symmetry_commutator"] = symmetry_check(case, cfg, [tuple(p) for p in pts[:6]],
-                                                    n_probes=2, chi_extra=chi_extra)
+        res["symmetry_commutator"] = symmetry_check(kg_operator(case, cfg), ops,
+                                                    [tuple(p) for p in pts[:6]], n_probes=2)
     return res
 
 
