@@ -1,26 +1,29 @@
 """Self-contained special functions over complex parameters.
 
 Everything is built from three ingredients that keep the verification chain
-auditable: power series with term-ratio stopping, connection formulas through
-the complex gamma function, and an adaptive Runge-Kutta integrator used only
-as an independent oracle.  The one reduced equation with no closed form has
-entire coefficients, so it is summed as a piecewise Taylor series
+auditable: power series, connection formulas through the complex gamma
+function, and an adaptive Runge-Kutta integrator used only as an independent
+oracle.  The one reduced equation with no closed form has entire
+coefficients, so it is summed as a piecewise Taylor series
 (:func:`taylor_basis`), which the integrator checks.
 
 All evaluators accept either plain complex arguments or point jets
 (:class:`dskg.dual.Dual` with ``complex`` entries) in the argument slot, so
-derivatives of special functions are exact.  A power series is summed in plain
-complex arithmetic together with its first two derivatives, and that scalar
-2-jet is lifted onto the argument's jet once (:func:`dskg.dual.compose`), not
-carried through every term.  Lane arrays are not accepted.  Parameters
-(orders, degrees) are plain complex constants.  Branches are principal
-throughout.
+derivatives of special functions are exact.  Series, prefactors and connection
+formulas are all evaluated as scalar 2-jets ``(f, f', f'')`` in plain complex
+arithmetic at ``value(z)``, and the result is lifted onto the argument's jet
+once (:func:`dskg.dual.compose`).  A series stops only when its terms in S, S'
+and S'' are all negligible.  Ferrers functions at x < 0 are reflected to -x
+(DLMF 14.9), so every Legendre series runs at (1 - x)/2 <= 1/2.  Lane arrays
+are not accepted.  Parameters are plain complex constants.  Branches are
+principal throughout.
 """
 
 from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,29 +92,58 @@ def gamma(z) -> complex:
 
 
 # ----------------------------------------------------------------------
-# confluent hypergeometric family
+# scalar 2-jets (f, f', f'') in one plain complex variable
 # ----------------------------------------------------------------------
 
-def _check_radius(z, what):
-    if abs(value(z)) > SERIES_RADIUS:
-        raise DomainError(f"{what}: |z| = {abs(value(z)):.3g} beyond series regime {SERIES_RADIUS}")
+def _lin(*terms):
+    """sum of c f over the (c, f) pairs of ``terms``."""
+    return tuple(sum(c * f[i] for c, f in terms) for i in range(3))
 
 
-def _check_nonzero(z, what):
-    # the principal-branch z^p has no 2-jet at z = 0 (log 0)
-    if value(z) == 0:
-        raise DomainError(f"{what}: z = {value(z)} is the branch point of a complex power")
+def _mul(f, g):
+    return (f[0] * g[0], f[1] * g[0] + f[0] * g[1],
+            f[2] * g[0] + 2.0 * f[1] * g[1] + f[0] * g[2])
 
 
-def _power_series(ratio, z, flat_needed, label):
-    """Sum of t_n z^n with t_0 = 1 and t_(n+1) = t_n ratio(n), composed with z.
+def _chain(f, d1, d2):
+    """f composed with an inner function whose derivatives are d1 and d2."""
+    return f[0], f[1] * d1, f[2] * d1 * d1 + f[1] * d2
 
-    S, S' and S'' are summed in plain complex at value(z), then lifted onto
-    z's jet once.  The sum stops after ``flat_needed`` terms in a row with
-    |t_n z^n| <= _TERM_TOL |S|, and not before the z^2 term, which carries S''
-    at z = 0; the jet is exact for that truncated polynomial.
-    """
-    x = value(z)
+
+def _from_log(v, l1, l2):
+    """The jet of v = exp(L) from L' = l1 and L'' = l2."""
+    return v, v * l1, v * (l2 + l1 * l1)
+
+
+def _power(z, p):
+    """Principal z^p."""
+    return _from_log(cmath.exp(p * cmath.log(z)), p / z, -p / (z * z))
+
+
+def _lifted(jet):
+    """The evaluator that composes the scalar 2-jet ``jet(*params, value(z))`` with z."""
+    @functools.wraps(jet)
+    def evaluate(*args):
+        *params, z = args
+        return dual.compose(z, *jet(*params, value(z)))
+    evaluate.jet = jet
+    return evaluate
+
+
+def _offset_limit(build, p, degenerate):
+    """build(p), or where ``degenerate`` holds the mean of build(p -+ _EPS_OFFSET):
+    the symmetric-offset limit through a removable degeneracy (accuracy ~1e-6)."""
+    if not degenerate:
+        return build(p)
+    return _lin((0.5, build(p - _EPS_OFFSET)), (0.5, build(p + _EPS_OFFSET)))
+
+
+def _series_jet(ratio, z, flat_needed, label):
+    """(S, S', S'') at z of S = sum t_n z^n with t_0 = 1 and t_(n+1) = t_n ratio(n).
+
+    The sum stops after ``flat_needed`` terms in a row whose contributions to
+    S, S' and S'' are each <= _TERM_TOL of that partial sum; the jet is exact
+    for that truncated polynomial."""
     term = 1.0 + 0j
     s0, s1, s2 = term, 0j, 0j
     prev = 0j           # t_n z^(n-1), the previous term's derivative base
@@ -119,103 +151,109 @@ def _power_series(ratio, z, flat_needed, label):
     for n in range(_MAX_TERMS):
         r = ratio(n)
         base = term * r     # t_(n+1) z^n
-        s1 += (n + 1) * base
-        s2 += (n + 1) * n * r * prev
+        d1 = (n + 1) * base
+        d2 = (n + 1) * n * r * prev
         prev = base
-        term = base * x
-        s0 += term
-        if abs(term) <= _TERM_TOL * (abs(s0) + 1e-300):
+        term = base * z
+        s0, s1, s2 = s0 + term, s1 + d1, s2 + d2
+        if (abs(d2) <= _TERM_TOL * (abs(s2) + 1e-300) and abs(d1) <= _TERM_TOL * (abs(s1) + 1e-300)
+                and abs(term) <= _TERM_TOL * (abs(s0) + 1e-300)):
             flat += 1
-            if flat >= flat_needed and n >= 1:
-                return dual.compose(z, s0, s1, s2)
+            if flat >= flat_needed:
+                return s0, s1, s2
         else:
             flat = 0
     raise DomainError(f"{label} series did not converge")
 
 
+# ----------------------------------------------------------------------
+# confluent hypergeometric family
+# ----------------------------------------------------------------------
+
+def _check_radius(z, what):
+    if abs(z) > SERIES_RADIUS:
+        raise DomainError(f"{what}: |z| = {abs(z):.3g} beyond series regime {SERIES_RADIUS}")
+
+
+def _check_nonzero(z, what):
+    # the principal-branch z^p has no 2-jet at z = 0 (log 0)
+    if z == 0:
+        raise DomainError(f"{what}: z = {z} is the branch point of a complex power")
+
+
+@_lifted
 def kummer_m(a, b, z):
     """Kummer's confluent hypergeometric M(a, b, z) by Taylor series."""
     if _is_nonpositive_integer(b):
         raise PoleError(f"kummer_m: b = {b} is a nonpositive integer")
     _check_radius(z, "kummer_m")
-    a = complex(a)
-    b = complex(b)
-    return _power_series(lambda n: (a + n) / ((b + n) * (n + 1.0)), z, 1, "kummer_m")
+    a, b = complex(a), complex(b)
+    return _series_jet(lambda n: (a + n) / ((b + n) * (n + 1.0)), z, 1, "kummer_m")
 
 
+@_lifted
 def kummer_u(a, b, z):
     """Tricomi U(a, b, z) from two M's via the standard connection formula."""
     if _near_integer(b, 1e-9):
         raise PoleError(f"kummer_u: connection formula degenerate at b = {b}")
     _check_nonzero(z, "kummer_u")
-    a = complex(a)
-    b = complex(b)
-    c1 = gamma(1.0 - b) / gamma(a - b + 1.0)
-    c2 = gamma(b - 1.0) / gamma(a)
-    zp = dual.power(z, 1.0 - b)
-    return kummer_m(a, b, z) * c1 + zp * kummer_m(a - b + 1.0, 2.0 - b, z) * c2
+    a, b = complex(a), complex(b)
+    return _lin((gamma(1.0 - b) / gamma(a - b + 1.0), kummer_m.jet(a, b, z)),
+                (gamma(b - 1.0) / gamma(a),
+                 _mul(_power(z, 1.0 - b), kummer_m.jet(a - b + 1.0, 2.0 - b, z))))
 
 
+def _whittaker(kummer, alpha, beta, z):
+    # exp(-z/2) z^(1/2+beta) kummer(1/2+beta-alpha, 1+2 beta, z)
+    p = 0.5 + beta
+    pre = _from_log(cmath.exp(-0.5 * z + p * cmath.log(z)), -0.5 + p / z, -p / (z * z))
+    return _mul(pre, kummer.jet(p - alpha, 2.0 * p, z))
+
+
+@_lifted
 def whittaker_m(alpha, beta, z):
     """Whittaker M: exp(-z/2) z^(1/2+beta) M(1/2+beta-alpha, 1+2 beta, z)."""
     _check_nonzero(z, "whittaker_m")
-    alpha = complex(alpha)
-    beta = complex(beta)
-    pre = dual.exp(z * (-0.5)) * dual.power(z, 0.5 + beta)
-    return pre * kummer_m(0.5 + beta - alpha, 1.0 + 2.0 * beta, z)
+    return _whittaker(kummer_m, complex(alpha), complex(beta), z)
 
 
+@_lifted
 def whittaker_w(alpha, beta, z):
     """Whittaker W via Tricomi U; near-degenerate 2 beta handled by offsetting."""
     _check_nonzero(z, "whittaker_w")
-    alpha = complex(alpha)
-    beta = complex(beta)
-
-    def build(bb):
-        pre = dual.exp(z * (-0.5)) * dual.power(z, 0.5 + bb)
-        return pre * kummer_u(0.5 + bb - alpha, 1.0 + 2.0 * bb, z)
-
-    if abs(cmath.sin(2.0 * math.pi * beta)) < 1e-6:
-        # connection formula degenerates when 2 beta is an integer; take the
-        # symmetric-offset limit (documented accuracy ~1e-6 in this regime)
-        lo = build(beta - _EPS_OFFSET)
-        hi = build(beta + _EPS_OFFSET)
-        return (lo + hi) * 0.5
-    return build(beta)
+    alpha, beta = complex(alpha), complex(beta)
+    return _offset_limit(lambda bb: _whittaker(kummer_u, alpha, bb, z), beta,
+                         abs(cmath.sin(2.0 * math.pi * beta)) < 1e-6)
 
 
 # ----------------------------------------------------------------------
 # Bessel functions of complex order
 # ----------------------------------------------------------------------
 
+@_lifted
 def bessel_j(order, z):
-    """Bessel J of complex order by its ascending series."""
+    """Bessel J of complex order: (z/2)^order / Gamma(order + 1) times a series in z^2/4."""
     _check_radius(z, "bessel_j")
     order = complex(order)
     half = z * 0.5
     if order == 0:
-        pre = 1.0 / gamma(order + 1.0)
+        pre = (1.0 / gamma(order + 1.0), 0j, 0j)
     else:
         _check_nonzero(z, "bessel_j")
-        pre = dual.power(half, order) / gamma(order + 1.0)
-    series = _power_series(lambda n: -1.0 / ((n + 1.0) * (order + n + 1.0)),
-                           half * half, 1, "bessel_j")
-    return pre * series
+        pre = _lin((0.5 ** order / gamma(order + 1.0), _power(z, order)))
+    series = _series_jet(lambda n: -1.0 / ((n + 1.0) * (order + n + 1.0)),
+                         half * half, 1, "bessel_j")
+    return _mul(pre, _chain(series, half, 0.5))
 
 
+@_lifted
 def bessel_y(order, z):
     """Bessel Y via the J connection; integer order through a symmetric offset."""
     order = complex(order)
-
-    def build(nu):
-        s = cmath.sin(math.pi * nu)
-        return (bessel_j(nu, z) * cmath.cos(math.pi * nu) - bessel_j(-nu, z)) / s
-
-    if _near_integer(order, 1e-7):
-        lo = build(order + _EPS_OFFSET)
-        hi = build(order - _EPS_OFFSET)
-        return (lo + hi) * 0.5
-    return build(order)
+    return _offset_limit(
+        lambda nu: _lin((cmath.cos(math.pi * nu) / cmath.sin(math.pi * nu), bessel_j.jet(nu, z)),
+                        (-1.0 / cmath.sin(math.pi * nu), bessel_j.jet(-nu, z))),
+        order, _near_integer(order, 1e-7))
 
 
 # ----------------------------------------------------------------------
@@ -223,74 +261,76 @@ def bessel_y(order, z):
 # ----------------------------------------------------------------------
 
 def _hyp2f1_series(a, b, c, z):
-    return _power_series(lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0)), z, 2, "hyp2f1")
+    return _series_jet(lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0)), z, 2, "hyp2f1")
 
 
+@_lifted
 def hyp2f1(a, b, c, z):
     """Gauss 2F1; direct series for |z| <= 0.9, connection through 1-z beyond."""
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
+    a, b, c = complex(a), complex(b), complex(c)
     if _is_nonpositive_integer(c):
         raise PoleError(f"hyp2f1: c = {c} is a nonpositive integer")
-    zv = value(z)
-    if abs(zv) <= 0.9:
+    if abs(z) <= 0.9:
         return _hyp2f1_series(a, b, c, z)
-    if abs(zv) < 1.0 and abs(1.0 - zv) < 1.0:
+    if abs(z) < 1.0 and abs(1.0 - z) < 1.0:
         s = c - a - b
         if _near_integer(s, 1e-9):
             raise PoleError("hyp2f1: integer c-a-b in the 1-z connection")
-        one_m_z = 1.0 - z
-        t1 = _hyp2f1_series(a, b, a + b - c + 1.0, one_m_z) \
-            * (gamma(c) * gamma(s) / (gamma(c - a) * gamma(c - b)))
-        t2 = dual.power(one_m_z, s) \
-            * _hyp2f1_series(c - a, c - b, s + 1.0, one_m_z) \
-            * (gamma(c) * gamma(-s) / (gamma(a) * gamma(b)))
-        return t1 + t2
-    raise DomainError(f"hyp2f1: z = {zv} outside series/transformation reach")
+        u = 1.0 - z
+        jet = _lin((gamma(c) * gamma(s) / (gamma(c - a) * gamma(c - b)),
+                    _hyp2f1_series(a, b, a + b - c + 1.0, u)),
+                   (gamma(c) * gamma(-s) / (gamma(a) * gamma(b)),
+                    _mul(_power(u, s), _hyp2f1_series(c - a, c - b, s + 1.0, u))))
+        return _chain(jet, -1.0, 0.0)
+    raise DomainError(f"hyp2f1: z = {z} outside series/transformation reach")
 
 
-def _legendre_p_raw(nu, sigma, x):
-    # Ferrers function of the first kind, x in (-1, 1)
-    pre = dual.power((x + 1.0) / ((-x) + 1.0), sigma * 0.5) / gamma(1.0 - sigma)
-    arg = ((-x) + 1.0) * 0.5
-    return pre * hyp2f1(-nu, nu + 1.0, 1.0 - sigma, arg)
+def _ferrers_p(nu, sigma, x):
+    # ((1+x)/(1-x))^(sigma/2) / Gamma(1-sigma) 2F1(-nu, nu+1; 1-sigma; (1-x)/2)
+    pre = cmath.exp(sigma * 0.5 * cmath.log((1.0 + x) / (1.0 - x))) / gamma(1.0 - sigma)
+    l1 = sigma / (1.0 - x * x)
+    f = hyp2f1.jet(-nu, nu + 1.0, 1.0 - sigma, (1.0 - x) * 0.5)
+    return _mul(_from_log(pre, l1, 2.0 * x * l1 / (1.0 - x * x)), _chain(f, -0.5, 0.0))
 
 
+def _ferrers(nu, sigma, x, second_kind):
+    """Ferrers P (or Q) as a combination of P^sigma and P^-sigma at x, or at
+    -x for Re x < 0 (DLMF 14.9.10, 14.9.11 with 14.9.2), so that every series
+    runs at (1 - x)/2 <= 1/2; a near-integer sigma is not reflected."""
+    if not -1.0 < x.real < 1.0 or abs(x.imag) > 1e-12:
+        raise DomainError(f"legendre_{'q' if second_kind else 'p'}: x = {x} outside (-1, 1)")
+    s = cmath.sin(math.pi * sigma)
+    reflect = x.real < 0 and abs(s) >= 1e-6
+    if not (reflect or second_kind):
+        return _ferrers_p(nu, sigma, x)
+    g = gamma(nu + sigma + 1.0) / gamma(nu - sigma + 1.0)
+    k = 0.5 * math.pi / s
+    if not reflect:
+        cp, cm = k * cmath.cos(math.pi * sigma), -k * g
+    elif second_kind:
+        cp, cm = -k * cmath.cos(math.pi * nu), k * cmath.cos(math.pi * (nu + sigma)) * g
+    else:
+        cp, cm = -cmath.sin(math.pi * nu) / s, cmath.sin(math.pi * (nu + sigma)) * g / s
+    y = -x if reflect else x
+    jet = _lin((cp, _ferrers_p(nu, sigma, y)), (cm, _ferrers_p(nu, -sigma, y)))
+    return _chain(jet, -1.0, 0.0) if reflect else jet
+
+
+@_lifted
 def legendre_p(nu, sigma, x):
     """Associated Legendre (Ferrers) P of complex degree and order, x in (-1, 1)."""
-    xv = value(x)
-    if not -1.0 < xv.real < 1.0 or abs(xv.imag) > 1e-12:
-        raise DomainError(f"legendre_p: x = {xv} outside (-1, 1)")
-    nu = complex(nu)
-    sigma = complex(sigma)
-    if _near_integer(sigma, 1e-9) and round(sigma.real) >= 1:
-        # 1/gamma(1-sigma) and the 2F1 pole cancel; evaluate by symmetric offset
-        lo = _legendre_p_raw(nu, sigma - _EPS_OFFSET, x)
-        hi = _legendre_p_raw(nu, sigma + _EPS_OFFSET, x)
-        return (lo + hi) * 0.5
-    return _legendre_p_raw(nu, sigma, x)
+    nu, sigma = complex(nu), complex(sigma)
+    # at a positive integer sigma, 1/gamma(1-sigma) and the 2F1 pole cancel
+    return _offset_limit(lambda sg: _ferrers(nu, sg, x, False), sigma,
+                         _near_integer(sigma, 1e-9) and round(sigma.real) >= 1)
 
 
+@_lifted
 def legendre_q(nu, sigma, x):
     """Associated Legendre (Ferrers) Q via the standard P combination."""
-    xv = value(x)
-    if not -1.0 < xv.real < 1.0 or abs(xv.imag) > 1e-12:
-        raise DomainError(f"legendre_q: x = {xv} outside (-1, 1)")
-    nu = complex(nu)
-    sigma = complex(sigma)
-
-    def build(sg):
-        s = cmath.sin(math.pi * sg)
-        combo = _legendre_p_raw(nu, sg, x) * cmath.cos(math.pi * sg) \
-            - _legendre_p_raw(nu, -sg, x) * (gamma(nu + sg + 1.0) / gamma(nu - sg + 1.0))
-        return combo * (math.pi / (2.0 * s))
-
-    if abs(cmath.sin(math.pi * sigma)) < 1e-6:
-        lo = build(sigma + _EPS_OFFSET)
-        hi = build(sigma - _EPS_OFFSET)
-        return (lo + hi) * 0.5
-    return build(sigma)
+    nu, sigma = complex(nu), complex(sigma)
+    return _offset_limit(lambda sg: _ferrers(nu, sg, x, True), sigma,
+                         abs(cmath.sin(math.pi * sigma)) < 1e-6)
 
 
 # ----------------------------------------------------------------------

@@ -216,9 +216,6 @@ def test_verify_at_a_branch_cut_fails_its_integration_checks():
     # the g3_1 closed form q(v) is singular at v = 0, where lambda = 0 puts a probe
     (["verify", "--case", "g3_1", "--lambda=0+0i"],
      "error: reduced equation singular at v = 0\n"),
-    # neutral spherical case: the Legendre connection meets a gamma pole
-    (["solve", "--case", "g3_4", "--e", "0", "--J", "1", "--grid", "3"],
-     "error: gamma pole at (-1-0j)\n"),
     # a steep family parameter makes the induced metric degenerate at a sampled point
     (["verify", "--case", "g3_3a", "--a", "40"],
      "error: g3_3a: induced metric signature (1, 1) at "
@@ -251,12 +248,23 @@ def test_verify_at_a_branch_cut_fails_its_integration_checks():
     (["chart", "--case", "g1_3a", "--a", "1000"],
      "error: g1_3a: chart map at a = 1000.0 overflows at "
      "[-1.5        -1.2        -1.37079633]\n"),
-], ids=["verify_g3_1_lambda_0", "solve_g3_4_neutral", "verify_g3_3a_a_40",
+], ids=["verify_g3_1_lambda_0", "verify_g3_3a_a_40",
         "verify_g1_3a_a_50", "solve_g3_1_lambda_0", "solve_g3_2_neutral",
         "verify_g3_2_neutral", "solve_g3_3a_a_40", "solve_g3_3a_a_1000",
         "verify_g1_3a_a_1000", "verify_g3_3a_a_1000", "chart_g1_3a_a_1000"])
 def test_numerical_failure_exits_1_with_its_message(argv, message):
     assert run_cli(*argv) == (1, "", message)
+
+
+def test_neutral_g3_4_limit_solves_and_verifies():
+    # e = 0 makes nu an integer; the reflection keeps every Ferrers series at
+    # (1 - x)/2 <= 1/2, off the 2F1 connection that divides by gamma(-nu)
+    code, out, err = run_cli("solve", "--case", "g3_4", "--e", "0", "--J", "1", "--grid", "3")
+    assert code == 0
+    assert json.loads(err)["max_residual"] <= 1e-12
+    assert len(out.splitlines()) == 1 + 27
+    code, out, _ = run_cli("verify", "--case", "g3_4", "--e", "0", "--J", "1")
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 def test_solve_steep_g3_3a_family_from_the_series():

@@ -5,6 +5,7 @@ never from the implementations under test."""
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,9 +178,9 @@ def test_hyp2f1_gauss_ode():
 
 def test_hyp2f1_connection_matches_series():
     a, b, c = 0.4, 0.9 - 0.3j, 1.7
-    direct = specfun._hyp2f1_series(a, b, c, 0.93)
-    via_connection = hyp2f1(a, b, c, 0.93)
-    assert abs(direct - via_connection) / abs(direct) < 1e-9
+    direct = np.array(specfun._hyp2f1_series(a, b, c, 0.93))
+    via_connection = np.array(solution_jet(lambda z: hyp2f1(a, b, c, z), 0.93))
+    assert np.max(np.abs(direct - via_connection) / np.abs(direct)) < 1e-9
 
 
 def test_legendre_p1_is_x():
@@ -340,14 +341,16 @@ def test_jet_argument_gives_the_plain_value_exactly(fn, z):
 
 def termwise_series(ratio, z, flat_needed, start=1.0 + 0j):
     """The term-by-term jet loop that the lifted series replaced, kept as its
-    oracle: every term is a full jet."""
+    oracle: every term is a full jet, and the sum stops on the same rule, with
+    every entry of the term small against that entry of the partial sum."""
     term = start
     total = term
     flat = 0
     for n in range(20000):
         term = term * ratio(n) * z
         total = total + term
-        if abs(dual.value(term)) <= 1e-15 * (abs(dual.value(total)) + 1e-300):
+        if all(abs(t) <= 1e-15 * (abs(s) + 1e-300)
+               for t, s in zip(jet_parts(term), jet_parts(total))):
             flat += 1
             if flat >= flat_needed:
                 return total
@@ -440,6 +443,43 @@ def test_series_jet_cost_does_not_grow_with_the_term_count(monkeypatch, fn, smal
     assert jet_ops(small) == jet_ops(large)
 
 
+JET_OPS = ("lift", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+           "__rmul__", "__truediv__", "__rtruediv__", "reciprocal", "__pow__")
+
+
+@pytest.mark.parametrize("fn,z", [
+    (lambda z: kummer_m(0.7 - 0.1j, 1.3, z), 2.0 + 1.0j),
+    (lambda z: kummer_u(0.4, 1.3, z), 1.5 + 0.5j),
+    (lambda z: whittaker_m(0.1j, 0.8, z), 1.5j),
+    (lambda z: whittaker_w(0.1j, 0.8, z), 1.5j),
+    (lambda z: whittaker_w(0.2, 0.5, z), 1.0 + 0.8j),       # offset limit
+    (lambda z: bessel_j(0.37 + 0.21j, z), 2.0 + 1.0j),
+    (lambda z: bessel_j(0.0, z), 2.5),
+    (lambda z: bessel_y(0.37 + 0.21j, z), 2.0 + 1.0j),
+    (lambda z: bessel_y(1.0, z), 1.7),                       # offset limit
+    (lambda z: hyp2f1(0.3 - 0.2j, 1.1, 1.4 + 0.5j, z), 0.5 + 0.2j),
+    (lambda z: hyp2f1(0.4, 0.9 - 0.3j, 1.7, z), 0.95),      # through 1 - z
+    (lambda z: legendre_p(0.9, 0.3 + 0.4j, z), 0.6),
+    (lambda z: legendre_p(0.9, 0.3 + 0.4j, z), -0.6),       # reflected
+    (lambda z: legendre_p(1.7, 1.0, z), -0.3),              # offset limit
+    (lambda z: legendre_q(0.9, 0.3 + 0.4j, z), 0.6),
+    (lambda z: legendre_q(0.9, 0.3 + 0.4j, z), -0.6),       # reflected
+    (lambda z: legendre_q(1.7, 1.0, z), -0.3),              # offset limit
+], ids=["kummer_m", "kummer_u", "whittaker_m", "whittaker_w", "whittaker_w_offset",
+        "bessel_j", "bessel_j_order_0", "bessel_y", "bessel_y_offset", "hyp2f1",
+        "hyp2f1_one_minus_z", "legendre_p", "legendre_p_reflected", "legendre_p_offset",
+        "legendre_q", "legendre_q_reflected", "legendre_q_offset"])
+def test_each_evaluator_lifts_its_scalar_jet_once(monkeypatch, fn, z):
+    calls = []
+    for name in JET_OPS:
+        def counted(*args, _op=getattr(Dual, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(Dual, name, counted)
+    fn(Dual.variable(z, 0, 1))
+    assert calls == ["lift"]
+
+
 def test_series_determinism():
     a = kummer_m(0.3 + 0.1j, 1.2, 2.0 + 1.0j)
     b = kummer_m(0.3 + 0.1j, 1.2, 2.0 + 1.0j)
@@ -459,3 +499,88 @@ def test_cross_oracle_kummer_vs_rk():
         got = sol(t)[0]
         want = kummer_m(a, b, complex(t))
         assert abs(got - want) < 1e-7
+
+
+# ---------------------------------------------------------------- mpmath at 30 digits
+
+def mp_jet(values):
+    return np.array([complex(v) for v in values])
+
+
+def test_series_jets_match_mpmath():
+    # bounds fixed before the first run: 1e-13, per entry for 2F1 and against
+    # the largest reference entry for M and J
+    with mpmath.workdps(30):
+        a, b, c = 0.3 - 0.2j, 1.1, 1.4 + 0.5j
+        for z in (0.5, 0.8, 0.9):
+            got = np.array(solution_jet(lambda t: hyp2f1(a, b, c, t), z))
+            want = mp_jet(mpmath.rf(a, k) * mpmath.rf(b, k) / mpmath.rf(c, k)
+                          * mpmath.hyp2f1(a + k, b + k, c + k, z) for k in range(3))
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (z, got - want)
+        rng = np.random.default_rng(1601)
+        for _ in range(20):
+            a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            b = complex(rng.uniform(0.3, 3), rng.uniform(-1, 1))
+            z = polar(rng, 0.0, 3.0)
+            got = np.array(solution_jet(lambda t: kummer_m(a, b, t), z))
+            want = mp_jet(mpmath.rf(a, k) / mpmath.rf(b, k) * mpmath.hyp1f1(a + k, b + k, z)
+                          for k in range(3))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (a, b, z)
+            order = complex(rng.uniform(0.1, 2.5), rng.uniform(-1, 1))
+            z = polar(rng, 0.2, 4.0)
+            got = np.array(solution_jet(lambda t: bessel_j(order, t), z))
+            j = [mpmath.besselj(order + n, z) for n in range(-2, 3)]
+            want = mp_jet((j[2], (j[1] - j[3]) / 2, (j[0] - 2 * j[2] + j[4]) / 4))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (order, z)
+
+
+def ferrers_draws(n):
+    """(nu, sigma, x): nu in [-0.5, 4] + i[-2, 2], real on every other draw;
+    sigma in [-1.5, 1.5] + i[-3, 3] with |sin(pi sigma)| >= 1e-3; x in
+    (-0.95, 0.95), alternating in sign."""
+    rng = np.random.default_rng(1602)
+    out = []
+    for i in range(n):
+        nu = complex(rng.uniform(-0.5, 4.0), 0.0 if i % 2 else rng.uniform(-2.0, 2.0))
+        sigma = complex(rng.uniform(-1.5, 1.5), rng.uniform(-3.0, 3.0))
+        while abs(cmath.sin(math.pi * sigma)) < 1e-3:
+            sigma = complex(rng.uniform(-1.5, 1.5), rng.uniform(-3.0, 3.0))
+        out.append((nu, sigma, (-1.0) ** i * rng.uniform(0.0, 0.95)))
+    return out
+
+
+def test_ferrers_functions_match_mpmath():
+    # bound fixed before the first run: 1e-9 of the largest reference entry
+    with mpmath.workdps(30):
+        for nu, sigma, x in ferrers_draws(100):
+            for fn, ref in ((legendre_p, mpmath.legenp), (legendre_q, mpmath.legenq)):
+                got = np.array(solution_jet(lambda t: fn(nu, sigma, t), x))
+                f = lambda t: ref(nu, sigma, t, type=2)
+                want = mp_jet(mpmath.diff(f, mpmath.mpf(x), k) for k in range(3))
+                assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), \
+                    (fn.__name__, nu, sigma, x)
+
+
+def unreflected_ferrers(nu, sigma, x, second_kind):
+    """P, or Q by DLMF 14.9.2, from the defining 2F1 at (1 - x)/2 whatever
+    the sign of x: the branch the reflection replaces for x < 0."""
+    def p(sg):
+        pre = dual.power((x + 1.0) / (1.0 - x), sg * 0.5) / gamma(1.0 - sg)
+        return pre * hyp2f1(-nu, nu + 1.0, 1.0 - sg, (1.0 - x) * 0.5)
+    if not second_kind:
+        return p(sigma)
+    ratio = gamma(nu + sigma + 1.0) / gamma(nu - sigma + 1.0)
+    combo = p(sigma) * cmath.cos(math.pi * sigma) - p(-sigma) * ratio
+    return combo * (math.pi / (2.0 * cmath.sin(math.pi * sigma)))
+
+
+def test_ferrers_reflection_meets_the_direct_branch_at_zero():
+    # bound fixed before the first run: 1e-12 of the largest entry
+    for nu, sigma, _ in ferrers_draws(40):
+        for fn, second_kind in ((legendre_p, False), (legendre_q, True)):
+            for x in (-1e-12, 1e-12):
+                got = np.array(solution_jet(lambda t: fn(nu, sigma, t), x))
+                want = np.array(solution_jet(
+                    lambda t: unreflected_ferrers(nu, sigma, t, second_kind), x))
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), \
+                    (fn.__name__, nu, sigma, x)
