@@ -91,6 +91,11 @@ def gamma(z) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
+def _rgamma(z) -> complex:
+    """1/Gamma(z), which is 0 at the poles of Gamma."""
+    return 0j if _is_nonpositive_integer(z) else 1.0 / gamma(z)
+
+
 # ----------------------------------------------------------------------
 # scalar 2-jets (f, f', f'') in one plain complex variable
 # ----------------------------------------------------------------------
@@ -121,11 +126,12 @@ def _power(z, p):
 
 
 def _lifted(jet):
-    """The evaluator that composes the scalar 2-jet ``jet(*params, value(z))`` with z."""
+    """The evaluator that composes the scalar 2-jet ``jet(*params, value(z))`` with z;
+    ``jet`` takes its parameters as complex."""
     @functools.wraps(jet)
     def evaluate(*args):
         *params, z = args
-        return dual.compose(z, *jet(*params, value(z)))
+        return dual.compose(z, *jet(*map(complex, params), value(z)))
     evaluate.jet = jet
     return evaluate
 
@@ -187,7 +193,6 @@ def kummer_m(a, b, z):
     if _is_nonpositive_integer(b):
         raise PoleError(f"kummer_m: b = {b} is a nonpositive integer")
     _check_radius(z, "kummer_m")
-    a, b = complex(a), complex(b)
     return _series_jet(lambda n: (a + n) / ((b + n) * (n + 1.0)), z, 1, "kummer_m")
 
 
@@ -197,7 +202,6 @@ def kummer_u(a, b, z):
     if _near_integer(b, 1e-9):
         raise PoleError(f"kummer_u: connection formula degenerate at b = {b}")
     _check_nonzero(z, "kummer_u")
-    a, b = complex(a), complex(b)
     return _lin((gamma(1.0 - b) / gamma(a - b + 1.0), kummer_m.jet(a, b, z)),
                 (gamma(b - 1.0) / gamma(a),
                  _mul(_power(z, 1.0 - b), kummer_m.jet(a - b + 1.0, 2.0 - b, z))))
@@ -214,14 +218,13 @@ def _whittaker(kummer, alpha, beta, z):
 def whittaker_m(alpha, beta, z):
     """Whittaker M: exp(-z/2) z^(1/2+beta) M(1/2+beta-alpha, 1+2 beta, z)."""
     _check_nonzero(z, "whittaker_m")
-    return _whittaker(kummer_m, complex(alpha), complex(beta), z)
+    return _whittaker(kummer_m, alpha, beta, z)
 
 
 @_lifted
 def whittaker_w(alpha, beta, z):
     """Whittaker W via Tricomi U; near-degenerate 2 beta handled by offsetting."""
     _check_nonzero(z, "whittaker_w")
-    alpha, beta = complex(alpha), complex(beta)
     return _offset_limit(lambda bb: _whittaker(kummer_u, alpha, bb, z), beta,
                          abs(cmath.sin(2.0 * math.pi * beta)) < 1e-6)
 
@@ -234,7 +237,6 @@ def whittaker_w(alpha, beta, z):
 def bessel_j(order, z):
     """Bessel J of complex order: (z/2)^order / Gamma(order + 1) times a series in z^2/4."""
     _check_radius(z, "bessel_j")
-    order = complex(order)
     half = z * 0.5
     if order == 0:
         pre = (1.0 / gamma(order + 1.0), 0j, 0j)
@@ -249,7 +251,6 @@ def bessel_j(order, z):
 @_lifted
 def bessel_y(order, z):
     """Bessel Y via the J connection; integer order through a symmetric offset."""
-    order = complex(order)
     return _offset_limit(
         lambda nu: _lin((cmath.cos(math.pi * nu) / cmath.sin(math.pi * nu), bessel_j.jet(nu, z)),
                         (-1.0 / cmath.sin(math.pi * nu), bessel_j.jet(-nu, z))),
@@ -267,7 +268,6 @@ def _hyp2f1_series(a, b, c, z):
 @_lifted
 def hyp2f1(a, b, c, z):
     """Gauss 2F1; direct series for |z| <= 0.9, connection through 1-z beyond."""
-    a, b, c = complex(a), complex(b), complex(c)
     if _is_nonpositive_integer(c):
         raise PoleError(f"hyp2f1: c = {c} is a nonpositive integer")
     if abs(z) <= 0.9:
@@ -303,14 +303,16 @@ def _ferrers(nu, sigma, x, second_kind):
     reflect = x.real < 0 and abs(s) >= 1e-6
     if not (reflect or second_kind):
         return _ferrers_p(nu, sigma, x)
-    g = gamma(nu + sigma + 1.0) / gamma(nu - sigma + 1.0)
+    rg = _rgamma(nu - sigma + 1.0)
     k = 0.5 * math.pi / s
     if not reflect:
-        cp, cm = k * cmath.cos(math.pi * sigma), -k * g
+        cp, cm = k * cmath.cos(math.pi * sigma), -k * gamma(nu + sigma + 1.0) * rg
     elif second_kind:
-        cp, cm = -k * cmath.cos(math.pi * nu), k * cmath.cos(math.pi * (nu + sigma)) * g
+        cp = -k * cmath.cos(math.pi * nu)
+        cm = k * cmath.cos(math.pi * (nu + sigma)) * gamma(nu + sigma + 1.0) * rg
     else:
-        cp, cm = -cmath.sin(math.pi * nu) / s, cmath.sin(math.pi * (nu + sigma)) * g / s
+        # sin((nu + sigma) pi) Gamma(nu + sigma + 1) = -pi / Gamma(-nu - sigma)
+        cp, cm = -cmath.sin(math.pi * nu) / s, -math.pi * _rgamma(-nu - sigma) * rg / s
     y = -x if reflect else x
     jet = _lin((cp, _ferrers_p(nu, sigma, y)), (cm, _ferrers_p(nu, -sigma, y)))
     return _chain(jet, -1.0, 0.0) if reflect else jet
@@ -319,7 +321,6 @@ def _ferrers(nu, sigma, x, second_kind):
 @_lifted
 def legendre_p(nu, sigma, x):
     """Associated Legendre (Ferrers) P of complex degree and order, x in (-1, 1)."""
-    nu, sigma = complex(nu), complex(sigma)
     # at a positive integer sigma, 1/gamma(1-sigma) and the 2F1 pole cancel
     return _offset_limit(lambda sg: _ferrers(nu, sg, x, False), sigma,
                          _near_integer(sigma, 1e-9) and round(sigma.real) >= 1)
@@ -328,7 +329,6 @@ def legendre_p(nu, sigma, x):
 @_lifted
 def legendre_q(nu, sigma, x):
     """Associated Legendre (Ferrers) Q via the standard P combination."""
-    nu, sigma = complex(nu), complex(sigma)
     return _offset_limit(lambda sg: _ferrers(nu, sg, x, True), sigma,
                          abs(cmath.sin(math.pi * sigma)) < 1e-6)
 

@@ -267,6 +267,20 @@ def test_neutral_g3_4_limit_solves_and_verifies():
     assert code == 0 and json.loads(out)["pass"] is True
 
 
+def test_g3_5_solves_where_the_reflection_gamma_has_a_pole():
+    # nu = -1/2 and sigma = 3/2 make nu - sigma + 1 = -1: the reflected P's
+    # P^-sigma coefficient is 1/Gamma(-1) = 0 there, not a pole
+    args = ("--case", "g3_5", "--m", "1", "--e", "2.5", "--mu", "1", "--J", "2")
+    code, out, err = run_cli("solve", *args, "--grid", "3")
+    assert code == 0
+    summary = json.loads(err)
+    assert summary["special_function"]["nu"] == {"re": -0.5, "im": 0.0}
+    assert summary["special_function"]["sigma"] == {"re": 1.5, "im": 0.0}
+    assert summary["max_residual"] <= 1e-12
+    code, out, _ = run_cli("verify", *args)
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
 def test_solve_steep_g3_3a_family_from_the_series():
     # a = 5 took the RK integrator past its step limit; the series needs ~2000 segments
     code, out, err = run_cli("solve", "--case", "g3_3a", "--a", "5", "--grid", "3")

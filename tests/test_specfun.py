@@ -549,16 +549,69 @@ def ferrers_draws(n):
     return out
 
 
+def mp_ferrers_jet(ref, nu, sigma, x):
+    """(f, f', f'') at x of mpmath's Ferrers function ``ref`` (type 2)."""
+    return mp_jet(mpmath.diff(lambda t: ref(nu, sigma, t, type=2), mpmath.mpf(x), k)
+                  for k in range(3))
+
+
+def ferrers_error(fn, ref, nu, sigma, x):
+    """The largest jet-entry error of ``fn`` against ``ref``, over the largest
+    reference entry."""
+    got = np.array(solution_jet(lambda t: fn(nu, sigma, t), x))
+    want = mp_ferrers_jet(ref, nu, sigma, x)
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+FERRERS_PAIRS = ((legendre_p, mpmath.legenp), (legendre_q, mpmath.legenq))
+
+
 def test_ferrers_functions_match_mpmath():
     # bound fixed before the first run: 1e-9 of the largest reference entry
     with mpmath.workdps(30):
         for nu, sigma, x in ferrers_draws(100):
-            for fn, ref in ((legendre_p, mpmath.legenp), (legendre_q, mpmath.legenq)):
-                got = np.array(solution_jet(lambda t: fn(nu, sigma, t), x))
-                f = lambda t: ref(nu, sigma, t, type=2)
-                want = mp_jet(mpmath.diff(f, mpmath.mpf(x), k) for k in range(3))
-                assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), \
-                    (fn.__name__, nu, sigma, x)
+            for fn, ref in FERRERS_PAIRS:
+                assert ferrers_error(fn, ref, nu, sigma, x) <= 1e-9, (fn.__name__, nu, sigma, x)
+
+
+def test_ferrers_near_integer_order_match_mpmath():
+    # |sin(pi sigma)| in [1e-6, 1e-3]: P^sigma and P^-sigma nearly cancel in
+    # both connection formulas, so rounding grows like 1 / |sin(pi sigma)|.
+    # bound: 1e-13 / |sin(pi sigma)| of the largest reference entry
+    rng = np.random.default_rng(1604)
+    with mpmath.workdps(30):
+        for i in range(24):
+            nu = complex(rng.uniform(-0.5, 4.0), 0.0 if i % 2 else rng.uniform(-2.0, 2.0))
+            offset = 10.0 ** rng.uniform(-6.0, -3.0) / math.pi
+            phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi)) if i % 4 < 2 else 1.0
+            sigma = (i % 3 - 1) + (-1.0) ** (i // 3) * offset * phase
+            x = (-1.0) ** i * rng.uniform(0.0, 0.95)
+            bound = 1e-13 / abs(cmath.sin(math.pi * sigma))
+            for fn, ref in FERRERS_PAIRS:
+                assert ferrers_error(fn, ref, nu, sigma, x) <= bound, (fn.__name__, nu, sigma, x)
+
+
+@pytest.mark.parametrize("nu, sigma", [(-0.5, 1.5), (0.5, 1.5), (-0.7, 1.3), (-0.5, -1.5),
+                                       (0.5, -1.5)])
+def test_ferrers_p_where_a_connection_gamma_has_a_pole(nu, sigma):
+    # nu -+ sigma + 1 a nonpositive integer: the P^-sigma coefficient of the
+    # reflection is 0 there, not a pole.  bound: 1e-12 of the largest entry
+    with mpmath.workdps(30):
+        for x in (-0.9, -0.4, -1e-3, 0.6):
+            assert ferrers_error(legendre_p, mpmath.legenp, nu, sigma, x) <= 1e-12, x
+
+
+def test_ferrers_q_where_its_p_minus_sigma_coefficient_vanishes():
+    # nu - sigma + 1 = -1, where mpmath's legenq divides by zero: the reference
+    # is the mean over nu -+ 1e-6, exact to O(1e-12).  bound: 1e-9 of the
+    # largest entry
+    nu, sigma = -0.7, 1.3
+    with mpmath.workdps(30):
+        for x in (-0.9, -0.4, 0.2, 0.8):
+            got = np.array(solution_jet(lambda t: legendre_q(nu, sigma, t), x))
+            want = sum(mp_ferrers_jet(mpmath.legenq, n, sigma, x)
+                       for n in (nu - 1e-6, nu + 1e-6)) / 2
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), x
 
 
 def unreflected_ferrers(nu, sigma, x, second_kind):
