@@ -120,6 +120,29 @@ def test_verify_all_cases_summary():
     assert list(rep["cases"]) == sorted(rep["cases"])
 
 
+def test_verify_keys_come_from_the_one_table():
+    keys = [check.key for check in cli.CHECKS]
+    assert len(set(keys)) == len(keys) == 15
+    assert list(DEFAULT_TOLERANCES) == keys
+    for key in keys:
+        run = _run_config_from(build_parser().parse_args(["verify", "--tol", f"{key}=1e-3"]))
+        assert run.tolerances == {**DEFAULT_TOLERANCES, key: 1e-3}
+    assert run_cli("verify", "--tol", "hyperbolid=1") == (
+        2, "", "error: unknown tolerance key 'hyperbolid'\n")
+    common = [check.key for check in cli.CHECKS if not check.integrable_only]
+    assert len(common) == 10
+    code, out, _ = run_cli("verify", "--case", "all")
+    assert code == 0
+    cases = json.loads(out)["cases"]
+    assert sum(CaseId(c) in INTEGRABLE_CASES for c in cases) == 5 and len(cases) == 13
+    for case, report in cases.items():
+        want = keys if CaseId(case) in INTEGRABLE_CASES else common
+        assert sorted(report["residuals"]) == sorted(want), case
+        for check in cli.CHECKS:
+            if check.key in want:
+                assert report["residuals"][check.key]["tolerance"] == check.tolerance
+
+
 def test_verify_tolerance_override_can_fail():
     for key in ("killing", "symmetry_commutator", "structure_vs_catalog"):
         code, out, _ = run_cli("verify", "--case", "g3_1", "--tol", f"{key}=1e-30")
@@ -324,8 +347,12 @@ def test_verify_steep_g3_3a_family_passes():
      "error: --perturb must be finite, got inf\n"),
     (["verify", "--case", "g3_1", "--tol", "killing=nan"],
      "error: --tol killing must not be NaN\n"),
+    # refused when parsed, before the entry's numerical failure at a = 40
+    (["verify", "--case", "g3_3a", "--a", "40", "--perturb", "foo:1"],
+     "error: unknown perturbation target 'foo'\n"),
 ], ids=["grid", "perturb", "tol", "verify_e_nan", "catalog_mu_nan", "solve_a_nan", "chart_a_nan",
-        "solve_mu_inf", "solve_J_minus_inf", "lambda_nan", "lambda_inf", "perturb_inf", "tol_nan"])
+        "solve_mu_inf", "solve_J_minus_inf", "lambda_nan", "lambda_inf", "perturb_inf", "tol_nan",
+        "perturb_target"])
 def test_bad_flag_value_is_usage_error(argv, message):
     assert run_cli(*argv) == (2, "", message)
 
@@ -397,8 +424,8 @@ def test_unknown_case_is_usage_error():
 
 
 def test_bad_zeta_is_usage_error():
-    code, _, _ = run_cli("verify", "--case", "g3_1", "--zeta", "0.2")
-    assert code == 2
+    assert run_cli("verify", "--case", "g3_1", "--zeta", "0.2") == (
+        2, "", "error: zeta must be 0 (minimal) or 1/6 (conformal coupling)\n")
 
 
 def test_missing_subcommand_exits_2():

@@ -4,88 +4,65 @@
 on one grid jet per entry (one lane per sampled point).  They must agree with
 the per-point loops of `pointwise.py` on every catalog entry, with and
 without a perturbed 2-form and chi, and fail the same way at a point outside
-the chart.
+the chart.  The batched side is `verify`'s own rows (`cli.CHECKS`) on its own
+context, and the per-point side reads that context's point slices, so the
+test checks the wiring `verify` runs.
 """
 
 import numpy as np
 import pytest
 
 from dskg import dual
-from dskg.cases import case_spec
+from dskg.cli import CHECKS, RunConfig, VerifyContext
 from dskg.dual import Dual
-from dskg.fields import (FieldConfig, chi_residual, closedness_residual, gauge_one_form,
-                         gauge_residual, invariance_residual, invariant_two_form, solve_chi)
-from dskg.geometry import (RankDeficientError, chart_for, generator_jets, induced_metric,
-                           killing_residual, sample_domain)
+from dskg.geometry import RankDeficientError, induced_metric
 from dskg.lie_core import ALL_CASES, CaseId
-from dskg.operators import (commutation_table_fit, kg_operator, symmetry_check,
-                            symmetry_operators)
+from dskg.operators import kg_operator, symmetry_operators
 
 import pointwise
-from conftest import case_param_a, perturbed_form
+from conftest import DEFAULT_A, perturbed_form
 
 EPS = 1e-3
 
 
-def verify_points(case, seed):
-    """The 40 points `verify` samples for one entry."""
-    return sample_domain(chart_for(case, case_param_a(case)), 40, np.random.default_rng(seed))
+def verify_context(case, seed, perturbed):
+    """`verify`'s context of one entry; perturbed, its chi carries `--perturb
+    chi:EPS` and its 2-form the same term, which the field checks must see."""
+    run = RunConfig("verify", a=DEFAULT_A, seed=seed, perturb=("chi", EPS) if perturbed else None)
+    ctx = VerifyContext(case, run)
+    if perturbed:
+        ctx.form = perturbed_form(ctx.form, (0, 1), lambda c: EPS * c[0])
+    return ctx
 
 
-def pointwise_route(case, cfg, form, chi_extra, pts):
+def pointwise_route(ctx):
+    """The per-point loops, on the points `verify` gives each check."""
+    case, cfg, form, pts = ctx.case, ctx.cfg, ctx.form, ctx.jet_pts
     a = cfg.parameter_a
     res = {
-        "metric_identity": pointwise.metric_identity(case, pts[:15], a),
-        "killing": pointwise.killing(case, pts[:15], a),
-        "field_closedness": pointwise.closedness(form, pts[:15]),
-        "field_invariance": pointwise.invariance(case, form, pts[:15], a),
-        "gauge_consistency": pointwise.gauge(case, cfg, form, pts[:15]),
-        "chi_gradient": pointwise.chi(case, cfg, form, pts[:15], chi_extra),
+        "metric_identity": pointwise.metric_identity(case, pts, a),
+        "killing": pointwise.killing(case, pts, a),
+        "field_closedness": pointwise.closedness(form, pts),
+        "field_invariance": pointwise.invariance(case, form, pts, a),
+        "gauge_consistency": pointwise.gauge(case, cfg, form, pts),
+        "chi_gradient": pointwise.chi(case, cfg, form, pts, ctx.chi_extra),
     }
-    ops = symmetry_operators(case, cfg, chi_extra=chi_extra)
-    fit, structure, central = pointwise.table_fit(ops, [tuple(p) for p in pts[:12]], 1j * cfg.e)
+    ops = symmetry_operators(case, cfg, chi_extra=ctx.chi_extra)
+    fit, structure, central = pointwise.table_fit(ops, ctx.fit_pts, 1j * cfg.e)
     res.update(commutation_table=fit, fit_structure=structure, fit_central=central)
-    if case_spec(case).integration is not None:
-        res["symmetry_commutator"] = pointwise.symmetry(
-            kg_operator(case, cfg), ops, [tuple(p) for p in pts[:6]], 2)
-    return res
-
-
-def batched_route(case, cfg, form, chi_extra, pts):
-    a = cfg.parameter_a
-    coords = Dual.seed_grid(dual.columns(pts[:15]))
-    metric = induced_metric(case, coords, a)
-    generators = generator_jets(case, coords, a)
-    fj = form.jets(coords)
-    res = {
-        "metric_identity": metric.identity_residual(),
-        "killing": killing_residual(metric, generators),
-        "field_closedness": closedness_residual(fj),
-        "field_invariance": invariance_residual(generators, fj),
-        "gauge_consistency": gauge_residual(gauge_one_form(case, cfg).values(coords), fj),
-        "chi_gradient": chi_residual([c(coords) for c in solve_chi(case, cfg, chi_extra)],
-                                     generators, fj),
-    }
-    ops = symmetry_operators(case, cfg, chi_extra=chi_extra)
-    fit = commutation_table_fit(ops, [tuple(p) for p in pts[:12]], 1j * cfg.e)
-    res.update(commutation_table=fit.residual, fit_structure=fit.structure,
-               fit_central=fit.central)
-    if case_spec(case).integration is not None:
-        res["symmetry_commutator"] = symmetry_check(kg_operator(case, cfg), ops,
-                                                    [tuple(p) for p in pts[:6]], n_probes=2)
+    if ctx.integ is not None:
+        res["symmetry_commutator"] = pointwise.symmetry(kg_operator(case, cfg), ops,
+                                                        ctx.sym_pts, 2)
     return res
 
 
 def _routes(case, seed, perturbed):
-    cfg = FieldConfig(case, parameter_a=case_param_a(case))
-    form = invariant_two_form(case, cfg)
-    chi_extra = None
-    if perturbed:
-        form = perturbed_form(form, (0, 1), lambda c: EPS * c[0])
-        chi_extra = [lambda c: EPS * c[0]] + [None] * (case_spec(case).dim - 1)
-    pts = verify_points(case, seed)
-    return (batched_route(case, cfg, form, chi_extra, pts),
-            pointwise_route(case, cfg, form, chi_extra, pts))
+    """(`verify`'s own rows, the pointwise route), each on a fresh context."""
+    want = pointwise_route(verify_context(case, seed, perturbed))
+    ctx = verify_context(case, seed, perturbed)
+    got = {check.key: check.residual(ctx) for check in CHECKS if check.key in want}
+    got.update(fit_structure=ctx.fit.structure, fit_central=ctx.fit.central)
+    return got, want
 
 
 @pytest.mark.parametrize("seed", [20813, 101])
@@ -114,7 +91,7 @@ def test_perturbed_checks_match_the_pointwise_route(case, seed):
 ])
 def test_point_outside_the_chart_raises_on_both_routes(case, boundary, signature):
     # sin(u1) = 0 collapses both charts
-    pts = verify_points(case, 20813)[:15]
+    pts = verify_context(case, 20813, perturbed=False).jet_pts.copy()
     pts[7] = boundary
     with pytest.raises(RankDeficientError):
         pointwise.metric_identity(case, pts, None)
