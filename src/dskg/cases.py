@@ -356,8 +356,12 @@ def _g31_basis(k, J, wrap):
     alpha = 1j * e * (J * mu1 + mu2) / root
     beta = cmath.sqrt(1.0 - mt - e * e * (mu1 * mu1 + mu2 * mu2))
     scale = 2j * root
-    phi1 = wrap(lambda v: specfun.whittaker_m(alpha, beta, v * scale), "whittaker_m")
-    phi2 = wrap(lambda v: specfun.whittaker_w(alpha, beta, v * scale), "whittaker_w")
+
+    def frame(v):
+        # the argument v scale, no prefactor
+        return (v * scale, scale, 0.0), None
+    phi1, phi2 = (wrap(specfun.basis_member(fn.jet, (alpha, beta), frame), fn.__name__)
+                  for fn in (specfun.whittaker_m, specfun.whittaker_w))
     return phi1, phi2, {"kind": "whittaker", "alpha": alpha, "beta": beta, "z_scale": scale}
 
 
@@ -432,10 +436,37 @@ def _g32_reduced_ode(k, J):
 def _g32_basis(k, J, wrap):
     e, mt, mu = k.e, k.mass_term, k.mu
     order = cmath.sqrt(1.0 - mt)
-    scale = 1j * cmath.sqrt(e * mu * (2.0 * J + 1.0))
-    phi1 = wrap(lambda v: dual.exp(v) * specfun.bessel_j(order, dual.exp(v) * scale), "bessel_j")
-    phi2 = wrap(lambda v: dual.exp(v) * specfun.bessel_y(order, dual.exp(v) * scale), "bessel_y")
+    charge = e * mu * (2.0 * J + 1.0)
+    if charge == 0:
+        return _g32_neutral_basis(order, wrap)
+    scale = 1j * cmath.sqrt(charge)
+
+    def frame(v):
+        # the argument exp(v) scale and the prefactor exp(v)
+        ev = cmath.exp(v)
+        z = ev * scale
+        return (z, z, z), (ev, ev, ev)
+    phi1, phi2 = (wrap(specfun.basis_member(fn.jet, (order,), frame), fn.__name__)
+                  for fn in (specfun.bessel_j, specfun.bessel_y))
     return phi1, phi2, {"kind": "bessel", "order": order, "argument_scale": scale}
+
+
+def _g32_neutral_basis(order, wrap):
+    # without charge, Phi'' - 2 Phi' + m_t Phi = 0 is solved by exp((1 +- order) v),
+    # and by exp(v), v exp(v) where the two rates meet
+    def linear_exp(a, b, rate):
+        # the 2-jet of (a + b v) exp(rate v)
+        def member(v):
+            ev, p = cmath.exp(rate * v), a + b * v
+            return p * ev, (b + rate * p) * ev, (2.0 * b + rate * p) * rate * ev
+        return member
+    if order == 0:
+        phi2, functions = linear_exp(0.0, 1.0, 1.0), "exp(v), v exp(v)"
+    else:
+        phi2 = linear_exp(1.0, 0.0, 1.0 - order)
+        functions = "exp((1 + order) v), exp((1 - order) v)"
+    return (wrap(linear_exp(1.0, 0.0, 1.0 + order), "exponential"), wrap(phi2, "exponential"),
+            {"kind": "exponential", "order": order, "functions": functions})
 
 
 _G32 = CaseSpec(
@@ -694,14 +725,20 @@ def _g34_basis(k, J, wrap):
     nu = cmath.sqrt((J + 0.5) ** 2 - (e * mu) ** 2) - 0.5
     sigma = cmath.sqrt(1.0 - mt)
 
-    def p_fn(v):
-        return specfun.legendre_p(nu, sigma, dual.tanh(v)) / dual.cosh(v)
-
-    def q_fn(v):
-        return specfun.legendre_q(nu, sigma, dual.tanh(v)) / dual.cosh(v)
+    def frame(v):
+        # the argument tanh(v) and the prefactor sech(v); sech^2 is taken from
+        # cosh, as 1 - tanh^2 cancels when |tanh v| -> 1
+        s = 1.0 / cmath.cosh(v)
+        t, s2 = cmath.sinh(v) * s, s * s
+        return (t, s2, -2.0 * t * s2), (s, -s * t, s * (t * t - s2))
     rec = {"kind": "legendre", "nu": nu, "sigma": sigma,
            "argument": "tanh(v)", "prefactor": "1/cosh(v)"}
-    return wrap(p_fn, "legendre_p"), wrap(q_fn, "legendre_q"), rec
+    return (*_legendre_pair(nu, sigma, frame, wrap), rec)
+
+
+def _legendre_pair(nu, sigma, frame, wrap):
+    return tuple(wrap(specfun.basis_member(fn.jet, (nu, sigma), frame), fn.__name__)
+                 for fn in (specfun.legendre_p, specfun.legendre_q))
 
 
 def _g35_basis(k, J, wrap):
@@ -709,14 +746,15 @@ def _g35_basis(k, J, wrap):
     nu = cmath.sqrt(1.0 - mt) - 0.5
     sigma = cmath.sqrt((e * mu) ** 2 - J * J)
 
-    def p_fn(v):
-        return specfun.legendre_p(nu, sigma, dual.cos(v)) / dual.sqrt(dual.sin(v))
-
-    def q_fn(v):
-        return specfun.legendre_q(nu, sigma, dual.cos(v)) / dual.sqrt(dual.sin(v))
+    def frame(v):
+        # the argument cos(v) and the prefactor sin(v)^(-1/2), whose log has
+        # derivatives -cot(v)/2 and csc(v)^2/2
+        c, s = cmath.cos(v), cmath.sin(v)
+        f, cot = 1.0 / cmath.sqrt(s), c / s
+        return (c, -s, -c), (f, -0.5 * f * cot, f * (0.75 * cot * cot + 0.5))
     rec = {"kind": "legendre", "nu": nu, "sigma": sigma,
            "argument": "cos(v)", "prefactor": "1/sqrt(sin(v))"}
-    return wrap(p_fn, "legendre_p"), wrap(q_fn, "legendre_q"), rec
+    return (*_legendre_pair(nu, sigma, frame, wrap), rec)
 
 
 # G35 shares this 2-form and gauge and brings its own chi

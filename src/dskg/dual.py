@@ -43,17 +43,13 @@ class Dual:
         return Dual(complex(value), z, (z,) * nvars)
 
     @staticmethod
-    def variable(value, index, nvars):
-        g = [0j] * nvars
-        g[index] = 1 + 0j
-        z = (0j,) * nvars
-        return Dual(complex(value), tuple(g), (z,) * nvars)
-
-    @staticmethod
     def seed(point):
         """All coordinates of ``point`` as simultaneous dual variables."""
         k = len(point)
-        return [Dual.variable(point[i], i, k) for i in range(k)]
+        z = (0j,) * k
+        return [Dual(complex(point[i]), tuple(1 + 0j if j == i else 0j for j in range(k)),
+                     (z,) * k)
+                for i in range(k)]
 
     @staticmethod
     def seed_grid(columns):
@@ -171,14 +167,6 @@ def log(x):
         lv = np.log(v) if isinstance(v, np.ndarray) else cmath.log(v)
         return x.lift(lv, 1.0 / v, -1.0 / (v * v))
     return np.log(x) if isinstance(x, np.ndarray) else cmath.log(x)
-
-
-def sqrt(x):
-    if isinstance(x, Dual):
-        v = x.val
-        s = np.sqrt(v) if isinstance(v, np.ndarray) else cmath.sqrt(v)
-        return x.lift(s, 0.5 / s, -0.25 / (s * s * s))
-    return np.sqrt(x) if isinstance(x, np.ndarray) else cmath.sqrt(x)
 
 
 def sin(x):

@@ -3,9 +3,10 @@
 For each integrable entry this module wraps the registry's auxiliary-variable
 representation of the symmetry algebra, the joint-system solution ansatz
 phi = exp(R(x, lambda)) Phi(v), the reduced second-order ODE satisfied by
-Phi, and its solution basis (Whittaker, Bessel or Legendre pairs; one entry
-has no closed form and is served by a piecewise Taylor series).  The
-formulas themselves live in :mod:`dskg.cases`.
+Phi, and its solution basis (Whittaker, Bessel or Legendre pairs, or
+exponentials in g3_2's neutral limit; one entry has no closed form and is
+served by a piecewise Taylor series).  The formulas themselves live in
+:mod:`dskg.cases`.
 
 Every object here is verifiable: representations are checked against the
 operator commutation tables, ansatz phases against the joint system, reduced
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import dual, specfun
+from . import dual
 from .cases import BranchPointError, CaseId, integration  # noqa: F401  (re-exported)
 from .dual import Dual
 from .fields import FieldConfig
@@ -203,7 +204,8 @@ def grid_residuals(f: Callable, op, grid: Sequence[Sequence[float]]):
 # ----------------------------------------------------------------------
 
 class SpecialSolution:
-    """Twice-evaluable wrapper with per-argument caching of the 2-jet."""
+    """A closed-form basis member ``fn``: v -> (Phi, Phi', Phi'') in plain
+    complex arithmetic, with per-argument caching of the 2-jet."""
 
     def __init__(self, fn: Callable, label: str):
         self._fn = fn
@@ -214,7 +216,7 @@ class SpecialSolution:
         key = complex(v)
         hit = self._cache.get(key)
         if hit is None:
-            hit = specfun.solution_jet(self._fn, key)
+            hit = self._fn(key)
             self._cache[key] = hit
         return hit
 

@@ -7,16 +7,23 @@ oracle.  The one reduced equation with no closed form has entire
 coefficients, so it is summed as a piecewise Taylor series
 (:func:`taylor_basis`), which the integrator checks.
 
-All evaluators accept either plain complex arguments or point jets
-(:class:`dskg.dual.Dual` with ``complex`` entries) in the argument slot, so
-derivatives of special functions are exact.  Series, prefactors and connection
-formulas are all evaluated as scalar 2-jets ``(f, f', f'')`` in plain complex
-arithmetic at ``value(z)``, and the result is lifted onto the argument's jet
-once (:func:`dskg.dual.compose`).  A series stops only when its terms in S, S'
-and S'' are all negligible.  Ferrers functions at x < 0 are reflected to -x
-(DLMF 14.9), so every Legendre series runs at (1 - x)/2 <= 1/2.  Lane arrays
-are not accepted.  Parameters are plain complex constants.  Branches are
-principal throughout.
+Series, prefactors and connection formulas are all evaluated as scalar
+2-jets ``(f, f', f'')`` in plain complex arithmetic; each evaluator's ``.jet``
+is that function of its plain complex arguments.  A solution basis composes
+these jets with its own elementary argument and prefactor jets
+(:func:`basis_member`), so a basis node never builds a
+:class:`dskg.dual.Dual`.  The evaluators themselves also accept a point jet
+(a ``Dual`` with ``complex`` entries) in the argument slot, and lift the
+scalar 2-jet at ``value(z)`` onto it once (:func:`dskg.dual.compose`).
+
+A series stops only when its terms in S, S' and S'' are all negligible.  The
+series-level jets (Kummer M, Bessel J, Ferrers P) and the connection weights,
+which depend on the parameters alone, keep a memo of their last few calls, so
+a basis node sums each series once for both of its members and a basis calls
+``gamma`` only at its first node.  Ferrers functions at x < 0 are reflected
+to -x (DLMF 14.9), so every Legendre series runs at (1 - x)/2 <= 1/2.  Lane
+arrays are not accepted.  Parameters are plain complex constants.  Branches
+are principal throughout.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .dual import Dual, value
+from .dual import value
 
 
 SERIES_RADIUS = 50.0
@@ -125,6 +132,49 @@ def _power(z, p):
     return _from_log(cmath.exp(p * cmath.log(z)), p / z, -p / (z * z))
 
 
+def basis_member(jet, params, frame):
+    """The plain-complex basis member v -> (f, f', f'') of f(v) = pre(v) F(x(v)).
+
+    F is ``jet(*params, .)``, one evaluator's scalar 2-jet; ``frame(v)`` gives the
+    2-jets (x, x', x'') and (pre, pre', pre'') at v, with pre None for 1.  F is
+    evaluated once, at x, and chained through x (Griewank & Walther,
+    *Evaluating Derivatives*, 2nd ed., ch. 13).
+    """
+    def member(v):
+        x, pre = frame(v)
+        f = _chain(jet(*params, x[0]), x[1], x[2])
+        return f if pre is None else _mul(pre, f)
+    return member
+
+
+_MEMO_SIZE = 8
+
+
+def _bits(z):
+    # 0.0 == -0.0, and both hash alike, but a branch cut tells them apart
+    return z.real, z.imag, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
+
+
+def _memo(fn):
+    """``fn`` with a memo of its last _MEMO_SIZE calls, keyed by the value and
+    the sign of each part of its (complex or bool) arguments, so that 0.0 and
+    -0.0 differ; a hit is the very object a fresh call gave.  ``cache_clear``
+    empties the memo, as for :func:`functools.lru_cache`."""
+    hits = {}
+
+    @functools.wraps(fn)
+    def memoized(*args):
+        key = tuple(map(_bits, args))
+        hit = hits.get(key)
+        if hit is None:
+            hit = hits[key] = fn(*args)
+            if len(hits) > _MEMO_SIZE:
+                del hits[next(iter(hits))]
+        return hit
+    memoized.cache_clear = hits.clear
+    return memoized
+
+
 def _lifted(jet):
     """The evaluator that composes the scalar 2-jet ``jet(*params, value(z))`` with z;
     ``jet`` takes its parameters as complex."""
@@ -188,6 +238,7 @@ def _check_nonzero(z, what):
 
 
 @_lifted
+@_memo
 def kummer_m(a, b, z):
     """Kummer's confluent hypergeometric M(a, b, z) by Taylor series."""
     if _is_nonpositive_integer(b):
@@ -202,9 +253,14 @@ def kummer_u(a, b, z):
     if _near_integer(b, 1e-9):
         raise PoleError(f"kummer_u: connection formula degenerate at b = {b}")
     _check_nonzero(z, "kummer_u")
-    return _lin((gamma(1.0 - b) / gamma(a - b + 1.0), kummer_m.jet(a, b, z)),
-                (gamma(b - 1.0) / gamma(a),
-                 _mul(_power(z, 1.0 - b), kummer_m.jet(a - b + 1.0, 2.0 - b, z))))
+    wm, wu = _kummer_u_weights(a, b)
+    return _lin((wm, kummer_m.jet(a, b, z)),
+                (wu, _mul(_power(z, 1.0 - b), kummer_m.jet(a - b + 1.0, 2.0 - b, z))))
+
+
+@_memo
+def _kummer_u_weights(a, b):
+    return gamma(1.0 - b) / gamma(a - b + 1.0), gamma(b - 1.0) / gamma(a)
 
 
 def _whittaker(kummer, alpha, beta, z):
@@ -234,27 +290,39 @@ def whittaker_w(alpha, beta, z):
 # ----------------------------------------------------------------------
 
 @_lifted
+@_memo
 def bessel_j(order, z):
     """Bessel J of complex order: (z/2)^order / Gamma(order + 1) times a series in z^2/4."""
     _check_radius(z, "bessel_j")
     half = z * 0.5
     if order == 0:
-        pre = (1.0 / gamma(order + 1.0), 0j, 0j)
+        pre = (_bessel_j_weight(order), 0j, 0j)
     else:
         _check_nonzero(z, "bessel_j")
-        pre = _lin((0.5 ** order / gamma(order + 1.0), _power(z, order)))
+        pre = _lin((_bessel_j_weight(order), _power(z, order)))
     series = _series_jet(lambda n: -1.0 / ((n + 1.0) * (order + n + 1.0)),
                          half * half, 1, "bessel_j")
     return _mul(pre, _chain(series, half, 0.5))
+
+
+@_memo
+def _bessel_j_weight(order):
+    # 0.5^order / Gamma(order + 1), the weight of z^order
+    return 1.0 / gamma(order + 1.0) if order == 0 else 0.5 ** order / gamma(order + 1.0)
 
 
 @_lifted
 def bessel_y(order, z):
     """Bessel Y via the J connection; integer order through a symmetric offset."""
     return _offset_limit(
-        lambda nu: _lin((cmath.cos(math.pi * nu) / cmath.sin(math.pi * nu), bessel_j.jet(nu, z)),
-                        (-1.0 / cmath.sin(math.pi * nu), bessel_j.jet(-nu, z))),
+        lambda nu: _lin(*zip(_bessel_y_weights(nu), (bessel_j.jet(nu, z), bessel_j.jet(-nu, z)))),
         order, _near_integer(order, 1e-7))
+
+
+@_memo
+def _bessel_y_weights(nu):
+    # cot(nu pi) and -csc(nu pi), the weights of J_nu and J_-nu in Y_nu
+    return cmath.cos(math.pi * nu) / cmath.sin(math.pi * nu), -1.0 / cmath.sin(math.pi * nu)
 
 
 # ----------------------------------------------------------------------
@@ -285,12 +353,18 @@ def hyp2f1(a, b, c, z):
     raise DomainError(f"hyp2f1: z = {z} outside series/transformation reach")
 
 
+@_memo
 def _ferrers_p(nu, sigma, x):
     # ((1+x)/(1-x))^(sigma/2) / Gamma(1-sigma) 2F1(-nu, nu+1; 1-sigma; (1-x)/2)
-    pre = cmath.exp(sigma * 0.5 * cmath.log((1.0 + x) / (1.0 - x))) / gamma(1.0 - sigma)
+    pre = cmath.exp(sigma * 0.5 * cmath.log((1.0 + x) / (1.0 - x))) / _ferrers_p_gamma(sigma)
     l1 = sigma / (1.0 - x * x)
     f = hyp2f1.jet(-nu, nu + 1.0, 1.0 - sigma, (1.0 - x) * 0.5)
     return _mul(_from_log(pre, l1, 2.0 * x * l1 / (1.0 - x * x)), _chain(f, -0.5, 0.0))
+
+
+@_memo
+def _ferrers_p_gamma(sigma):
+    return gamma(1.0 - sigma)
 
 
 def _ferrers(nu, sigma, x, second_kind):
@@ -299,23 +373,28 @@ def _ferrers(nu, sigma, x, second_kind):
     runs at (1 - x)/2 <= 1/2; a near-integer sigma is not reflected."""
     if not -1.0 < x.real < 1.0 or abs(x.imag) > 1e-12:
         raise DomainError(f"legendre_{'q' if second_kind else 'p'}: x = {x} outside (-1, 1)")
-    s = cmath.sin(math.pi * sigma)
-    reflect = x.real < 0 and abs(s) >= 1e-6
+    reflect = x.real < 0 and abs(cmath.sin(math.pi * sigma)) >= 1e-6
     if not (reflect or second_kind):
         return _ferrers_p(nu, sigma, x)
-    rg = _rgamma(nu - sigma + 1.0)
-    k = 0.5 * math.pi / s
-    if not reflect:
-        cp, cm = k * cmath.cos(math.pi * sigma), -k * gamma(nu + sigma + 1.0) * rg
-    elif second_kind:
-        cp = -k * cmath.cos(math.pi * nu)
-        cm = k * cmath.cos(math.pi * (nu + sigma)) * gamma(nu + sigma + 1.0) * rg
-    else:
-        # sin((nu + sigma) pi) Gamma(nu + sigma + 1) = -pi / Gamma(-nu - sigma)
-        cp, cm = -cmath.sin(math.pi * nu) / s, -math.pi * _rgamma(-nu - sigma) * rg / s
+    cp, cm = _ferrers_weights(nu, sigma, reflect, second_kind)
     y = -x if reflect else x
     jet = _lin((cp, _ferrers_p(nu, sigma, y)), (cm, _ferrers_p(nu, -sigma, y)))
     return _chain(jet, -1.0, 0.0) if reflect else jet
+
+
+@_memo
+def _ferrers_weights(nu, sigma, reflect, second_kind):
+    """(cp, cm) of _ferrers' combination cp P^sigma + cm P^-sigma."""
+    s = cmath.sin(math.pi * sigma)
+    rg = _rgamma(nu - sigma + 1.0)
+    k = 0.5 * math.pi / s
+    if not reflect:
+        return k * cmath.cos(math.pi * sigma), -k * gamma(nu + sigma + 1.0) * rg
+    if second_kind:
+        return (-k * cmath.cos(math.pi * nu),
+                k * cmath.cos(math.pi * (nu + sigma)) * gamma(nu + sigma + 1.0) * rg)
+    # sin((nu + sigma) pi) Gamma(nu + sigma + 1) = -pi / Gamma(-nu - sigma)
+    return -cmath.sin(math.pi * nu) / s, -math.pi * _rgamma(-nu - sigma) * rg / s
 
 
 @_lifted
@@ -590,9 +669,3 @@ def ode_integrate(p, q, v0, phi0, dphi0, v1, config: ODESolverConfig | None = No
         if abs(h) < 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflow(f"step size underflow at t = {t}")
     raise StepSizeUnderflow("maximum step count exceeded")
-
-
-def solution_jet(fn, v):
-    """Evaluate a dual-capable function of one variable as a 2-jet at v."""
-    val, grad, hess = dual.parts(fn(Dual.variable(v, 0, 1)), 1)
-    return val, grad[0], hess[0][0]

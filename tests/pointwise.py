@@ -10,11 +10,13 @@ evaluates a `src` probe's function on jets, with its partials taken
 symbolically term by term: it is the oracle of the probe's closed-form
 derivatives (`PolyExpProbe.derivatives`), and the function that
 `as_function`, `symmetry` and the wave-operator cross check apply operators to.
+`dual_members` composes each closed-form solution basis on point jets, the
+oracle of the plain-complex members of `specfun.basis_member`.
 """
 
 import numpy as np
 
-from dskg import dual
+from dskg import dual, specfun
 from dskg.cases import case_spec
 from dskg.dual import Dual
 from dskg.fields import gauge_one_form
@@ -274,3 +276,30 @@ def symmetry(h, ops, points, n_probes):
                 rhs = op.apply_jet(hf, pt)
                 worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
     return worst
+
+
+def solution_jet(fn, v):
+    """The 2-jet (f, f', f'') at v of a function of one point jet."""
+    val, grad, hess = dual.parts(fn(Dual.seed([v])[0]), 1)
+    return val, grad[0], hess[0][0]
+
+
+def dual_members(record):
+    """(phi1, phi2) of a closed-form basis, from its record, as functions of
+    a point jet v: each evaluator is lifted onto the jet of its argument, and
+    the prefactor is multiplied on in `Dual` arithmetic."""
+    kind = record["kind"]
+    if kind == "whittaker":
+        alpha, beta, scale = record["alpha"], record["beta"], record["z_scale"]
+        return tuple(lambda v, fn=fn: fn(alpha, beta, v * scale)
+                     for fn in (specfun.whittaker_m, specfun.whittaker_w))
+    if kind == "bessel":
+        order, scale = record["order"], record["argument_scale"]
+        return tuple(lambda v, fn=fn: dual.exp(v) * fn(order, dual.exp(v) * scale)
+                     for fn in (specfun.bessel_j, specfun.bessel_y))
+    nu, sigma = record["nu"], record["sigma"]
+    if record["argument"] == "tanh(v)":
+        return tuple(lambda v, fn=fn: fn(nu, sigma, dual.tanh(v)) / dual.cosh(v)
+                     for fn in (specfun.legendre_p, specfun.legendre_q))
+    return tuple(lambda v, fn=fn: fn(nu, sigma, dual.cos(v)) / dual.power(dual.sin(v), 0.5)
+                 for fn in (specfun.legendre_p, specfun.legendre_q))

@@ -28,10 +28,10 @@ from dskg.lie_core import (ALL_CASES, CaseId, Cocycle, INTEGRABLE_CASES,
                            integrability_check, standard_cocycle, subalgebra)
 from dskg.operators import (commutation_table_fit, kg_cross_residual, kg_operator, random_probe,
                             representation_residual, symmetry_check, symmetry_operators)
-from dskg.specfun import ode_integrate, solution_jet
+from dskg.specfun import ode_integrate
 
 from conftest import case_param_a, chart_points, perturbed_form
-from pointwise import DualProbe
+from pointwise import DualProbe, solution_jet
 from test_geometry import so12_generators, so12_section
 
 

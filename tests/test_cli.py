@@ -246,14 +246,9 @@ def test_verify_at_a_branch_cut_fails_its_integration_checks():
     (["verify", "--case", "g1_3a", "--a", "50"],
      "error: g1_3a: induced metric signature (0, 0) at "
      "[-0.64265803 -0.87879379  0.48633574]; outside chart domain\n"),
-    # a complex power of a zero argument: a grid node at v = 0, or a neutral
-    # charge that scales the Bessel argument to 0
+    # a complex power of a zero argument: a grid node at v = 0
     (["solve", "--case", "g3_1", "--lambda=0+0i", "--grid", "3"],
      "error: whittaker_m: z = 0j is the branch point of a complex power\n"),
-    (["solve", "--case", "g3_2", "--e", "0", "--grid", "3"],
-     "error: bessel_j: z = 0j is the branch point of a complex power\n"),
-    (["verify", "--case", "g3_2", "--e", "0"],
-     "error: bessel_j: z = 0j is the branch point of a complex power\n"),
     # a steeper family needs more Taylor segments than the budget, refused up front
     (["solve", "--case", "g3_3a", "--a", "40", "--grid", "3"],
      "error: g3_3a (a = 40.0, J = 1.0): |q| reaches 10^65.7 at v = -1.8; "
@@ -272,8 +267,7 @@ def test_verify_at_a_branch_cut_fails_its_integration_checks():
      "error: g1_3a: chart map at a = 1000.0 overflows at "
      "[-1.5        -1.2        -1.37079633]\n"),
 ], ids=["verify_g3_1_lambda_0", "verify_g3_3a_a_40",
-        "verify_g1_3a_a_50", "solve_g3_1_lambda_0", "solve_g3_2_neutral",
-        "verify_g3_2_neutral", "solve_g3_3a_a_40", "solve_g3_3a_a_1000",
+        "verify_g1_3a_a_50", "solve_g3_1_lambda_0", "solve_g3_3a_a_40", "solve_g3_3a_a_1000",
         "verify_g1_3a_a_1000", "verify_g3_3a_a_1000", "chart_g1_3a_a_1000"])
 def test_numerical_failure_exits_1_with_its_message(argv, message):
     assert run_cli(*argv) == (1, "", message)
@@ -288,6 +282,35 @@ def test_neutral_g3_4_limit_solves_and_verifies():
     assert len(out.splitlines()) == 1 + 27
     code, out, _ = run_cli("verify", "--case", "g3_4", "--e", "0", "--J", "1")
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("neutral,functions", [
+    (("--e", "0"), "exp((1 + order) v), exp((1 - order) v)"),
+    (("--mu", "0"), "exp((1 + order) v), exp((1 - order) v)"),
+    # m_t = 1: the two rates 1 +- order meet
+    (("--e", "0", "--m", "1"), "exp(v), v exp(v)"),
+], ids=["e_0", "mu_0", "e_0_m_1"])
+def test_neutral_g3_2_limit_solves_and_verifies(neutral, functions):
+    # e mu (2J + 1) = 0 scales the Bessel argument to 0; the reduced equation
+    # is then Phi'' - 2 Phi' + m_t Phi = 0, with an elementary basis
+    code, out, err = run_cli("solve", "--case", "g3_2", *neutral, "--grid", "3")
+    assert code == 0
+    summary = json.loads(err)
+    assert summary["max_residual"] <= 1e-12
+    assert summary["special_function"]["kind"] == "exponential"
+    assert summary["special_function"]["functions"] == functions
+    assert len(out.splitlines()) == 1 + 27
+    code, out, _ = run_cli("verify", "--case", "g3_2", *neutral)
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("case", ["g2_1", "g2_2", "g3_2"])
+def test_central_charge_is_zero_without_charge(case):
+    # at e = 0 the central term F l0 vanishes, so the fit reads F = 0 whatever mu is
+    code, out, _ = run_cli("verify", "--case", case, "--e", "0", "--mu", "0.7")
+    report = json.loads(out)["cases"][case]["residuals"]
+    assert code == 0
+    assert report["central_charge"]["residual"] == 0.0
 
 
 def test_g3_5_solves_where_the_reflection_gamma_has_a_pole():

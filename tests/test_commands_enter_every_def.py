@@ -19,7 +19,7 @@ import types
 from pathlib import Path
 
 import dskg
-from dskg import cli, dual, operators
+from dskg import cli, dual, operators, specfun
 from dskg.cases import INTEGRABLE_CASES, case_spec
 from dskg.integrate import SpecialSolution
 from dskg.lie_core import ALL_CASES
@@ -30,6 +30,7 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 SPANNED = "spanned by perfbench/tracing.py; the next benchmark change drops it (ROADMAP item 6)"
 BENCHMARK = "called by the benchmark's bases workload"
 ORACLE = "an oracle pair that verify is to run (ROADMAP item 7)"
+DECORATOR = "a decorator: it runs when specfun is imported"
 APPENDIX = "the Appendix chart construction, checked on one entry (ROADMAP item 3)"
 
 ALLOWLIST = {
@@ -40,14 +41,16 @@ ALLOWLIST = {
     "operators.DiffOp2.apply_scaled": SPANNED,
     "integrate.ReducedODE.residual": BENCHMARK,
     "integrate.SolutionBasis.wronskian": BENCHMARK,
-    "specfun._lifted": "a decorator: it runs when specfun is imported",
+    "specfun._lifted": DECORATOR,
+    "specfun._memo": DECORATOR,
+    "specfun._lifted.evaluate": "the Dual-argument entry point of tests and benchmark spans",
     # phi2 of every closed-form basis
     "specfun.whittaker_w": ORACLE,
     "specfun.kummer_u": ORACLE,
+    "specfun._kummer_u_weights": ORACLE,
     "specfun.bessel_y": ORACLE,
+    "specfun._bessel_y_weights": ORACLE,
     "specfun.legendre_q": ORACLE,
-    "cases._g34_basis.q_fn": ORACLE,
-    "cases._g35_basis.q_fn": ORACLE,
     # series vs RK
     "specfun.ode_integrate": ORACLE,
     "specfun.ode_integrate.rhs": ORACLE,
@@ -87,6 +90,8 @@ def _commands():
         a = family if case_spec(case).parameterized else []
         runs.append((["solve", "--case", case.value, "--grid", GRID] + a, 0))
     runs.append((["solve", "--case", "g3_2", "--grid", GRID, "--lambda=0.5+0.1i"], 0))
+    # the neutral limit, served by an elementary basis
+    runs.append((["solve", "--case", "g3_2", "--grid", GRID, "--e", "0"], 0))
     for case in ALL_CASES:
         a = family if case_spec(case).parameterized else []
         runs.append((["chart", "--case", case.value, "--grid", GRID] + a, 0))
@@ -122,8 +127,11 @@ def entered_by_commands():
         if event == "call":
             codes.add(frame.f_code)
 
-    # a cached def runs only on its first call in a process
+    # a cached def runs only on its first call in a process, a memoized one
+    # only on a miss
     cli.build_parser.cache_clear()
+    for fn in vars(specfun).values():
+        getattr(fn, "cache_clear", lambda: None)()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
@@ -158,7 +166,7 @@ def test_benchmark_tracing_installs_and_restores():
     for owner, attrs in zip(owners, before):
         assert all(vars(owner)[k] is v for k, v in attrs.items()), owner
     # the jet-cache hook reads the cache a SpecialSolution fills
-    solution = SpecialSolution(lambda v: v * v, "square")
+    solution = SpecialSolution(lambda v: (v * v, 2.0 * v, 2.0), "square")
     tracer._jet_hit((solution, 0.5))
     solution.jet(0.5)
     tracer._jet_hit((solution, 0.5))

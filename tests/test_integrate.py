@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from dskg import dual
+from dskg import dual, specfun
 from dskg.cases import integration
 from dskg.dual import Dual
 from dskg.fields import FieldConfig
@@ -330,6 +330,108 @@ def test_solution_basis_wronskian_nonvanishing(case):
     basis = solution_basis(case, make_config(case), 1.0)
     for v in vgrid(case, 7):
         assert abs(basis.wronskian(v)) > 1e-8
+
+
+def test_neutral_g32_basis_solves_the_reduced_ode():
+    # e = 0: Phi'' - 2 Phi' + m_t Phi = 0, with rates 1 +- sqrt(1 - m_t) that
+    # meet at m_t = 1 (m = 1)
+    for m in (0.5, 1.0, 1.3):
+        cfg = make_config(CaseId.G32, e=0.0, m=m)
+        ode = reduced_ode(CaseId.G32, cfg, 1.0)
+        basis = solution_basis(CaseId.G32, cfg, 1.0)
+        assert basis.record["kind"] == "exponential"
+        for v in vgrid(CaseId.G32):
+            assert ode.residual(basis.phi1, v) < 1e-14
+            assert ode.residual(basis.phi2, v) < 1e-14
+            assert abs(basis.wronskian(v)) > 1e-3
+
+
+# the closed-form entries, the order whose near-integer values lose digits,
+# and the v-range that `solve` reads on the default grid
+CLOSED_FORM = {
+    CaseId.G31: (lambda rec: 2.0 * rec["beta"], (0.7 * math.exp(-1.0), 0.7 * math.exp(0.5))),
+    CaseId.G32: (lambda rec: rec["order"], (-0.5, 0.5)),
+    CaseId.G34: (lambda rec: rec["sigma"], (-1.2, 1.2)),
+    CaseId.G35: (lambda rec: rec["sigma"], (0.8, math.pi - 0.8)),
+}
+
+
+def generic_bases(case, n, seed):
+    """n bases of ``case`` at seeded parameters whose order keeps
+    |sin(pi order)| >= 0.1, so no member takes an offset path."""
+    rng = np.random.default_rng(seed)
+    order = CLOSED_FORM[case][0]
+    while n:
+        J = rng.uniform(0.25, 4.0)
+        e, mu, mu1, mu2 = rng.uniform(0.05, 1.0, 4)
+        cfg = make_config(case, e=e, mu=mu, mu1=mu1, mu2=mu2, m=rng.uniform(0.0, 1.5))
+        basis = solution_basis(case, cfg, J)
+        if abs(cmath.sin(math.pi * order(basis.record))) >= 0.1:
+            n -= 1
+            yield basis
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM))
+def test_plain_complex_members_match_the_dual_composition(case):
+    # bound fixed before the first run: 1e-13 of the oracle jet's largest entry
+    lo, hi = CLOSED_FORM[case][1]
+    rng = np.random.default_rng(1801)
+    for basis in generic_bases(case, 4, 1802):
+        oracles = pointwise.dual_members(basis.record)
+        for v in rng.uniform(lo, hi, 10):
+            for phi, oracle in zip((basis.phi1, basis.phi2), oracles):
+                want = np.array(pointwise.solution_jet(oracle, v))
+                got = np.array(phi.jet(v))
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), \
+                    (basis.record, v)
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of specfun's ``name`` from inside specfun; every memo starts empty."""
+    for fn in vars(specfun).values():
+        getattr(fn, "cache_clear", lambda: None)()
+    calls = [0]
+
+    def counted(*args, _fn=getattr(specfun, name)):
+        calls[0] += 1
+        return _fn(*args)
+    monkeypatch.setattr(specfun, name, counted)
+    return calls
+
+
+# nodes on both sides of x = 0 for the Ferrers entries (x = tanh v, cos v)
+COST_NODES = {CaseId.G31: (0.4, 0.9, 0.6), CaseId.G32: (-0.3, 0.4, 0.1),
+              CaseId.G34: (0.7, -0.5, 0.2, -1.1), CaseId.G35: (1.0, 2.1, 1.3, 1.9)}
+REFLECTED = {CaseId.G34: lambda v: v < 0, CaseId.G35: lambda v: v > math.pi / 2}
+
+
+@pytest.mark.parametrize("case", sorted(COST_NODES))
+def test_each_node_sums_two_series(monkeypatch, case):
+    # phi2 reuses phi1's series: M for U, J_nu for Y, P^sigma (and at x < 0
+    # P^-sigma) for Q
+    series = count_calls(monkeypatch, "_series_jet")
+    basis = solution_basis(case, make_config(case), 1.0)
+    for v in COST_NODES[case]:
+        before = series[0]
+        basis.phi1.jet(v), basis.phi2.jet(v)
+        assert series[0] - before == 2, v
+
+
+@pytest.mark.parametrize("case", sorted(COST_NODES))
+def test_a_basis_calls_gamma_only_at_its_first_node(monkeypatch, case):
+    # the connection weights depend on the parameters alone; a Ferrers basis
+    # needs the reflected ones first at its first node with x < 0
+    gamma_calls = count_calls(monkeypatch, "gamma")
+    basis = solution_basis(case, make_config(case), 1.0)
+    reflected = REFLECTED.get(case, lambda v: False)
+    first = {}
+    for v in COST_NODES[case]:
+        before = gamma_calls[0]
+        basis.phi1.jet(v), basis.phi2.jet(v)
+        if reflected(v) in first:
+            assert gamma_calls[0] == before, v
+        first.setdefault(reflected(v), gamma_calls[0] - before)
+    assert first[False] > 0
 
 
 def test_rk_cross_oracle_g34():

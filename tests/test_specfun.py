@@ -14,7 +14,9 @@ from dskg import dual, specfun
 from dskg.dual import Dual
 from dskg.specfun import (DomainError, ODESolverConfig, PoleError, bessel_j, bessel_y,
                           gamma, hyp2f1, kummer_m, kummer_u, legendre_p, legendre_q,
-                          ode_integrate, solution_jet, whittaker_m, whittaker_w)
+                          ode_integrate, whittaker_m, whittaker_w)
+
+from pointwise import solution_jet
 
 
 def ode_residual(fn, p, q, z0):
@@ -234,7 +236,7 @@ def test_legendre_domain_errors():
 ])
 @pytest.mark.parametrize("jet", [False, True], ids=["value", "jet"])
 def test_complex_power_of_zero_is_a_domain_error(fn, name, jet):
-    z = Dual.variable(0.0, 0, 1) if jet else 0j
+    z = Dual.seed([0.0])[0] if jet else 0j
     with pytest.raises(DomainError, match=f"^{name}: z = 0j is the branch point"):
         fn(z)
 
@@ -334,7 +336,7 @@ def test_taylor_solution_outside_its_span():
 ], ids=["kummer_m", "kummer_m_complex_b", "bessel_j", "bessel_j_order_0", "hyp2f1",
         "hyp2f1_one_minus_z"])
 def test_jet_argument_gives_the_plain_value_exactly(fn, z):
-    assert fn(Dual.variable(z, 0, 1)).val == fn(complex(z))
+    assert fn(Dual.seed([z])[0]).val == fn(complex(z))
 
 
 # ---------------------------------------------------------------- lifted series
@@ -386,7 +388,7 @@ def test_lifted_kummer_m_matches_the_termwise_jet():
     for _ in range(40):
         a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         b = complex(rng.uniform(0.3, 3), rng.uniform(-1, 1))
-        z = Dual.variable(polar(rng, 0.0, 3.0), 0, 1)
+        z = Dual.seed([polar(rng, 0.0, 3.0)])[0]
         ratio = lambda n: (a + n) / ((b + n) * (n + 1.0))
         assert_jets_agree(kummer_m(a, b, z), termwise_series(ratio, z, 1))
 
@@ -395,7 +397,7 @@ def test_lifted_bessel_j_matches_the_termwise_jet():
     rng = np.random.default_rng(1302)
     for _ in range(40):
         order = complex(rng.uniform(0.1, 2.5), rng.uniform(-1, 1))
-        z = Dual.variable(polar(rng, 0.2, 4.0), 0, 1)
+        z = Dual.seed([polar(rng, 0.2, 4.0)])[0]
         assert_jets_agree(bessel_j(order, z), termwise_bessel_j(order, z))
 
 
@@ -405,14 +407,14 @@ def test_lifted_hyp2f1_matches_the_termwise_jet():
         a = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         b = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         c = complex(rng.uniform(0.5, 3), rng.uniform(-1, 1))
-        z = Dual.variable(polar(rng, 0.0, 0.9), 0, 1)
+        z = Dual.seed([polar(rng, 0.0, 0.9)])[0]
         ratio = lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0))
         assert_jets_agree(hyp2f1(a, b, c, z), termwise_series(ratio, z, 2))
 
 
 def test_series_jets_at_zero():
     a, b, c = 0.3 + 0.2j, 1.1 - 0.4j, 1.7 + 0.1j
-    zero = Dual.variable(0.0, 0, 1)
+    zero = Dual.seed([0.0])[0]
     m = jet_parts(kummer_m(a, b, zero))
     assert m[0] == 1.0
     assert m[1] == pytest.approx(a / b, rel=1e-15)
@@ -437,7 +439,7 @@ def test_series_jet_cost_does_not_grow_with_the_term_count(monkeypatch, fn, smal
 
     def jet_ops(z):
         calls.clear()
-        fn(Dual.variable(z, 0, 1))
+        fn(Dual.seed([z])[0])
         return len(calls)
 
     assert jet_ops(small) == jet_ops(large)
@@ -476,7 +478,7 @@ def test_each_evaluator_lifts_its_scalar_jet_once(monkeypatch, fn, z):
             calls.append(_name)
             return _op(*args)
         monkeypatch.setattr(Dual, name, counted)
-    fn(Dual.variable(z, 0, 1))
+    fn(Dual.seed([z])[0])
     assert calls == ["lift"]
 
 
@@ -487,6 +489,37 @@ def test_series_determinism():
     x = legendre_p(0.9, 0.3, 0.4)
     y = legendre_p(0.9, 0.3, 0.4)
     assert x == y
+
+
+# the series-level jets that keep a memo of their last calls
+MEMOIZED_SERIES = [
+    (kummer_m.jet, (0.3 + 0.1j, 1.2 - 0.2j, 2.0 + 1.0j)),
+    (bessel_j.jet, (0.37 + 0.21j, 2.0 + 1.0j)),
+    (specfun._ferrers_p, (0.9 + 0j, 0.3 + 0.4j, -0.6 + 0j)),
+]
+
+
+@pytest.mark.parametrize("jet,args", MEMOIZED_SERIES, ids=["kummer_m", "bessel_j", "ferrers_p"])
+def test_memo_hit_is_the_fresh_evaluation_bit_for_bit(jet, args):
+    jet.cache_clear()
+    first = jet(*args)
+    assert jet(*args) is first
+    jet.cache_clear()
+    fresh = jet(*args)
+    assert fresh is not first and repr(fresh) == repr(first)
+
+
+def test_memo_keeps_the_two_sides_of_a_branch_cut_apart():
+    # -2 + 0j == -2 - 0j, and both hash alike, but z^nu takes the branch of
+    # each side; a memo keyed by value would hand the first back for the second
+    order = 0.37 + 0.21j
+    bessel_j.jet.cache_clear()
+    above = bessel_j.jet(order, complex(-2.0, 0.0))
+    below = bessel_j.jet(order, complex(-2.0, -0.0))
+    assert above[0] != below[0]
+    bessel_j.jet.cache_clear()
+    assert repr(bessel_j.jet(order, complex(-2.0, -0.0))) == repr(below)
+    assert repr(bessel_j.jet(order, complex(-2.0, 0.0))) == repr(above)
 
 
 def test_cross_oracle_kummer_vs_rk():
