@@ -284,13 +284,17 @@ def test_neutral_g3_4_limit_solves_and_verifies():
     assert code == 0 and json.loads(out)["pass"] is True
 
 
-@pytest.mark.parametrize("neutral,functions", [
+G3_2_NEUTRAL = [
     (("--e", "0"), "exp((1 + order) v), exp((1 - order) v)"),
     (("--mu", "0"), "exp((1 + order) v), exp((1 - order) v)"),
     # m_t = 1: the two rates 1 +- order meet
     (("--e", "0", "--m", "1"), "exp(v), v exp(v)"),
-], ids=["e_0", "mu_0", "e_0_m_1"])
-def test_neutral_g3_2_limit_solves_and_verifies(neutral, functions):
+]
+G3_2_NEUTRAL_IDS = ["e_0", "mu_0", "e_0_m_1"]
+
+
+@pytest.mark.parametrize("neutral,functions", G3_2_NEUTRAL, ids=G3_2_NEUTRAL_IDS)
+def test_neutral_g3_2_limit_solves(neutral, functions):
     # e mu (2J + 1) = 0 scales the Bessel argument to 0; the reduced equation
     # is then Phi'' - 2 Phi' + m_t Phi = 0, with an elementary basis
     code, out, err = run_cli("solve", "--case", "g3_2", *neutral, "--grid", "3")
@@ -300,6 +304,11 @@ def test_neutral_g3_2_limit_solves_and_verifies(neutral, functions):
     assert summary["special_function"]["kind"] == "exponential"
     assert summary["special_function"]["functions"] == functions
     assert len(out.splitlines()) == 1 + 27
+
+
+@pytest.mark.parametrize("neutral", [neutral for neutral, _ in G3_2_NEUTRAL],
+                         ids=G3_2_NEUTRAL_IDS)
+def test_neutral_g3_2_limit_verifies(neutral):
     code, out, _ = run_cli("verify", "--case", "g3_2", *neutral)
     assert code == 0 and json.loads(out)["pass"] is True
 
