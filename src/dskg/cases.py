@@ -350,6 +350,12 @@ def _g31_reduced_ode(k, J):
     return lambda v: 0.0, q
 
 
+def _special_pair(fns, params, frame, wrap):
+    # phi1 and phi2 from one binding of both evaluators, each named after its own
+    members = specfun.basis_members(fns, params, frame)
+    return tuple(wrap(member, fn.__name__) for fn, member in zip(fns, members))
+
+
 def _g31_basis(k, J, wrap):
     e, mt, mu1, mu2 = k.e, k.mass_term, k.mu1, k.mu2
     root = math.sqrt(J * J + 1.0)
@@ -360,8 +366,8 @@ def _g31_basis(k, J, wrap):
     def frame(v):
         # the argument v scale, no prefactor
         return (v * scale, scale, 0.0), None
-    phi1, phi2 = (wrap(specfun.basis_member(fn.jet, (alpha, beta), frame), fn.__name__)
-                  for fn in (specfun.whittaker_m, specfun.whittaker_w))
+    phi1, phi2 = _special_pair((specfun.whittaker_m, specfun.whittaker_w), (alpha, beta),
+                               frame, wrap)
     return phi1, phi2, {"kind": "whittaker", "alpha": alpha, "beta": beta, "z_scale": scale}
 
 
@@ -446,8 +452,7 @@ def _g32_basis(k, J, wrap):
         ev = cmath.exp(v)
         z = ev * scale
         return (z, z, z), (ev, ev, ev)
-    phi1, phi2 = (wrap(specfun.basis_member(fn.jet, (order,), frame), fn.__name__)
-                  for fn in (specfun.bessel_j, specfun.bessel_y))
+    phi1, phi2 = _special_pair((specfun.bessel_j, specfun.bessel_y), (order,), frame, wrap)
     return phi1, phi2, {"kind": "bessel", "order": order, "argument_scale": scale}
 
 
@@ -737,8 +742,7 @@ def _g34_basis(k, J, wrap):
 
 
 def _legendre_pair(nu, sigma, frame, wrap):
-    return tuple(wrap(specfun.basis_member(fn.jet, (nu, sigma), frame), fn.__name__)
-                 for fn in (specfun.legendre_p, specfun.legendre_q))
+    return _special_pair((specfun.legendre_p, specfun.legendre_q), (nu, sigma), frame, wrap)
 
 
 def _g35_basis(k, J, wrap):

@@ -16,6 +16,7 @@ import csv
 import functools
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -26,8 +27,8 @@ from .cases import CASES, FREE_FIELD, case_spec
 from .dual import Dual
 from .fields import (FieldConfig, chi_residual, closedness_residual, gauge_one_form,
                      gauge_residual, invariance_residual, invariant_two_form, solve_chi)
-from .geometry import (RankDeficientError, chart_for, generator_jets, hyperboloid_residual,
-                       induced_metric, killing_residual, sample_domain)
+from .geometry import (ChartOverflowError, RankDeficientError, chart_for, generator_jets,
+                       hyperboloid_residual, induced_metric, killing_residual, sample_domain)
 from .integrate import (ansatz, default_grid, joint_system_residual, lambda_rep,
                         reduced_ode, reduction_coefficients, solution_basis)
 from .lie_core import (ALL_CASES, CaseId, INTEGRABLE_CASES, subalgebra, table3,
@@ -39,6 +40,10 @@ SCHEMA_VERSION = 1
 
 class UsageError(ValueError):
     pass
+
+
+class ParameterOverflowError(OverflowError):
+    """A value left floating-point range at the physics flags given."""
 
 
 @dataclass
@@ -450,6 +455,36 @@ def _run_config_from(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(tolerances=tol, **given)
 
 
+def _command(run: RunConfig, ns: argparse.Namespace, out, err) -> int:
+    """Run ``run``'s command.  numpy's overflow warning is raised, as Python's
+    overflow is, so no warning leaks; an overflow outside the chart map names the
+    physics flags given (``ns`` holds only those), which set the regime.
+    ``np.errstate(over="raise")`` would do the same, but it slows the many small
+    ufunc calls of ``verify`` by a few percent."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "overflow encountered", RuntimeWarning)
+            if run.command == "catalog":
+                return cmd_catalog(run, out)
+            if run.command == "verify":
+                return cmd_verify(run, out)
+            if run.command == "solve":
+                return cmd_solve(run, out, err)
+            if run.command == "chart":
+                return cmd_chart(run, out)
+            raise UsageError(f"unknown command {run.command}")
+    except ChartOverflowError:
+        raise
+    except (OverflowError, RuntimeWarning) as exc:
+        if isinstance(exc, RuntimeWarning) and not str(exc).startswith("overflow encountered"):
+            raise
+        dests = {flag: _FLAGS.get(flag, {}).get("dest", flag[2:]) for flag in _PHYSICS}
+        given = [f"{flag} {vars(ns)[d]}" for flag, d in dests.items() if d in vars(ns)]
+        case = f"{run.case}: " if run.case not in (None, "all") else ""
+        raise ParameterOverflowError(f"{case}overflow beyond floating-point range at "
+                                     f"{', '.join(given) or 'the default parameters'}") from exc
+
+
 def main(argv: Optional[Sequence[str]] = None,
          stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
@@ -461,16 +496,7 @@ def main(argv: Optional[Sequence[str]] = None,
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        run = _run_config_from(ns)
-        if run.command == "catalog":
-            return cmd_catalog(run, out)
-        if run.command == "verify":
-            return cmd_verify(run, out)
-        if run.command == "solve":
-            return cmd_solve(run, out, err)
-        if run.command == "chart":
-            return cmd_chart(run, out)
-        raise UsageError(f"unknown command {run.command}")
+        return _command(_run_config_from(ns), ns, out, err)
     except (ArithmeticError, RankDeficientError, specfun.DomainError, specfun.PoleError,
             specfun.StepSizeUnderflow) as exc:
         err.write(f"error: {exc}\n")

@@ -141,9 +141,8 @@ class ReducedODE:
 
     def residual(self, jet, v: complex) -> float:
         f0, f1, f2 = jet.jet(v)
-        num = f2 + self.p(v) * f1 + self.q(v) * f0
-        scale = 1.0 + abs(f2) + abs(self.p(v) * f1) + abs(self.q(v) * f0)
-        return abs(num) / scale
+        pf, qf = self.p(v) * f1, self.q(v) * f0
+        return abs(f2 + pf + qf) / (1.0 + abs(f2) + abs(pf) + abs(qf))
 
 
 def reduced_ode(case_id: CaseId, config: FieldConfig, J: float) -> ReducedODE:

@@ -7,23 +7,19 @@ oracle.  The one reduced equation with no closed form has entire
 coefficients, so it is summed as a piecewise Taylor series
 (:func:`taylor_basis`), which the integrator checks.
 
-Series, prefactors and connection formulas are all evaluated as scalar
-2-jets ``(f, f', f'')`` in plain complex arithmetic; each evaluator's ``.jet``
-is that function of its plain complex arguments.  A solution basis composes
-these jets with its own elementary argument and prefactor jets
-(:func:`basis_member`), so a basis node never builds a
-:class:`dskg.dual.Dual`.  The evaluators themselves also accept a point jet
-(a ``Dual`` with ``complex`` entries) in the argument slot, and lift the
-scalar 2-jet at ``value(z)`` onto it once (:func:`dskg.dual.compose`).
-
-A series stops only when its terms in S, S' and S'' are all negligible.  The
-series-level jets (Kummer M, Bessel J, Ferrers P) and the connection weights,
-which depend on the parameters alone, keep a memo of their last few calls, so
-a basis node sums each series once for both of its members and a basis calls
-``gamma`` only at its first node.  Ferrers functions at x < 0 are reflected
-to -x (DLMF 14.9), so every Legendre series runs at (1 - x)/2 <= 1/2.  Lane
-arrays are not accepted.  Parameters are plain complex constants.  Branches
-are principal throughout.
+Each evaluator is written once, as its binder ``f.bind``: parameters -> (z ->
+scalar 2-jet ``(f, f', f'')`` in plain complex arithmetic).  A binder gives
+each series a ratio table, filled as sums first need its rows, and computes
+gamma values and connection weights at its first z.  A solution basis binds
+its two evaluators through one pool, so they share their series objects
+(Kummer M, Bessel J, Ferrers P), each keeping its result at its last argument:
+a basis node sums 2 series for both members and makes no lookup keyed on the
+parameters, and a basis calls ``gamma`` only at its first node
+(:func:`basis_members`).  ``f.jet(*params, z)`` and ``f(*params, z)`` bind
+afresh; ``f`` lifts its scalar 2-jet at ``value(z)`` onto a point jet z once.
+A series stops only when its terms in S, S' and S'' are all negligible.
+Ferrers functions at x < 0 are reflected to -x (DLMF 14.9), so every Legendre
+series runs at (1 - x)/2 <= 1/2.  Branches are principal throughout.
 """
 
 from __future__ import annotations
@@ -31,6 +27,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -108,8 +105,11 @@ def _rgamma(z) -> complex:
 # ----------------------------------------------------------------------
 
 def _lin(*terms):
-    """sum of c f over the (c, f) pairs of ``terms``."""
-    return tuple(sum(c * f[i] for c, f in terms) for i in range(3))
+    """sum of c f over the (c, f) pairs of ``terms``, in order from 0, as ``sum``."""
+    s0 = s1 = s2 = 0
+    for c, f in terms:
+        s0, s1, s2 = s0 + c * f[0], s1 + c * f[1], s2 + c * f[2]
+    return s0, s1, s2
 
 
 def _mul(f, g):
@@ -132,22 +132,19 @@ def _power(z, p):
     return _from_log(cmath.exp(p * cmath.log(z)), p / z, -p / (z * z))
 
 
-def basis_member(jet, params, frame):
-    """The plain-complex basis member v -> (f, f', f'') of f(v) = pre(v) F(x(v)).
-
-    F is ``jet(*params, .)``, one evaluator's scalar 2-jet; ``frame(v)`` gives the
-    2-jets (x, x', x'') and (pre, pre', pre'') at v, with pre None for 1.  F is
-    evaluated once, at x, and chained through x (Griewank & Walther,
-    *Evaluating Derivatives*, 2nd ed., ch. 13).
-    """
-    def member(v):
-        x, pre = frame(v)
-        f = _chain(jet(*params, x[0]), x[1], x[2])
+def basis_members(fns, params, frame):
+    """The plain-complex basis members v -> (f, f', f'') of f(v) = pre(v) F(x(v)), one
+    per evaluator F of ``fns``, bound to ``params`` through one pool so that they
+    share their series objects.  ``frame(v)`` gives the 2-jets (x, x', x'') and
+    (pre, pre', pre'') at v, with pre None for 1.  F is evaluated once, at x, and
+    chained through x (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13)."""
+    kept = _last(frame)     # the second member reads the frame the first made at v
+    def member(bound, v):
+        x, pre = kept(v)
+        f = _chain(bound(x[0]), x[1], x[2])
         return f if pre is None else _mul(pre, f)
-    return member
-
-
-_MEMO_SIZE = 8
+    share = _Pool()
+    return tuple(functools.partial(member, share(fn.bind, *params)) for fn in fns)
 
 
 def _bits(z):
@@ -155,47 +152,68 @@ def _bits(z):
     return z.real, z.imag, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
 
 
-def _memo(fn):
-    """``fn`` with a memo of its last _MEMO_SIZE calls, keyed by the value and
-    the sign of each part of its (complex or bool) arguments, so that 0.0 and
-    -0.0 differ; a hit is the very object a fresh call gave.  ``cache_clear``
-    empties the memo, as for :func:`functools.lru_cache`."""
-    hits = {}
+class _Pool(dict):
+    """``pool(bind, *params)`` is ``bind(*params, share=pool)``, made once per
+    parameter set (keyed by every sign bit), so what binds through it is shared."""
 
-    @functools.wraps(fn)
-    def memoized(*args):
-        key = tuple(map(_bits, args))
-        hit = hits.get(key)
-        if hit is None:
-            hit = hits[key] = fn(*args)
-            if len(hits) > _MEMO_SIZE:
-                del hits[next(iter(hits))]
-        return hit
-    memoized.cache_clear = hits.clear
-    return memoized
+    def __call__(self, bind, *params):
+        key = (bind, *map(_bits, params))
+        if key not in self:
+            self[key] = bind(*params, share=self)
+        return self[key]
 
 
-def _lifted(jet):
-    """The evaluator that composes the scalar 2-jet ``jet(*params, value(z))`` with z;
-    ``jet`` takes its parameters as complex."""
-    @functools.wraps(jet)
+def _last(fn):
+    """``fn`` of one complex argument, returning the very last result again at the
+    same value with the same sign of each part (0.0 and -0.0 differ)."""
+    slot = [None, None]     # the last argument and result
+    def kept(z):
+        if z != slot[0] or _bits(z) != _bits(slot[0]):
+            slot[:] = z, fn(z)
+        return slot[1]
+    return kept
+
+
+def _lifted(bind):
+    """The evaluator f(*params, z), the 2-jet ``bind(*params)(value(z))`` composed
+    with z; ``f.bind`` is ``bind``, and ``f.jet(*params, z)`` a fresh binding's 2-jet."""
+    @functools.wraps(bind)
     def evaluate(*args):
         *params, z = args
-        return dual.compose(z, *jet(*map(complex, params), value(z)))
-    evaluate.jet = jet
+        return dual.compose(z, *_Pool()(bind, *map(complex, params))(value(z)))
+    evaluate.bind = bind
+    evaluate.jet = lambda *args: _Pool()(bind, *args[:-1])(args[-1])
     return evaluate
 
 
-def _offset_limit(build, p, degenerate):
-    """build(p), or where ``degenerate`` holds the mean of build(p -+ _EPS_OFFSET):
-    the symmetric-offset limit through a removable degeneracy (accuracy ~1e-6)."""
-    if not degenerate:
-        return build(p)
-    return _lin((0.5, build(p - _EPS_OFFSET)), (0.5, build(p + _EPS_OFFSET)))
+def _offset_limit(bind, p, degenerate, share):
+    """z -> bind(p, share)(z), or where ``degenerate()`` holds at the first z, the mean
+    of bind(p -+ _EPS_OFFSET, pool)(z), each through a pool of its own: the limit
+    through a removable degeneracy (accuracy ~1e-6)."""
+    exact = bind(p, share)
+    @functools.cache
+    def choice():
+        if not degenerate():
+            return exact
+        lo, hi = bind(p - _EPS_OFFSET, _Pool()), bind(p + _EPS_OFFSET, _Pool())
+        return lambda z: _lin((0.5, lo(z)), (0.5, hi(z)))
+    return lambda z: choice()(z)
 
 
-def _series_jet(ratio, z, flat_needed, label):
-    """(S, S', S'') at z of S = sum t_n z^n with t_0 = 1 and t_(n+1) = t_n ratio(n).
+class _Ratios(list):
+    """A series' rows (r_n, n + 1, (n + 1) n r_n), each made when a sum first needs it."""
+
+    def __init__(self, ratio):      # list.__new__ leaves it empty
+        self.ratio = ratio
+
+    def grow(self):
+        n = len(self)
+        r = self.ratio(n)
+        self.append((r, n + 1, (n + 1) * n * r))
+
+
+def _series_jet(ratios, z, flat_needed, label):
+    """(S, S', S'') at z of S = sum t_n z^n with t_0 = 1 and the rows of ``ratios``.
 
     The sum stops after ``flat_needed`` terms in a row whose contributions to
     S, S' and S'' are each <= _TERM_TOL of that partial sum; the jet is exact
@@ -203,22 +221,26 @@ def _series_jet(ratio, z, flat_needed, label):
     term = 1.0 + 0j
     s0, s1, s2 = term, 0j, 0j
     prev = 0j           # t_n z^(n-1), the previous term's derivative base
-    flat = 0
-    for n in range(_MAX_TERMS):
-        r = ratio(n)
-        base = term * r     # t_(n+1) z^n
-        d1 = (n + 1) * base
-        d2 = (n + 1) * n * r * prev
-        prev = base
-        term = base * z
-        s0, s1, s2 = s0 + term, s1 + d1, s2 + d2
-        if (abs(d2) <= _TERM_TOL * (abs(s2) + 1e-300) and abs(d1) <= _TERM_TOL * (abs(s1) + 1e-300)
-                and abs(term) <= _TERM_TOL * (abs(s0) + 1e-300)):
-            flat += 1
-            if flat >= flat_needed:
-                return s0, s1, s2
-        else:
-            flat = 0
+    flat = n = 0
+    while n < _MAX_TERMS:
+        if n == len(ratios):
+            ratios.grow()
+        for r, k, w in itertools.islice(ratios, n, None):
+            base = term * r     # t_(n+1) z^n
+            d1 = k * base
+            d2 = w * prev
+            prev = base
+            term = base * z
+            s0, s1, s2 = s0 + term, s1 + d1, s2 + d2
+            if (abs(d2) <= _TERM_TOL * (abs(s2) + 1e-300)
+                    and abs(d1) <= _TERM_TOL * (abs(s1) + 1e-300)
+                    and abs(term) <= _TERM_TOL * (abs(s0) + 1e-300)):
+                flat += 1
+                if flat >= flat_needed:
+                    return s0, s1, s2
+            else:
+                flat = 0
+        n = len(ratios)
     raise DomainError(f"{label} series did not converge")
 
 
@@ -231,58 +253,62 @@ def _check_radius(z, what):
         raise DomainError(f"{what}: |z| = {abs(z):.3g} beyond series regime {SERIES_RADIUS}")
 
 
-def _check_nonzero(z, what):
+def _nonzero(z, what):
     # the principal-branch z^p has no 2-jet at z = 0 (log 0)
     if z == 0:
         raise DomainError(f"{what}: z = {z} is the branch point of a complex power")
+    return z
 
 
 @_lifted
-@_memo
-def kummer_m(a, b, z):
+def kummer_m(a, b, share):
     """Kummer's confluent hypergeometric M(a, b, z) by Taylor series."""
-    if _is_nonpositive_integer(b):
-        raise PoleError(f"kummer_m: b = {b} is a nonpositive integer")
-    _check_radius(z, "kummer_m")
-    return _series_jet(lambda n: (a + n) / ((b + n) * (n + 1.0)), z, 1, "kummer_m")
+    ratios = _Ratios(lambda n: (a + n) / ((b + n) * (n + 1.0)))
+    @_last
+    def jet(z):
+        if _is_nonpositive_integer(b):
+            raise PoleError(f"kummer_m: b = {b} is a nonpositive integer")
+        _check_radius(z, "kummer_m")
+        return _series_jet(ratios, z, 1, "kummer_m")
+    return jet
 
 
 @_lifted
-def kummer_u(a, b, z):
+def kummer_u(a, b, share):
     """Tricomi U(a, b, z) from two M's via the standard connection formula."""
-    if _near_integer(b, 1e-9):
-        raise PoleError(f"kummer_u: connection formula degenerate at b = {b}")
-    _check_nonzero(z, "kummer_u")
-    wm, wu = _kummer_u_weights(a, b)
-    return _lin((wm, kummer_m.jet(a, b, z)),
-                (wu, _mul(_power(z, 1.0 - b), kummer_m.jet(a - b + 1.0, 2.0 - b, z))))
+    m1, m2 = share(kummer_m.bind, a, b), share(kummer_m.bind, a - b + 1.0, 2.0 - b)
+    weights = functools.cache(
+        lambda: (gamma(1.0 - b) / gamma(a - b + 1.0), gamma(b - 1.0) / gamma(a)))
+    def jet(z):
+        if _near_integer(b, 1e-9):
+            raise PoleError(f"kummer_u: connection formula degenerate at b = {b}")
+        _nonzero(z, "kummer_u")
+        wm, wu = weights()
+        return _lin((wm, m1(z)), (wu, _mul(_power(z, 1.0 - b), m2(z))))
+    return jet
 
 
-@_memo
-def _kummer_u_weights(a, b):
-    return gamma(1.0 - b) / gamma(a - b + 1.0), gamma(b - 1.0) / gamma(a)
-
-
-def _whittaker(kummer, alpha, beta, z):
-    # exp(-z/2) z^(1/2+beta) kummer(1/2+beta-alpha, 1+2 beta, z)
+def _whittaker(kummer, alpha, beta, share):
+    # z -> exp(-z/2) z^(1/2+beta) kummer(1/2+beta-alpha, 1+2 beta, z)
     p = 0.5 + beta
-    pre = _from_log(cmath.exp(-0.5 * z + p * cmath.log(z)), -0.5 + p / z, -p / (z * z))
-    return _mul(pre, kummer.jet(p - alpha, 2.0 * p, z))
+    f = share(kummer.bind, p - alpha, 2.0 * p)
+    return lambda z: _mul(_from_log(cmath.exp(-0.5 * z + p * cmath.log(z)), -0.5 + p / z,
+                                    -p / (z * z)), f(z))
 
 
 @_lifted
-def whittaker_m(alpha, beta, z):
+def whittaker_m(alpha, beta, share):
     """Whittaker M: exp(-z/2) z^(1/2+beta) M(1/2+beta-alpha, 1+2 beta, z)."""
-    _check_nonzero(z, "whittaker_m")
-    return _whittaker(kummer_m, alpha, beta, z)
+    m = _whittaker(kummer_m, alpha, beta, share)
+    return lambda z: m(_nonzero(z, "whittaker_m"))
 
 
 @_lifted
-def whittaker_w(alpha, beta, z):
+def whittaker_w(alpha, beta, share):
     """Whittaker W via Tricomi U; near-degenerate 2 beta handled by offsetting."""
-    _check_nonzero(z, "whittaker_w")
-    return _offset_limit(lambda bb: _whittaker(kummer_u, alpha, bb, z), beta,
-                         abs(cmath.sin(2.0 * math.pi * beta)) < 1e-6)
+    w = _offset_limit(lambda bb, pool: _whittaker(kummer_u, alpha, bb, pool), beta,
+                      lambda: abs(cmath.sin(2.0 * math.pi * beta)) < 1e-6, share)
+    return lambda z: w(_nonzero(z, "whittaker_w"))
 
 
 # ----------------------------------------------------------------------
@@ -290,99 +316,103 @@ def whittaker_w(alpha, beta, z):
 # ----------------------------------------------------------------------
 
 @_lifted
-@_memo
-def bessel_j(order, z):
+def bessel_j(order, share):
     """Bessel J of complex order: (z/2)^order / Gamma(order + 1) times a series in z^2/4."""
-    _check_radius(z, "bessel_j")
-    half = z * 0.5
-    if order == 0:
-        pre = (_bessel_j_weight(order), 0j, 0j)
-    else:
-        _check_nonzero(z, "bessel_j")
-        pre = _lin((_bessel_j_weight(order), _power(z, order)))
-    series = _series_jet(lambda n: -1.0 / ((n + 1.0) * (order + n + 1.0)),
-                         half * half, 1, "bessel_j")
-    return _mul(pre, _chain(series, half, 0.5))
-
-
-@_memo
-def _bessel_j_weight(order):
+    ratios = _Ratios(lambda n: -1.0 / ((n + 1.0) * (order + n + 1.0)))
     # 0.5^order / Gamma(order + 1), the weight of z^order
-    return 1.0 / gamma(order + 1.0) if order == 0 else 0.5 ** order / gamma(order + 1.0)
+    weight = functools.cache(lambda: 1.0 / gamma(order + 1.0) if order == 0
+                             else 0.5 ** order / gamma(order + 1.0))
+    @_last
+    def jet(z):
+        _check_radius(z, "bessel_j")
+        half = z * 0.5
+        if order == 0:
+            pre = (weight(), 0j, 0j)
+        else:
+            _nonzero(z, "bessel_j")
+            pre = _lin((weight(), _power(z, order)))
+        series = _series_jet(ratios, half * half, 1, "bessel_j")
+        return _mul(pre, _chain(series, half, 0.5))
+    return jet
 
 
 @_lifted
-def bessel_y(order, z):
+def bessel_y(order, share):
     """Bessel Y via the J connection; integer order through a symmetric offset."""
-    return _offset_limit(
-        lambda nu: _lin(*zip(_bessel_y_weights(nu), (bessel_j.jet(nu, z), bessel_j.jet(-nu, z)))),
-        order, _near_integer(order, 1e-7))
-
-
-@_memo
-def _bessel_y_weights(nu):
-    # cot(nu pi) and -csc(nu pi), the weights of J_nu and J_-nu in Y_nu
-    return cmath.cos(math.pi * nu) / cmath.sin(math.pi * nu), -1.0 / cmath.sin(math.pi * nu)
+    def bind(nu, pool):
+        jp, jm = pool(bessel_j.bind, nu), pool(bessel_j.bind, -nu)
+        # cot(nu pi) and -csc(nu pi), the weights of J_nu and J_-nu in Y_nu
+        weights = functools.cache(lambda: (cmath.cos(math.pi * nu) / cmath.sin(math.pi * nu),
+                                           -1.0 / cmath.sin(math.pi * nu)))
+        return lambda z: _lin(*zip(weights(), (jp(z), jm(z))))
+    return _offset_limit(bind, order, lambda: _near_integer(order, 1e-7), share)
 
 
 # ----------------------------------------------------------------------
 # Gauss hypergeometric and associated Legendre (Ferrers) functions
 # ----------------------------------------------------------------------
 
-def _hyp2f1_series(a, b, c, z):
-    return _series_jet(lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0)), z, 2, "hyp2f1")
+def _hyp2f1_ratios(a, b, c):
+    return _Ratios(lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0)))
 
 
 @_lifted
-def hyp2f1(a, b, c, z):
+def hyp2f1(a, b, c, share):
     """Gauss 2F1; direct series for |z| <= 0.9, connection through 1-z beyond."""
-    if _is_nonpositive_integer(c):
-        raise PoleError(f"hyp2f1: c = {c} is a nonpositive integer")
-    if abs(z) <= 0.9:
-        return _hyp2f1_series(a, b, c, z)
-    if abs(z) < 1.0 and abs(1.0 - z) < 1.0:
-        s = c - a - b
-        if _near_integer(s, 1e-9):
-            raise PoleError("hyp2f1: integer c-a-b in the 1-z connection")
-        u = 1.0 - z
-        jet = _lin((gamma(c) * gamma(s) / (gamma(c - a) * gamma(c - b)),
-                    _hyp2f1_series(a, b, a + b - c + 1.0, u)),
-                   (gamma(c) * gamma(-s) / (gamma(a) * gamma(b)),
-                    _mul(_power(u, s), _hyp2f1_series(c - a, c - b, s + 1.0, u))))
-        return _chain(jet, -1.0, 0.0)
-    raise DomainError(f"hyp2f1: z = {z} outside series/transformation reach")
+    s = c - a - b
+    direct = _hyp2f1_ratios(a, b, c)
+    near, far = _hyp2f1_ratios(a, b, a + b - c + 1.0), _hyp2f1_ratios(c - a, c - b, s + 1.0)
+    near_weight = functools.cache(lambda: gamma(c) * gamma(s) / (gamma(c - a) * gamma(c - b)))
+    far_weight = functools.cache(lambda: gamma(c) * gamma(-s) / (gamma(a) * gamma(b)))
+    def jet(z):
+        if _is_nonpositive_integer(c):
+            raise PoleError(f"hyp2f1: c = {c} is a nonpositive integer")
+        if abs(z) <= 0.9:
+            return _series_jet(direct, z, 2, "hyp2f1")
+        if abs(z) < 1.0 and abs(1.0 - z) < 1.0:
+            if _near_integer(s, 1e-9):
+                raise PoleError("hyp2f1: integer c-a-b in the 1-z connection")
+            u = 1.0 - z
+            f = _lin((near_weight(), _series_jet(near, u, 2, "hyp2f1")),
+                     (far_weight(), _mul(_power(u, s), _series_jet(far, u, 2, "hyp2f1"))))
+            return _chain(f, -1.0, 0.0)
+        raise DomainError(f"hyp2f1: z = {z} outside series/transformation reach")
+    return jet
 
 
-@_memo
-def _ferrers_p(nu, sigma, x):
-    # ((1+x)/(1-x))^(sigma/2) / Gamma(1-sigma) 2F1(-nu, nu+1; 1-sigma; (1-x)/2)
-    pre = cmath.exp(sigma * 0.5 * cmath.log((1.0 + x) / (1.0 - x))) / _ferrers_p_gamma(sigma)
-    l1 = sigma / (1.0 - x * x)
-    f = hyp2f1.jet(-nu, nu + 1.0, 1.0 - sigma, (1.0 - x) * 0.5)
-    return _mul(_from_log(pre, l1, 2.0 * x * l1 / (1.0 - x * x)), _chain(f, -0.5, 0.0))
+def _ferrers_p(nu, sigma, share):
+    # x -> ((1+x)/(1-x))^(sigma/2) / Gamma(1-sigma) 2F1(-nu, nu+1; 1-sigma; (1-x)/2)
+    gamma_weight = functools.cache(lambda: gamma(1.0 - sigma))
+    f = share(hyp2f1.bind, -nu, nu + 1.0, 1.0 - sigma)
+    @_last
+    def jet(x):
+        pre = cmath.exp(sigma * 0.5 * cmath.log((1.0 + x) / (1.0 - x))) / gamma_weight()
+        l1 = sigma / (1.0 - x * x)
+        return _mul(_from_log(pre, l1, 2.0 * x * l1 / (1.0 - x * x)),
+                    _chain(f((1.0 - x) * 0.5), -0.5, 0.0))
+    return jet
 
 
-@_memo
-def _ferrers_p_gamma(sigma):
-    return gamma(1.0 - sigma)
-
-
-def _ferrers(nu, sigma, x, second_kind):
-    """Ferrers P (or Q) as a combination of P^sigma and P^-sigma at x, or at
-    -x for Re x < 0 (DLMF 14.9.10, 14.9.11 with 14.9.2), so that every series
+def _ferrers(nu, sigma, second_kind, share):
+    """x -> Ferrers P (or Q) as a combination of P^sigma and P^-sigma at x, or
+    at -x for Re x < 0 (DLMF 14.9.10, 14.9.11 with 14.9.2), so that every series
     runs at (1 - x)/2 <= 1/2; a near-integer sigma is not reflected."""
-    if not -1.0 < x.real < 1.0 or abs(x.imag) > 1e-12:
-        raise DomainError(f"legendre_{'q' if second_kind else 'p'}: x = {x} outside (-1, 1)")
-    reflect = x.real < 0 and abs(cmath.sin(math.pi * sigma)) >= 1e-6
-    if not (reflect or second_kind):
-        return _ferrers_p(nu, sigma, x)
-    cp, cm = _ferrers_weights(nu, sigma, reflect, second_kind)
-    y = -x if reflect else x
-    jet = _lin((cp, _ferrers_p(nu, sigma, y)), (cm, _ferrers_p(nu, -sigma, y)))
-    return _chain(jet, -1.0, 0.0) if reflect else jet
+    p, m = share(_ferrers_p, nu, sigma), share(_ferrers_p, nu, -sigma)
+    reflectable = functools.cache(lambda: abs(cmath.sin(math.pi * sigma)) >= 1e-6)
+    weights = functools.cache(lambda reflect: _ferrers_weights(nu, sigma, reflect, second_kind))
+    def jet(x):
+        if not -1.0 < x.real < 1.0 or abs(x.imag) > 1e-12:
+            raise DomainError(f"legendre_{'q' if second_kind else 'p'}: x = {x} outside (-1, 1)")
+        reflect = x.real < 0 and reflectable()
+        if not (reflect or second_kind):
+            return p(x)
+        cp, cm = weights(reflect)
+        y = -x if reflect else x
+        f = _lin((cp, p(y)), (cm, m(y)))
+        return _chain(f, -1.0, 0.0) if reflect else f
+    return jet
 
 
-@_memo
 def _ferrers_weights(nu, sigma, reflect, second_kind):
     """(cp, cm) of _ferrers' combination cp P^sigma + cm P^-sigma."""
     s = cmath.sin(math.pi * sigma)
@@ -398,18 +428,18 @@ def _ferrers_weights(nu, sigma, reflect, second_kind):
 
 
 @_lifted
-def legendre_p(nu, sigma, x):
+def legendre_p(nu, sigma, share):
     """Associated Legendre (Ferrers) P of complex degree and order, x in (-1, 1)."""
     # at a positive integer sigma, 1/gamma(1-sigma) and the 2F1 pole cancel
-    return _offset_limit(lambda sg: _ferrers(nu, sg, x, False), sigma,
-                         _near_integer(sigma, 1e-9) and round(sigma.real) >= 1)
+    return _offset_limit(lambda sg, pool: _ferrers(nu, sg, False, pool), sigma,
+                         lambda: _near_integer(sigma, 1e-9) and round(sigma.real) >= 1, share)
 
 
 @_lifted
-def legendre_q(nu, sigma, x):
+def legendre_q(nu, sigma, share):
     """Associated Legendre (Ferrers) Q via the standard P combination."""
-    return _offset_limit(lambda sg: _ferrers(nu, sg, x, True), sigma,
-                         abs(cmath.sin(math.pi * sigma)) < 1e-6)
+    return _offset_limit(lambda sg, pool: _ferrers(nu, sg, True, pool), sigma,
+                         lambda: abs(cmath.sin(math.pi * sigma)) < 1e-6, share)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ symbolically term by term: it is the oracle of the probe's closed-form
 derivatives (`PolyExpProbe.derivatives`), and the function that
 `as_function`, `symmetry` and the wave-operator cross check apply operators to.
 `dual_members` composes each closed-form solution basis on point jets, the
-oracle of the plain-complex members of `specfun.basis_member`.
+oracle of the plain-complex members of `specfun.basis_members`.
 """
 
 import numpy as np

@@ -266,9 +266,16 @@ def test_verify_at_a_branch_cut_fails_its_integration_checks():
     (["chart", "--case", "g1_3a", "--a", "1000"],
      "error: g1_3a: chart map at a = 1000.0 overflows at "
      "[-1.5        -1.2        -1.37079633]\n"),
+    # a huge physics value overflows a numpy exp (a raised error, no warning)
+    # or a Python power; the message names the flag that set the regime
+    (["verify", "--case", "g3_2", "--mu", "1e300"],
+     "error: g3_2: overflow beyond floating-point range at --mu 1e+300\n"),
+    (["solve", "--case", "g3_4", "--J", "1e200", "--grid", "3"],
+     "error: g3_4: overflow beyond floating-point range at --J 1e+200\n"),
 ], ids=["verify_g3_1_lambda_0", "verify_g3_3a_a_40",
         "verify_g1_3a_a_50", "solve_g3_1_lambda_0", "solve_g3_3a_a_40", "solve_g3_3a_a_1000",
-        "verify_g1_3a_a_1000", "verify_g3_3a_a_1000", "chart_g1_3a_a_1000"])
+        "verify_g1_3a_a_1000", "verify_g3_3a_a_1000", "chart_g1_3a_a_1000",
+        "verify_g3_2_mu_1e300", "solve_g3_4_J_1e200"])
 def test_numerical_failure_exits_1_with_its_message(argv, message):
     assert run_cli(*argv) == (1, "", message)
 

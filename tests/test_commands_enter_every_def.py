@@ -42,15 +42,9 @@ ALLOWLIST = {
     "integrate.ReducedODE.residual": BENCHMARK,
     "integrate.SolutionBasis.wronskian": BENCHMARK,
     "specfun._lifted": DECORATOR,
-    "specfun._memo": DECORATOR,
     "specfun._lifted.evaluate": "the Dual-argument entry point of tests and benchmark spans",
-    # phi2 of every closed-form basis
-    "specfun.whittaker_w": ORACLE,
-    "specfun.kummer_u": ORACLE,
-    "specfun._kummer_u_weights": ORACLE,
-    "specfun.bessel_y": ORACLE,
-    "specfun._bessel_y_weights": ORACLE,
-    "specfun.legendre_q": ORACLE,
+    # phi2 of every closed-form basis: bound with phi1, evaluated only by tests
+    "specfun.kummer_u.jet": ORACLE,
     # series vs RK
     "specfun.ode_integrate": ORACLE,
     "specfun.ode_integrate.rhs": ORACLE,
@@ -127,11 +121,11 @@ def entered_by_commands():
         if event == "call":
             codes.add(frame.f_code)
 
-    # a cached def runs only on its first call in a process, a memoized one
-    # only on a miss
+    # a cached def runs only on its first call in a process.  specfun keeps no
+    # module-level cache: each basis binds its own ratio tables, weights and
+    # last-result slots, so each command starts them empty
     cli.build_parser.cache_clear()
-    for fn in vars(specfun).values():
-        getattr(fn, "cache_clear", lambda: None)()
+    assert not [name for name, fn in vars(specfun).items() if hasattr(fn, "cache_clear")]
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:

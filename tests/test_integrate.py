@@ -4,6 +4,7 @@ bases and the end-to-end wave-equation residual."""
 import cmath
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -386,10 +387,48 @@ def test_plain_complex_members_match_the_dual_composition(case):
                     (basis.record, v)
 
 
+def offset_draws(seed):
+    """(case, k, J) whose members take the offset limits: 2 beta = 1 (Whittaker
+    W), order 1 and 0 (Bessel Y and J_0), sigma = 1 (Ferrers P and Q) and 0 (Q).
+    ``k`` stands in for the field config; a basis reads only these fields."""
+    rng = np.random.default_rng(seed)
+    e, mu1, mu2 = rng.uniform(0.05, 1.0, 3)
+    J = rng.uniform(0.25, 4.0)
+
+    def k(**kw):
+        return SimpleNamespace(**{"e": e, "mu": mu1, "mu1": mu1, "mu2": mu2,
+                                  "mass_term": 0.5, **kw})
+    yield CaseId.G31, k(mass_term=0.75 - e * e * (mu1 * mu1 + mu2 * mu2)), J
+    yield CaseId.G32, k(mass_term=0.0), J
+    yield CaseId.G32, k(mass_term=1.0), J
+    yield CaseId.G35, k(mu=math.sqrt(J * J + 1.0) / e), J
+    yield CaseId.G35, k(e=J, mu=1.0), J
+
+
+@pytest.mark.parametrize("seed", [1901, 1902, 1903])
+def test_bound_members_match_the_dual_composition_on_offset_paths(seed):
+    # bound fixed before the first run: 1e-13 of the oracle jet's largest entry.
+    # Each of these frames hands the evaluators the oracle's argument bit for
+    # bit; tanh(v) of g3_4 does not, and the offset weights ~ 1/sin(pi sigma)
+    # would amplify that last bit.  phi2 follows phi1 at every node, so it
+    # reads the series objects phi1 left
+    rng = np.random.default_rng(seed + 100)
+    for case, k, J in offset_draws(seed):
+        phi1, phi2, record = integration(case).basis(k, J, lambda fn, label: fn)
+        assert abs(cmath.sin(math.pi * CLOSED_FORM[case][0](record))) < 1e-6, record
+        lo, hi = CLOSED_FORM[case][1]
+        mid = 0.5 * (lo + hi)
+        for v in np.concatenate([rng.uniform(lo, mid, 3), rng.uniform(mid, hi, 3)]):
+            for phi, oracle in zip((phi1, phi2), pointwise.dual_members(record)):
+                want = np.array(pointwise.solution_jet(oracle, v))
+                got = np.array(phi(complex(v)))
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), \
+                    (record, v)
+
+
 def count_calls(monkeypatch, name):
-    """Count the calls of specfun's ``name`` from inside specfun; every memo starts empty."""
-    for fn in vars(specfun).values():
-        getattr(fn, "cache_clear", lambda: None)()
+    """Count the calls of specfun's ``name`` from inside specfun.  specfun keeps no
+    module-level cache, so a basis built after this starts from nothing."""
     calls = [0]
 
     def counted(*args, _fn=getattr(specfun, name)):
@@ -415,6 +454,30 @@ def test_each_node_sums_two_series(monkeypatch, case):
         before = series[0]
         basis.phi1.jet(v), basis.phi2.jet(v)
         assert series[0] - before == 2, v
+
+
+@pytest.mark.parametrize("case", sorted(COST_NODES))
+def test_a_basis_evaluates_each_ratio_once(monkeypatch, case):
+    # a series' ratio table gets row n the first time a sum needs it, so a
+    # second sweep over the same nodes sums as many series and makes no row
+    made = []
+    grow = specfun._Ratios.grow
+
+    def counted(table):
+        made.append((id(table), len(table)))
+        grow(table)
+    monkeypatch.setattr(specfun._Ratios, "grow", counted)
+    series = count_calls(monkeypatch, "_series_jet")
+    phi1, phi2, _ = integration(case).basis(make_config(case), 1.0, lambda fn, label: fn)
+    nodes = [complex(v) for v in np.linspace(*CLOSED_FORM[case][1], 12)]
+    sweeps = []
+    for _ in range(2):
+        rows, sums = len(made), series[0]
+        for v in nodes:
+            phi1(v), phi2(v)
+        sweeps.append((len(made) - rows, series[0] - sums))
+    assert len(set(made)) == len(made)
+    assert sweeps[0][0] > 0 and sweeps[1] == (0, sweeps[0][1])
 
 
 @pytest.mark.parametrize("case", sorted(COST_NODES))

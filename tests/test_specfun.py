@@ -180,7 +180,7 @@ def test_hyp2f1_gauss_ode():
 
 def test_hyp2f1_connection_matches_series():
     a, b, c = 0.4, 0.9 - 0.3j, 1.7
-    direct = np.array(specfun._hyp2f1_series(a, b, c, 0.93))
+    direct = np.array(specfun._series_jet(specfun._hyp2f1_ratios(a, b, c), 0.93, 2, "hyp2f1"))
     via_connection = np.array(solution_jet(lambda z: hyp2f1(a, b, c, z), 0.93))
     assert np.max(np.abs(direct - via_connection) / np.abs(direct)) < 1e-9
 
@@ -491,35 +491,40 @@ def test_series_determinism():
     assert x == y
 
 
-# the series-level jets that keep a memo of their last calls
+# the series objects of a basis, which keep their last result: each is one
+# binding, through a pool, of an evaluator to its parameters
 MEMOIZED_SERIES = [
-    (kummer_m.jet, (0.3 + 0.1j, 1.2 - 0.2j, 2.0 + 1.0j)),
-    (bessel_j.jet, (0.37 + 0.21j, 2.0 + 1.0j)),
-    (specfun._ferrers_p, (0.9 + 0j, 0.3 + 0.4j, -0.6 + 0j)),
+    (kummer_m.bind, (0.3 + 0.1j, 1.2 - 0.2j), 2.0 + 1.0j),
+    (bessel_j.bind, (0.37 + 0.21j,), 2.0 + 1.0j),
+    (specfun._ferrers_p, (0.9 + 0j, 0.3 + 0.4j), -0.6 + 0j),
 ]
 
 
-@pytest.mark.parametrize("jet,args", MEMOIZED_SERIES, ids=["kummer_m", "bessel_j", "ferrers_p"])
-def test_memo_hit_is_the_fresh_evaluation_bit_for_bit(jet, args):
-    jet.cache_clear()
-    first = jet(*args)
-    assert jet(*args) is first
-    jet.cache_clear()
-    fresh = jet(*args)
+def bound(bind, params):
+    return specfun._Pool()(bind, *params)
+
+
+@pytest.mark.parametrize("bind,params,z", MEMOIZED_SERIES,
+                         ids=["kummer_m", "bessel_j", "ferrers_p"])
+def test_memo_hit_is_the_fresh_evaluation_bit_for_bit(bind, params, z):
+    jet = bound(bind, params)
+    first = jet(z)
+    assert jet(z) is first
+    fresh = bound(bind, params)(z)
     assert fresh is not first and repr(fresh) == repr(first)
 
 
 def test_memo_keeps_the_two_sides_of_a_branch_cut_apart():
     # -2 + 0j == -2 - 0j, and both hash alike, but z^nu takes the branch of
-    # each side; a memo keyed by value would hand the first back for the second
+    # each side; a last result kept by value would hand the first back for the second
     order = 0.37 + 0.21j
-    bessel_j.jet.cache_clear()
-    above = bessel_j.jet(order, complex(-2.0, 0.0))
-    below = bessel_j.jet(order, complex(-2.0, -0.0))
+    jet = bound(bessel_j.bind, (order,))
+    above = jet(complex(-2.0, 0.0))
+    below = jet(complex(-2.0, -0.0))
     assert above[0] != below[0]
-    bessel_j.jet.cache_clear()
-    assert repr(bessel_j.jet(order, complex(-2.0, -0.0))) == repr(below)
-    assert repr(bessel_j.jet(order, complex(-2.0, 0.0))) == repr(above)
+    jet = bound(bessel_j.bind, (order,))
+    assert repr(jet(complex(-2.0, -0.0))) == repr(below)
+    assert repr(jet(complex(-2.0, 0.0))) == repr(above)
 
 
 def test_cross_oracle_kummer_vs_rk():
