@@ -298,6 +298,11 @@ def _format_record(rec: dict) -> dict:
     return out
 
 
+# one CSV row of `solve`'s body, as csv.writer writes it: numbers never need
+# quoting, and \r\n is its line terminator
+_SOLVE_ROW = "%.12g,%.12g,%.12g,%.15g,%.15g,%.3e\r\n"
+
+
 def cmd_solve(run: RunConfig, out, err) -> int:
     if run.case is None:
         raise UsageError("solve requires --case")
@@ -321,12 +326,9 @@ def cmd_solve(run: RunConfig, out, err) -> int:
     dropped = len(grid) - int(np.count_nonzero(kept))
     verified = dropped < len(grid)
     worst = float(residual[kept].max()) if verified else 0.0
-    writer = csv.writer(out)
-    writer.writerow(list(chart.coord_names) + ["re_phi", "im_phi", "residual"])
-    for pt, p, r, ok in zip(grid, phi.tolist(), residual.tolist(), kept):
-        if ok:
-            writer.writerow([f"{c:.12g}" for c in pt]
-                            + [f"{p.real:.15g}", f"{p.imag:.15g}", f"{r:.3e}"])
+    csv.writer(out).writerow(list(chart.coord_names) + ["re_phi", "im_phi", "residual"])
+    rows = zip(grid[kept].tolist(), phi[kept].tolist(), residual[kept].tolist())
+    out.writelines(_SOLVE_ROW % (*pt, p.real, p.imag, r) for pt, p, r in rows)
     summary = {
         "schema": SCHEMA_VERSION,
         "case": case.value,

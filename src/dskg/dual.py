@@ -276,8 +276,8 @@ def arrays(jets, k):
 
 
 def columns(points):
-    """The coordinate columns of a list of points, each an (N,) complex array,
-    as :meth:`Dual.seed_grid` takes them."""
+    """The coordinate columns of a list of points or of an (N, k) array with one
+    point per row, each an (N,) complex array, as :meth:`Dual.seed_grid` takes them."""
     return list(np.array(points, dtype=complex).T.copy())
 
 

@@ -184,7 +184,8 @@ def reduction_residual(case_id: CaseId, config: FieldConfig, J: float, lam: comp
 
 
 def grid_residuals(f: Callable, op, grid: Sequence[Sequence[float]]):
-    """(phi, residual) at every node of ``grid`` from one grid jet of f.
+    """(phi, residual) at every node of ``grid`` (an (N, 3) array, such as
+    :func:`default_grid`'s, or a list of points) from one grid jet of f.
 
     The residual is |op phi| / (1 + scale), as in :func:`reduction_residual`.
     A node dropped at a branch point of the ansatz phase has NaN phi.
@@ -243,7 +244,9 @@ def solution_basis(case_id: CaseId, config: FieldConfig, J: float) -> SolutionBa
     return SolutionBasis(case_id, phi1, phi2, rec)
 
 
-def default_grid(case_id: CaseId, counts: Sequence[int] = (10, 10, 10)):
+def default_grid(case_id: CaseId, counts: Sequence[int] = (10, 10, 10)) -> np.ndarray:
+    """The entry's box sampled at ``counts`` nodes per axis, as an (N, 3) float
+    array in nested-loop order: the last axis varies fastest."""
     box = integration(case_id).grid
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, counts)]
-    return [(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)

@@ -174,6 +174,17 @@ def _last(fn):
     return kept
 
 
+def _once(fn):
+    """``fn()``, made at the first call and kept: one slot, where
+    ``functools.cache`` would build a full wrapper per binding."""
+    slot = []
+    def get():
+        if not slot:
+            slot.append(fn())
+        return slot[0]
+    return get
+
+
 def _lifted(bind):
     """The evaluator f(*params, z), the 2-jet ``bind(*params)(value(z))`` composed
     with z; ``f.bind`` is ``bind``, and ``f.jet(*params, z)`` a fresh binding's 2-jet."""
@@ -191,7 +202,7 @@ def _offset_limit(bind, p, degenerate, share):
     of bind(p -+ _EPS_OFFSET, pool)(z), each through a pool of its own: the limit
     through a removable degeneracy (accuracy ~1e-6)."""
     exact = bind(p, share)
-    @functools.cache
+    @_once
     def choice():
         if not degenerate():
             return exact
@@ -277,8 +288,7 @@ def kummer_m(a, b, share):
 def kummer_u(a, b, share):
     """Tricomi U(a, b, z) from two M's via the standard connection formula."""
     m1, m2 = share(kummer_m.bind, a, b), share(kummer_m.bind, a - b + 1.0, 2.0 - b)
-    weights = functools.cache(
-        lambda: (gamma(1.0 - b) / gamma(a - b + 1.0), gamma(b - 1.0) / gamma(a)))
+    weights = _once(lambda: (gamma(1.0 - b) / gamma(a - b + 1.0), gamma(b - 1.0) / gamma(a)))
     def jet(z):
         if _near_integer(b, 1e-9):
             raise PoleError(f"kummer_u: connection formula degenerate at b = {b}")
@@ -320,8 +330,8 @@ def bessel_j(order, share):
     """Bessel J of complex order: (z/2)^order / Gamma(order + 1) times a series in z^2/4."""
     ratios = _Ratios(lambda n: -1.0 / ((n + 1.0) * (order + n + 1.0)))
     # 0.5^order / Gamma(order + 1), the weight of z^order
-    weight = functools.cache(lambda: 1.0 / gamma(order + 1.0) if order == 0
-                             else 0.5 ** order / gamma(order + 1.0))
+    weight = _once(lambda: 1.0 / gamma(order + 1.0) if order == 0
+                   else 0.5 ** order / gamma(order + 1.0))
     @_last
     def jet(z):
         _check_radius(z, "bessel_j")
@@ -342,8 +352,8 @@ def bessel_y(order, share):
     def bind(nu, pool):
         jp, jm = pool(bessel_j.bind, nu), pool(bessel_j.bind, -nu)
         # cot(nu pi) and -csc(nu pi), the weights of J_nu and J_-nu in Y_nu
-        weights = functools.cache(lambda: (cmath.cos(math.pi * nu) / cmath.sin(math.pi * nu),
-                                           -1.0 / cmath.sin(math.pi * nu)))
+        weights = _once(lambda: (cmath.cos(math.pi * nu) / cmath.sin(math.pi * nu),
+                                 -1.0 / cmath.sin(math.pi * nu)))
         return lambda z: _lin(*zip(weights(), (jp(z), jm(z))))
     return _offset_limit(bind, order, lambda: _near_integer(order, 1e-7), share)
 
@@ -362,8 +372,8 @@ def hyp2f1(a, b, c, share):
     s = c - a - b
     direct = _hyp2f1_ratios(a, b, c)
     near, far = _hyp2f1_ratios(a, b, a + b - c + 1.0), _hyp2f1_ratios(c - a, c - b, s + 1.0)
-    near_weight = functools.cache(lambda: gamma(c) * gamma(s) / (gamma(c - a) * gamma(c - b)))
-    far_weight = functools.cache(lambda: gamma(c) * gamma(-s) / (gamma(a) * gamma(b)))
+    near_weight = _once(lambda: gamma(c) * gamma(s) / (gamma(c - a) * gamma(c - b)))
+    far_weight = _once(lambda: gamma(c) * gamma(-s) / (gamma(a) * gamma(b)))
     def jet(z):
         if _is_nonpositive_integer(c):
             raise PoleError(f"hyp2f1: c = {c} is a nonpositive integer")
@@ -382,7 +392,7 @@ def hyp2f1(a, b, c, share):
 
 def _ferrers_p(nu, sigma, share):
     # x -> ((1+x)/(1-x))^(sigma/2) / Gamma(1-sigma) 2F1(-nu, nu+1; 1-sigma; (1-x)/2)
-    gamma_weight = functools.cache(lambda: gamma(1.0 - sigma))
+    gamma_weight = _once(lambda: gamma(1.0 - sigma))
     f = share(hyp2f1.bind, -nu, nu + 1.0, 1.0 - sigma)
     @_last
     def jet(x):
@@ -398,15 +408,17 @@ def _ferrers(nu, sigma, second_kind, share):
     at -x for Re x < 0 (DLMF 14.9.10, 14.9.11 with 14.9.2), so that every series
     runs at (1 - x)/2 <= 1/2; a near-integer sigma is not reflected."""
     p, m = share(_ferrers_p, nu, sigma), share(_ferrers_p, nu, -sigma)
-    reflectable = functools.cache(lambda: abs(cmath.sin(math.pi * sigma)) >= 1e-6)
-    weights = functools.cache(lambda reflect: _ferrers_weights(nu, sigma, reflect, second_kind))
+    reflectable = _once(lambda: abs(cmath.sin(math.pi * sigma)) >= 1e-6)
+    weights = {}    # reflect -> (cp, cm), each made at the first x that needs it
     def jet(x):
         if not -1.0 < x.real < 1.0 or abs(x.imag) > 1e-12:
             raise DomainError(f"legendre_{'q' if second_kind else 'p'}: x = {x} outside (-1, 1)")
         reflect = x.real < 0 and reflectable()
         if not (reflect or second_kind):
             return p(x)
-        cp, cm = weights(reflect)
+        if reflect not in weights:
+            weights[reflect] = _ferrers_weights(nu, sigma, reflect, second_kind)
+        cp, cm = weights[reflect]
         y = -x if reflect else x
         f = _lin((cp, p(y)), (cm, m(y)))
         return _chain(f, -1.0, 0.0) if reflect else f

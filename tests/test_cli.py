@@ -1,5 +1,6 @@
 """CLI contract: exit codes, document schemas, determinism."""
 
+import cmath
 import contextlib
 import csv
 import io
@@ -7,14 +8,17 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from dskg import cli, dual
+from dskg import cli, dual, integrate
 from dskg.cases import case_spec
 from dskg.cli import (DEFAULT_TOLERANCES, RunConfig, UsageError, _run_config_from, build_parser,
                       main, parse_complex)
+from dskg.geometry import chart_for
 from dskg.integrate import SolutionAnsatz
 from dskg.lie_core import ALL_CASES, CaseId, INTEGRABLE_CASES
+from dskg.operators import kg_operator
 
 
 def run_cli(*argv):
@@ -216,6 +220,42 @@ def test_solve_drops_nodes_where_the_charge_base_blows_up():
     summary = json.loads("{" + body)
     assert summary["dropped_branch_points"] == 65
     assert summary["max_residual"] < 1e-6
+
+
+def _solve_rows_by_csv_writer(argv):
+    """`solve`'s stdout rendered one node at a time through csv.writer, on the
+    nested-loop list of grid points: the route the row template replaced."""
+    run = _run_config_from(build_parser().parse_args(argv))
+    case = CaseId(run.case)
+    cfg = cli._field_config(case, run)
+    lam = run.lam if run.lam is not None else case_spec(case).integration.lam
+    f = integrate.ansatz(case, cfg, run.J, lam).assemble(
+        integrate.solution_basis(case, cfg, run.J).phi1)
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(case_spec(case).integration.grid,
+                                                           run.grid)]
+    grid = [(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]
+    phi, residual = integrate.grid_residuals(f, kg_operator(case, cfg), grid)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(list(chart_for(case, cfg.parameter_a).coord_names)
+                    + ["re_phi", "im_phi", "residual"])
+    for pt, p, r in zip(grid, phi.tolist(), residual.tolist()):
+        if cmath.isfinite(p):
+            writer.writerow([f"{c:.12g}" for c in pt]
+                            + [f"{p.real:.15g}", f"{p.imag:.15g}", f"{r:.3e}"])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv,code,rows", [
+    (["solve", "--case", "g3_4", "--grid", "4"], 0, 64),
+    (["solve", "--case", "g3_4", "--lambda=0+1i", "--grid", "5"], 0, 110),
+    (["solve", "--case", "g3_5", "--lambda=10+0i", "--grid", "3"], 1, 0),
+])
+def test_solve_csv_matches_the_csv_writer(argv, code, rows):
+    got_code, out, _ = run_cli(*argv)
+    assert got_code == code
+    assert out.count("\r\n") == 1 + rows
+    assert out == _solve_rows_by_csv_writer(argv)
 
 
 def test_verify_at_a_branch_cut_fails_its_integration_checks():

@@ -599,6 +599,18 @@ def test_end_to_end_wave_residual(case):
         assert reduction_residual(case, cfg, 1.0, lam, phi, grid) < 1e-6
 
 
+@pytest.mark.parametrize("case", INTEGRABLE_CASES)
+def test_default_grid_is_the_nested_axis_product(case):
+    counts = (3, 4, 5)
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(integration(case).grid, counts)]
+    nested = [(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]
+    grid = default_grid(case, counts)
+    assert grid.dtype == np.float64 and grid.shape == (60, 3)
+    assert [tuple(row) for row in grid.tolist()] == [tuple(map(float, pt)) for pt in nested]
+    for got, want in zip(dual.columns(grid), dual.columns(nested)):
+        assert got.dtype == want.dtype and (got == want).all()
+
+
 @pytest.mark.parametrize("case,lam,n,drops", [(c, None, 4, 0) for c in INTEGRABLE_CASES]
                          + [(CaseId.G34, 1j, 5, 15)])
 def test_grid_jet_matches_the_point_jets(case, lam, n, drops):
