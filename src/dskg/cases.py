@@ -126,7 +126,7 @@ class FieldSpec:
 class IntegrationSpec:
     lam: complex                            # an in-domain lambda
     grid: tuple[tuple[float, float], ...]   # a branch-safe chart box
-    lambda_rep: Callable    # (J, k) -> ([(coefficient, scalar)] per generator, measure)
+    lambda_rep: Callable    # (J, k) -> [(coefficient, scalar)] per generator
     kg_operator: Callable   # k -> (second, first, scalar) coefficients
     ansatz: Callable        # (k, J) -> (phase, char), both of (coords, lam)
     reduced_ode: Callable   # (k, J) -> (p, q)
@@ -392,9 +392,9 @@ _G31 = CaseSpec(
                        lambda c: dual.exp(c[2]) * (k.mu1 * c[0] + k.mu2 * c[1])]),
     integration=IntegrationSpec(
         0.7 + 0j, ((-1.0, 1.0), (-1.0, 1.0), (-0.5, 1.0)),
-        lambda_rep=lambda J, k: ([(_zero, lambda c: 1j * J * c[0]),
-                                  (_zero, lambda c: 1j * c[0]),
-                                  (lambda c: c[0], const(0.5))], "lebesgue"),
+        lambda_rep=lambda J, k: [(_zero, lambda c: 1j * J * c[0]),
+                                 (_zero, lambda c: 1j * c[0]),
+                                 (lambda c: c[0], const(0.5))],
         kg_operator=_g31_kg, ansatz=_g31_ansatz, reduced_ode=_g31_reduced_ode,
         basis=_g31_basis))
 
@@ -489,9 +489,9 @@ _G32 = CaseSpec(
     magnetic_pair=True,
     integration=IntegrationSpec(
         0.4 + 0.2j, ((0.3, 1.2), (-0.5, 0.5), (-0.5, 0.5)),
-        lambda_rep=lambda J, k: ([(const(1j), lambda c: -0.5j * k.e * k.mu * c[0]),
-                                  (const(-1.0), lambda c: -0.5 * k.e * k.mu * c[0]),
-                                  (lambda c: 1j * c[0], const(-1j * J))], "gaussian(e)"),
+        lambda_rep=lambda J, k: [(const(1j), lambda c: -0.5j * k.e * k.mu * c[0]),
+                                 (const(-1.0), lambda c: -0.5 * k.e * k.mu * c[0]),
+                                 (lambda c: 1j * c[0], const(-1j * J))],
         kg_operator=_g32_kg, ansatz=_g32_ansatz, reduced_ode=_g32_reduced_ode,
         basis=_g32_basis))
 
@@ -601,10 +601,10 @@ _G33a = CaseSpec(
         chi=_g33a_chi),
     integration=IntegrationSpec(
         0.2 + 0j, ((-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)),
-        lambda_rep=lambda J, k: (
-            [(_zero, lambda c: 1j * J * dual.exp(c[0] * k.parameter_a) * dual.cos(c[0])),
-             (_zero, lambda c: 1j * J * dual.exp(c[0] * k.parameter_a) * dual.sin(c[0])),
-             (const(1.0), _zero)], "lebesgue"),
+        lambda_rep=lambda J, k: [
+            (_zero, lambda c: 1j * J * dual.exp(c[0] * k.parameter_a) * dual.cos(c[0])),
+            (_zero, lambda c: 1j * J * dual.exp(c[0] * k.parameter_a) * dual.sin(c[0])),
+            (const(1.0), _zero)],
         kg_operator=_g33a_kg, ansatz=_g33a_ansatz, reduced_ode=_g33a_reduced_ode,
         basis=_g33a_basis),
     parameterized=True)
@@ -633,7 +633,7 @@ def _g34_lambda_rep(J, k):
         raise ValueError("G34 requires J > 0")
     return [(lambda c: -1j * c[0], const(1j * J)),
             (lambda c: 0.5j * (1.0 - c[0] * c[0]), lambda c: 1j * J * c[0]),
-            (lambda c: -0.5 * (1.0 + c[0] * c[0]), lambda c: J * c[0])], "weighted(J)"
+            (lambda c: -0.5 * (1.0 + c[0] * c[0]), lambda c: J * c[0])]
 
 
 def _g35_lambda_rep(J, k):
@@ -642,7 +642,7 @@ def _g35_lambda_rep(J, k):
     cJ = 1j * J + 0.5
     return [(lambda c: c[0], const(cJ)),
             (lambda c: 0.5 * (c[0] * c[0] + 1.0), lambda c: cJ * c[0]),
-            (lambda c: 0.5 * (c[0] * c[0] - 1.0), lambda c: cJ * c[0])], "lebesgue"
+            (lambda c: 0.5 * (c[0] * c[0] - 1.0), lambda c: cJ * c[0])]
 
 
 def _g34_kg(k):

@@ -356,17 +356,15 @@ def cmd_chart(run: RunConfig, out) -> int:
     case = _resolve_case(run.case)
     chart = chart_for(case, _family_a(case, run))
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(chart.domain, run.grid)]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)  # last axis fastest
     # every point is embedded before anything is written: a failure prints no rows
     rows = []
-    for c1 in axes[0]:
-        for c2 in axes[1]:
-            for c3 in axes[2]:
-                pt = (float(c1), float(c2), float(c3))
-                amb = chart.embed(pt)
-                rows.append([case.value]
-                            + [f"{c:.12g}" for c in pt]
-                            + [f"{v:.15g}" for v in amb.as_array()]
-                            + [f"{amb.hyperboloid_residual():.3e}"])
+    for pt in nodes.tolist():
+        amb = chart.embed(pt)
+        rows.append([case.value]
+                    + [f"{c:.12g}" for c in pt]
+                    + [f"{v:.15g}" for v in amb.as_array()]
+                    + [f"{amb.hyperboloid_residual():.3e}"])
     writer = csv.writer(out)
     writer.writerow(["case"] + list(chart.coord_names)
                     + ["x0", "x1", "x2", "x3", "hyperboloid_residual"])

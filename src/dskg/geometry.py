@@ -7,7 +7,9 @@ registry of :mod:`dskg.cases`; the algebraic construction behind them
 (products of matrix exponentials applied to a transversal section) is
 implemented in :func:`rectify`; the three-dimensional boost-rotation
 example whose closed form is known validates it, and lives in
-``tests/test_geometry.py`` until every chart is built this way.
+``tests/test_geometry.py`` until every chart is built this way.  The
+generators' chart components there, the registry's simplest form, are
+checked against :func:`pushforward`, all generators on a whole grid at once.
 
 Metrics are always induced from the ambient Minkowski form
 eta = diag(1,-1,-1,-1); every closed-form metric used elsewhere is checked
@@ -163,23 +165,27 @@ def hyperboloid_residual(chart: Chart, point: Sequence[float]) -> float:
     return chart.embed(point).hyperboloid_residual()
 
 
-def pushforward(case_id: CaseId, generator: int, point: Sequence[float],
-                parameter_a: Optional[float] = None) -> np.ndarray:
-    """Chart components of one ambient generator at a chart point.
+def pushforward(case_id: CaseId, points, parameter_a: Optional[float] = None) -> np.ndarray:
+    """Chart components v[p, A] of every ambient generator X_A = M_A x at each of
+    the ``points``, shape (N, n, 3): v = g^-1 J^T eta (M x), from one grid jet.
 
-    Solves J v = X(x(q, u)) for the full 3-component vector; a valid
-    rectification has vanishing u-components.
+    Raises :class:`RankDeficientError` where the induced metric degenerates
+    (:func:`metric_jet`) or where some M x is not tangent to the chart, naming
+    the first such point.  A valid rectification has vanishing u-components.
     """
     chart = chart_for(case_id, parameter_a)
-    vals, jac, _ = chart_jets(chart, Dual.seed([complex(p) for p in point]))
-    if np.linalg.matrix_rank(jac, tol=1e-8) < 3:
-        raise RankDeficientError(f"chart Jacobian rank-deficient at {point}")
-    mats = subalgebra(case_id, parameter_a).generator_matrices()
-    amb = mats[generator] @ vals
-    sol, res, *_ = np.linalg.lstsq(jac, amb, rcond=None)
-    if np.max(np.abs(jac @ sol - amb)) > 1e-8:
-        raise RankDeficientError(f"ambient generator not tangent at {point}")
-    return sol
+    coords = Dual.seed_grid(dual.columns(points))
+    _, _, ginv, *_ = metric_jet(case_id, coords, parameter_a)
+    vals, jac, _ = chart_jets(chart, coords)
+    mats = np.array(subalgebra(case_id, parameter_a).generator_matrices())
+    amb = np.einsum("Aij,pj->pAi", mats, vals)
+    v = np.einsum("pab,pib,i,pAi->pAa", ginv, jac, ETA, amb)
+    off = np.max(np.abs(np.einsum("pia,pAa->pAi", jac, v) - amb), axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(~(off <= 1e-8))
+    if bad.size:
+        raise RankDeficientError(f"{chart.case_id}: ambient generator not tangent at "
+                                 f"{np.asarray(points, dtype=float)[bad[0]]}")
+    return v
 
 
 def _signature(g: np.ndarray):

@@ -38,19 +38,14 @@ from .operators import DiffOp1, kg_operator, symmetry_operators
 
 @dataclass(frozen=True)
 class LambdaRep:
-    case_id: CaseId
-    J: float
     ops: list[DiffOp1]
     ell0: complex
-    measure: str
 
 
 def lambda_rep(case_id: CaseId, J: float, config: FieldConfig) -> LambdaRep:
     """Auxiliary-variable realization of the extended symmetry algebra."""
-    case_id = CaseId(case_id)
-    rows, measure = integration(case_id).lambda_rep(J, config)
-    ops = [DiffOp1([coeff], scalar) for coeff, scalar in rows]
-    return LambdaRep(case_id, J, ops, -1j * config.e, measure)
+    rows = integration(case_id).lambda_rep(J, config)
+    return LambdaRep([DiffOp1([coeff], scalar) for coeff, scalar in rows], -1j * config.e)
 
 
 # ----------------------------------------------------------------------

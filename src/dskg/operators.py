@@ -5,8 +5,9 @@ commutators, operator compositions and all residuals come out of exact
 forward-mode differentiation.  The wave operator exists in two independent
 builds that are required to agree: a hard-coded closed form per integrable
 entry (kept in :mod:`dskg.cases`), and the generic divergence-form assembly
-from the chart metric and gauge potential.  The embedding metric is the
-arbiter for every sign that enters the closed forms.
+from the chart metric and gauge potential, compared coefficient by
+coefficient on a grid (:func:`kg_cross_residual`).  The embedding metric is
+the arbiter for every sign that enters the closed forms.
 """
 
 from __future__ import annotations
@@ -111,21 +112,15 @@ class DiffOp2:
         return total, scale
 
 
-@dataclass(frozen=True)
-class CommutatorSample:
-    coeffs: np.ndarray
-    scalar: complex
-
-
-def commutator(a, b) -> CommutatorSample:
-    """Coefficients and scalar part of [A, B] from the coefficient jets
-    (:meth:`DiffOp1.jets`) of A and B at the same point or grid."""
+def commutator(a, b) -> np.ndarray:
+    """Coefficients and then the scalar part of [A, B], shape (..., k + 1), from
+    the coefficient jets (:meth:`DiffOp1.jets`) of A and B at the same point or
+    grid."""
     (av, ag), (bv, bg) = a, b
     k = ag.shape[-1]
     # [A, B]^m = A^u d_u B^m - B^u d_u A^m, for the scalar part (m = k) too
-    full = np.einsum("...u,...mu->...m", av[..., :k], bg) \
+    return np.einsum("...u,...mu->...m", av[..., :k], bg) \
         - np.einsum("...u,...mu->...m", bv[..., :k], ag)
-    return CommutatorSample(full[..., :k], full[..., k])
 
 
 @dataclass(frozen=True)
@@ -158,9 +153,7 @@ def commutation_table_fit(ops: Sequence[DiffOp1], probes: Sequence[Sequence[comp
     m = basis.reshape(-1, n + 1)
     for A in range(n):
         for B in range(A + 1, n):
-            sample = commutator(jets[A], jets[B])
-            b = np.broadcast_to(np.concatenate([sample.coeffs, sample.scalar[..., None]], -1),
-                                shape).reshape(-1)
+            b = np.broadcast_to(commutator(jets[A], jets[B]), shape).reshape(-1)
             sol, *_ = np.linalg.lstsq(m, b, rcond=None)
             res = float(np.max(np.abs(m @ sol - b)))
             worst = max(worst, res)
@@ -188,13 +181,12 @@ def representation_residual(ops: Sequence[DiffOp1], structure: np.ndarray,
     worst = 0.0
     for A in range(n):
         for B in range(A + 1, n):
-            sample = commutator(jets[A], jets[B])
             target = np.zeros(k + 1, dtype=complex)
             for C in range(n):
                 if structure[A, B, C] != 0:
                     target = target + structure[A, B, C] * jets[C][0]
             target[..., k] += central[A, B] * central_scalar
-            got = np.concatenate([sample.coeffs, sample.scalar[..., None]], -1)
+            got = commutator(jets[A], jets[B])
             worst = max(worst, float(np.max(np.abs(got - target))))
     return worst
 
@@ -241,47 +233,51 @@ def kg_operator(case_id: CaseId, config: FieldConfig) -> DiffOp2:
     return DiffOp2(*integration(case_id).kg_operator(config))
 
 
-def kg_apply_generic_jet(case_id: CaseId, config: FieldConfig, fv,
-                         point: Sequence[float]) -> complex:
-    """Divergence-form assembly of the wave operator applied to f at a point,
-    from the evaluated 2-jet ``fv`` of f at ``point``.
-
-    Independent of the registry's closed forms: uses only the chart metric jet and
-    the gauge potential,
-        (1/sqrt g) D_a ( sqrt g g^{ab} D_b f ) + (6 zeta + m^2) f.
+def kg_generic_coefficients(case_id: CaseId, config: FieldConfig, coords):
+    """The divergence-form wave operator
+        (1/sqrt g) D_a ( sqrt g g^{ab} D_b f ) + (6 zeta + m^2) f,  D = d - i e A,
+    as its coefficients at ``coords`` (a point or grid seed, lane axis first):
+    g^{ab}, (1/sqrt g) d_a (sqrt g g^{ab}) - 2 i e A^b and -i e div A - e^2 A.A
+    + 6 zeta + m^2.  Independent of the registry's closed forms: it reads only
+    the chart metric jet and the gauge potential.
     """
-    case_id = CaseId(case_id)
-    coords = Dual.seed(point)
-    g, dg, ginv, sqrtg, dsqrtg, dginv = metric_jet(case_id, coords, config.parameter_a)
+    _, _, ginv, sqrtg, dsqrtg, dginv = metric_jet(case_id, coords, config.parameter_a)
     gauge = gauge_one_form(case_id, config)
     e = config.e
-    aval, agrad, _ = dual.arrays(gauge.values(coords), 3)  # agrad[b][c] = d_c A_b
-    (val,), (grad,), (hess,) = dual.arrays([fv], 3)
-
-    total = np.einsum("ab,ab->", ginv, hess)
-    drift = (np.einsum("a,ab->b", dsqrtg, ginv) / sqrtg
-             + np.einsum("aab->b", dginv))
-    aup = ginv @ aval
-    total += np.dot(drift - 2j * e * aup, grad)
+    aval, agrad, _ = dual.arrays(gauge.values(coords), 3)  # agrad[..., b, c] = d_c A_b
+    drift = (np.einsum("...a,...ab->...b", dsqrtg, ginv) / sqrtg[..., None]
+             + np.einsum("...aab->...b", dginv))
+    aup = np.einsum("...ab,...b->...a", ginv, aval)
     # div A = (1/sqrt g) d_c (sqrt g g^{cb} A_b)
-    div_a = (np.dot(dsqrtg, aup) / sqrtg
-             + np.einsum("ccb,b->", dginv, aval)
-             + np.einsum("cb,bc->", ginv, agrad))
-    total += (-1j * e * div_a - e * e * np.dot(aup, aval) + config.mass_term) * val
-    return complex(total)
+    div_a = (np.einsum("...c,...c->...", dsqrtg, aup) / sqrtg
+             + np.einsum("...ccb,...b->...", dginv, aval)
+             + np.einsum("...cb,...bc->...", ginv, agrad))
+    scalar = (-1j * e * div_a - e * e * np.einsum("...a,...a->...", aup, aval)
+              + config.mass_term)
+    return ginv, drift - 2j * e * aup, scalar
 
 
-def kg_cross_residual(case_id: CaseId, config: FieldConfig, f: Callable,
-                      point: Sequence[float]) -> float:
-    """|closed-form - generic| of the wave operator acting on f at one point.
+def kg_cross_residual(case_id: CaseId, config: FieldConfig,
+                      points: Sequence[Sequence[float]]) -> float:
+    """Largest |closed - generic| / (1 + |closed|) over the wave operator's 13
+    coefficients at ``points``, the closed form's leading part symmetrised.
 
-    The two builds share only the jet of f.
+    Two second-order operators are equal exactly when these coefficients
+    agree, so no probe function enters.  The two builds share only the points:
+    the closed form comes from the registry, the generic one from the metric
+    and the gauge (:func:`kg_generic_coefficients`), both on one grid.
     """
-    op = kg_operator(case_id, config)
-    fv = f(Dual.seed(point))
-    direct, scale = op.apply_jet(fv, point)
-    generic = kg_apply_generic_jet(case_id, config, fv, point)
-    return abs(direct - generic) / (1.0 + scale)
+    h = kg_operator(case_id, config)
+    cols = dual.columns(points)
+    n = len(cols[0])
+    generic = np.concatenate([part.reshape(n, -1) for part in
+                              kg_generic_coefficients(case_id, config, Dual.seed_grid(cols))], -1)
+    # read as DiffOp2.apply_jet reads them: values on the coordinate columns
+    coeffs = [c for row in h.second for c in row] + h.first + [h.scalar]
+    closed = np.array([np.broadcast_to(dual.value(c(cols)), (n,)) for c in coeffs]).T
+    lead = closed[:, :9].reshape(n, 3, 3)
+    closed[:, :9] = (0.5 * (lead + np.swapaxes(lead, 1, 2))).reshape(n, 9)
+    return float(np.max(np.abs(closed - generic) / (1.0 + np.abs(closed))))
 
 
 # ----------------------------------------------------------------------

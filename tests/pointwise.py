@@ -9,7 +9,7 @@ contractions in `symmetry_check` and `joint_system_residual`.  `DualProbe`
 evaluates a `src` probe's function on jets, with its partials taken
 symbolically term by term: it is the oracle of the probe's closed-form
 derivatives (`PolyExpProbe.derivatives`), and the function that
-`as_function`, `symmetry` and the wave-operator cross check apply operators to.
+`as_function` and `symmetry` apply operators to.
 `dual_members` composes each closed-form solution basis on point jets, the
 oracle of the plain-complex members of `specfun.basis_members`.
 """

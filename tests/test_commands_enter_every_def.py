@@ -51,7 +51,7 @@ ALLOWLIST = {
     "specfun.DenseSolution._segment_for": ORACLE,
     "specfun.DenseSolution.jet": ORACLE,
     # closed-form vs divergence-form wave operator
-    "operators.kg_apply_generic_jet": ORACLE,
+    "operators.kg_generic_coefficients": ORACLE,
     "operators.kg_cross_residual": ORACLE,
     # ambient closure and the cocycle class
     "lie_core.closure_check": ORACLE,

@@ -93,31 +93,29 @@ def test_ambient_point_predicate():
 def test_pushforward_matches_rectified_components(case):
     a = case_param_a(case)
     comps = rect_components(case, a)
-    for p in chart_points(case, 12):
-        for A, comp in enumerate(comps):
-            got = pushforward(case, A, p, a)
-            want = np.array([dual.value(fn([complex(x) for x in p])).real
-                             for fn in comp])
-            assert np.max(np.abs(got - want)) < 1e-10
-            # u-components of a rectified generator vanish
-            chart = chart_for(case, a)
-            r = chart.r
-            assert np.max(np.abs(got[r:])) < 1e-10 if r < 3 else True
+    pts = chart_points(case, 12)
+    r = chart_for(case, a).r
+    for p, got in zip(pts, pushforward(case, pts, a)):
+        want = np.array([[dual.value(fn([complex(x) for x in p])).real for fn in comp]
+                         for comp in comps])
+        assert np.max(np.abs(got - want)) < 1e-10
+        # u-components of a rectified generator vanish
+        assert np.max(np.abs(got[:, r:]), initial=0.0) < 1e-10
 
 
 def test_pushforward_specific_values():
     p = (0.4, -0.3, 0.2)
-    v = pushforward(CaseId.G31, 2, p)
-    assert np.allclose(v, [-0.4, 0.3, 1.0], atol=1e-12)
-    v = pushforward(CaseId.G31, 0, p)
-    assert np.allclose(v, [1.0, 0.0, 0.0], atol=1e-12)
-    v = pushforward(CaseId.G34, 1, (0.0, 0.3, 0.5))
-    assert np.allclose(v, [math.sin(0.0) * math.tan(0.3), math.cos(0.0), 0.0], atol=1e-12)
+    v = pushforward(CaseId.G31, [p])[0]
+    assert np.allclose(v[2], [-0.4, 0.3, 1.0], atol=1e-12)
+    assert np.allclose(v[0], [1.0, 0.0, 0.0], atol=1e-12)
+    v = pushforward(CaseId.G34, [(0.0, 0.3, 0.5)])[0]
+    assert np.allclose(v[1], [math.sin(0.0) * math.tan(0.3), math.cos(0.0), 0.0], atol=1e-12)
 
 
 def test_pushforward_rank_deficient_boundary():
-    with pytest.raises(RankDeficientError):
-        pushforward(CaseId.G35, 0, (0.1, 0.1, 0.0))  # sin(u1) = 0 collapses the chart
+    # sin(u1) = 0 collapses the chart; the error names the point
+    with pytest.raises(RankDeficientError, match=r"at \[0\.1 0\.1 0\. \]"):
+        pushforward(CaseId.G35, [(0.2, -0.1, 0.5), (0.1, 0.1, 0.0)])
 
 
 # ---------------------------------------------------------------- metrics

@@ -49,7 +49,6 @@ def test_lambda_rep_g31_verbatim_values():
     assert abs(rep.ops[1].scalar([lam]) - 1j * lam) < 1e-15
     assert abs(rep.ops[2].coeffs[0]([lam]) - lam) < 1e-15
     assert abs(rep.ops[2].scalar([lam]) - 0.5) < 1e-15
-    assert rep.measure == "lebesgue"
     assert rep.ell0 == -1j * 0.1
 
 
@@ -78,7 +77,6 @@ def test_lambda_rep_g32_central_charge():
     rep = lambda_rep(CaseId.G32, 1.0, cfg)
     fit = commutation_table_fit(rep.ops, [(0.2,), (0.9,), (-0.4,)], rep.ell0)
     assert abs(fit.central[0, 1] - 0.9) < 1e-12
-    assert rep.measure == "gaussian(e)"
 
 
 def test_lambda_rep_parameter_ranges():

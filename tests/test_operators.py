@@ -11,9 +11,10 @@ from dskg.cases import case_spec, const
 from dskg.fields import FieldConfig, gauge_one_form, invariant_two_form
 from dskg.lie_core import ALL_CASES, CaseId, INTEGRABLE_CASES, standard_cocycle, subalgebra
 from dskg.dual import Dual
-from dskg.operators import (DiffOp1, commutation_table_fit, commutator, kg_apply_generic_jet,
-                            kg_cross_residual, kg_operator, random_probe,
-                            representation_residual, symmetry_check, symmetry_operators)
+from dskg.operators import (DiffOp1, DiffOp2, commutation_table_fit, commutator,
+                            kg_cross_residual, kg_generic_coefficients, kg_operator,
+                            random_probe, representation_residual, symmetry_check,
+                            symmetry_operators)
 
 import pointwise
 from pointwise import DualProbe
@@ -87,8 +88,8 @@ def _regression_pairs():
 def test_commutator_regressions():
     for A, B, pt, coeffs, scalar in _regression_pairs():
         s = commutator_at(A, B, pt)
-        assert np.max(np.abs(s.coeffs - np.array(coeffs, dtype=complex))) < 1e-13
-        assert abs(s.scalar - scalar) < 1e-13
+        assert np.max(np.abs(s[:3] - np.array(coeffs, dtype=complex))) < 1e-13
+        assert abs(s[3] - scalar) < 1e-13
 
 
 def test_commutator_mixed_pair_derivation():
@@ -97,8 +98,8 @@ def test_commutator_mixed_pair_derivation():
     A = op1([None, lambda c: c[0], None])
     B = op1([lambda c: c[1], None, None])
     s = commutator_at(A, B, (0.4, 0.7, 0.0))
-    assert abs(s.coeffs[0] - 0.4) < 1e-14
-    assert abs(s.coeffs[1] + 0.7) < 1e-14
+    assert abs(s[0] - 0.4) < 1e-14
+    assert abs(s[1] + 0.7) < 1e-14
 
 
 def test_covariant_derivative_commutator_is_field_strength():
@@ -117,8 +118,8 @@ def test_covariant_derivative_commutator_is_field_strength():
         for a in range(3):
             for b in range(3):
                 s = commutator_at(ds[a], ds[b], p)
-                assert np.max(np.abs(s.coeffs)) < 1e-14
-                assert abs(s.scalar - (-1j * e * m[a, b])) < 1e-10
+                assert np.max(np.abs(s[:3])) < 1e-14
+                assert abs(s[3] - (-1j * e * m[a, b])) < 1e-10
 
 
 @pytest.mark.parametrize("case", ALL_CASES)
@@ -201,12 +202,22 @@ def test_kg_operator_on_constants():
 @pytest.mark.parametrize("case", INTEGRABLE_CASES)
 def test_kg_cross_construction_agreement(case):
     cfg = make_config(case)
-    rng = np.random.default_rng(17)
-    worst = 0.0
-    for p in chart_points(case, 20):
-        f = DualProbe.of(random_probe(rng))
-        worst = max(worst, kg_cross_residual(case, cfg, f, p))
-    assert worst < 1e-10
+    assert kg_cross_residual(case, cfg, chart_points(case, 20)) < 1e-10
+
+
+@pytest.mark.parametrize("case", INTEGRABLE_CASES)
+def test_kg_cross_residual_catches_every_coefficient(case, monkeypatch):
+    # 1e-6 on any one closed-form coefficient (9 second-order, 3 first-order,
+    # 1 scalar) must show, far above the agreement bound
+    cfg = make_config(case)
+    pts = chart_points(case, 20)
+    h = kg_operator(case, cfg)
+    for slot in range(13):
+        coeffs = [c for row in h.second for c in row] + h.first + [h.scalar]
+        coeffs[slot] = lambda c, f=coeffs[slot]: f(c) + 1e-6
+        op = DiffOp2([coeffs[0:3], coeffs[3:6], coeffs[6:9]], coeffs[9:12], coeffs[12])
+        monkeypatch.setattr(operators, "kg_operator", lambda *_: op)
+        assert kg_cross_residual(case, cfg, pts) > 1e-10, slot
 
 
 @pytest.mark.parametrize("case", INTEGRABLE_CASES)
@@ -226,11 +237,13 @@ def test_apply_jet_equals_apply(case):
 
 
 def test_kg_generic_assembly_zero_charge_reduces_to_wave():
-    # with e = 0 the generic assembly is the pure Laplace-Beltrami operator
+    # with e = 0 the generic assembly is the pure Laplace-Beltrami operator:
+    # real coefficients, and no scalar part
     cfg = make_config(CaseId.G35, e=0.0, m=0.0, zeta=0.0)
-    f = DualProbe({(0, 0, 0): 1.0}, (0, 0, 0))
-    for p in chart_points(CaseId.G35, 4):
-        assert abs(kg_apply_generic_jet(CaseId.G35, cfg, f(Dual.seed(p)), p)) < 1e-12
+    coords = Dual.seed_grid(dual.columns(chart_points(CaseId.G35, 4)))
+    _, first, scalar = kg_generic_coefficients(CaseId.G35, cfg, coords)
+    assert np.max(np.abs(first.imag)) < 1e-12
+    assert np.max(np.abs(scalar)) < 1e-12
 
 
 def test_kg_operator_rejects_nonintegrable():
