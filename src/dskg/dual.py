@@ -12,7 +12,20 @@ for both and mixes them by broadcasting (Taylor arithmetic applied lane-wise;
 Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
 :meth:`Dual.seed` starts a point jet and :meth:`Dual.seed_grid` a grid jet.
 The elementary functions take ``cmath`` for a point value and ``numpy`` for
-lane arrays.  A lane dropped by :func:`drop_lanes` is NaN in every entry.
+lane arrays.
+
+The derivative entries are sparse (ibid., ch. 7).  A gradient or Hessian
+entry that is a plain ``complex`` zero, as the seeds and constants start
+them, is a structural zero: every product, sum, reciprocal and composition
+drops each term that has one as a factor, and an entry all of whose terms
+are dropped stays the plain ``0j`` instead of becoming a lane array of
+zeros.  Values are always multiplied.  The Hessian is computed on its upper
+triangle only: ``hess[j][i]`` is the same object as ``hess[i][j]``.
+
+A lane dropped by :func:`drop_lanes` is NaN in every entry, and so is that
+lane of every entry computed from the dropped jet afterwards.  A NaN that
+arises in a value by itself reaches only the derivative entries that are not
+structural zeros.
 """
 
 from __future__ import annotations
@@ -20,6 +33,65 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
+
+
+def _zero(e):
+    """True for a structural zero: a plain ``complex`` 0, never a lane array.
+
+    The helpers below inline this test; they run once per entry of every
+    operation."""
+    return type(e) is complex and e == 0
+
+
+def _times(a, b):
+    """a * b of two derivative entries, or ``0j`` when either is a structural zero."""
+    if type(a) is complex and a == 0 or type(b) is complex and b == 0:
+        return 0j
+    return a * b
+
+
+# a value factor v is always multiplied; the factors keep their order because
+# numpy's complex product is not bitwise commutative
+
+def _lmul(v, a):
+    """v * a for a derivative entry ``a``, or ``0j`` when it is a structural zero."""
+    return 0j if type(a) is complex and a == 0 else v * a
+
+
+def _rmul(a, v):
+    """a * v for a derivative entry ``a``, or ``0j`` when it is a structural zero."""
+    return 0j if type(a) is complex and a == 0 else a * v
+
+
+def _plus(a, b):
+    """a + b, skipping a structural zero."""
+    if type(a) is complex and a == 0:
+        return b
+    if type(b) is complex and b == 0:
+        return a
+    return a + b
+
+
+class _Triangles(dict):
+    """For a jet in k variables: the (i, j) positions with i <= j of its
+    Hessian, row by row, and for every position of the full matrix the index
+    of its upper-triangle entry; built at the first jet in k variables."""
+
+    def __missing__(self, k):
+        pairs = tuple((i, j) for i in range(k) for j in range(i, k))
+        at = tuple(tuple(pairs.index((min(i, j), max(i, j))) for j in range(k))
+                   for i in range(k))
+        self[k] = pairs, at
+        return pairs, at
+
+
+_TRIANGLES = _Triangles()
+
+
+def _mirrored(upper, at):
+    """The rows of a symmetric Hessian from its upper-triangle entries: the
+    two mirrored positions hold the same object."""
+    return tuple(tuple(map(upper.__getitem__, row)) for row in at)
 
 
 class Dual:
@@ -32,8 +104,10 @@ class Dual:
 
     def __init__(self, val, grad, hess):
         self.val = val
+        # derivative entries: lane arrays, point values, or the structural
+        # zero 0j, which no arithmetic turns into a lane array
         self.grad = grad        # tuple, length k
-        self.hess = hess        # tuple of k tuples, symmetric
+        self.hess = hess        # tuple of k rows; hess[j][i] is hess[i][j]
 
     # -- construction -------------------------------------------------
 
@@ -70,16 +144,19 @@ class Dual:
 
     def __add__(self, other):
         o = self._coerce(other)
-        g = tuple(a + b for a, b in zip(self.grad, o.grad))
-        h = tuple(tuple(a + b for a, b in zip(ra, rb))
-                  for ra, rb in zip(self.hess, o.hess))
+        pairs, at = _TRIANGLES[len(self.grad)]
+        sh, oh = self.hess, o.hess
+        g = tuple(_plus(a, b) for a, b in zip(self.grad, o.grad))
+        h = _mirrored([_plus(sh[i][j], oh[i][j]) for i, j in pairs], at)
         return Dual(self.val + o.val, g, h)
 
     __radd__ = __add__
 
     def __neg__(self):
+        pairs, at = _TRIANGLES[len(self.grad)]
+        sh = self.hess
         return Dual(-self.val, tuple(-a for a in self.grad),
-                    tuple(tuple(-a for a in r) for r in self.hess))
+                    _mirrored([-sh[i][j] for i, j in pairs], at))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -88,19 +165,19 @@ class Dual:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
+        pairs, at = _TRIANGLES[len(self.grad)]
+        sh = self.hess
         if not isinstance(other, Dual):
             c = complex(other)
-            g = tuple(a * c for a in self.grad)
-            h = tuple(tuple(a * c for a in r) for r in self.hess)
+            g = tuple(_rmul(a, c) for a in self.grad)
+            h = _mirrored([_rmul(sh[i][j], c) for i, j in pairs], at)
             return Dual(self.val * c, g, h)
-        o = other
-        sv, ov = self.val, o.val
-        sg, og = self.grad, o.grad
-        g = tuple(sg[i] * ov + sv * og[i] for i in range(len(sg)))
-        h = tuple(tuple(self.hess[i][j] * ov + sg[i] * og[j]
-                        + sg[j] * og[i] + sv * o.hess[i][j]
-                        for j in range(len(sg)))
-                  for i in range(len(sg)))
+        sv, ov = self.val, other.val
+        sg, og, oh = self.grad, other.grad, other.hess
+        g = tuple(_plus(_rmul(a, ov), _lmul(sv, b)) for a, b in zip(sg, og))
+        h = _mirrored([_plus(_plus(_plus(_rmul(sh[i][j], ov), _times(sg[i], og[j])),
+                                   _times(sg[j], og[i])), _lmul(sv, oh[i][j]))
+                       for i, j in pairs], at)
         return Dual(sv * ov, g, h)
 
     __rmul__ = __mul__
@@ -108,11 +185,15 @@ class Dual:
     def reciprocal(self):
         iv = 1.0 / self.val
         iv2 = iv * iv
-        g = tuple(-a * iv2 for a in self.grad)
-        h = tuple(tuple((2.0 * self.grad[i] * self.grad[j] * iv - self.hess[i][j]) * iv2
-                        for j in range(len(self.grad)))
-                  for i in range(len(self.grad)))
-        return Dual(iv, g, h)
+        pairs, at = _TRIANGLES[len(self.grad)]
+        sg, sh = self.grad, self.hess
+        g = tuple(_rmul(-a, iv2) for a in sg)
+        h = []
+        for i, j in pairs:
+            t = 0j if _zero(sg[i]) or _zero(sg[j]) else 2.0 * sg[i] * sg[j] * iv
+            e = sh[i][j]
+            h.append(_rmul(t if _zero(e) else -e if _zero(t) else t - e, iv2))
+        return Dual(iv, g, _mirrored(h, at))
 
     def __truediv__(self, other):
         if not isinstance(other, Dual):
@@ -140,10 +221,12 @@ class Dual:
 
     def lift(self, f0, f1, f2):
         """Compose with a scalar function given by value/first/second derivative."""
-        g = tuple(f1 * a for a in self.grad)
-        h = tuple(tuple(f1 * self.hess[i][j] + f2 * self.grad[i] * self.grad[j]
-                        for j in range(len(self.grad)))
-                  for i in range(len(self.grad)))
+        pairs, at = _TRIANGLES[len(self.grad)]
+        sg, sh = self.grad, self.hess
+        g = tuple(_lmul(f1, a) for a in sg)
+        h = _mirrored([_plus(_lmul(f1, sh[i][j]),
+                             0j if _zero(sg[i]) or _zero(sg[j]) else f2 * sg[i] * sg[j])
+                       for i, j in pairs], at)
         return Dual(f0, g, h)
 
     def __repr__(self):
@@ -304,8 +387,10 @@ def partial(jet, index):
 
 def drop_lanes(x, mask):
     """The grid jet ``x`` with the lanes where ``mask`` holds set to NaN in
-    every entry, so that they read as dropped nodes."""
+    every entry, so that they read as dropped nodes; a structural zero becomes
+    a lane array with NaN at those lanes."""
     def cut(a):
         return np.where(mask, np.nan, a)
+    pairs, at = _TRIANGLES[len(x.grad)]
     return Dual(cut(x.val), tuple(cut(a) for a in x.grad),
-                tuple(tuple(cut(a) for a in r) for r in x.hess))
+                _mirrored([cut(x.hess[i][j]) for i, j in pairs], at))

@@ -169,14 +169,15 @@ def pushforward(case_id: CaseId, points, parameter_a: Optional[float] = None) ->
     """Chart components v[p, A] of every ambient generator X_A = M_A x at each of
     the ``points``, shape (N, n, 3): v = g^-1 J^T eta (M x), from one grid jet.
 
-    Raises :class:`RankDeficientError` where the induced metric degenerates
-    (:func:`metric_jet`) or where some M x is not tangent to the chart, naming
-    the first such point.  A valid rectification has vanishing u-components.
+    Raises :class:`RankDeficientError` where the induced metric is not of
+    signature (+, -, -), as :func:`metric_jet` does, or where some M x is not
+    tangent to the chart, naming the first such point.  A valid rectification
+    has vanishing u-components.
     """
     chart = chart_for(case_id, parameter_a)
     coords = Dual.seed_grid(dual.columns(points))
-    _, _, ginv, *_ = metric_jet(case_id, coords, parameter_a)
     vals, jac, _ = chart_jets(chart, coords)
+    ginv = np.linalg.inv(_checked_metric(chart, coords, jac))
     mats = np.array(subalgebra(case_id, parameter_a).generator_matrices())
     amb = np.einsum("Aij,pj->pAi", mats, vals)
     v = np.einsum("pab,pib,i,pAi->pAa", ginv, jac, ETA, amb)
@@ -208,6 +209,22 @@ class MetricSample:
         return float(np.max(np.abs(self.g @ self.g_inv - np.eye(3))))
 
 
+def _checked_metric(chart: Chart, coords, jac: np.ndarray) -> np.ndarray:
+    """The induced metric g_ab = eta(J_a, J_b) from the chart Jacobian ``jac``
+    at ``coords``; raises :class:`RankDeficientError`, naming the entry and the
+    first point, where it is not of signature (+, -, -)."""
+    g = np.einsum("i,...ia,...ib->...ab", ETA, jac, jac)
+    pos, neg = _signature(g)
+    bad = np.flatnonzero((pos != 1) | (neg != 2))
+    if bad.size:
+        n = bad[0]
+        points = np.stack(np.broadcast_arrays(*(dual.value(c).real for c in coords)), axis=-1)
+        raise RankDeficientError(
+            f"{chart.case_id}: induced metric signature ({np.ravel(pos)[n]}, "
+            f"{np.ravel(neg)[n]}) at {points.reshape(-1, 3)[n]}; outside chart domain")
+    return g
+
+
 def metric_jet(case_id: CaseId, coords, parameter_a: Optional[float] = None):
     """Induced metric with first derivatives, from one exact chart 2-jet at
     ``coords`` (a point or grid seed, as for :func:`chart_jets`).
@@ -219,15 +236,7 @@ def metric_jet(case_id: CaseId, coords, parameter_a: Optional[float] = None):
     """
     chart = chart_for(case_id, parameter_a)
     _, jac, hes = chart_jets(chart, coords)
-    g = np.einsum("i,...ia,...ib->...ab", ETA, jac, jac)
-    pos, neg = _signature(g)
-    bad = np.flatnonzero((pos != 1) | (neg != 2))
-    if bad.size:
-        n = bad[0]
-        points = np.stack(np.broadcast_arrays(*(dual.value(c).real for c in coords)), axis=-1)
-        raise RankDeficientError(
-            f"{chart.case_id}: induced metric signature ({np.ravel(pos)[n]}, "
-            f"{np.ravel(neg)[n]}) at {points.reshape(-1, 3)[n]}; outside chart domain")
+    g = _checked_metric(chart, coords, jac)
     dg = np.einsum("i,...iac,...ib->...cab", ETA, hes, jac) \
         + np.einsum("i,...ia,...ibc->...cab", ETA, jac, hes)
     ginv = np.linalg.inv(g)

@@ -2,10 +2,11 @@
 differences (the only place finite differences are allowed)."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from dskg import dual
 from dskg.dual import Dual
@@ -40,6 +41,21 @@ def test_integer_power_handles_negative_base():
     assert abs(f.val - (-3.375)) < 1e-14
     assert abs(f.grad[0] - 3 * 1.5 ** 2) < 1e-13
     assert abs(f.hess[0][0] + 9.0) < 1e-13
+
+
+def test_reciprocal_at_a_vanishing_point_gradient():
+    # at x = 0 the gradient of x^2 + 1 is an exact point 0 and drops out of the
+    # Hessian of the reciprocal: (1 / (1 + x^2))'' = -2 there
+    (x,) = Dual.seed([0.0])
+    f = 1.0 / (x * x + 1.0)
+    assert f.val == 1 and f.grad[0] == 0 and f.hess[0][0] == -2
+
+
+def test_a_point_value_of_zero_is_still_multiplied():
+    # only derivative entries are skipped as zeros: 0 * inf stays NaN
+    (x,) = Dual.seed([0.0])
+    steep = Dual(1 + 0j, (complex(math.inf),), ((0j,),))
+    assert cmath.isnan((x * steep).grad[0]) and cmath.isnan((steep * x).grad[0])
 
 
 def test_complex_power_principal_branch():
@@ -229,3 +245,268 @@ def test_compose_lifts_a_jet_and_passes_a_constant_value():
     v = seeds[0] * seeds[1] + seeds[2]
     got, want = dual.compose(v, 2.0, 3.0, 4.0), v.lift(2.0, 3.0, 4.0)
     assert (got.val, got.grad, got.hess) == (want.val, want.grad, want.hess)
+
+
+# -- sparse, one-triangle jets against the dense full-matrix arithmetic -----
+
+class _Dense:
+    """The reference jet: every gradient entry and all k x k Hessian entries
+    computed, each by the same formula and in the same factor order as
+    :class:`Dual`, with no entry skipped and no triangle shared."""
+
+    def __init__(self, val, grad, hess):
+        self.val, self.grad, self.hess = val, grad, hess
+
+    @staticmethod
+    def seeds(columns):
+        k = len(columns)
+        z = (0j,) * k
+        return [_Dense(c, tuple(1 + 0j if j == i else 0j for j in range(k)), (z,) * k)
+                for i, c in enumerate(columns)]
+
+    def _coerce(self, other):
+        if isinstance(other, _Dense):
+            return other
+        z = (0j,) * len(self.grad)
+        return _Dense(complex(other), z, (z,) * len(z))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return _Dense(self.val + o.val, tuple(a + b for a, b in zip(self.grad, o.grad)),
+                      tuple(tuple(a + b for a, b in zip(ra, rb))
+                            for ra, rb in zip(self.hess, o.hess)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Dense(-self.val, tuple(-a for a in self.grad),
+                      tuple(tuple(-a for a in r) for r in self.hess))
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        k = range(len(self.grad))
+        if not isinstance(other, _Dense):
+            c = complex(other)
+            return _Dense(self.val * c, tuple(a * c for a in self.grad),
+                          tuple(tuple(a * c for a in r) for r in self.hess))
+        sv, ov, sg, og = self.val, other.val, self.grad, other.grad
+        return _Dense(sv * ov, tuple(sg[i] * ov + sv * og[i] for i in k),
+                      tuple(tuple(self.hess[i][j] * ov + sg[i] * og[j] + sg[j] * og[i]
+                                  + sv * other.hess[i][j] for j in k) for i in k))
+
+    __rmul__ = __mul__
+
+    def reciprocal(self):
+        iv = 1.0 / self.val
+        iv2 = iv * iv
+        g, k = self.grad, range(len(self.grad))
+        return _Dense(iv, tuple(-a * iv2 for a in g),
+                      tuple(tuple((2.0 * g[i] * g[j] * iv - self.hess[i][j]) * iv2 for j in k)
+                            for i in k))
+
+    def __truediv__(self, other):
+        if not isinstance(other, _Dense):
+            return self * (1.0 / complex(other))
+        return self * other.reciprocal()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.reciprocal()
+
+    def __pow__(self, n):
+        out = self
+        for _ in range(abs(n) - 1):
+            out = out * self
+        return out.reciprocal() if n < 0 else out
+
+    def lift(self, f0, f1, f2):
+        g, k = self.grad, range(len(self.grad))
+        return _Dense(f0, tuple(f1 * a for a in g),
+                      tuple(tuple(f1 * self.hess[i][j] + f2 * g[i] * g[j] for j in k)
+                            for i in k))
+
+
+def _m(v):
+    return np if isinstance(v, np.ndarray) else cmath
+
+
+class _DenseFunctions:
+    """The elementary functions of :mod:`dskg.dual`, lifted onto :class:`_Dense`."""
+
+    @staticmethod
+    def exp(x):
+        e = _m(x.val).exp(x.val)
+        return x.lift(e, e, e)
+
+    @staticmethod
+    def log(x):
+        v = x.val
+        return x.lift(_m(v).log(v), 1.0 / v, -1.0 / (v * v))
+
+    @staticmethod
+    def sin(x):
+        s, c = _m(x.val).sin(x.val), _m(x.val).cos(x.val)
+        return x.lift(s, c, -s)
+
+    @staticmethod
+    def cosh(x):
+        s, c = _m(x.val).sinh(x.val), _m(x.val).cosh(x.val)
+        return x.lift(c, s, c)
+
+    @staticmethod
+    def power(x, p):
+        return _DenseFunctions.exp(_DenseFunctions.log(x) * p)
+
+    @staticmethod
+    def compose(x, f0, f1, f2):
+        return x.lift(f0, f1, f2)
+
+
+class _Rejected(Exception):
+    """A drawn expression leaves the domain where its functions are smooth."""
+
+
+def _guard(x, *, cut=False, large=False):
+    """Reject a jet with a lane near 0 (or near the principal cut when ``cut``),
+    or, when ``large``, with a lane too large to exponentiate."""
+    v = np.asarray(x.val)
+    if large:
+        if np.any(np.abs(v) > 20):
+            raise _Rejected
+    elif np.any(np.abs(v) < 0.1) or cut and np.any((v.real < 0) & (np.abs(v.imag) < 0.1)):
+        raise _Rejected
+
+
+def _bell(v):
+    """The 2-jet of t -> 1 / (1 + t^2) at ``v``, for compose."""
+    f = 1.0 / (1.0 + v * v)
+    return f, -2.0 * v * f * f, (6.0 * v * v - 2.0) * f * f * f
+
+
+def _evaluate(tree, leaves, fn):
+    """An expression ``tree`` over the seed ``leaves``, with the elementary
+    functions of ``fn``; raises :class:`_Rejected` near a pole, a branch cut
+    or an overflow."""
+    op, *args = tree
+    if op == "var":
+        return leaves[args[0]]
+    x = _evaluate(args[0], leaves, fn)
+    if op in ("add", "sub", "mul", "div"):
+        y = _evaluate(args[1], leaves, fn)
+        if op == "div":
+            _guard(y)
+            return x / y
+        return x + y if op == "add" else x - y if op == "sub" else x * y
+    if op == "shift":
+        c, left = args[1:]
+        return c - x if left else x + c
+    if op == "scale":
+        c, left = args[1:]
+        if left:
+            _guard(x)
+            return c / x
+        return x * c
+    if op == "pow":
+        if args[1] < 0:
+            _guard(x)
+        return x ** args[1]
+    if op in ("log", "power"):
+        _guard(x, cut=True)
+        return fn.log(x) if op == "log" else fn.power(x, args[1])
+    if op == "compose":
+        _guard(x, large=True)
+        return fn.compose(x, *_bell(x.val))
+    _guard(x, large=True)
+    return getattr(fn, op)(x)
+
+
+_TREES = st.recursive(
+    st.tuples(st.just("var"), st.integers(0, 2)),
+    lambda t: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), t, t),
+        st.tuples(st.sampled_from(["exp", "log", "sin", "cosh", "compose"]), t),
+        st.tuples(st.just("pow"), t, st.sampled_from([2, 3, -1, -2])),
+        st.tuples(st.just("power"), t, st.sampled_from([0.5, -1.5 + 0.3j, 1j])),
+        st.tuples(st.sampled_from(["shift", "scale"]), t,
+                  st.sampled_from([2.0, -0.5, 1.5 + 0.5j, 3j]), st.booleans())),
+    max_leaves=8)
+_LANES = 4
+
+
+def _close(got, want, lanes):
+    """Every entry of ``got`` within 1e-14 of the largest entry of ``want`` at
+    its lane (the bound is relative to the block: value, gradient or Hessian)."""
+    got = np.array([np.broadcast_to(e, lanes) for e in got])
+    want = np.array([np.broadcast_to(e, lanes) for e in want])
+    scale = np.max(np.abs(want), axis=0)
+    return bool(np.all(np.abs(got - want) <= 1e-14 * scale))
+
+
+@seed(2201)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_TREES,
+       st.lists(st.floats(0.2, 1.5), min_size=3 * _LANES, max_size=3 * _LANES),
+       st.lists(st.floats(-0.5, 0.5), min_size=3 * _LANES, max_size=3 * _LANES))
+def test_sparse_jets_match_the_dense_arithmetic(tree, re, im):
+    cols = list((np.array(re) + 1j * np.array(im)).reshape(3, _LANES))
+    point = [complex(c[0]) for c in cols]
+    for sparse_leaves, dense_leaves in ((Dual.seed_grid(cols), _Dense.seeds(cols)),
+                                        (Dual.seed(point), _Dense.seeds(point))):
+        try:
+            want = _evaluate(tree, dense_leaves, _DenseFunctions)
+        except _Rejected:
+            assume(False)
+        got = _evaluate(tree, sparse_leaves, dual)
+        lanes = np.shape(want.val)
+        entries = [np.broadcast_to(e, lanes) for e in
+                   (want.val, *want.grad, *(h for row in want.hess for h in row))]
+        assume(np.all(np.isfinite(entries)) and np.max(np.abs(entries)) < 1e100)
+        assert _close([got.val], [want.val], lanes)
+        assert _close(got.grad, want.grad, lanes)
+        assert _close([h for row in got.hess for h in row],
+                      [h for row in want.hess for h in row], lanes)
+        assert all(got.hess[i][j] is got.hess[j][i] for i in range(3) for j in range(3))
+
+
+def _plain_zero(e):
+    return type(e) is complex and e == 0
+
+
+@pytest.mark.parametrize("expr,used", [
+    (lambda c: dual.sin(c[1]) * c[1], {1}),
+    (lambda c: dual.exp(c[0]) / (c[2] + 2.0), {0, 2}),
+    (lambda c: 3.0 - c[2] ** -2, {2}),
+    (lambda c: dual.log(c[0] * c[0] + 1.0) - dual.cosh(c[0]), {0}),
+])
+def test_structural_zeros_stay_plain_scalars(expr, used):
+    # an entry outside the variables an expression uses is the plain 0j, never
+    # a lane array of zeros; the entries of a used variable are lane arrays
+    c = Dual.seed_grid(dual.columns([[0.4, -1.1, 0.3], [0.2, 0.5, -0.7]]))
+    f = expr(c)
+    for i in range(3):
+        assert _plain_zero(f.grad[i]) == (i not in used)
+        for j in range(3):
+            if i not in used or j not in used:
+                assert _plain_zero(f.hess[i][j])
+            assert f.hess[i][j] is f.hess[j][i]
+    assert all(isinstance(f.hess[i][i], np.ndarray) for i in used)
+
+
+def test_dropped_lanes_are_nan_in_every_entry_and_every_later_jet():
+    c = Dual.seed_grid(dual.columns([[0.4, -1.1, 0.3], [0.2, 0.5, -0.7], [1.5, 0.2, 0.9]]))
+    f = dual.sin(c[1]) * c[1]
+    mask = np.array([False, True, False])
+    dropped = dual.drop_lanes(f, mask)
+    later = dual.exp(c[0] * dropped) + c[2]
+    for jet in (dropped, later):
+        entries = [jet.val, *jet.grad, *(h for row in jet.hess for h in row)]
+        assert all(isinstance(e, np.ndarray) and np.isnan(e[1]) for e in entries)
+        assert all(jet.hess[i][j] is jet.hess[j][i] for i in range(3) for j in range(3))
+    # the kept lanes keep their values, structural zeros included
+    for got, want in zip((dropped.val, *dropped.grad, *dropped.hess[0], dropped.hess[1][1]),
+                         (f.val, *f.grad, *f.hess[0], f.hess[1][1])):
+        assert np.array_equal(got[[0, 2]], np.broadcast_to(want, 3)[[0, 2]])
