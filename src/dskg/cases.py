@@ -19,6 +19,7 @@ evaluated.  Families that share a formula share one object.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -130,7 +131,10 @@ class IntegrationSpec:
     kg_operator: Callable   # k -> (second, first, scalar) coefficients
     ansatz: Callable        # (k, J) -> (phase, char), both of (coords, lam)
     reduced_ode: Callable   # (k, J) -> (p, q)
-    basis: Callable         # (k, J, wrap) -> (phi1, phi2, record)
+    # (k, J, wrap, lam) -> (phi1, phi2, record); a basis on a finite span
+    # also covers the characteristic variable on `grid` at lam, a closed form
+    # ignores lam
+    basis: Callable
 
 
 @dataclass(frozen=True)
@@ -356,7 +360,7 @@ def _special_pair(fns, params, frame, wrap):
     return tuple(wrap(member, fn.__name__) for fn, member in zip(fns, members))
 
 
-def _g31_basis(k, J, wrap):
+def _g31_basis(k, J, wrap, lam):
     e, mt, mu1, mu2 = k.e, k.mass_term, k.mu1, k.mu2
     root = math.sqrt(J * J + 1.0)
     alpha = 1j * e * (J * mu1 + mu2) / root
@@ -439,7 +443,7 @@ def _g32_reduced_ode(k, J):
     return lambda v: -2.0, q
 
 
-def _g32_basis(k, J, wrap):
+def _g32_basis(k, J, wrap, lam):
     e, mt, mu = k.e, k.mass_term, k.mu
     order = cmath.sqrt(1.0 - mt)
     charge = e * mu * (2.0 * J + 1.0)
@@ -568,16 +572,21 @@ def _g33a_reduced_ode(k, J):
     return lambda v: 2.0 * a, lambda v: specfun.exp_sum(terms, v)
 
 
-# the v-range on which the Taylor basis is summed
+# the v-range that the Taylor basis spans at least, and the solve grid's box
 _G33A_SPAN = (-1.8, 1.8)
+_G33A_GRID = ((-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5))
 
 
-def _g33a_basis(k, J, wrap):
-    # no known closed form, but q is entire: a piecewise Taylor series
-    a = k.parameter_a
-    phi1, phi2, segments = specfun.taylor_basis(2.0 * a, _g33a_q_terms(k, J), _G33A_SPAN,
+def _g33a_basis(k, J, wrap, lam):
+    # no known closed form, but q is entire: a piecewise Taylor series, on a
+    # span that also holds the ansatz's v over the grid box at lam.  v is
+    # affine in the coordinates, so the box's corners bound it
+    _, char = _g33a_ansatz(k, J)
+    vs = [char(corner, lam).real for corner in itertools.product(*_G33A_GRID)]
+    a, span = k.parameter_a, (min(_G33A_SPAN[0], *vs), max(_G33A_SPAN[1], *vs))
+    phi1, phi2, segments = specfun.taylor_basis(2.0 * a, _g33a_q_terms(k, J), span,
                                                 f"g3_3a (a = {a}, J = {J})")
-    return phi1, phi2, {"kind": "taylor_series", "span": list(_G33A_SPAN),
+    return phi1, phi2, {"kind": "taylor_series", "span": list(span),
                         "segments": segments, "terms": specfun.TAYLOR_TERMS}
 
 
@@ -600,7 +609,7 @@ _G33a = CaseSpec(
             + (k.mu2 * c[0] + k.mu1 * c[1]) * dual.sin(c[2]))],
         chi=_g33a_chi),
     integration=IntegrationSpec(
-        0.2 + 0j, ((-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)),
+        0.2 + 0j, _G33A_GRID,
         lambda_rep=lambda J, k: [
             (_zero, lambda c: 1j * J * dual.exp(c[0] * k.parameter_a) * dual.cos(c[0])),
             (_zero, lambda c: 1j * J * dual.exp(c[0] * k.parameter_a) * dual.sin(c[0])),
@@ -725,7 +734,7 @@ def _g35_reduced_ode(k, J):
     return p, q
 
 
-def _g34_basis(k, J, wrap):
+def _g34_basis(k, J, wrap, lam):
     e, mt, mu = k.e, k.mass_term, k.mu
     nu = cmath.sqrt((J + 0.5) ** 2 - (e * mu) ** 2) - 0.5
     sigma = cmath.sqrt(1.0 - mt)
@@ -745,7 +754,7 @@ def _legendre_pair(nu, sigma, frame, wrap):
     return _special_pair((specfun.legendre_p, specfun.legendre_q), (nu, sigma), frame, wrap)
 
 
-def _g35_basis(k, J, wrap):
+def _g35_basis(k, J, wrap, lam):
     e, mt, mu = k.e, k.mass_term, k.mu
     nu = cmath.sqrt(1.0 - mt) - 0.5
     sigma = cmath.sqrt((e * mu) ** 2 - J * J)

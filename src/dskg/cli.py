@@ -14,6 +14,7 @@ import cmath
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import sys
 import warnings
@@ -29,8 +30,9 @@ from .fields import (FieldConfig, chi_residual, closedness_residual, gauge_one_f
                      gauge_residual, invariance_residual, invariant_two_form, solve_chi)
 from .geometry import (ChartOverflowError, RankDeficientError, chart_for, generator_jets,
                        hyperboloid_residual, induced_metric, killing_residual, sample_domain)
-from .integrate import (ansatz, default_grid, joint_system_residual, lambda_rep,
-                        reduced_ode, reduction_coefficients, solution_basis)
+from .integrate import (ansatz, default_grid, grid_axes, grid_nodes, joint_system_residual,
+                        lambda_rep, nested_product, reduced_ode, reduction_coefficients,
+                        solution_basis)
 from .lie_core import (ALL_CASES, CaseId, INTEGRABLE_CASES, subalgebra, table3,
                        table3_diff)
 from .operators import (commutation_table_fit, kg_operator, symmetry_check,
@@ -244,7 +246,7 @@ CHECKS = (
         ansatz(c.case, c.cfg, c.run.J, c.lam), c.rep, c.jpts), True),
     Check("reduced_coefficients", 1e-9, _reduced_coefficients, True),
     Check("wave_residual", 1e-6, lambda c: integrate.reduction_residual(
-        c.case, c.cfg, c.run.J, c.lam, solution_basis(c.case, c.cfg, c.run.J).phi1,
+        c.case, c.cfg, c.run.J, c.lam, solution_basis(c.case, c.cfg, c.run.J, c.lam).phi1,
         default_grid(c.case, (4, 4, 4))), True),
     Check("symmetry_commutator", 1e-8, lambda c: symmetry_check(
         kg_operator(c.case, c.cfg), c.ops, c.sym_pts, n_probes=2), True),
@@ -299,8 +301,9 @@ def _format_record(rec: dict) -> dict:
 
 
 # one CSV row of `solve`'s body, as csv.writer writes it: numbers never need
-# quoting, and \r\n is its line terminator
-_SOLVE_ROW = "%.12g,%.12g,%.12g,%.15g,%.15g,%.3e\r\n"
+# quoting, and \r\n is its line terminator.  The node's coordinates come first,
+# as one prefix of per-axis strings, each formatted once as "%.12g,"
+_SOLVE_ROW = "%s%.15g,%.15g,%.3e\r\n"
 
 
 def cmd_solve(run: RunConfig, out, err) -> int:
@@ -315,11 +318,12 @@ def cmd_solve(run: RunConfig, out, err) -> int:
                          "choose one of " + ", ".join(c.value for c in INTEGRABLE_CASES))
     cfg = _field_config(case, run)
     lam = run.lam if run.lam is not None else spec.integration.lam
-    basis = solution_basis(case, cfg, run.J)
+    basis = solution_basis(case, cfg, run.J, lam)
     ans = ansatz(case, cfg, run.J, lam)
     h = kg_operator(case, cfg)
     f = ans.assemble(basis.phi1)
-    grid = default_grid(case, run.grid)
+    axes = grid_axes(spec.integration.grid, run.grid)
+    grid = grid_nodes(axes)
     chart = chart_for(case, cfg.parameter_a)
     phi, residual = integrate.grid_residuals(f, h, grid)
     kept = np.isfinite(phi)
@@ -327,8 +331,11 @@ def cmd_solve(run: RunConfig, out, err) -> int:
     verified = dropped < len(grid)
     worst = float(residual[kept].max()) if verified else 0.0
     csv.writer(out).writerow(list(chart.coord_names) + ["re_phi", "im_phi", "residual"])
-    rows = zip(grid[kept].tolist(), phi[kept].tolist(), residual[kept].tolist())
-    out.writelines(_SOLVE_ROW % (*pt, p.real, p.imag, r) for pt, p, r in rows)
+    prefixes = map("".join, nested_product([["%.12g," % x for x in ax.tolist()]
+                                            for ax in axes]))
+    rows = zip(itertools.compress(prefixes, kept.tolist()),
+               phi[kept].tolist(), residual[kept].tolist())
+    out.writelines(_SOLVE_ROW % (pre, p.real, p.imag, r) for pre, p, r in rows)
     summary = {
         "schema": SCHEMA_VERSION,
         "case": case.value,
@@ -355,8 +362,7 @@ def cmd_chart(run: RunConfig, out) -> int:
         raise UsageError("chart requires --case")
     case = _resolve_case(run.case)
     chart = chart_for(case, _family_a(case, run))
-    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(chart.domain, run.grid)]
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)  # last axis fastest
+    nodes = grid_nodes(grid_axes(chart.domain, run.grid))
     # every point is embedded before anything is written: a failure prints no rows
     rows = []
     for pt in nodes.tolist():

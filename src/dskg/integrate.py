@@ -20,6 +20,8 @@ reads it is NaN, so it fails.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -232,16 +234,42 @@ class SolutionBasis:
         return f0 * g1 - f1 * g0
 
 
-def solution_basis(case_id: CaseId, config: FieldConfig, J: float) -> SolutionBasis:
-    """Two independent solutions of the reduced equation, with parameter record."""
+def solution_basis(case_id: CaseId, config: FieldConfig, J: float,
+                   lam: complex | None = None) -> SolutionBasis:
+    """Two independent solutions of the reduced equation, with parameter record.
+
+    The basis covers the characteristic variable on the entry's grid box at
+    ``lam`` (the entry's own lambda by default); only a basis on a finite span
+    reads it.
+    """
     case_id = CaseId(case_id)
-    phi1, phi2, rec = integration(case_id).basis(config, J, SpecialSolution)
+    spec = integration(case_id)
+    phi1, phi2, rec = spec.basis(config, J, SpecialSolution, spec.lam if lam is None else lam)
     return SolutionBasis(case_id, phi1, phi2, rec)
 
 
+def grid_axes(box: Sequence[tuple[float, float]], counts: Sequence[int]) -> list[np.ndarray]:
+    """Per-axis node values: ``counts[i]`` evenly spaced values over ``box[i]``,
+    both ends included."""
+    return [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, counts)]
+
+
+def nested_product(per_axis: Sequence[Sequence]):
+    """Every grid's node order: the nested-loop product of per-axis items, the
+    last axis fastest.  Items of any kind follow it, so a node's values and
+    anything formatted per axis line up."""
+    return itertools.product(*per_axis)
+
+
+def grid_nodes(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The :func:`nested_product` of per-axis values as an (N, len(axes)) float
+    array."""
+    n = math.prod(len(ax) for ax in axes)
+    flat = itertools.chain.from_iterable(nested_product([ax.tolist() for ax in axes]))
+    return np.fromiter(flat, float, n * len(axes)).reshape(n, len(axes))
+
+
 def default_grid(case_id: CaseId, counts: Sequence[int] = (10, 10, 10)) -> np.ndarray:
-    """The entry's box sampled at ``counts`` nodes per axis, as an (N, 3) float
-    array in nested-loop order: the last axis varies fastest."""
-    box = integration(case_id).grid
-    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, counts)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
+    """The entry's box sampled at ``counts`` nodes per axis: the
+    :func:`grid_nodes` of its :func:`grid_axes`."""
+    return grid_nodes(grid_axes(integration(case_id).grid, counts))

@@ -230,7 +230,7 @@ def _solve_rows_by_csv_writer(argv):
     cfg = cli._field_config(case, run)
     lam = run.lam if run.lam is not None else case_spec(case).integration.lam
     f = integrate.ansatz(case, cfg, run.J, lam).assemble(
-        integrate.solution_basis(case, cfg, run.J).phi1)
+        integrate.solution_basis(case, cfg, run.J, lam).phi1)
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(case_spec(case).integration.grid,
                                                            run.grid)]
     grid = [(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]
@@ -250,6 +250,11 @@ def _solve_rows_by_csv_writer(argv):
     (["solve", "--case", "g3_4", "--grid", "4"], 0, 64),
     (["solve", "--case", "g3_4", "--lambda=0+1i", "--grid", "5"], 0, 110),
     (["solve", "--case", "g3_5", "--lambda=10+0i", "--grid", "3"], 1, 0),
+    # a non-cubic grid: each axis keeps its own strings
+    (["solve", "--case", "g3_1", "--grid", "2,3,4"], 0, 24),
+    (["solve", "--case", "g3_3a", "--a", "1", "--grid", "3,5,4"], 0, 60),
+    # 65 of 125 nodes dropped, spread over the grid
+    (["solve", "--case", "g3_5", "--lambda=1+0i", "--grid", "5"], 0, 60),
 ])
 def test_solve_csv_matches_the_csv_writer(argv, code, rows):
     got_code, out, _ = run_cli(*argv)
@@ -394,6 +399,27 @@ def test_solve_steep_g3_3a_family_from_the_series():
     assert record["kind"] == "taylor_series" and record["terms"] == 40
     assert 1000 < record["segments"] < 10000
     assert len(out.splitlines()) == 1 + 27
+
+
+@pytest.mark.parametrize("lam,span", [("2+0i", [-2.5, 1.8]), ("-1.5+0i", [-1.8, 2.0])])
+def test_g3_3a_series_spans_the_grid_at_its_lambda(lam, span):
+    # v = q3 - lambda over q3 in [-0.5, 0.5] leaves the default span [-1.8, 1.8];
+    # the series then spans the hull of the two
+    code, out, err = run_cli("solve", "--case", "g3_3a", "--a", "1", f"--lambda={lam}",
+                             "--grid", "4")
+    assert code == 0
+    summary = json.loads(err)
+    assert summary["max_residual"] <= 1e-6
+    assert summary["special_function"]["span"] == span
+    assert len(out.splitlines()) == 1 + 64
+    code, out, _ = run_cli("verify", "--case", "g3_3a", "--a", "1", f"--lambda={lam}")
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_g3_3a_series_at_a_non_real_lambda_is_a_domain_error():
+    # the series is summed on the real axis only, and v = q3 - lambda is not real
+    assert run_cli("solve", "--case", "g3_3a", "--a", "1", "--lambda=2+0.5i", "--grid", "3") \
+        == (1, "", "error: Taylor series queried off the real axis: (-2.5-0.5j)\n")
 
 
 def test_verify_steep_g3_3a_family_passes():

@@ -13,6 +13,7 @@ fails Tier-1, not only `pytest perfbench`.
 """
 
 import ast
+import importlib
 import io
 import sys
 import types
@@ -113,6 +114,25 @@ def src_defs():
     return out
 
 
+def clear_src_caches():
+    """Empty every ``functools`` cache held by a `src` module or class, and
+    return the qualified names of the caches emptied."""
+    cleared = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("dskg" if path.stem == "__init__"
+                                         else f"dskg.{path.stem}")
+        for name, value in vars(module).items():
+            members = [(name, value)]
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                members += [(f"{name}.{key}", getattr(value, key)) for key in vars(value)]
+            for qualname, fn in members:
+                owner = getattr(fn, "__module__", None)
+                if hasattr(fn, "cache_clear") and owner == module.__name__:
+                    fn.cache_clear()
+                    cleared.append(f"{path.stem}.{qualname}")
+    return cleared
+
+
 def entered_by_commands():
     """The (file name, line) of every `src` function the command set enters."""
     codes = set()
@@ -121,10 +141,11 @@ def entered_by_commands():
         if event == "call":
             codes.add(frame.f_code)
 
-    # a cached def runs only on its first call in a process.  specfun keeps no
-    # module-level cache: each basis binds its own ratio tables, weights and
-    # last-result slots, so each command starts them empty
-    cli.build_parser.cache_clear()
+    # a cached def runs only on its first call in a process, so every cache is
+    # emptied first, whichever tests ran before.  specfun keeps no module-level
+    # cache: each basis binds its own ratio tables, weights and last-result
+    # slots, so each command starts them empty
+    assert "cli.build_parser" in clear_src_caches()
     assert not [name for name, fn in vars(specfun).items() if hasattr(fn, "cache_clear")]
     previous = sys.getprofile()
     sys.setprofile(profile)

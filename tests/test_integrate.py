@@ -15,7 +15,7 @@ from dskg import dual, specfun
 from dskg.cases import integration
 from dskg.dual import Dual
 from dskg.fields import FieldConfig
-from dskg.integrate import (BranchPointError, ansatz, default_grid, grid_residuals,
+from dskg.integrate import (BranchPointError, ansatz, default_grid, grid_axes, grid_residuals,
                             joint_system_residual, lambda_rep, reduced_ode,
                             reduction_coefficients, reduction_residual, solution_basis)
 from dskg.lie_core import CaseId, INTEGRABLE_CASES, standard_cocycle, subalgebra
@@ -314,6 +314,25 @@ def test_solution_records():
     assert rec["terms"] == 40 and rec["segments"] >= 36
 
 
+@pytest.mark.parametrize("lam,span", [(0.2, (-1.8, 1.8)), (-1.3, (-1.8, 1.8)),
+                                      (2.0, (-2.5, 1.8)), (-1.5 + 0.3j, (-1.8, 2.0))])
+def test_g33a_series_span_is_the_hull_with_the_grid_v_range(lam, span):
+    # v = q3 - lambda over q3 in [-0.5, 0.5]; inside the default span the
+    # series is the one built at the entry's own lambda, bit for bit
+    cfg = make_config(CaseId.G33a)
+    basis = solution_basis(CaseId.G33a, cfg, 1.0, lam)
+    assert basis.record["span"] == list(span)
+    if span == (-1.8, 1.8):
+        plain = solution_basis(CaseId.G33a, cfg, 1.0)
+        assert basis.record == plain.record
+        for v in np.linspace(-1.8, 1.8, 13):
+            assert basis.phi1.jet(v) == plain.phi1.jet(v)
+            assert basis.phi2.jet(v) == plain.phi2.jet(v)
+    ode = reduced_ode(CaseId.G33a, cfg, 1.0)
+    for v in np.linspace(*span, 9):
+        assert ode.residual(basis.phi1, v) < 1e-8
+
+
 @pytest.mark.parametrize("case", INTEGRABLE_CASES)
 def test_solution_basis_satisfies_reduced_ode(case):
     cfg = make_config(case)
@@ -412,7 +431,8 @@ def test_bound_members_match_the_dual_composition_on_offset_paths(seed):
     # reads the series objects phi1 left
     rng = np.random.default_rng(seed + 100)
     for case, k, J in offset_draws(seed):
-        phi1, phi2, record = integration(case).basis(k, J, lambda fn, label: fn)
+        phi1, phi2, record = integration(case).basis(k, J, lambda fn, label: fn,
+                                                      integration(case).lam)
         assert abs(cmath.sin(math.pi * CLOSED_FORM[case][0](record))) < 1e-6, record
         lo, hi = CLOSED_FORM[case][1]
         mid = 0.5 * (lo + hi)
@@ -466,7 +486,8 @@ def test_a_basis_evaluates_each_ratio_once(monkeypatch, case):
         grow(table)
     monkeypatch.setattr(specfun._Ratios, "grow", counted)
     series = count_calls(monkeypatch, "_series_jet")
-    phi1, phi2, _ = integration(case).basis(make_config(case), 1.0, lambda fn, label: fn)
+    phi1, phi2, _ = integration(case).basis(make_config(case), 1.0, lambda fn, label: fn,
+                                            integration(case).lam)
     nodes = [complex(v) for v in np.linspace(*CLOSED_FORM[case][1], 12)]
     sweeps = []
     for _ in range(2):
@@ -604,6 +625,9 @@ def test_default_grid_is_the_nested_axis_product(case):
     nested = [(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]
     grid = default_grid(case, counts)
     assert grid.dtype == np.float64 and grid.shape == (60, 3)
+    # the per-axis values that solve formats once are the grid's own
+    assert all((got == want).all() for got, want in
+               zip(grid_axes(integration(case).grid, counts), axes, strict=True))
     assert [tuple(row) for row in grid.tolist()] == [tuple(map(float, pt)) for pt in nested]
     for got, want in zip(dual.columns(grid), dual.columns(nested)):
         assert got.dtype == want.dtype and (got == want).all()
