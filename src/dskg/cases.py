@@ -585,7 +585,8 @@ def _g33a_basis(k, J, wrap, lam):
     vs = [char(corner, lam).real for corner in itertools.product(*_G33A_GRID)]
     a, span = k.parameter_a, (min(_G33A_SPAN[0], *vs), max(_G33A_SPAN[1], *vs))
     phi1, phi2, segments = specfun.taylor_basis(2.0 * a, _g33a_q_terms(k, J), span,
-                                                f"g3_3a (a = {a}, J = {J})")
+                                                f"g3_3a (a = {a}, J = {J}, lambda = "
+                                                f"{complex(lam):.4g})")
     return phi1, phi2, {"kind": "taylor_series", "span": list(span),
                         "segments": segments, "terms": specfun.TAYLOR_TERMS}
 

@@ -35,8 +35,7 @@ from .integrate import (ansatz, default_grid, grid_axes, grid_nodes, joint_syste
                         solution_basis)
 from .lie_core import (ALL_CASES, CaseId, INTEGRABLE_CASES, subalgebra, table3,
                        table3_diff)
-from .operators import (commutation_table_fit, kg_operator, symmetry_check,
-                        symmetry_operators)
+from .operators import commutation_table_fit, kg_operator, symmetry_check, symmetry_jets
 
 SCHEMA_VERSION = 1
 
@@ -161,6 +160,19 @@ def cmd_catalog(run: RunConfig, out) -> int:
 # verify
 # ----------------------------------------------------------------------
 
+# verify's checks read one grid seed of an entry's first SEED_LANES sampled
+# points.  The commutation fit reads its first FIT_LANES lanes and the symmetry
+# commutator its first SYMMETRY_LANES, or PERTURBED_LANES under --perturb,
+# since a perturbed chi must break the commutators detectably: every check's
+# points are a prefix of the seed's, so each reads lanes of one evaluation.
+SEED_LANES, FIT_LANES, SYMMETRY_LANES, PERTURBED_LANES = 15, 12, 6, 10
+
+
+def _lanes(jets, n: int):
+    """The first ``n`` lanes of lane-first jet arrays."""
+    return tuple(part[:n] for part in jets)
+
+
 class VerifyContext:
     """What one entry's checks share, each built once.  The chart points are
     drawn first and the joint-system points second, so a seed fixes both; what
@@ -172,15 +184,14 @@ class VerifyContext:
         self.chart = chart_for(case, self.cfg.parameter_a)
         rng = np.random.default_rng(run.seed)
         self.pts = sample_domain(self.chart, 40, rng)
-        # the geometry and field checks read jets of one grid seed of the first 15
-        self.jet_pts, self.fit_pts = self.pts[:15], [tuple(p) for p in self.pts[:12]]
+        self.jet_pts = self.pts[:SEED_LANES]
         self.coords = Dual.seed_grid(dual.columns(self.jet_pts))
-        # a perturbed chi must break the symmetry commutators detectably
-        self.sym_pts = [tuple(p) for p in self.pts[:10 if run.perturb else 6]]
+        self.fit_pts = [tuple(p) for p in self.jet_pts[:FIT_LANES]]
+        self.sym_lanes = PERTURBED_LANES if run.perturb else SYMMETRY_LANES
+        self.sym_pts = [tuple(p) for p in self.jet_pts[:self.sym_lanes]]
         self.chi_extra = None if run.perturb is None else \
             [lambda c, s=run.perturb[1]: s * c[0]] + [None] * (self.sub.dim - 1)
         self.form = invariant_two_form(case, self.cfg)
-        self.ops = symmetry_operators(case, self.cfg, chi_extra=self.chi_extra)
         # at e = 0 the central term F l0 is 0, so F cannot be fitted: expect 0
         self.central = lie_core.standard_cocycle(case, self.cfg.mu if self.cfg.e else 0.0).F
         self.integ = case_spec(case).integration
@@ -202,8 +213,21 @@ class VerifyContext:
         return self.form.jets(self.coords)
 
     @functools.cached_property
+    def gauge(self):
+        return gauge_one_form(self.case, self.cfg).values(self.coords)
+
+    @functools.cached_property
+    def chis(self):
+        return [chi(self.coords) for chi in solve_chi(self.case, self.cfg, self.chi_extra)]
+
+    @functools.cached_property
+    def op_jets(self):
+        """The symmetry operators' coefficient jets on every lane of the seed."""
+        return symmetry_jets(self.generators, self.chis, self.gauge, self.cfg.e, self.coords)
+
+    @functools.cached_property
     def fit(self):
-        return commutation_table_fit(self.ops, self.fit_pts, 1j * self.cfg.e)
+        return commutation_table_fit(_lanes(self.op_jets, FIT_LANES), 1j * self.cfg.e)
 
 
 def _reduced_coefficients(c: VerifyContext) -> float:
@@ -230,11 +254,8 @@ CHECKS = (
     Check("killing", 1e-8, lambda c: killing_residual(c.metric, c.generators)),
     Check("field_closedness", 1e-10, lambda c: closedness_residual(c.form_jets)),
     Check("field_invariance", 1e-10, lambda c: invariance_residual(c.generators, c.form_jets)),
-    Check("gauge_consistency", 1e-10, lambda c: gauge_residual(
-        gauge_one_form(c.case, c.cfg).values(c.coords), c.form_jets)),
-    Check("chi_gradient", 1e-10, lambda c: chi_residual(
-        [chi(c.coords) for chi in solve_chi(c.case, c.cfg, c.chi_extra)],
-        c.generators, c.form_jets)),
+    Check("gauge_consistency", 1e-10, lambda c: gauge_residual(c.gauge, c.form_jets)),
+    Check("chi_gradient", 1e-10, lambda c: chi_residual(c.chis, c.generators, c.form_jets)),
     Check("commutation_table", 1e-9, lambda c: c.fit.residual),
     Check("central_charge", 1e-9, lambda c: float(np.max(np.abs(c.fit.central - c.central)))),
     Check("structure_vs_catalog", 1e-9, lambda c: float(
@@ -249,7 +270,8 @@ CHECKS = (
         c.case, c.cfg, c.run.J, c.lam, solution_basis(c.case, c.cfg, c.run.J, c.lam).phi1,
         default_grid(c.case, (4, 4, 4))), True),
     Check("symmetry_commutator", 1e-8, lambda c: symmetry_check(
-        kg_operator(c.case, c.cfg), c.ops, c.sym_pts, n_probes=2), True),
+        kg_operator(c.case, c.cfg), _lanes(c.op_jets, c.sym_lanes), c.sym_pts,
+        n_probes=2), True),
 )
 DEFAULT_TOLERANCES = {check.key: check.tolerance for check in CHECKS}
 

@@ -30,8 +30,9 @@ import numpy as np
 from . import dual
 from .cases import BranchPointError, CaseId, integration  # noqa: F401  (re-exported)
 from .dual import Dual
-from .fields import FieldConfig
-from .operators import DiffOp1, kg_operator, symmetry_operators
+from .fields import FieldConfig, gauge_one_form, solve_chi
+from .geometry import generator_jets
+from .operators import DiffOp1, kg_operator, symmetry_scalar
 
 
 # ----------------------------------------------------------------------
@@ -104,16 +105,20 @@ def joint_system_residual(ans: SolutionAnsatz, rep: LambdaRep,
     coordinates and lambda; a probe lost at a branch point makes it NaN.
     Only the values of X_A phi and l_A phi are read, so each operator's
     coefficients are evaluated once, as plain values on the coordinate and
-    lambda columns, and contracted with the value and gradient of phi.
+    lambda columns, and contracted with the value and gradient of phi.  The
+    generators, chi_A and the gauge potential are read once for all X_A.
     """
-    ops = symmetry_operators(ans.case_id, ans.config)
+    case, cfg = ans.case_id, ans.config
     cols = dual.columns(points)
     lam_col = [np.full(len(points), ans.lam, dtype=complex)]
     with np.errstate(divide="ignore", invalid="ignore"):
         *qs, lam = Dual.seed_grid(cols + lam_col)
         v = ans.char(qs, lam)
         phase = ans.phase(qs, lam)
-        coeffs = [(op.values(cols), lop.values(lam_col)) for op, lop in zip(ops, rep.ops)]
+        gauge = gauge_one_form(case, cfg).values(cols)
+        coeffs = [(x + [symmetry_scalar(x, chi(cols), gauge, cfg.e)], lop.values(lam_col))
+                  for x, chi, lop in zip(generator_jets(case, cols, cfg.parameter_a),
+                                         solve_chi(case, cfg), rep.ops)]
         res = []
         for f in (phase, phase * v):
             val, grad, _ = dual.parts(f, 4)

@@ -55,13 +55,6 @@ class DiffOp1:
         (plain coordinates or a grid's coordinate columns)."""
         return [dual.value(a(list(point))) for a in self.coeffs + [self.scalar]]
 
-    def jets(self, coords):
-        """Values (..., k + 1) and gradients (..., k + 1, k) of the coefficients
-        and then the scalar part at ``coords`` (a point or grid seed)."""
-        vals, grads, _ = dual.arrays([a(coords) for a in self.coeffs + [self.scalar]],
-                                     self.nvars)
-        return vals, grads
-
 
 class DiffOp2:
     """Second-order operator with symmetric leading coefficients, in the three
@@ -74,10 +67,6 @@ class DiffOp2:
         self.second = [list(row) for row in second]
         self.first = list(first)
         self.scalar = scalar
-
-    def apply(self, f: Callable, point: Sequence[complex]):
-        value, _ = self.apply_scaled(f, point)
-        return value
 
     def apply_scaled(self, f: Callable, point: Sequence[complex]):
         """(value, scale): scale sums the magnitudes of the individual terms."""
@@ -112,10 +101,31 @@ class DiffOp2:
         return total, scale
 
 
+def _lane_first(rows, coords):
+    """Values ``(..., m, w)``, gradients ``(..., m, w, k)`` and Hessians
+    ``(..., m, w, k, k)`` of ``m`` rows of ``w`` jets at ``coords``: a point
+    seed, or a grid seed whose lane axis ``...`` comes first, also for a
+    constant jet."""
+    k, shape = len(coords), (len(rows), len(rows[0]))
+    lanes = np.shape(dual.value(coords[0]))
+    parts = dual.arrays([x for row in rows for x in row], k)
+    return tuple(np.broadcast_to(part.reshape(part.shape[:-1 - len(tail)] + shape + tail),
+                                 lanes + shape + tail)
+                 for part, tail in zip(parts, ((), (k,), (k, k))))
+
+
+def operator_jets(ops: Sequence[DiffOp1], coords):
+    """The coefficient jets of every operator in ``ops`` at ``coords``, lane
+    axis first: values ``(..., m, k + 1)``, gradients ``(..., m, k + 1, k)``
+    and Hessians ``(..., m, k + 1, k, k)``, each operator's coefficients and
+    then its scalar part."""
+    return _lane_first([[a(coords) for a in op.coeffs + [op.scalar]] for op in ops], coords)
+
+
 def commutator(a, b) -> np.ndarray:
     """Coefficients and then the scalar part of [A, B], shape (..., k + 1), from
-    the coefficient jets (:meth:`DiffOp1.jets`) of A and B at the same point or
-    grid."""
+    the values and gradients of A's and B's coefficient jets
+    (:func:`operator_jets`) at the same point or grid."""
     (av, ag), (bv, bg) = a, b
     k = ag.shape[-1]
     # [A, B]^m = A^u d_u B^m - B^u d_u A^m, for the scalar part (m = k) too
@@ -131,29 +141,24 @@ class TableFit:
     closed: bool
 
 
-def commutation_table_fit(ops: Sequence[DiffOp1], probes: Sequence[Sequence[complex]],
-                          central_scalar: complex) -> TableFit:
-    """Least-squares fit of every commutator into span(ops, central); the fit
-    is closed when its residual is at most FIT_TOL.
-
-    Every operator's coefficient jets are evaluated once, over all probes as
-    one grid jet; the rows are the probes in order, k + 1 per probe.
+def commutation_table_fit(jets, central_scalar: complex) -> TableFit:
+    """Least-squares fit of every commutator into the span of the operators and
+    the central term, from the operators' coefficient jets at the probe points
+    (:func:`operator_jets`, lane axis first); the fit is closed when its
+    residual is at most FIT_TOL.
+    The rows are the probes in order, k + 1 per probe.
     """
-    n = len(ops)
-    k = ops[0].nvars if n else 0
+    vals, grads, _ = jets
+    lanes, n, width = vals.shape
     structure = np.zeros((n, n, n))
     central = np.zeros((n, n))
     worst = 0.0
-    coords = Dual.seed_grid(dual.columns(probes))
-    jets = [op.jets(coords) for op in ops]
-    shape = (len(probes), k + 1)
-    central_col = np.zeros(shape, dtype=complex)
-    central_col[:, k] = central_scalar
-    basis = np.stack([np.broadcast_to(v, shape) for v, _ in jets] + [central_col], axis=-1)
-    m = basis.reshape(-1, n + 1)
+    central_col = np.zeros((lanes, width), dtype=complex)
+    central_col[:, -1] = central_scalar
+    m = np.stack([vals[:, A] for A in range(n)] + [central_col], axis=-1).reshape(-1, n + 1)
     for A in range(n):
         for B in range(A + 1, n):
-            b = np.broadcast_to(commutator(jets[A], jets[B]), shape).reshape(-1)
+            b = commutator((vals[:, A], grads[:, A]), (vals[:, B], grads[:, B])).reshape(-1)
             sol, *_ = np.linalg.lstsq(m, b, rcond=None)
             res = float(np.max(np.abs(m @ sol - b)))
             worst = max(worst, res)
@@ -176,17 +181,16 @@ def representation_residual(ops: Sequence[DiffOp1], structure: np.ndarray,
     """
     n = len(ops)
     k = ops[0].nvars if n else 0
-    coords = Dual.seed_grid(dual.columns(probes))
-    jets = [op.jets(coords) for op in ops]
+    vals, grads, _ = operator_jets(ops, Dual.seed_grid(dual.columns(probes)))
     worst = 0.0
     for A in range(n):
         for B in range(A + 1, n):
             target = np.zeros(k + 1, dtype=complex)
             for C in range(n):
                 if structure[A, B, C] != 0:
-                    target = target + structure[A, B, C] * jets[C][0]
+                    target = target + structure[A, B, C] * vals[:, C]
             target[..., k] += central[A, B] * central_scalar
-            got = commutator(jets[A], jets[B])
+            got = commutator((vals[:, A], grads[:, A]), (vals[:, B], grads[:, B]))
             worst = max(worst, float(np.max(np.abs(got - target))))
     return worst
 
@@ -195,9 +199,32 @@ def representation_residual(ops: Sequence[DiffOp1], structure: np.ndarray,
 # symmetry operators of the catalog entries
 # ----------------------------------------------------------------------
 
+def symmetry_scalar(x, chi, gauge, e: float):
+    """The scalar part i e (chi_A - sum_u X_A^u A_u) of a symmetry operator, from
+    the evaluated jets or values of its generator's components ``x``, its
+    ``chi`` and the ``gauge`` potential's components at the same coordinates.
+    A structural-zero component contributes no product."""
+    total = chi
+    for xu, au in zip(x, gauge):
+        if not dual.is_zero(xu):
+            total = total - xu * au
+    return total * (1j * e)
+
+
+def symmetry_jets(generators, chis, gauge, e: float, coords):
+    """The coefficient jets of an entry's symmetry operators X_A + s_A at
+    ``coords``, shaped as :func:`operator_jets` shapes them, from the jets
+    there of the generator components (:func:`dskg.geometry.generator_jets`),
+    of each chi_A and of the gauge potential, each read once for all
+    operators."""
+    return _lane_first([list(x) + [symmetry_scalar(x, chi, gauge, e)]
+                        for x, chi in zip(generators, chis)], coords)
+
+
 def symmetry_operators(case_id: CaseId, config: FieldConfig,
                        chi_extra: Optional[Sequence[Optional[Callable]]] = None) -> list[DiffOp1]:
-    """Explicit first-order symmetry operators X^a d_a + i e (chi - X.A).
+    """Explicit first-order symmetry operators X^a d_a + i e (chi - X.A), each
+    evaluating its own components, chi and gauge (:func:`symmetry_scalar`).
 
     ``chi_extra`` adds an evaluable term to each chi_A that has one: a
     constant one shifts chi_A by lambda_A (the central-charge transformation
@@ -205,23 +232,11 @@ def symmetry_operators(case_id: CaseId, config: FieldConfig,
     break is detected.
     """
     case_id = CaseId(case_id)
-    comps = rect_components(case_id, config.parameter_a)
-    chis = solve_chi(case_id, config, chi_extra)
     gauge = gauge_one_form(case_id, config)
-    e = config.e
-    ops = []
-    for comp, chi in zip(comps, chis):
-        def scalar(coords, comp=comp, chi=chi):
-            total = chi(coords)
-            avals = gauge.values(coords)
-            for u in range(3):
-                xu = comp[u](coords)
-                if not dual.is_zero(xu):
-                    total = total - xu * avals[u]
-            return total * (1j * e)
-
-        ops.append(DiffOp1(list(comp), scalar))
-    return ops
+    return [DiffOp1(list(comp), lambda c, comp=comp, chi=chi: symmetry_scalar(
+                [x(c) for x in comp], chi(c), gauge.values(c), config.e))
+            for comp, chi in zip(rect_components(case_id, config.parameter_a),
+                                 solve_chi(case_id, config, chi_extra))]
 
 
 # ----------------------------------------------------------------------
@@ -323,19 +338,20 @@ def random_probe(rng: np.random.Generator) -> PolyExpProbe:
     return PolyExpProbe(c, dvec)
 
 
-def symmetry_check(h: DiffOp2, ops: Sequence[DiffOp1], points: Sequence[Sequence[float]],
+def symmetry_check(h: DiffOp2, jets, points: Sequence[Sequence[float]],
                    n_probes: int) -> float:
-    """max over the operators X in ``ops``, probe functions f and points of
-    |H(X f) - X(H f)| / (1 + |H(X f)| + |X(H f)|), H the wave operator ``h``.
+    """max over the operators X, probe functions f and points of
+    |H(X f) - X(H f)| / (1 + |H(X f)| + |X(H f)|), H the wave operator ``h``
+    and the X given by their coefficient jets at ``points`` (lane axis first,
+    :func:`operator_jets`).
 
-    All points are one grid jet: H's coefficients are evaluated once per call
-    as 1-jets and every X's as 2-jets.  Each probe's derivatives up to third
-    order are closed form (:meth:`PolyExpProbe.derivatives`), and H(X f) and
-    X(H f) are their product-rule contractions with the coefficients, for
-    all operators at once.
+    H's coefficients are evaluated once per call on one grid jet of the
+    points, as 1-jets.  Each probe's derivatives up to third order are closed
+    form (:meth:`PolyExpProbe.derivatives`), and H(X f) and X(H f) are their
+    product-rule contractions with the coefficients, for all operators at once.
     """
     rng = np.random.default_rng(PROBE_SEED)
-    n, m = h.nvars, len(ops)
+    n = h.nvars
     columns = dual.columns(points)
     coords = Dual.seed_grid(columns)
     # lane axis first, then: H = s^ab d_a d_b + t^a d_a + r as 1-jets, the
@@ -345,8 +361,7 @@ def symmetry_check(h: DiffOp2, ops: Sequence[DiffOp1], points: Sequence[Sequence
     s, t, r = hv[:, :n * n].reshape(-1, n, n), hv[:, n * n:-1], hv[:, -1]
     ds, dt, dr = hg[:, :n * n].reshape(-1, n, n, n), hg[:, n * n:-1], hg[:, -1]
     # X_A = c_A^u d_u + b_A as 2-jets, operator axis A before the coefficient axis
-    xv, xg, xh = (part.reshape((-1, m, n + 1) + part.shape[2:]) for part in
-                  dual.arrays([a(coords) for op in ops for a in op.coeffs + [op.scalar]], n))
+    xv, xg, xh = jets
     c, dc, ddc = xv[..., :n], xg[..., :n, :], xh[..., :n, :, :]
     b, db, ddb = xv[..., n], xg[..., n, :], xh[..., n, :, :]
     worst = []

@@ -513,7 +513,7 @@ def _taylor_mesh(q_terms, span, label):
         if v >= end:
             return starts
     raise DomainError(
-        f"{label}: |q| reaches 10^{log_q / math.log(10.0):.1f} at v = {starts[-1]:.6g}; "
+        f"{label}: |q| reaches 10^{log_q / math.log(10.0):.4g} at v = {starts[-1]:.6g}; "
         f"[{span[0]}, {end}] needs more than {TAYLOR_MAX_SEGMENTS} Taylor segments")
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from dskg import dual
+from dskg.dual import Dual
 from dskg.fields import TwoForm
 from dskg.geometry import chart_for, sample_domain
 from dskg.lie_core import PARAMETERIZED_CASES
+from dskg.operators import operator_jets
 
 
 DEFAULT_A = 1.0
@@ -19,6 +22,12 @@ def chart_points(case, n=25, seed=9041, a=None):
     chart = chart_for(case, a)
     rng = np.random.default_rng(seed)
     return sample_domain(chart, n, rng)
+
+
+def grid_jets(ops, points):
+    """The coefficient jets of ``ops`` on one grid seed of ``points``, lane
+    axis first, as `commutation_table_fit` and `symmetry_check` take them."""
+    return operator_jets(ops, Dual.seed_grid(dual.columns(points)))
 
 
 def perturbed_form(form, entry, extra):

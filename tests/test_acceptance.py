@@ -30,7 +30,7 @@ from dskg.operators import (commutation_table_fit, kg_cross_residual, kg_operato
                             representation_residual, symmetry_check, symmetry_operators)
 from dskg.specfun import ode_integrate
 
-from conftest import case_param_a, chart_points, perturbed_form
+from conftest import case_param_a, chart_points, grid_jets, perturbed_form
 from pointwise import solution_jet
 from test_geometry import so12_generators, so12_section
 
@@ -188,7 +188,7 @@ def test_criterion_06_symmetry_algebra_tables():
         sub = subalgebra(case, cfg.parameter_a)
         ops = symmetry_operators(case, cfg)
         pts = [tuple(p) for p in chart_points(case, 12)]
-        fit = commutation_table_fit(ops, pts, 1j * cfg.e)
+        fit = commutation_table_fit(grid_jets(ops, pts), 1j * cfg.e)
         worst = max(worst, fit.residual,
                     float(np.max(np.abs(fit.structure - sub.algebra.structure_constants))),
                     float(np.max(np.abs(fit.central
@@ -198,7 +198,7 @@ def test_criterion_06_symmetry_algebra_tables():
         cfg = make_config(CaseId.G32, mu=mu)
         ops = symmetry_operators(CaseId.G32, cfg)
         pts = [tuple(p) for p in chart_points(CaseId.G32, 10)]
-        fit = commutation_table_fit(ops, pts, 1j * cfg.e)
+        fit = commutation_table_fit(grid_jets(ops, pts), 1j * cfg.e)
         assert abs(fit.central[0, 1] - mu) < 1e-9
     elapsed = time.time() - t0
     assert elapsed < 60.0
@@ -215,8 +215,9 @@ def test_criterion_07_wave_operator_symmetry():
     for case in INTEGRABLE_CASES:
         cfg = make_config(case)
         pts = [tuple(p) for p in chart_points(case, 50)]
-        worst_sym = max(worst_sym, symmetry_check(kg_operator(case, cfg),
-                                                  symmetry_operators(case, cfg), pts, n_probes=5))
+        ops = symmetry_operators(case, cfg)
+        worst_sym = max(worst_sym, symmetry_check(kg_operator(case, cfg), grid_jets(ops, pts),
+                                                  pts, n_probes=5))
         worst_cross = max(worst_cross,
                           kg_cross_residual(case, cfg, chart_points(case, 100, seed=551)))
     elapsed = time.time() - t0

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dskg import cli, dual, integrate
+from dskg import cli, dual, fields, integrate
 from dskg.cases import case_spec
 from dskg.cli import (DEFAULT_TOLERANCES, RunConfig, UsageError, _run_config_from, build_parser,
                       main, parse_complex)
@@ -122,6 +122,21 @@ def test_verify_all_cases_summary():
     rep = json.loads(out)
     assert len(rep["cases"]) == 13
     assert list(rep["cases"]) == sorted(rep["cases"])
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_verify_reads_the_gauge_once_per_coordinate_set(monkeypatch, case):
+    # once on the entry's grid seed, which every field and operator check
+    # reads, and once more on the joint-system columns of an integrable entry
+    calls, values = [], fields.OneForm.values
+
+    def counted(self, coords):
+        calls.append(coords)
+        return values(self, coords)
+
+    monkeypatch.setattr(fields.OneForm, "values", counted)
+    assert run_cli("verify", "--case", case.value)[0] == 0
+    assert len(calls) == (2 if case in INTEGRABLE_CASES else 1)
 
 
 def test_verify_keys_come_from_the_one_table():
@@ -296,11 +311,16 @@ def test_verify_at_a_branch_cut_fails_its_integration_checks():
      "error: whittaker_m: z = 0j is the branch point of a complex power\n"),
     # a steeper family needs more Taylor segments than the budget, refused up front
     (["solve", "--case", "g3_3a", "--a", "40", "--grid", "3"],
-     "error: g3_3a (a = 40.0, J = 1.0): |q| reaches 10^65.7 at v = -1.8; "
+     "error: g3_3a (a = 40.0, J = 1.0, lambda = 0.2+0j): |q| reaches 10^65.74 at v = -1.8; "
      "[-1.8, 1.8] needs more than 10000 Taylor segments\n"),
     (["solve", "--case", "g3_3a", "--a", "1000", "--grid", "3"],
-     "error: g3_3a (a = 1000.0, J = 1.0): |q| reaches 10^1569.5 at v = -1.8; "
+     "error: g3_3a (a = 1000.0, J = 1.0, lambda = 0.2+0j): |q| reaches 10^1569 at v = -1.8; "
      "[-1.8, 1.8] needs more than 10000 Taylor segments\n"),
+    # a huge lambda stretches the span the series must cover; the exponent of
+    # |q| is itself huge, and prints in four digits
+    (["solve", "--case", "g3_3a", "--a", "1", "--lambda=1e300+0i", "--grid", "3"],
+     "error: g3_3a (a = 1.0, J = 1.0, lambda = 1e+300+0j): |q| reaches 10^8.686e+299 at "
+     "v = -1e+300; [-1e+300, 1.8] needs more than 10000 Taylor segments\n"),
     # cosh(a q) and exp(a q) of the family charts leave floating-point range
     (["verify", "--case", "g1_3a", "--a", "1000"],
      "error: g1_3a: chart map at a = 1000.0 overflows at "
@@ -319,9 +339,11 @@ def test_verify_at_a_branch_cut_fails_its_integration_checks():
      "error: g3_4: overflow beyond floating-point range at --J 1e+200\n"),
 ], ids=["verify_g3_1_lambda_0", "verify_g3_3a_a_40",
         "verify_g1_3a_a_50", "solve_g3_1_lambda_0", "solve_g3_3a_a_40", "solve_g3_3a_a_1000",
+        "solve_g3_3a_lambda_1e300",
         "verify_g1_3a_a_1000", "verify_g3_3a_a_1000", "chart_g1_3a_a_1000",
         "verify_g3_2_mu_1e300", "solve_g3_4_J_1e200"])
 def test_numerical_failure_exits_1_with_its_message(argv, message):
+    assert len(message) < 200
     assert run_cli(*argv) == (1, "", message)
 
 

@@ -24,7 +24,7 @@ from dskg.operators import (DiffOp1, commutation_table_fit, kg_operator,
 from dskg.specfun import ODESolverConfig, ode_integrate
 
 import pointwise
-from conftest import case_param_a
+from conftest import case_param_a, grid_jets
 
 LAMBDA_PROBES = [(0.35,), (0.8,), (-0.6,), (1.3,)]
 
@@ -67,7 +67,7 @@ def test_lambda_rep_g34_bracket_fits_with_unit_coefficient():
     # at a generic J the three operators are independent and the fit is well posed
     cfg = make_config(CaseId.G34)
     rep = lambda_rep(CaseId.G34, 1.7, cfg)
-    fit = commutation_table_fit(rep.ops, [(0.3,), (0.8,), (-0.5,)], rep.ell0)
+    fit = commutation_table_fit(grid_jets(rep.ops, [(0.3,), (0.8,), (-0.5,)]), rep.ell0)
     assert fit.closed
     assert abs(fit.structure[0, 1, 2] - 1.0) < 1e-10
 
@@ -75,7 +75,7 @@ def test_lambda_rep_g34_bracket_fits_with_unit_coefficient():
 def test_lambda_rep_g32_central_charge():
     cfg = make_config(CaseId.G32, mu=0.9)
     rep = lambda_rep(CaseId.G32, 1.0, cfg)
-    fit = commutation_table_fit(rep.ops, [(0.2,), (0.9,), (-0.4,)], rep.ell0)
+    fit = commutation_table_fit(grid_jets(rep.ops, [(0.2,), (0.9,), (-0.4,)]), rep.ell0)
     assert abs(fit.central[0, 1] - 0.9) < 1e-12
 
 
@@ -262,7 +262,8 @@ def point_reduction_coefficients(case, cfg, J, lam, point):
     q = [complex(c) for c in point]
     emr = dual.value(ans.phase(q, ans.lam))
     v = dual.value(ans.char(q, ans.lam))
-    gamma, h1, h2 = (h.apply(ans.assemble(Monomial(deg)), point) / emr for deg in range(3))
+    gamma, h1, h2 = (h.apply_scaled(ans.assemble(Monomial(deg)), point)[0] / emr
+                      for deg in range(3))
     beta = h1 - v * gamma
     alpha = (h2 - 2.0 * v * beta - v * v * gamma) / 2.0
     return beta / alpha, gamma / alpha, v

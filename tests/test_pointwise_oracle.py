@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from dskg import dual
-from dskg.cli import CHECKS, RunConfig, VerifyContext
+from dskg.cli import CHECKS, FIT_LANES, RunConfig, VerifyContext
 from dskg.dual import Dual
 from dskg.geometry import RankDeficientError, induced_metric
 from dskg.lie_core import ALL_CASES, CaseId
-from dskg.operators import kg_operator, symmetry_operators
+from dskg.operators import (commutation_table_fit, kg_operator, operator_jets, symmetry_check,
+                            symmetry_operators)
 
 import pointwise
 from conftest import DEFAULT_A, perturbed_form
@@ -83,6 +84,34 @@ def test_perturbed_checks_match_the_pointwise_route(case, seed):
     got, want = _routes(case, seed, perturbed=True)
     for key in want:
         assert np.all(np.abs(got[key] - want[key]) <= 1e-12 * np.abs(want[key]) + 1e-14), key
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["clean", "perturbed"])
+@pytest.mark.parametrize("seed", [20813, 3, 101])
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_shared_operator_jets_are_the_per_operator_route(case, seed, perturbed):
+    # the lanes that the fit and the symmetry commutator read from the entry's
+    # one evaluation are, bit for bit, each operator evaluated on its own at
+    # those points alone, and so are the residuals verify reports from them
+    ctx = verify_context(case, seed, perturbed)
+    ops = symmetry_operators(ctx.case, ctx.cfg, chi_extra=ctx.chi_extra)
+    own = {}
+    for n, pts in ((FIT_LANES, ctx.fit_pts), (ctx.sym_lanes, ctx.sym_pts)):
+        assert len(pts) == n
+        own[n] = operator_jets(ops, Dual.seed_grid(dual.columns(pts)))
+        for shared, alone in zip(ctx.op_jets, own[n]):
+            assert shared[:n].shape == alone.shape
+            assert np.array_equal(shared[:n], alone, equal_nan=True)
+    fit = commutation_table_fit(own[FIT_LANES], 1j * ctx.cfg.e)
+    want = {"commutation_table": fit.residual,
+            "central_charge": float(np.max(np.abs(fit.central - ctx.central))),
+            "structure_vs_catalog": float(np.max(np.abs(
+                fit.structure - ctx.sub.algebra.structure_constants)))}
+    if ctx.integ is not None:
+        want["symmetry_commutator"] = symmetry_check(
+            kg_operator(case, ctx.cfg), own[ctx.sym_lanes], ctx.sym_pts, n_probes=2)
+    got = {check.key: check.residual(ctx) for check in CHECKS if check.key in want}
+    assert got == want
 
 
 @pytest.mark.parametrize("case, boundary, signature", [

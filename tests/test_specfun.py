@@ -315,7 +315,7 @@ def test_taylor_basis_refuses_a_mesh_over_budget():
     # 4 / sqrt(1e12) per segment: the budget runs out at v = 10000 * 4e-6
     with pytest.raises(DomainError) as info:
         specfun.taylor_basis(0.0, ((1e12, 0.0),), (0.0, 1.0), "steep")
-    assert str(info.value) == ("steep: |q| reaches 10^12.0 at v = 0.039996; "
+    assert str(info.value) == ("steep: |q| reaches 10^12 at v = 0.039996; "
                                "[0.0, 1.0] needs more than 10000 Taylor segments")
 
 
