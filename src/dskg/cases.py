@@ -91,8 +91,7 @@ def _one(coords):
 
 @dataclass(frozen=True)
 class ChartSpec:
-    r: int                                   # number of orbit coordinates q
-    coord_names: tuple[str, ...]
+    r: int    # orbit coordinates q1..q_r; u1..u_(3-r) label the orbits
     domain: tuple[tuple[float, float], ...]
     map: Callable                            # a -> (coords -> 4 ambient components)
 
@@ -131,9 +130,10 @@ class IntegrationSpec:
     kg_operator: Callable   # k -> (second, first, scalar) coefficients
     ansatz: Callable        # (k, J) -> (phase, char), both of (coords, lam)
     reduced_ode: Callable   # (k, J) -> (p, q)
-    # (k, J, wrap, lam) -> (phi1, phi2, record); a basis on a finite span
-    # also covers the characteristic variable on `grid` at lam, a closed form
-    # ignores lam
+    # (k, J, wrap, lam) -> (phi1, phi2, record), wrap turning each closed-form
+    # member v -> (Phi, Phi', Phi'') into a basis member; a basis on a finite
+    # span also covers the characteristic variable on `grid` at lam, a closed
+    # form ignores lam
     basis: Callable
 
 
@@ -141,7 +141,7 @@ class IntegrationSpec:
 class CaseSpec:
     case_id: CaseId
     algebra: Callable          # a -> (generator rows, {(A, B): bracket coefficients})
-    table3_reference: tuple    # (dim, ind, s, l, m_tilde, integrable)
+    table3_reference: tuple    # in the columns of lie_core.IntegrabilityRecord
     chart: ChartSpec
     rect: Callable             # a -> per generator, its three chart components
     field: FieldSpec
@@ -203,8 +203,7 @@ def _g14_map(c):
             half + dual.cosh(u1) * dual.sin(u2)]
 
 
-_G12_CHART = ChartSpec(1, ("q1", "u1", "u2"),
-                       ((-1.5, 1.5), (-1.2, 1.2), (-_HALF_PI + 0.2, _HALF_PI - 0.2)),
+_G12_CHART = ChartSpec(1, ((-1.5, 1.5), (-1.2, 1.2), (-_HALF_PI + 0.2, _HALF_PI - 0.2)),
                        lambda a: _g12_map)
 _ONE_DIM_ROW = (2, 2, 0, 1, 2, False)
 _ORBIT1_FIELD = FieldSpec(
@@ -224,8 +223,7 @@ def _orbit1_rect(a):
 
 
 _G11 = CaseSpec(CaseId.G11, lambda a: ([_BOOST], {}), _ONE_DIM_ROW,
-                ChartSpec(1, ("q1", "u1", "u2"),
-                          ((-1.5, 1.5), (0.2, math.pi - 0.2), (0.2, math.pi - 0.2)),
+                ChartSpec(1, ((-1.5, 1.5), (0.2, math.pi - 0.2), (0.2, math.pi - 0.2)),
                           lambda a: _g11_map),
                 _orbit1_rect, _ORBIT1_FIELD)
 _G12 = CaseSpec(CaseId.G12, lambda a: ([_ROT], {}), _ONE_DIM_ROW, _G12_CHART,
@@ -234,7 +232,7 @@ _G13a = CaseSpec(CaseId.G13a, lambda a: ([(0.0, 0.0, a, 1.0, 0.0, 0.0)], {}), _O
                  replace(_G12_CHART, map=_g13a_map), _orbit1_rect, _ORBIT1_FIELD,
                  parameterized=True)
 _G14 = CaseSpec(CaseId.G14, lambda a: ([_N1], {}), _ONE_DIM_ROW,
-                ChartSpec(1, ("q1", "u1", "u2"), ((-1.5, 1.5), (0.35, 1.4), (-0.25, 0.25)),
+                ChartSpec(1, ((-1.5, 1.5), (0.35, 1.4), (-0.25, 0.25)),
                           lambda a: _g14_map),
                 _orbit1_rect, _ORBIT1_FIELD)
 
@@ -268,7 +266,7 @@ def _plane_rect(a):
     return [[_one, _zero, _zero], [_zero, _one, _zero]]
 
 
-_TRANSLATION_CHART = ChartSpec(2, ("q1", "q2", "u1"), ((-1.5, 1.5), (-1.5, 1.5), (-1.0, 1.0)),
+_TRANSLATION_CHART = ChartSpec(2, ((-1.5, 1.5), (-1.5, 1.5), (-1.0, 1.0)),
                                lambda a: _translation_map)
 _TWO_DIM_ROW = (3, 1, 1, 0, 2, False)
 _PLANE_FIELD = FieldSpec(
@@ -285,12 +283,12 @@ _PLANE_FIELD = FieldSpec(
 _G21 = CaseSpec(CaseId.G21, lambda a: ([_N1, _N2], {}), _TWO_DIM_ROW, _TRANSLATION_CHART,
                 _plane_rect, _PLANE_FIELD, magnetic_pair=True)
 _G22 = CaseSpec(CaseId.G22, lambda a: ([_ROT, _BOOST], {}), _TWO_DIM_ROW,
-                ChartSpec(2, ("q1", "q2", "u1"), ((-2.0, 2.0), (-1.5, 1.5), (0.2, _HALF_PI - 0.2)),
+                ChartSpec(2, ((-2.0, 2.0), (-1.5, 1.5), (0.2, _HALF_PI - 0.2)),
                           lambda a: _g22_map),
                 _plane_rect, _PLANE_FIELD, magnetic_pair=True)
 _G23 = CaseSpec(
     CaseId.G23, lambda a: ([_N1, _BOOST], {(0, 1): [-1.0, 0.0]}), _TWO_DIM_ROW,
-    ChartSpec(2, ("q1", "q2", "u1"), ((-1.5, 1.5), (-1.2, 1.2), (-1.2, 1.2)), lambda a: _g23_map),
+    ChartSpec(2, ((-1.5, 1.5), (-1.2, 1.2), (-1.2, 1.2)), lambda a: _g23_map),
     lambda a: [[_one, _zero, _zero], [lambda c: -c[0], _one, _zero]],
     FieldSpec(
         "exp(q2) dq1 ^ (f1(u1) dq2 + d f1(u1)) + f2(u1) dq2 ^ du1",
@@ -355,9 +353,8 @@ def _g31_reduced_ode(k, J):
 
 
 def _special_pair(fns, params, frame, wrap):
-    # phi1 and phi2 from one binding of both evaluators, each named after its own
-    members = specfun.basis_members(fns, params, frame)
-    return tuple(wrap(member, fn.__name__) for fn, member in zip(fns, members))
+    # phi1 and phi2 from one binding of both evaluators
+    return tuple(map(wrap, specfun.basis_members(fns, params, frame)))
 
 
 def _g31_basis(k, J, wrap, lam):
@@ -375,7 +372,7 @@ def _g31_basis(k, J, wrap, lam):
     return phi1, phi2, {"kind": "whittaker", "alpha": alpha, "beta": beta, "z_scale": scale}
 
 
-_HOROSPHERICAL_CHART = ChartSpec(3, ("q1", "q2", "q3"), ((-1.5, 1.5), (-1.5, 1.5), (-1.0, 1.0)),
+_HOROSPHERICAL_CHART = ChartSpec(3, ((-1.5, 1.5), (-1.5, 1.5), (-1.0, 1.0)),
                                  _horospherical_map)
 _THREE_DIM_ROW = (4, 2, 1, 1, 1, True)
 
@@ -474,7 +471,7 @@ def _g32_neutral_basis(order, wrap):
     else:
         phi2 = linear_exp(1.0, 0.0, 1.0 - order)
         functions = "exp((1 + order) v), exp((1 - order) v)"
-    return (wrap(linear_exp(1.0, 0.0, 1.0 + order), "exponential"), wrap(phi2, "exponential"),
+    return (wrap(linear_exp(1.0, 0.0, 1.0 + order)), wrap(phi2),
             {"kind": "exponential", "order": order, "functions": functions})
 
 
@@ -788,8 +785,7 @@ _G34 = CaseSpec(
                 (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)],
                {(0, 1): [0.0, 0.0, 1.0], (0, 2): [0.0, -1.0, 0.0], (1, 2): [1.0, 0.0, 0.0]}),
     _THREE_DIM_ROW,
-    ChartSpec(2, ("q1", "q2", "u1"),
-              ((-2.0, 2.0), (-_HALF_PI + 0.15, _HALF_PI - 0.15), (-1.2, 1.2)),
+    ChartSpec(2, ((-2.0, 2.0), (-_HALF_PI + 0.15, _HALF_PI - 0.15), (-1.2, 1.2)),
               lambda a: _g34_map),
     lambda a: [[_one, _zero, _zero],
                [lambda c: dual.sin(c[0]) * dual.tan(c[1]), lambda c: dual.cos(c[0]), _zero],
@@ -805,8 +801,7 @@ _G35 = CaseSpec(
                 (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)],
                {(0, 1): [0.0, 0.0, 1.0], (0, 2): [0.0, 1.0, 0.0], (1, 2): [1.0, 0.0, 0.0]}),
     _THREE_DIM_ROW,
-    ChartSpec(2, ("q1", "q2", "u1"),
-              ((-1.5, 1.5), (-_HALF_PI + 0.15, _HALF_PI - 0.15), (0.2, math.pi - 0.2)),
+    ChartSpec(2, ((-1.5, 1.5), (-_HALF_PI + 0.15, _HALF_PI - 0.15), (0.2, math.pi - 0.2)),
               lambda a: _g35_map),
     lambda a: [[_one, _zero, _zero],
                [lambda c: dual.sinh(c[0]) * dual.tan(c[1]), lambda c: dual.cosh(c[0]), _zero],

@@ -33,8 +33,8 @@ from .geometry import (ChartOverflowError, RankDeficientError, chart_for, genera
 from .integrate import (ansatz, default_grid, grid_axes, grid_nodes, joint_system_residual,
                         lambda_rep, nested_product, reduced_ode, reduction_coefficients,
                         solution_basis)
-from .lie_core import (ALL_CASES, CaseId, INTEGRABLE_CASES, subalgebra, table3,
-                       table3_diff)
+from .lie_core import (ALL_CASES, CaseId, INTEGRABLE_CASES, IntegrabilityRecord, subalgebra,
+                       table3, table3_diff)
 from .operators import commutation_table_fit, kg_operator, symmetry_check, symmetry_jets
 
 SCHEMA_VERSION = 1
@@ -130,26 +130,20 @@ def cmd_catalog(run: RunConfig, out) -> int:
     table = table3(run.mu, a)
     entries = []
     for spec in CASES:
-        rec = table[spec.case_id]
         d = subalgebra(spec.case_id, a).to_dict()
         if spec.parameterized:
             d["parameter"] = {"name": "a", "value": a}
         d["field_template"] = spec.field.template
-        d["table3"] = {
-            "dim": rec.dim, "ind": rec.ind, "s": rec.s, "l": rec.l,
-            "m_tilde": rec.m_tilde, "integrable": rec.integrable,
-        }
+        d["table3"] = table[spec.case_id]._asdict()
         d["table3_reference"] = list(spec.table3_reference)
         entries.append(d)
     diff = {c.value: v for c, v in table3_diff(table).items()}
     doc = {"schema": SCHEMA_VERSION, "entries": entries, "table3_diff": diff}
     if run.fmt == "csv":
         w = csv.writer(out)
-        w.writerow(["case", "dim", "ind", "s", "l", "m_tilde", "integrable"])
-        for d in entries:
-            t = d["table3"]
-            w.writerow([d["id"], t["dim"], t["ind"], t["s"], t["l"],
-                        t["m_tilde"], int(t["integrable"])])
+        w.writerow(["case", *IntegrabilityRecord._fields])
+        # every column is a count but the decision, which is written as 0 or 1
+        w.writerows([case.value, *map(int, rec)] for case, rec in table.items())
     else:
         json.dump(doc, out, indent=2, sort_keys=True)
         out.write("\n")
@@ -214,7 +208,7 @@ class VerifyContext:
 
     @functools.cached_property
     def gauge(self):
-        return gauge_one_form(self.case, self.cfg).values(self.coords)
+        return [a(self.coords) for a in gauge_one_form(self.case, self.cfg)]
 
     @functools.cached_property
     def chis(self):
@@ -388,11 +382,10 @@ def cmd_chart(run: RunConfig, out) -> int:
     # every point is embedded before anything is written: a failure prints no rows
     rows = []
     for pt in nodes.tolist():
-        amb = chart.embed(pt)
         rows.append([case.value]
                     + [f"{c:.12g}" for c in pt]
-                    + [f"{v:.15g}" for v in amb.as_array()]
-                    + [f"{amb.hyperboloid_residual():.3e}"])
+                    + [f"{x:.15g}" for x in chart.embed(pt)]
+                    + [f"{hyperboloid_residual(chart, pt):.3e}"])
     writer = csv.writer(out)
     writer.writerow(["case"] + list(chart.coord_names)
                     + ["x0", "x1", "x2", "x3", "hyperboloid_residual"])
@@ -452,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_config_from(ns: argparse.Namespace) -> RunConfig:
     given = {k: v for k, v in vars(ns).items() if k in RunConfig.__dataclass_fields__}
     grid = given.pop("grid", None)
-    if grid:
+    if grid is not None:
         parts = [int(x) for x in grid.split(",")]
         if len(parts) == 1:
             parts = parts * 3
@@ -462,7 +455,7 @@ def _run_config_from(ns: argparse.Namespace) -> RunConfig:
     elif ns.command == "chart":
         given["grid"] = (5, 5, 5)
     lam = given.pop("lam", None)
-    if lam:
+    if lam is not None:
         given["lam"] = parse_complex(lam)
     tol = dict(DEFAULT_TOLERANCES)
     for item in vars(ns).get("tol", []):
@@ -473,7 +466,7 @@ def _run_config_from(ns: argparse.Namespace) -> RunConfig:
             raise UsageError(f"unknown tolerance key '{key}'")
         tol[key] = float(val)
     spec = given.pop("perturb", None)
-    if spec:
+    if spec is not None:
         if ":" not in spec:
             raise UsageError(f"bad perturbation spec '{spec}'")
         kind, eps = spec.split(":", 1)

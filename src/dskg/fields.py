@@ -85,19 +85,15 @@ class TwoForm:
     def __init__(self, entries: dict[tuple[int, int], Callable]):
         self.entries = dict(entries)
 
-    def component(self, a: int, b: int, coords):
-        if a == b:
-            return 0.0
-        if (a, b) in self.entries:
-            return self.entries[(a, b)](coords)
-        if (b, a) in self.entries:
-            return -self.entries[(b, a)](coords)
-        return 0.0
-
     def jets(self, coords):
         """The nine components F_ab at ``coords`` (a point or grid seed), as a
-        nested list of jets; the checks below read them."""
-        return [[self.component(a, b, coords) for b in range(3)] for a in range(3)]
+        nested list of jets; the checks below read them.  Each stored entry is
+        evaluated once and its negation fills the mirrored slot."""
+        form = [[0.0] * 3 for _ in range(3)]
+        for (a, b), fn in self.entries.items():
+            jet = fn(coords)
+            form[a][b], form[b][a] = jet, -jet
+        return form
 
     def matrix(self, coords) -> np.ndarray:
         """F_ab values at ``coords``, with a grid's lane axis first."""
@@ -115,24 +111,15 @@ def _d_one_form(w) -> np.ndarray:
     return np.swapaxes(grads, -1, -2) - grads
 
 
-class OneForm:
-    """Gauge potential; components are dual-evaluable callables."""
-
-    def __init__(self, components: Sequence[Callable]):
-        self.components = list(components)
-
-    def values(self, coords):
-        return [c(coords) for c in self.components]
-
-
 def invariant_two_form(case_id: CaseId, config: FieldConfig) -> TwoForm:
     """The generic closed invariant 2-form of one catalog entry."""
     return TwoForm(case_spec(case_id).field.two_form(config))
 
 
-def gauge_one_form(case_id: CaseId, config: FieldConfig) -> OneForm:
-    """A gauge potential with dA = F for any catalog entry."""
-    return OneForm(case_spec(case_id).field.gauge(config))
+def gauge_one_form(case_id: CaseId, config: FieldConfig) -> list[Callable]:
+    """A gauge potential with dA = F for any catalog entry: its three
+    components as dual-evaluable callables."""
+    return case_spec(case_id).field.gauge(config)
 
 
 def solve_chi(case_id: CaseId, config: FieldConfig,
@@ -218,7 +205,7 @@ def chi_residual(chis, generators, form) -> float:
 
 def gauge_residual(gauge, form) -> float:
     """Max |dA - F| from the component jets ``gauge`` of the potential
-    (:meth:`OneForm.values`) and ``form`` of the 2-form."""
+    (:func:`gauge_one_form`) and ``form`` of the 2-form."""
     return float(np.max(np.abs(_d_one_form(gauge) - _form_values(form))))
 
 

@@ -43,29 +43,21 @@ class ChartOverflowError(OverflowError):
 
 
 @dataclass(frozen=True)
-class AmbientPoint:
-    x0: float
-    x1: float
-    x2: float
-    x3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x0, self.x1, self.x2, self.x3])
-
-    def hyperboloid_residual(self) -> float:
-        return abs(self.x0 ** 2 - self.x1 ** 2 - self.x2 ** 2 - self.x3 ** 2 + 1.0)
-
-
-@dataclass(frozen=True)
 class Chart:
     case_id: CaseId
-    r: int
-    coord_names: tuple[str, ...]
+    r: int                                   # number of orbit coordinates q
     domain: tuple[tuple[float, float], ...]
     map_fn: Callable[[Sequence], list]
     parameter_a: Optional[float] = None
 
-    def embed(self, point: Sequence[float]) -> AmbientPoint:
+    @property
+    def coord_names(self) -> tuple[str, ...]:
+        """q1 ... q_r along the orbits, then u1 ... u_(3-r) across them."""
+        return tuple(f"q{k}" for k in range(1, self.r + 1)) \
+            + tuple(f"u{k}" for k in range(1, 4 - self.r))
+
+    def embed(self, point: Sequence[float]) -> list[float]:
+        """The ambient coordinates (x0, x1, x2, x3) of a chart point."""
         try:
             vals = [dual.value(v).real for v in self.map_fn(list(point))]
         except OverflowError:
@@ -75,14 +67,14 @@ class Chart:
             raise ChartOverflowError(
                 f"{self.case_id}: chart map at a = {self.parameter_a} overflows at "
                 f"{np.asarray(point, dtype=float)}")
-        return AmbientPoint(*vals)
+        return vals
 
 
 def chart_for(case_id: CaseId, parameter_a: Optional[float] = None) -> Chart:
     """The rectifying chart of one catalog entry (hard-coded closed forms)."""
     spec, a = resolve(case_id, parameter_a)
     c = spec.chart
-    return Chart(spec.case_id, c.r, c.coord_names, c.domain, c.map(a), a)
+    return Chart(spec.case_id, c.r, c.domain, c.map(a), a)
 
 
 def sample_domain(chart: Chart, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -138,13 +130,13 @@ def rep_matrices(case_id: CaseId, parameter_a: Optional[float] = None) -> list[n
 
 
 def rectify(generators: Sequence[np.ndarray], section: Callable[[Sequence[float]], np.ndarray],
-            q: Sequence[float], u: Sequence[float]) -> AmbientPoint:
-    """Point of the rectifying chart built from exponentials of the first r
-    generators, given as their representation matrices rho_A."""
+            q: Sequence[float], u: Sequence[float]) -> np.ndarray:
+    """Ambient point of the rectifying chart built from exponentials of the
+    first r generators, given as their representation matrices rho_A."""
     x = np.asarray(section(list(u)), dtype=float)
     for qa, rho in zip(reversed(list(q)), reversed(list(generators[: len(q)]))):
         x = matexp(-qa * rho) @ x
-    return AmbientPoint(*x)
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +154,9 @@ def chart_jets(chart: Chart, coords):
 
 
 def hyperboloid_residual(chart: Chart, point: Sequence[float]) -> float:
-    return chart.embed(point).hyperboloid_residual()
+    """|x0^2 - x1^2 - x2^2 - x3^2 + 1| at the chart's embedding of ``point``."""
+    x0, x1, x2, x3 = chart.embed(point)
+    return abs(x0 ** 2 - x1 ** 2 - x2 ** 2 - x3 ** 2 + 1.0)
 
 
 def pushforward(case_id: CaseId, points, parameter_a: Optional[float] = None) -> np.ndarray:

@@ -61,7 +61,6 @@ class SolutionAnsatz:
 
     case_id: CaseId
     config: FieldConfig
-    J: float
     lam: complex
     phase: Callable  # (q_triple, lam) -> exp(R)
     char: Callable   # (q_triple, lam) -> v
@@ -93,7 +92,7 @@ def _phi_jets(phi_jet, v):
 def ansatz(case_id: CaseId, config: FieldConfig, J: float, lam: complex) -> SolutionAnsatz:
     case_id = CaseId(case_id)
     phase, char = integration(case_id).ansatz(config, J)
-    return SolutionAnsatz(case_id, config, J, complex(lam), phase, char)
+    return SolutionAnsatz(case_id, config, complex(lam), phase, char)
 
 
 def joint_system_residual(ans: SolutionAnsatz, rep: LambdaRep,
@@ -115,7 +114,7 @@ def joint_system_residual(ans: SolutionAnsatz, rep: LambdaRep,
         *qs, lam = Dual.seed_grid(cols + lam_col)
         v = ans.char(qs, lam)
         phase = ans.phase(qs, lam)
-        gauge = gauge_one_form(case, cfg).values(cols)
+        gauge = [a(cols) for a in gauge_one_form(case, cfg)]
         coeffs = [(x + [symmetry_scalar(x, chi(cols), gauge, cfg.e)], lop.values(lam_col))
                   for x, chi, lop in zip(generator_jets(case, cols, cfg.parameter_a),
                                          solve_chi(case, cfg), rep.ops)]
@@ -137,7 +136,6 @@ def joint_system_residual(ans: SolutionAnsatz, rep: LambdaRep,
 
 @dataclass(frozen=True)
 class ReducedODE:
-    case_id: CaseId
     p: Callable[[complex], complex]
     q: Callable[[complex], complex]
 
@@ -149,8 +147,7 @@ class ReducedODE:
 
 def reduced_ode(case_id: CaseId, config: FieldConfig, J: float) -> ReducedODE:
     """Coefficients of Phi'' + p Phi' + q Phi = 0 in the characteristic variable."""
-    case_id = CaseId(case_id)
-    return ReducedODE(case_id, *integration(case_id).reduced_ode(config, J))
+    return ReducedODE(*integration(case_id).reduced_ode(config, J))
 
 
 def reduction_coefficients(case_id: CaseId, config: FieldConfig, J: float, lam: complex,
@@ -209,9 +206,8 @@ class SpecialSolution:
     """A closed-form basis member ``fn``: v -> (Phi, Phi', Phi'') in plain
     complex arithmetic, with per-argument caching of the 2-jet."""
 
-    def __init__(self, fn: Callable, label: str):
+    def __init__(self, fn: Callable):
         self._fn = fn
-        self.label = label
         self._cache: dict[complex, tuple] = {}
 
     def jet(self, v):

@@ -22,7 +22,7 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -153,7 +153,6 @@ class ClosureReport:
     max_residual: float
     worst_pair: Optional[tuple[int, int]]
     closed: bool
-    fitted_constants: np.ndarray
 
 
 def closure_check(sub: SubalgebraSpec, amb: Optional[LieAlgebraSpec] = None,
@@ -164,7 +163,6 @@ def closure_check(sub: SubalgebraSpec, amb: Optional[LieAlgebraSpec] = None,
         raise ValueError("generator coefficients do not match ambient dimension")
     n = sub.dim
     span = sub.generator_coeffs.T  # 6 x n
-    fitted = np.zeros((n, n, n))
     worst = 0.0
     worst_pair = None
     for A in range(n):
@@ -174,10 +172,9 @@ def closure_check(sub: SubalgebraSpec, amb: Optional[LieAlgebraSpec] = None,
             coef, _, _, _ = np.linalg.lstsq(span, br, rcond=None)
             res = float(np.max(np.abs(span @ coef - br)))
             res = max(res, float(np.max(np.abs(coef - sub.algebra.structure_constants[A, B]))))
-            fitted[A, B] = coef
             if res > worst:
                 worst, worst_pair = res, (A + 1, B + 1)
-    return ClosureReport(worst, worst_pair, worst <= tol, fitted)
+    return ClosureReport(worst, worst_pair, worst <= tol)
 
 
 @dataclass(frozen=True)
@@ -302,8 +299,9 @@ def index(ext: ExtendedAlgebraSpec) -> int:
     return ext.dim_hat - int(np.max(np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1)))
 
 
-@dataclass(frozen=True)
-class IntegrabilityRecord:
+class IntegrabilityRecord(NamedTuple):
+    """One row of Table 3; its fields are the table's columns."""
+
     dim: int
     ind: int
     s: int
@@ -311,13 +309,10 @@ class IntegrabilityRecord:
     m_tilde: int
     integrable: bool
 
-    def as_tuple(self):
-        return (self.dim, self.ind, self.s, self.l, self.m_tilde, self.integrable)
-
 
 def integrability_check(ext: ExtendedAlgebraSpec) -> IntegrabilityRecord:
-    """Counting record (dim, ind, s, l, m_tilde, decision) of the extension on
-    the MANIFOLD_DIM-dimensional hyperboloid."""
+    """The Table 3 row of the extension on the MANIFOLD_DIM-dimensional
+    hyperboloid."""
     dim = ext.dim_hat
     ind = index(ext)
     if (dim - ind) % 2 != 0:
@@ -347,7 +342,7 @@ def table3_diff(table: dict[CaseId, IntegrabilityRecord]) -> dict[CaseId, dict]:
     out = {}
     for case, rec in table.items():
         ref = case_spec(case).table3_reference
-        if rec.as_tuple() != ref:
-            out[case] = {"computed": rec.as_tuple(), "reference": ref}
+        if rec != ref:
+            out[case] = {"computed": rec, "reference": ref}
     return out
 

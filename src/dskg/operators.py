@@ -234,7 +234,7 @@ def symmetry_operators(case_id: CaseId, config: FieldConfig,
     case_id = CaseId(case_id)
     gauge = gauge_one_form(case_id, config)
     return [DiffOp1(list(comp), lambda c, comp=comp, chi=chi: symmetry_scalar(
-                [x(c) for x in comp], chi(c), gauge.values(c), config.e))
+                [x(c) for x in comp], chi(c), [a(c) for a in gauge], config.e))
             for comp, chi in zip(rect_components(case_id, config.parameter_a),
                                  solve_chi(case_id, config, chi_extra))]
 
@@ -257,9 +257,9 @@ def kg_generic_coefficients(case_id: CaseId, config: FieldConfig, coords):
     the chart metric jet and the gauge potential.
     """
     _, _, ginv, sqrtg, dsqrtg, dginv = metric_jet(case_id, coords, config.parameter_a)
-    gauge = gauge_one_form(case_id, config)
+    gauge = [a(coords) for a in gauge_one_form(case_id, config)]
     e = config.e
-    aval, agrad, _ = dual.arrays(gauge.values(coords), 3)  # agrad[..., b, c] = d_c A_b
+    aval, agrad, _ = dual.arrays(gauge, 3)  # agrad[..., b, c] = d_c A_b
     drift = (np.einsum("...a,...ab->...b", dsqrtg, ginv) / sqrtg[..., None]
              + np.einsum("...aab->...b", dginv))
     aup = np.einsum("...ab,...b->...a", ginv, aval)

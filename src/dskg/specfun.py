@@ -498,10 +498,14 @@ class TaylorSolution:
 
 def _taylor_mesh(q_terms, span, label):
     """Left ends of segments of length min(TAYLOR_MAX_STEP, TAYLOR_STEP_SCALE / sqrt(Q))
-    where Q = sum |c| exp(Re(rate) v) >= |q(v)|, summed in logs so it cannot overflow."""
+    where Q = sum |c| exp(Re(rate) v) >= |q(v)|, summed in logs so it cannot overflow.
+
+    A mesh over TAYLOR_MAX_SEGMENTS raises :class:`DomainError` naming the bound
+    that ran out: the largest Q met, if it shortened a segment, or else the
+    span's length at TAYLOR_MAX_STEP."""
     logs = [(math.log(abs(c)), complex(rate).real) for c, rate in q_terms if c != 0]
     v, end = span
-    starts = []
+    starts, peak = [], (-math.inf, v)
     for _ in range(TAYLOR_MAX_SEGMENTS):
         starts.append(v)
         log_q = 0.0
@@ -509,12 +513,17 @@ def _taylor_mesh(q_terms, span, label):
             parts = [lc + r * v for lc, r in logs]
             top = max(parts)
             log_q = top + math.log(sum(math.exp(x - top) for x in parts))
+        if log_q >= peak[0]:
+            peak = (log_q, v)
         v += min(TAYLOR_MAX_STEP, TAYLOR_STEP_SCALE * math.exp(-0.5 * max(log_q, 0.0)))
         if v >= end:
             return starts
-    raise DomainError(
-        f"{label}: |q| reaches 10^{log_q / math.log(10.0):.4g} at v = {starts[-1]:.6g}; "
-        f"[{span[0]}, {end}] needs more than {TAYLOR_MAX_SEGMENTS} Taylor segments")
+    budget = f"[{span[0]}, {end}] needs more than {TAYLOR_MAX_SEGMENTS} Taylor segments"
+    # a segment is shorter than TAYLOR_MAX_STEP where TAYLOR_STEP_SCALE / sqrt(Q) is
+    if peak[0] > 2.0 * math.log(TAYLOR_STEP_SCALE / TAYLOR_MAX_STEP):
+        raise DomainError(f"{label}: |q| reaches 10^{peak[0] / math.log(10.0):.4g} at "
+                          f"v = {peak[1]:.6g}; {budget}")
+    raise DomainError(f"{label}: {budget} of the longest step, {TAYLOR_MAX_STEP}")
 
 
 def taylor_basis(p, q_terms, span, label):

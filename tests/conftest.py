@@ -3,7 +3,7 @@ import pytest
 
 from dskg import dual
 from dskg.dual import Dual
-from dskg.fields import TwoForm
+from dskg.fields import FieldConfig, TwoForm
 from dskg.geometry import chart_for, sample_domain
 from dskg.lie_core import PARAMETERIZED_CASES
 from dskg.operators import operator_jets
@@ -14,6 +14,11 @@ DEFAULT_A = 1.0
 
 def case_param_a(case):
     return DEFAULT_A if case in PARAMETERIZED_CASES else None
+
+
+def make_config(case, **kw):
+    """The entry's field configuration at the test family parameter."""
+    return FieldConfig(case, parameter_a=case_param_a(case), **kw)
 
 
 def chart_points(case, n=25, seed=9041, a=None):

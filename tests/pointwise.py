@@ -143,15 +143,24 @@ def killing(case, points, a):
     return worst
 
 
+def _component(f, a, b, seeds):
+    """F_ab of the 2-form ``f`` at ``seeds``, from whichever orientation it stores."""
+    if (a, b) in f.entries:
+        return f.entries[(a, b)](seeds)
+    if (b, a) in f.entries:
+        return -f.entries[(b, a)](seeds)
+    return 0.0
+
+
 def _d_form(f, seeds):
     total = 0.0
     for c, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        total = total + dual.partial(f.component(a, b, seeds), c)
+        total = total + dual.partial(_component(f, a, b, seeds), c)
     return total
 
 
 def _matrix(f, seeds):
-    return dual.arrays([f.component(a, b, seeds) for a in range(3) for b in range(3)],
+    return dual.arrays([_component(f, a, b, seeds) for a in range(3) for b in range(3)],
                        3)[0].reshape(3, 3)
 
 
@@ -161,7 +170,7 @@ def _interior(x_comp, f, seeds):
     for b in range(3):
         total = 0.0
         for a in range(3):
-            comp = f.component(a, b, seeds)
+            comp = _component(f, a, b, seeds)
             if not dual.is_zero(comp):
                 total = total + comp * xv[a]
         out.append(total)
@@ -197,7 +206,8 @@ def invariance(case, f, points, a):
 
 def gauge(case, cfg, f, points):
     a = gauge_one_form(case, cfg)
-    return max(float(np.max(np.abs(_d_one_form(a.values(_seed(p))) - _matrix(f, _seed(p)))))
+    return max(float(np.max(np.abs(_d_one_form([c(_seed(p)) for c in a])
+                                   - _matrix(f, _seed(p)))))
                for p in points)
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from dskg import dual
 from dskg.dual import Dual
-from dskg.fields import (FieldConfig, closedness_residual, cocycle_from_config,
+from dskg.fields import (closedness_residual, cocycle_from_config,
                          invariance_residual, invariant_two_form, lie_derivative)
 from dskg.geometry import (chart_for, chart_jets, generator_jets, pushforward, rect_components,
                            rectify, sample_domain)
@@ -30,7 +30,7 @@ from dskg.operators import (commutation_table_fit, kg_cross_residual, kg_operato
                             representation_residual, symmetry_check, symmetry_operators)
 from dskg.specfun import ode_integrate
 
-from conftest import case_param_a, chart_points, grid_jets, perturbed_form
+from conftest import case_param_a, chart_points, grid_jets, make_config, perturbed_form
 from pointwise import solution_jet
 from test_geometry import so12_generators, so12_section
 
@@ -38,12 +38,6 @@ from test_geometry import so12_generators, so12_section
 def report(num, name, value, budget_note=""):
     print(f"ACCEPTANCE {num:02d} {name}: PASS {budget_note}".rstrip())
     return value
-
-
-def make_config(case, **kw):
-    base = dict(e=0.1, m=0.5, zeta=0.0, mu=0.3, mu1=0.3, mu2=0.3)
-    base.update(kw)
-    return FieldConfig(case, parameter_a=case_param_a(case), **base)
 
 
 # ------------------------------------------------------------------ 1
@@ -63,7 +57,7 @@ def test_criterion_01_table3_rows(case):
     rec = integrability_check(case_extension(case, mu=1.0, a=1.0))
     assert time.time() - t0 < 5.0
     ref = case_spec(case).table3_reference
-    assert rec.as_tuple() == ref, f"{case}: computed {rec.as_tuple()} vs reference {ref}"
+    assert rec == ref, f"{case}: computed {tuple(rec)} vs reference {ref}"
     report(1, f"classification row {case.value}", rec)
 
 
@@ -126,7 +120,7 @@ def test_criterion_04_rectification_oracle():
     for _ in range(200):
         q1, q2 = rng.uniform(-1.5, 1.5, 2)
         u1, u2 = rng.uniform(-0.8, 0.8, 2)
-        got = rectify(gens, so12_section, (q1, q2), (u1, u2)).as_array()
+        got = rectify(gens, so12_section, (q1, q2), (u1, u2))
         w = u2 + 1.0
         want = np.array([-w * math.sinh(q1) * math.cos(q2),
                          w * math.cosh(q1) * math.cos(q2),
@@ -137,9 +131,8 @@ def test_criterion_04_rectification_oracle():
     for _ in range(200):
         q1, q2 = rng.uniform(-1.5, 1.5, 2)
         u = rng.uniform(0.2, math.pi - 0.2)
-        got = rectify(gens, so12_section, (q1, q2),
-                      (math.cos(u), math.sin(u) - 1.0)).as_array()
-        want = chart.embed((q1, q2, u)).as_array()
+        got = rectify(gens, so12_section, (q1, q2), (math.cos(u), math.sin(u) - 1.0))
+        want = np.array(chart.embed((q1, q2, u)))
         worst_chart = max(worst_chart, float(np.max(np.abs(got - want))))
     elapsed = time.time() - t0
     assert worst_free < 1e-12

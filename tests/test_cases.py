@@ -10,6 +10,7 @@ import pytest
 from dskg import cases
 from dskg.cases import CASES, CaseId, resolve
 from dskg.fields import FieldConfig
+from dskg.geometry import chart_for
 
 
 def _ids(specs):
@@ -35,7 +36,7 @@ def test_spec_parts_agree(spec):
     assert len(spec.field.chi(cfg)) == n
     assert len(spec.field.gauge(cfg)) == 3
     assert 1 <= spec.chart.r <= 3
-    assert len(spec.chart.coord_names) == len(spec.chart.domain) == 3
+    assert len(chart_for(spec.case_id, a).coord_names) == len(spec.chart.domain) == 3
     assert len(spec.table3_reference) == 6
     assert spec.table3_reference[0] == n + 1  # dimension of the central extension
 

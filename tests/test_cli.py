@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dskg import cli, dual, fields, integrate
+from dskg import cli, dual, fields, integrate, operators
 from dskg.cases import case_spec
 from dskg.cli import (DEFAULT_TOLERANCES, RunConfig, UsageError, _run_config_from, build_parser,
                       main, parse_complex)
@@ -127,14 +127,20 @@ def test_verify_all_cases_summary():
 @pytest.mark.parametrize("case", ALL_CASES)
 def test_verify_reads_the_gauge_once_per_coordinate_set(monkeypatch, case):
     # once on the entry's grid seed, which every field and operator check
-    # reads, and once more on the joint-system columns of an integrable entry
-    calls, values = [], fields.OneForm.values
+    # reads, and once more on the joint-system columns of an integrable entry.
+    # A read evaluates every component, so the first component counts reads
+    calls, gauge_one_form = [], fields.gauge_one_form
 
-    def counted(self, coords):
-        calls.append(coords)
-        return values(self, coords)
+    def counted(case_id, config):
+        first, *rest = gauge_one_form(case_id, config)
 
-    monkeypatch.setattr(fields.OneForm, "values", counted)
+        def read(coords):
+            calls.append(coords)
+            return first(coords)
+        return [read, *rest]
+
+    for module in (fields, cli, integrate, operators):
+        monkeypatch.setattr(module, "gauge_one_form", counted)
     assert run_cli("verify", "--case", case.value)[0] == 0
     assert len(calls) == (2 if case in INTEGRABLE_CASES else 1)
 
@@ -321,6 +327,10 @@ def test_verify_at_a_branch_cut_fails_its_integration_checks():
     (["solve", "--case", "g3_3a", "--a", "1", "--lambda=1e300+0i", "--grid", "3"],
      "error: g3_3a (a = 1.0, J = 1.0, lambda = 1e+300+0j): |q| reaches 10^8.686e+299 at "
      "v = -1e+300; [-1e+300, 1.8] needs more than 10000 Taylor segments\n"),
+    # where |q| stays small the span's length alone runs the budget out
+    (["solve", "--case", "g3_3a", "--a", "1", "--lambda=-1e4+0i", "--grid", "3"],
+     "error: g3_3a (a = 1.0, J = 1.0, lambda = -1e+04+0j): [-1.8, 10000.5] needs more than "
+     "10000 Taylor segments of the longest step, 0.1\n"),
     # cosh(a q) and exp(a q) of the family charts leave floating-point range
     (["verify", "--case", "g1_3a", "--a", "1000"],
      "error: g1_3a: chart map at a = 1000.0 overflows at "
@@ -339,7 +349,7 @@ def test_verify_at_a_branch_cut_fails_its_integration_checks():
      "error: g3_4: overflow beyond floating-point range at --J 1e+200\n"),
 ], ids=["verify_g3_1_lambda_0", "verify_g3_3a_a_40",
         "verify_g1_3a_a_50", "solve_g3_1_lambda_0", "solve_g3_3a_a_40", "solve_g3_3a_a_1000",
-        "solve_g3_3a_lambda_1e300",
+        "solve_g3_3a_lambda_1e300", "solve_g3_3a_lambda_minus_1e4",
         "verify_g1_3a_a_1000", "verify_g3_3a_a_1000", "chart_g1_3a_a_1000",
         "verify_g3_2_mu_1e300", "solve_g3_4_J_1e200"])
 def test_numerical_failure_exits_1_with_its_message(argv, message):
@@ -477,9 +487,15 @@ def test_verify_steep_g3_3a_family_passes():
     # refused when parsed, before the entry's numerical failure at a = 40
     (["verify", "--case", "g3_3a", "--a", "40", "--perturb", "foo:1"],
      "error: unknown perturbation target 'foo'\n"),
+    # an empty value is refused, not read as the flag left out
+    (["solve", "--case", "g3_1", "--grid="],
+     "error: invalid literal for int() with base 10: ''\n"),
+    (["solve", "--case", "g3_1", "--grid", "3", "--lambda="],
+     "error: complex value '' must end in i with both parts, e.g. 0.4+0.2i\n"),
+    (["verify", "--case", "g3_2", "--perturb="], "error: bad perturbation spec ''\n"),
 ], ids=["grid", "perturb", "tol", "verify_e_nan", "catalog_mu_nan", "solve_a_nan", "chart_a_nan",
         "solve_mu_inf", "solve_J_minus_inf", "lambda_nan", "lambda_inf", "perturb_inf", "tol_nan",
-        "perturb_target"])
+        "perturb_target", "grid_empty", "lambda_empty", "perturb_empty"])
 def test_bad_flag_value_is_usage_error(argv, message):
     assert run_cli(*argv) == (2, "", message)
 

@@ -7,23 +7,19 @@ import pytest
 
 from dskg import dual
 from dskg.dual import Dual
-from dskg.fields import (FORM_TOL, FieldConfig, chi_residual, closedness_residual,
+from dskg.fields import (FORM_TOL, FieldConfig, TwoForm, chi_residual, closedness_residual,
                          cocycle_from_config, gauge_one_form, gauge_residual,
                          invariance_residual, invariant_two_form, lie_derivative, solve_chi)
 from dskg.geometry import generator_jets
 from dskg.lie_core import ALL_CASES, CaseId, Cocycle, coboundary_solve, \
     standard_cocycle, subalgebra
 
-from conftest import case_param_a, chart_points, perturbed_form
-
-
-def make_config(case, **kw):
-    return FieldConfig(case, parameter_a=case_param_a(case), **kw)
+from conftest import chart_points, make_config, perturbed_form
 
 
 def gauge_at(case, cfg, p):
     s = Dual.seed(p)
-    return gauge_residual(gauge_one_form(case, cfg).values(s),
+    return gauge_residual([a(s) for a in gauge_one_form(case, cfg)],
                           invariant_two_form(case, cfg).jets(s))
 
 
@@ -81,16 +77,36 @@ def test_two_form_specific_entries():
     assert np.max(np.abs(f.matrix(Dual.seed((0.2, 0.3, 0.1))))) == 0.0
 
 
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_two_form_evaluates_each_stored_entry_once(case):
+    # the mirrored component is the stored one's jet negated, not a second call
+    calls = []
+
+    def counted(key, fn):
+        def entry(coords):
+            calls.append(key)
+            return fn(coords)
+        return entry
+
+    stored = invariant_two_form(case, make_config(case)).entries
+    seed = Dual.seed((0.2, 0.3, 0.1))
+    form = TwoForm({key: counted(key, fn) for key, fn in stored.items()}).jets(seed)
+    assert sorted(calls) == sorted(stored)
+    for (a, b), fn in stored.items():
+        assert dual.value(form[a][b]) == dual.value(fn(seed)) == -dual.value(form[b][a])
+    assert all(form[a][a] == 0.0 for a in range(3))
+
+
 def test_potential_reference_gauges():
     cfg = make_config(CaseId.G34, mu=0.9)
     a34 = gauge_one_form(CaseId.G34, cfg)
-    vals = [dual.value(v) for v in a34.values([0.1, 0.5, -0.2])]
+    vals = [dual.value(a([0.1, 0.5, -0.2])) for a in a34]
     assert abs(vals[0] + 0.9 * math.sin(0.5)) < 1e-15
     assert vals[1] == 0.0 and vals[2] == 0.0
 
     cfg = make_config(CaseId.G32, mu=1.4)
     a32 = gauge_one_form(CaseId.G32, cfg)
-    vals = [dual.value(v) for v in a32.values([0.3, -0.6, 0.0])]
+    vals = [dual.value(a([0.3, -0.6, 0.0])) for a in a32]
     assert abs(vals[0] - 0.5 * 1.4 * 0.6) < 1e-15
     assert abs(vals[1] - 0.5 * 1.4 * 0.3) < 1e-15
 

@@ -12,7 +12,7 @@ import pytest
 
 from dskg import dual
 from dskg.dual import Dual
-from dskg.geometry import (AmbientPoint, RankDeficientError, chart_for, chart_jets,
+from dskg.geometry import (Chart, RankDeficientError, chart_for, chart_jets,
                            generator_jets, hyperboloid_residual, induced_metric,
                            killing_residual, matexp, metric_jet, pushforward,
                            rect_components, rectify, rep_matrices, sample_domain)
@@ -54,7 +54,7 @@ def orbit_rank(case_id, n_points, seed, parameter_a):
     pts = sample_domain(chart, n_points, np.random.default_rng(seed))
     best = 0
     for p in pts:
-        x = chart.embed(p).as_array()
+        x = np.array(chart.embed(p))
         rows = np.array([m @ x for m in mats])
         sv = np.linalg.svd(rows, compute_uv=False)
         if sv.size and sv[0] > 0:
@@ -78,15 +78,26 @@ def test_hyperboloid_constraint(case):
 
 
 def test_chart_anchor_points():
-    assert np.allclose(chart_for(CaseId.G35).embed((0, 0, math.pi / 2)).as_array(),
+    assert np.allclose(chart_for(CaseId.G35).embed((0, 0, math.pi / 2)),
                        [0, 1, 0, 0], atol=1e-15)
-    assert np.allclose(chart_for(CaseId.G31).embed((0, 0, 0)).as_array(),
+    assert np.allclose(chart_for(CaseId.G31).embed((0, 0, 0)),
                        [0, 0, 0, 1], atol=1e-15)
 
 
-def test_ambient_point_predicate():
-    assert AmbientPoint(0, 1, 0, 0).hyperboloid_residual() == 0.0
-    assert AmbientPoint(0, 2, 0, 0).hyperboloid_residual() == 3.0
+def test_hyperboloid_residual_of_an_ambient_point():
+    # a chart that embeds (q1, q2, q3) as the ambient point (0, q1, q2, q3)
+    chart = Chart(CaseId.G31, 3, ((-1.0, 1.0),) * 3, lambda c: [0.0, *c])
+    assert hyperboloid_residual(chart, (1, 0, 0)) == 0.0
+    assert hyperboloid_residual(chart, (2, 0, 0)) == 3.0
+
+
+@pytest.mark.parametrize("case,names", [
+    (CaseId.G11, ("q1", "u1", "u2")),
+    (CaseId.G21, ("q1", "q2", "u1")),
+    (CaseId.G31, ("q1", "q2", "q3")),
+])
+def test_coordinate_names_follow_the_orbit_dimension(case, names):
+    assert chart_for(case).coord_names == names
 
 
 @pytest.mark.parametrize("case", ALL_CASES)
@@ -247,7 +258,7 @@ def test_rep_matrices_satisfy_structure():
 def test_rectify_worked_example_closed_form():
     gens = so12_generators()
     for (q1, q2, u1, u2) in [(0.4, 0.2, 0.5, 0.3), (-0.8, 1.0, -0.4, 0.7), (0.0, 0.0, 0.2, 0.1)]:
-        got = rectify(gens, so12_section, (q1, q2), (u1, u2)).as_array()
+        got = rectify(gens, so12_section, (q1, q2), (u1, u2))
         w = u2 + 1.0
         want = np.array([
             -w * math.sinh(q1) * math.cos(q2),
@@ -261,7 +272,7 @@ def test_rectify_worked_example_closed_form():
 def test_rectify_identity_at_origin():
     gens = so12_generators()
     u = (0.3, 0.4)
-    assert np.allclose(rectify(gens, so12_section, (0.0, 0.0), u).as_array(),
+    assert np.allclose(rectify(gens, so12_section, (0.0, 0.0), u),
                        so12_section(u), atol=1e-15)
 
 
@@ -269,9 +280,8 @@ def test_rectify_restricted_matches_chart():
     gens = so12_generators()
     chart = chart_for(CaseId.G35)
     for (q1, q2, u) in [(0.3, -0.2, 1.1), (-0.6, 0.4, 0.7), (1.0, 0.1, 2.2)]:
-        got = rectify(gens, so12_section, (q1, q2),
-                      (math.cos(u), math.sin(u) - 1.0)).as_array()
-        want = chart.embed((q1, q2, u)).as_array()
+        got = rectify(gens, so12_section, (q1, q2), (math.cos(u), math.sin(u) - 1.0))
+        want = np.array(chart.embed((q1, q2, u)))
         assert np.max(np.abs(got - want)) < 1e-12
 
 

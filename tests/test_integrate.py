@@ -24,13 +24,9 @@ from dskg.operators import (DiffOp1, commutation_table_fit, kg_operator,
 from dskg.specfun import ODESolverConfig, ode_integrate
 
 import pointwise
-from conftest import case_param_a, grid_jets
+from conftest import grid_jets, make_config
 
 LAMBDA_PROBES = [(0.35,), (0.8,), (-0.6,), (1.3,)]
-
-
-def make_config(case, **kw):
-    return FieldConfig(case, parameter_a=case_param_a(case), **kw)
 
 
 def run_points(case, n=8, seed=311):
@@ -432,7 +428,7 @@ def test_bound_members_match_the_dual_composition_on_offset_paths(seed):
     # reads the series objects phi1 left
     rng = np.random.default_rng(seed + 100)
     for case, k, J in offset_draws(seed):
-        phi1, phi2, record = integration(case).basis(k, J, lambda fn, label: fn,
+        phi1, phi2, record = integration(case).basis(k, J, lambda fn: fn,
                                                       integration(case).lam)
         assert abs(cmath.sin(math.pi * CLOSED_FORM[case][0](record))) < 1e-6, record
         lo, hi = CLOSED_FORM[case][1]
@@ -487,7 +483,7 @@ def test_a_basis_evaluates_each_ratio_once(monkeypatch, case):
         grow(table)
     monkeypatch.setattr(specfun._Ratios, "grow", counted)
     series = count_calls(monkeypatch, "_series_jet")
-    phi1, phi2, _ = integration(case).basis(make_config(case), 1.0, lambda fn, label: fn,
+    phi1, phi2, _ = integration(case).basis(make_config(case), 1.0, lambda fn: fn,
                                             integration(case).lam)
     nodes = [complex(v) for v in np.linspace(*CLOSED_FORM[case][1], 12)]
     sweeps = []

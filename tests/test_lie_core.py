@@ -311,11 +311,11 @@ def test_catalog_classifies_each_entry_once(monkeypatch):
 
 def test_integrability_records():
     rec = integrability_check(case_extension(CaseId.G32))
-    assert rec.as_tuple() == (4, 2, 1, 1, 1, True)
+    assert rec == (4, 2, 1, 1, 1, True)
     rec = integrability_check(case_extension(CaseId.G21))
-    assert rec.as_tuple() == (3, 1, 1, 0, 2, False)
+    assert rec == (3, 1, 1, 0, 2, False)
     rec = integrability_check(case_extension(CaseId.G11))
-    assert rec.as_tuple() == (2, 2, 0, 1, 2, False)
+    assert rec == (2, 2, 0, 1, 2, False)
 
 
 def test_table3_matches_reference_except_documented_row():

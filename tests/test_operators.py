@@ -8,7 +8,7 @@ import pytest
 
 from dskg import dual, operators
 from dskg.cases import case_spec, const
-from dskg.fields import FieldConfig, gauge_one_form, invariant_two_form
+from dskg.fields import gauge_one_form, invariant_two_form
 from dskg.lie_core import ALL_CASES, CaseId, INTEGRABLE_CASES, standard_cocycle, subalgebra
 from dskg.dual import Dual
 from dskg.operators import (DiffOp1, DiffOp2, commutation_table_fit, commutator,
@@ -18,11 +18,7 @@ from dskg.operators import (DiffOp1, DiffOp2, commutation_table_fit, commutator,
 
 import pointwise
 from pointwise import DualProbe
-from conftest import case_param_a, chart_points, grid_jets
-
-
-def make_config(case, **kw):
-    return FieldConfig(case, parameter_a=case_param_a(case), **kw)
+from conftest import chart_points, grid_jets, make_config
 
 
 def commutator_at(A, B, point):
@@ -112,7 +108,7 @@ def test_covariant_derivative_commutator_is_field_strength():
     for a in range(3):
         coeffs = [lambda c: 0.0] * 3
         coeffs[a] = lambda c: 1.0
-        ds.append(DiffOp1(coeffs, lambda c, a=a: -1j * e * gauge.values(c)[a]))
+        ds.append(DiffOp1(coeffs, lambda c, a=a: -1j * e * gauge[a](c)))
     for p in chart_points(case, 6):
         m = f2.matrix(Dual.seed(p))
         for a in range(3):

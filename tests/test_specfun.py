@@ -319,6 +319,19 @@ def test_taylor_basis_refuses_a_mesh_over_budget():
                                "[0.0, 1.0] needs more than 10000 Taylor segments")
 
 
+@pytest.mark.parametrize("terms,span", [
+    (((1.0, 0.0),), (0.0, 1001.0)),
+    # Q = 1e-300 exp(-v) is far below 1 over the whole span
+    (((1e-300, -1.0),), (1000.0, 3000.0)),
+])
+def test_taylor_basis_names_the_span_length_where_q_is_small(terms, span):
+    # every segment is TAYLOR_MAX_STEP long, so the span's length runs the budget out
+    with pytest.raises(DomainError) as info:
+        specfun.taylor_basis(0.0, terms, span, "long")
+    assert str(info.value) == (f"long: [{span[0]}, {span[1]}] needs more than 10000 "
+                               "Taylor segments of the longest step, 0.1")
+
+
 def test_taylor_solution_outside_its_span():
     phi1, _, _ = specfun.taylor_basis(0.0, ((1.0, 0.0),), (0.0, 1.0), "unit")
     for v in (-0.5, 1.5, 0.5 + 0.1j):
