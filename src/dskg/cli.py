@@ -1,7 +1,8 @@
 """Command-line surface: catalog emission, verification, solving, chart export.
 
 Exit codes are a stable contract: 0 success, 1 verification or numerical
-failure, 2 usage error.  Reports are deterministic for a fixed seed and flag set
+failure, 2 usage error, 141 (128 + SIGPIPE) when the reader closes stdout
+early.  Reports are deterministic for a fixed seed and flag set
 (sorted keys, default float repr, cases ordered by id).  `verify`'s checks are
 the rows of `CHECKS` (key, default tolerance, scope, residual), run in order
 on one `VerifyContext` per entry.
@@ -16,6 +17,7 @@ import csv
 import functools
 import itertools
 import json
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -180,14 +182,13 @@ class VerifyContext:
         self.pts = sample_domain(self.chart, 40, rng)
         self.jet_pts = self.pts[:SEED_LANES]
         self.coords = Dual.seed_grid(dual.columns(self.jet_pts))
-        self.fit_pts = [tuple(p) for p in self.jet_pts[:FIT_LANES]]
         self.sym_lanes = PERTURBED_LANES if run.perturb else SYMMETRY_LANES
-        self.sym_pts = [tuple(p) for p in self.jet_pts[:self.sym_lanes]]
+        self.sym_pts = self.jet_pts[:self.sym_lanes]
         self.chi_extra = None if run.perturb is None else \
             [lambda c, s=run.perturb[1]: s * c[0]] + [None] * (self.sub.dim - 1)
         self.form = invariant_two_form(case, self.cfg)
         # at e = 0 the central term F l0 is 0, so F cannot be fitted: expect 0
-        self.central = lie_core.standard_cocycle(case, self.cfg.mu if self.cfg.e else 0.0).F
+        self.central = lie_core.standard_cocycle(case, self.cfg.mu if self.cfg.e else 0.0)
         self.integ = case_spec(case).integration
         if self.integ is not None:
             self.rep = lambda_rep(case, run.J, self.cfg)
@@ -525,6 +526,13 @@ def main(argv: Optional[Sequence[str]] = None,
     except (ValueError, KeyError) as exc:  # UsageError is a ValueError
         err.write(f"error: {exc}\n")
         return 2
+    except BrokenPipeError:  # e.g. `dskg verify | head`
+        if out is sys.stdout:
+            # the interpreter flushes stdout at exit: let that write go nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from . import dual
 from .cases import CaseId, case_spec, resolve
 from .dual import Dual
 from .geometry import generator_jets
-from .lie_core import Cocycle, subalgebra
+from .lie_core import subalgebra
 
 ZETA_CONFORMAL = 1.0 / 6.0
 FORM_TOL = 1e-10
@@ -210,9 +210,8 @@ def gauge_residual(gauge, form) -> float:
 
 
 def cocycle_from_config(case_id: CaseId, config: FieldConfig,
-                        points: Sequence[Sequence[float]],
-                        tol: float = FORM_TOL) -> Cocycle:
-    """Central-charge matrix F(X_A, X_B) - C_AB^C chi_C, checked constant."""
+                        points: Sequence[Sequence[float]]) -> np.ndarray:
+    """Central-charge matrix F(X_A, X_B) - C_AB^C chi_C, constant to FORM_TOL."""
     case_id = CaseId(case_id)
     sub = subalgebra(case_id, config.parameter_a)
     n, dim = len(points), sub.dim
@@ -226,9 +225,9 @@ def cocycle_from_config(case_id: CaseId, config: FieldConfig,
     shift = np.einsum("ABC,...C->...AB", sub.algebra.structure_constants, chiv)
     stack = np.broadcast_to(pair - shift, (n, dim, dim))
     spread = float(np.max(np.abs(stack - stack[0])))
-    if spread > tol:
+    if spread > FORM_TOL:
         raise RuntimeError(f"cocycle candidates vary across points by {spread:.3e}")
     mean = stack.mean(axis=0)
-    if float(np.max(np.abs(mean.imag))) > tol:
+    if float(np.max(np.abs(mean.imag))) > FORM_TOL:
         raise RuntimeError("cocycle has a spurious imaginary part")
-    return Cocycle(mean.real)
+    return mean.real

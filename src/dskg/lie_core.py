@@ -14,7 +14,9 @@ A subalgebra entry stores its generators as coefficient rows over
 (J01, J02, J03, J12, J13, J23) together with its structure constants, both
 read from the registry in :mod:`dskg.cases`.  On top
 of that the module provides the one-dimensional central extensions realized by
-first-order symmetry operators: cocycles, the coboundary test, the algebra
+first-order symmetry operators: a cocycle is an antisymmetric (n, n) array F,
+and the extension by F is again a :class:`LieAlgebraSpec`, of dimension n + 1
+with the central element last.  Then come the coboundary test, the algebra
 index computed from coadjoint ranks, and the noncommutative-integrability
 count.
 """
@@ -60,9 +62,11 @@ def _bracket_matrix(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LieAlgebraSpec:
-    dim: int
     structure_constants: np.ndarray  # C[A, B, C], antisymmetric in (A, B)
-    basis_labels: tuple[str, ...]
+
+    @property
+    def dim(self) -> int:
+        return self.structure_constants.shape[0]
 
     def antisymmetry_residual(self) -> float:
         c = self.structure_constants
@@ -74,12 +78,12 @@ class LieAlgebraSpec:
         total = t1 + np.einsum("bcd,dae->abce", c, c) + np.einsum("cad,dbe->abce", c, c)
         return float(np.max(np.abs(total))) if self.dim else 0.0
 
-    def validate(self, tol: float = JACOBI_TOL) -> None:
+    def validate(self) -> None:
         if self.structure_constants.shape != (self.dim,) * 3:
             raise ValueError("structure constant array has wrong shape")
-        if self.antisymmetry_residual() > tol:
+        if self.antisymmetry_residual() > JACOBI_TOL:
             raise ValueError("structure constants not antisymmetric")
-        if self.jacobi_residual() > tol:
+        if self.jacobi_residual() > JACOBI_TOL:
             raise ValueError("Jacobi identity violated")
 
 
@@ -93,7 +97,7 @@ def so13_algebra() -> LieAlgebraSpec:
             br = _bracket_matrix(mats[A], mats[B]).ravel()
             coef, res, *_ = np.linalg.lstsq(basis, br, rcond=None)
             c[A, B] = np.round(coef)  # constants are exact small integers
-    spec = LieAlgebraSpec(6, c, AMBIENT_LABELS)
+    spec = LieAlgebraSpec(c)
     spec.validate()
     return spec
 
@@ -141,7 +145,7 @@ def subalgebra(case_id: CaseId, a: Optional[float] = None) -> SubalgebraSpec:
     rows, entries = spec.algebra(a)
     coeffs = np.array(rows, dtype=float)
     n = len(rows)
-    alg = LieAlgebraSpec(n, _structure(n, entries), tuple(f"X{k+1}" for k in range(n)))
+    alg = LieAlgebraSpec(_structure(n, entries))
     alg.validate()
     if np.linalg.matrix_rank(coeffs) != n:
         raise ValueError("generator rows are linearly dependent")
@@ -152,13 +156,12 @@ def subalgebra(case_id: CaseId, a: Optional[float] = None) -> SubalgebraSpec:
 class ClosureReport:
     max_residual: float
     worst_pair: Optional[tuple[int, int]]
-    closed: bool
 
 
-def closure_check(sub: SubalgebraSpec, amb: Optional[LieAlgebraSpec] = None,
-                  tol: float = CLOSURE_TOL) -> ClosureReport:
-    """Expand ambient commutators of the generators back in their own span."""
-    amb = amb or so13_algebra()
+def closure_check(sub: SubalgebraSpec) -> ClosureReport:
+    """Expand so(1,3) commutators of the generators back in their own span;
+    the generators close when the residual is at most CLOSURE_TOL."""
+    amb = so13_algebra()
     if sub.generator_coeffs.shape[1] != amb.dim:
         raise ValueError("generator coefficients do not match ambient dimension")
     n = sub.dim
@@ -174,35 +177,10 @@ def closure_check(sub: SubalgebraSpec, amb: Optional[LieAlgebraSpec] = None,
             res = max(res, float(np.max(np.abs(coef - sub.algebra.structure_constants[A, B]))))
             if res > worst:
                 worst, worst_pair = res, (A + 1, B + 1)
-    return ClosureReport(worst, worst_pair, worst <= tol)
+    return ClosureReport(worst, worst_pair)
 
 
-@dataclass(frozen=True)
-class Cocycle:
-    F: np.ndarray  # n x n antisymmetric
-
-    @property
-    def dim(self) -> int:
-        return self.F.shape[0]
-
-    def antisymmetry_residual(self) -> float:
-        return float(np.max(np.abs(self.F + self.F.T))) if self.dim else 0.0
-
-    def identity_residual(self, alg: LieAlgebraSpec) -> float:
-        c, f = alg.structure_constants, self.F
-        total = (np.einsum("abd,cd->abc", c, f)
-                 + np.einsum("bcd,ad->abc", c, f)
-                 + np.einsum("cad,bd->abc", c, f))
-        return float(np.max(np.abs(total))) if self.dim else 0.0
-
-    def validate(self, alg: LieAlgebraSpec, tol: float = JACOBI_TOL) -> None:
-        if self.antisymmetry_residual() > tol:
-            raise ValueError("cocycle not antisymmetric")
-        if self.identity_residual(alg) > tol:
-            raise ValueError("cocycle identity violated")
-
-
-def standard_cocycle(case_id: CaseId, mu: float = 1.0) -> Cocycle:
+def standard_cocycle(case_id: CaseId, mu: float = 1.0) -> np.ndarray:
     """Central charge of the symmetry-operator extension for a generic field.
 
     Only the entries whose registry spec marks a magnetic pair (the
@@ -216,87 +194,62 @@ def standard_cocycle(case_id: CaseId, mu: float = 1.0) -> Cocycle:
     if spec.magnetic_pair:
         f[0, 1] = mu
         f[1, 0] = -mu
-    return Cocycle(f)
+    return f
 
 
-@dataclass(frozen=True)
-class ExtendedAlgebraSpec:
-    base: LieAlgebraSpec
-    cocycle: Cocycle
-
-    @property
-    def dim_hat(self) -> int:
-        return self.base.dim + 1
-
-    def structure_constants(self) -> np.ndarray:
-        """Constants of the extension; the central element sits in the last slot."""
-        n = self.base.dim
-        c = np.zeros((n + 1, n + 1, n + 1))
-        c[:n, :n, :n] = self.base.structure_constants
-        c[:n, :n, n] = self.cocycle.F
-        return c
-
-    def validate(self, tol: float = JACOBI_TOL) -> None:
-        self.base.validate(tol)
-        self.cocycle.validate(self.base, tol)
-        hat = LieAlgebraSpec(self.dim_hat, self.structure_constants(),
-                             self.base.basis_labels + ("X0",))
-        hat.validate(tol)
-
-
-def extend(base: LieAlgebraSpec, cocycle: Cocycle) -> ExtendedAlgebraSpec:
-    ext = ExtendedAlgebraSpec(base, cocycle)
+def extend(base: LieAlgebraSpec, F: np.ndarray) -> LieAlgebraSpec:
+    """The central extension of ``base`` by the cocycle ``F``, with the central
+    element last.  Its antisymmetry and Jacobi residuals are the base's plus
+    F's antisymmetry and cocycle identity, so one validation checks all four."""
+    n = base.dim
+    c = np.zeros((n + 1, n + 1, n + 1))
+    c[:n, :n, :n] = base.structure_constants
+    c[:n, :n, n] = F
+    ext = LieAlgebraSpec(c)
     ext.validate()
     return ext
 
 
-def coboundary_solve(alg: LieAlgebraSpec, coc: Cocycle,
-                     tol: float = COBOUNDARY_TOL) -> tuple[Optional[np.ndarray], float]:
+def coboundary_solve(alg: LieAlgebraSpec,
+                     F: np.ndarray) -> tuple[Optional[np.ndarray], float]:
     """Solve F_AB = C_AB^C lambda_C in least squares; (shift, residual).
 
     Returns (lambda, residual) with lambda = None when the system has no
     solution, i.e. the cocycle is nontrivial.
     """
-    n = alg.dim
-    rows, rhs = [], []
-    for A in range(n):
-        for B in range(A + 1, n):
-            rows.append(alg.structure_constants[A, B])
-            rhs.append(coc.F[A, B])
-    if not rows:
-        return np.zeros(n), 0.0
-    m = np.array(rows)
-    b = np.array(rhs)
+    upper = np.triu_indices(alg.dim, 1)  # the pairs A < B, row by row
+    m, b = alg.structure_constants[upper], F[upper]
+    if not len(b):
+        return np.zeros(alg.dim), 0.0
     lam, *_ = np.linalg.lstsq(m, b, rcond=None)
-    residual = float(np.max(np.abs(m @ lam - b))) if len(b) else 0.0
-    if residual < tol:
+    residual = float(np.max(np.abs(m @ lam - b)))
+    if residual < COBOUNDARY_TOL:
         return lam, residual
     return None, residual
 
 
-def coboundary_shift(alg: LieAlgebraSpec, coc: Cocycle, lam: np.ndarray) -> Cocycle:
+def coboundary_shift(alg: LieAlgebraSpec, F: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The transformed cocycle F'_AB = F_AB - C_AB^C lambda_C."""
-    delta = np.einsum("abc,c->ab", alg.structure_constants, lam)
-    return Cocycle(coc.F - delta)
+    return F - np.einsum("abc,c->ab", alg.structure_constants, lam)
 
 
-def coadjoint_singular_values(ext: ExtendedAlgebraSpec) -> np.ndarray:
+def coadjoint_singular_values(ext: LieAlgebraSpec) -> np.ndarray:
     """Singular values of the coadjoint matrices C_AB^C f_C, one row per probe
     covector f: all ones, the unit covectors, then INDEX_SAMPLES uniform draws
     seeded with INDEX_SEED."""
-    n1 = ext.dim_hat
+    n1 = ext.dim
     rng = np.random.default_rng(INDEX_SEED)
     probes = np.vstack([np.ones(n1), np.eye(n1),
                         rng.uniform(-1.0, 1.0, size=(INDEX_SAMPLES, n1))])
-    mats = np.einsum("abc,pc->pab", ext.structure_constants(), probes)
+    mats = np.einsum("abc,pc->pab", ext.structure_constants, probes)
     return np.linalg.svd(mats, compute_uv=False)
 
 
-def index(ext: ExtendedAlgebraSpec) -> int:
+def index(ext: LieAlgebraSpec) -> int:
     """dim of the extension minus the generic coadjoint rank, by sampling."""
     sv = coadjoint_singular_values(ext)
     # a zero matrix has rank 0: none of its values exceeds RANK_THRESHOLD * 0
-    return ext.dim_hat - int(np.max(np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1)))
+    return ext.dim - int(np.max(np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1)))
 
 
 class IntegrabilityRecord(NamedTuple):
@@ -310,10 +263,10 @@ class IntegrabilityRecord(NamedTuple):
     integrable: bool
 
 
-def integrability_check(ext: ExtendedAlgebraSpec) -> IntegrabilityRecord:
+def integrability_check(ext: LieAlgebraSpec) -> IntegrabilityRecord:
     """The Table 3 row of the extension on the MANIFOLD_DIM-dimensional
     hyperboloid."""
-    dim = ext.dim_hat
+    dim = ext.dim
     ind = index(ext)
     if (dim - ind) % 2 != 0:
         raise RuntimeError(f"index parity violated: dim = {dim}, ind = {ind}")
@@ -323,7 +276,7 @@ def integrability_check(ext: ExtendedAlgebraSpec) -> IntegrabilityRecord:
     return IntegrabilityRecord(dim, ind, s, l, m_tilde, dim + ind >= 2 * MANIFOLD_DIM)
 
 
-def case_extension(case_id: CaseId, mu: float = 1.0, a: float = 1.0) -> ExtendedAlgebraSpec:
+def case_extension(case_id: CaseId, mu: float = 1.0, a: float = 1.0) -> LieAlgebraSpec:
     return extend(subalgebra(case_id, a).algebra, standard_cocycle(case_id, mu))
 
 

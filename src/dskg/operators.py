@@ -138,7 +138,6 @@ class TableFit:
     structure: np.ndarray      # fitted C_AB^C
     central: np.ndarray        # fitted central charges F_AB
     residual: float
-    closed: bool
 
 
 def commutation_table_fit(jets, central_scalar: complex) -> TableFit:
@@ -168,7 +167,7 @@ def commutation_table_fit(jets, central_scalar: complex) -> TableFit:
             structure[B, A] = -sol[:n].real
             central[A, B] = sol[n].real
             central[B, A] = -sol[n].real
-    return TableFit(structure, central, worst, worst <= FIT_TOL)
+    return TableFit(structure, central, worst)
 
 
 def representation_residual(ops: Sequence[DiffOp1], structure: np.ndarray,

@@ -22,7 +22,7 @@ from dskg.geometry import (chart_for, chart_jets, generator_jets, pushforward, r
 from dskg.cases import case_spec, integration
 from dskg.integrate import (default_grid, lambda_rep, reduced_ode, reduction_residual,
                             solution_basis)
-from dskg.lie_core import (ALL_CASES, CaseId, Cocycle, INTEGRABLE_CASES,
+from dskg.lie_core import (ALL_CASES, CaseId, INTEGRABLE_CASES,
                            PARAMETERIZED_CASES, case_extension,
                            closure_check, coboundary_shift, coboundary_solve,
                            integrability_check, standard_cocycle, subalgebra)
@@ -185,7 +185,7 @@ def test_criterion_06_symmetry_algebra_tables():
         worst = max(worst, fit.residual,
                     float(np.max(np.abs(fit.structure - sub.algebra.structure_constants))),
                     float(np.max(np.abs(fit.central
-                                        - standard_cocycle(case, cfg.mu).F))))
+                                        - standard_cocycle(case, cfg.mu)))))
     assert worst < 1e-9
     for mu in (0.5, 1.0, 2.0):
         cfg = make_config(CaseId.G32, mu=mu)
@@ -231,7 +231,7 @@ def test_criterion_08_lambda_representations():
         rep = lambda_rep(case, 1.0, cfg)
         worst = max(worst, representation_residual(
             rep.ops, sub.algebra.structure_constants,
-            standard_cocycle(case, cfg.mu).F, rep.ell0,
+            standard_cocycle(case, cfg.mu), rep.ell0,
             [(0.35,), (0.8,), (-0.6,), (1.3,), (2.1,)]))
     assert worst < 1e-10
     report(8, "lambda representations", worst, f"(max residual {worst:.1e})")
@@ -346,18 +346,18 @@ def test_criterion_11_cocycle_theory():
     for mu in (0.5, 1.0, 2.0):
         cfg = make_config(CaseId.G32, mu=mu)
         coc = cocycle_from_config(CaseId.G32, cfg, chart_points(CaseId.G32, 6))
-        lam, res = coboundary_solve(sub.algebra, Cocycle(coc.F))
+        lam, res = coboundary_solve(sub.algebra, coc)
         assert lam is None and res > 0.1 * mu
     cfg0 = make_config(CaseId.G32, mu=0.0)
     coc0 = cocycle_from_config(CaseId.G32, cfg0, chart_points(CaseId.G32, 6))
-    lam, res = coboundary_solve(sub.algebra, Cocycle(coc0.F))
+    lam, res = coboundary_solve(sub.algebra, coc0)
     assert lam is not None and res < 1e-10
 
     # semisimple entries extend trivially
     for case in (CaseId.G34, CaseId.G35):
         cfg = make_config(case)
         coc = cocycle_from_config(case, cfg, chart_points(case, 6))
-        lam, res = coboundary_solve(subalgebra(case).algebra, Cocycle(coc.F))
+        lam, res = coboundary_solve(subalgebra(case).algebra, coc)
         assert lam is not None and res < 1e-10
 
     # transformation law under 20 random shifts, exactly
@@ -365,7 +365,7 @@ def test_criterion_11_cocycle_theory():
     for _ in range(20):
         shift = rng.uniform(-3, 3, 3)
         moved = coboundary_shift(sub.algebra, coc, shift)
-        want = coc.F - np.einsum("abc,c->ab", sub.algebra.structure_constants, shift)
-        assert np.max(np.abs(moved.F - want)) == 0.0
+        want = coc - np.einsum("abc,c->ab", sub.algebra.structure_constants, shift)
+        assert np.max(np.abs(moved - want)) == 0.0
     report(11, "cocycle theory", None,
            "(nontriviality, Whitehead triviality, transformation law)")

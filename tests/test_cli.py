@@ -6,7 +6,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -574,6 +578,22 @@ def test_bad_zeta_is_usage_error():
 def test_missing_subcommand_exits_2():
     code, _, _ = run_cli()
     assert code == 2
+
+
+def test_closed_stdout_ends_quietly_with_141():
+    # `dskg verify | head` closes the pipe early: no traceback, and 128 + SIGPIPE
+    # rather than the 1 of a numerical failure
+    src = Path(__file__).resolve().parents[1] / "src"
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dskg.cli", "verify", "--case", "all"],
+                              stdout=write, stderr=subprocess.PIPE, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_successive_calls_parse_independently(monkeypatch):

@@ -19,7 +19,7 @@ from dskg.integrate import (BranchPointError, ansatz, default_grid, grid_axes, g
                             joint_system_residual, lambda_rep, reduced_ode,
                             reduction_coefficients, reduction_residual, solution_basis)
 from dskg.lie_core import CaseId, INTEGRABLE_CASES, standard_cocycle, subalgebra
-from dskg.operators import (DiffOp1, commutation_table_fit, kg_operator,
+from dskg.operators import (FIT_TOL, DiffOp1, commutation_table_fit, kg_operator,
                             representation_residual, symmetry_operators)
 from dskg.specfun import ODESolverConfig, ode_integrate
 
@@ -54,7 +54,7 @@ def test_lambda_rep_reproduces_operator_tables(case):
     rep = lambda_rep(case, 1.0, cfg)
     sub = subalgebra(case, cfg.parameter_a)
     res = representation_residual(rep.ops, sub.algebra.structure_constants,
-                                  standard_cocycle(case, cfg.mu).F,
+                                  standard_cocycle(case, cfg.mu),
                                   rep.ell0, LAMBDA_PROBES)
     assert res < 1e-10
 
@@ -64,7 +64,7 @@ def test_lambda_rep_g34_bracket_fits_with_unit_coefficient():
     cfg = make_config(CaseId.G34)
     rep = lambda_rep(CaseId.G34, 1.7, cfg)
     fit = commutation_table_fit(grid_jets(rep.ops, [(0.3,), (0.8,), (-0.5,)]), rep.ell0)
-    assert fit.closed
+    assert fit.residual <= FIT_TOL
     assert abs(fit.structure[0, 1, 2] - 1.0) < 1e-10
 
 

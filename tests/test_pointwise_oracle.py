@@ -49,7 +49,7 @@ def pointwise_route(ctx):
         "chi_gradient": pointwise.chi(case, cfg, form, pts, ctx.chi_extra),
     }
     ops = symmetry_operators(case, cfg, chi_extra=ctx.chi_extra)
-    fit, structure, central = pointwise.table_fit(ops, ctx.fit_pts, 1j * cfg.e)
+    fit, structure, central = pointwise.table_fit(ops, ctx.jet_pts[:FIT_LANES], 1j * cfg.e)
     res.update(commutation_table=fit, fit_structure=structure, fit_central=central)
     if ctx.integ is not None:
         res["symmetry_commutator"] = pointwise.symmetry(kg_operator(case, cfg), ops,
@@ -96,7 +96,7 @@ def test_shared_operator_jets_are_the_per_operator_route(case, seed, perturbed):
     ctx = verify_context(case, seed, perturbed)
     ops = symmetry_operators(ctx.case, ctx.cfg, chi_extra=ctx.chi_extra)
     own = {}
-    for n, pts in ((FIT_LANES, ctx.fit_pts), (ctx.sym_lanes, ctx.sym_pts)):
+    for n, pts in ((FIT_LANES, ctx.jet_pts[:FIT_LANES]), (ctx.sym_lanes, ctx.sym_pts)):
         assert len(pts) == n
         own[n] = operator_jets(ops, Dual.seed_grid(dual.columns(pts)))
         for shared, alone in zip(ctx.op_jets, own[n]):
