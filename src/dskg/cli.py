@@ -158,10 +158,9 @@ def cmd_catalog(run: RunConfig, out) -> int:
 
 # verify's checks read one grid seed of an entry's first SEED_LANES sampled
 # points.  The commutation fit reads its first FIT_LANES lanes and the symmetry
-# commutator its first SYMMETRY_LANES, or PERTURBED_LANES under --perturb,
-# since a perturbed chi must break the commutators detectably: every check's
-# points are a prefix of the seed's, so each reads lanes of one evaluation.
-SEED_LANES, FIT_LANES, SYMMETRY_LANES, PERTURBED_LANES = 15, 12, 6, 10
+# commutator its first SYMMETRY_LANES: every check's points are a prefix of the
+# seed's, so each reads lanes of one evaluation.
+SEED_LANES, FIT_LANES, SYMMETRY_LANES = 15, 12, 6
 
 
 def _lanes(jets, n: int):
@@ -182,8 +181,7 @@ class VerifyContext:
         self.pts = sample_domain(self.chart, 40, rng)
         self.jet_pts = self.pts[:SEED_LANES]
         self.coords = Dual.seed_grid(dual.columns(self.jet_pts))
-        self.sym_lanes = PERTURBED_LANES if run.perturb else SYMMETRY_LANES
-        self.sym_pts = self.jet_pts[:self.sym_lanes]
+        self.sym_pts = self.jet_pts[:SYMMETRY_LANES]
         self.chi_extra = None if run.perturb is None else \
             [lambda c, s=run.perturb[1]: s * c[0]] + [None] * (self.sub.dim - 1)
         self.form = invariant_two_form(case, self.cfg)
@@ -192,7 +190,6 @@ class VerifyContext:
         self.integ = case_spec(case).integration
         if self.integ is not None:
             self.rep = lambda_rep(case, run.J, self.cfg)
-            self.lam = run.lam if run.lam is not None else self.integ.lam
             self.jpts = [[rng.uniform(lo, hi) for lo, hi in self.integ.grid] for _ in range(8)]
 
     @functools.cached_property
@@ -224,10 +221,18 @@ class VerifyContext:
     def fit(self):
         return commutation_table_fit(_lanes(self.op_jets, FIT_LANES), 1j * self.cfg.e)
 
+    @functools.cached_property
+    def ans(self):
+        return ansatz(self.case, self.cfg, self.run.J, self.run.lam)
+
+    @functools.cached_property
+    def wave_op(self):
+        return kg_operator(self.case, self.cfg)
+
 
 def _reduced_coefficients(c: VerifyContext) -> float:
     ode = reduced_ode(c.case, c.cfg, c.run.J)
-    pv, qv, v = reduction_coefficients(c.case, c.cfg, c.run.J, c.lam, c.jpts[:5])
+    pv, qv, v = reduction_coefficients(c.ans, c.wave_op, c.jpts[:5])
     closed = np.array([(ode.p(x), ode.q(x)) for x in v.tolist()])
     # relative to the closed form's size, so a steep family's large q passes
     return float(np.max(np.abs(np.stack([pv, qv], 1) - closed))) \
@@ -244,7 +249,8 @@ class Check(NamedTuple):
 # verify's checks, in the order they run.  A residual names what it calls when
 # it runs, not when the table is built, so a wrapper installed on a name reaches it.
 CHECKS = (
-    Check("hyperboloid", 1e-12, lambda c: max(hyperboloid_residual(c.chart, p) for p in c.pts)),
+    Check("hyperboloid", 1e-12, lambda c: max(hyperboloid_residual(c.chart.embed(p))
+                                              for p in c.pts)),
     Check("metric_identity", 1e-10, lambda c: c.metric.identity_residual()),
     Check("killing", 1e-8, lambda c: killing_residual(c.metric, c.generators)),
     Check("field_closedness", 1e-10, lambda c: closedness_residual(c.form_jets)),
@@ -258,15 +264,13 @@ CHECKS = (
     Check("lambda_commutation", 1e-10, lambda c: operators.representation_residual(
         c.rep.ops, c.sub.algebra.structure_constants, c.central, c.rep.ell0,
         [(0.35,), (0.8,), (-0.6,), (1.1,)]), True),
-    Check("joint_system", 1e-8, lambda c: joint_system_residual(
-        ansatz(c.case, c.cfg, c.run.J, c.lam), c.rep, c.jpts), True),
+    Check("joint_system", 1e-8, lambda c: joint_system_residual(c.ans, c.rep, c.jpts), True),
     Check("reduced_coefficients", 1e-9, _reduced_coefficients, True),
-    Check("wave_residual", 1e-6, lambda c: integrate.reduction_residual(
-        c.case, c.cfg, c.run.J, c.lam, solution_basis(c.case, c.cfg, c.run.J, c.lam).phi1,
-        default_grid(c.case, (4, 4, 4))), True),
+    Check("wave_residual", 1e-6, lambda c: float(np.max(integrate.reduction_residual(
+        c.ans, c.wave_op, solution_basis(c.case, c.cfg, c.run.J, c.run.lam).phi1,
+        default_grid(c.case, (4, 4, 4)))[1])), True),
     Check("symmetry_commutator", 1e-8, lambda c: symmetry_check(
-        kg_operator(c.case, c.cfg), _lanes(c.op_jets, c.sym_lanes), c.sym_pts,
-        n_probes=2), True),
+        c.wave_op, _lanes(c.op_jets, SYMMETRY_LANES), c.sym_pts, n_probes=2), True),
 )
 DEFAULT_TOLERANCES = {check.key: check.tolerance for check in CHECKS}
 
@@ -334,15 +338,12 @@ def cmd_solve(run: RunConfig, out, err) -> int:
         raise UsageError(f"case {case.value} is not integrable; "
                          "choose one of " + ", ".join(c.value for c in INTEGRABLE_CASES))
     cfg = _field_config(case, run)
-    lam = run.lam if run.lam is not None else spec.integration.lam
-    basis = solution_basis(case, cfg, run.J, lam)
-    ans = ansatz(case, cfg, run.J, lam)
-    h = kg_operator(case, cfg)
-    f = ans.assemble(basis.phi1)
+    basis = solution_basis(case, cfg, run.J, run.lam)
+    ans = ansatz(case, cfg, run.J, run.lam)
     axes = grid_axes(spec.integration.grid, run.grid)
     grid = grid_nodes(axes)
     chart = chart_for(case, cfg.parameter_a)
-    phi, residual = integrate.grid_residuals(f, h, grid)
+    phi, residual = integrate.reduction_residual(ans, kg_operator(case, cfg), basis.phi1, grid)
     kept = np.isfinite(phi)
     dropped = len(grid) - int(np.count_nonzero(kept))
     verified = dropped < len(grid)
@@ -358,7 +359,7 @@ def cmd_solve(run: RunConfig, out, err) -> int:
         "case": case.value,
         "parameters": cfg.to_dict(),
         "J": run.J,
-        "lambda": {"re": complex(lam).real, "im": complex(lam).imag},
+        "lambda": {"re": ans.lam.real, "im": ans.lam.imag},
         "special_function": _format_record(basis.record),
         "max_residual": worst,
         "dropped_branch_points": dropped,
@@ -383,10 +384,11 @@ def cmd_chart(run: RunConfig, out) -> int:
     # every point is embedded before anything is written: a failure prints no rows
     rows = []
     for pt in nodes.tolist():
+        x = chart.embed(pt)
         rows.append([case.value]
                     + [f"{c:.12g}" for c in pt]
-                    + [f"{x:.15g}" for x in chart.embed(pt)]
-                    + [f"{hyperboloid_residual(chart, pt):.3e}"])
+                    + [f"{xa:.15g}" for xa in x]
+                    + [f"{hyperboloid_residual(x):.3e}"])
     writer = csv.writer(out)
     writer.writerow(["case"] + list(chart.coord_names)
                     + ["x0", "x1", "x2", "x3", "hyperboloid_residual"])

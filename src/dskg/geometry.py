@@ -153,9 +153,9 @@ def chart_jets(chart: Chart, coords):
     return tuple(part.real.copy() for part in dual.arrays(chart.map_fn(coords), 3))
 
 
-def hyperboloid_residual(chart: Chart, point: Sequence[float]) -> float:
-    """|x0^2 - x1^2 - x2^2 - x3^2 + 1| at the chart's embedding of ``point``."""
-    x0, x1, x2, x3 = chart.embed(point)
+def hyperboloid_residual(x: Sequence[float]) -> float:
+    """|x0^2 - x1^2 - x2^2 - x3^2 + 1| at the ambient point ``x`` (four floats)."""
+    x0, x1, x2, x3 = x
     return abs(x0 ** 2 - x1 ** 2 - x2 ** 2 - x3 ** 2 + 1.0)
 
 
@@ -189,7 +189,7 @@ def _signature(g: np.ndarray):
     return np.sum(ev > 0, axis=-1), np.sum(ev < 0, axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricSample:
     """The induced metric, its first derivatives dg[..., c, a, b] = d_c g_ab,
     inverse and sqrt|det| at a point or at every lane of a grid."""

@@ -5,17 +5,18 @@ representation of the symmetry algebra, the joint-system solution ansatz
 phi = exp(R(x, lambda)) Phi(v), the reduced second-order ODE satisfied by
 Phi, and its solution basis (Whittaker, Bessel or Legendre pairs, or
 exponentials in g3_2's neutral limit; one entry has no closed form and is
-served by a piecewise Taylor series).  The formulas themselves live in
+served by a piecewise Taylor series).  A Legendre pair's Gauss 2F1 is its
+direct series for |z| < 1.  The formulas themselves live in
 :mod:`dskg.cases`.
 
 Every object here is verifiable: representations are checked against the
 operator commutation tables, ansatz phases against the joint system, reduced
 coefficients against an on-the-fly extraction from the wave operator, and
 solution bases against their defining ODEs and the end-to-end residual.
-The joint-system, extraction and residual sweeps evaluate all their sample
-points as one grid jet (:meth:`Dual.seed_grid`), with one lane per point.  A
-point at a branch point of the ansatz phase is a NaN lane, and a check that
-reads it is NaN, so it fails.
+The joint-system, extraction and residual sweeps take the built ansatz and
+wave operator, and evaluate all their sample points as one grid jet
+(:meth:`Dual.seed_grid`), one lane per point.  A point at a branch point of
+the ansatz phase is a NaN lane, and a check that reads it is NaN, so it fails.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .cases import BranchPointError, CaseId, integration  # noqa: F401  (re-expo
 from .dual import Dual
 from .fields import FieldConfig, gauge_one_form, solve_chi
 from .geometry import generator_jets
-from .operators import DiffOp1, kg_operator, symmetry_scalar
+from .operators import DiffOp1, DiffOp2, kg_operator, symmetry_scalar  # noqa: F401  (re-exported)
 
 
 # ----------------------------------------------------------------------
@@ -89,10 +90,12 @@ def _phi_jets(phi_jet, v):
     return table[lane].T
 
 
-def ansatz(case_id: CaseId, config: FieldConfig, J: float, lam: complex) -> SolutionAnsatz:
-    case_id = CaseId(case_id)
-    phase, char = integration(case_id).ansatz(config, J)
-    return SolutionAnsatz(case_id, config, complex(lam), phase, char)
+def ansatz(case_id: CaseId, config: FieldConfig, J: float,
+           lam: complex | None = None) -> SolutionAnsatz:
+    """The entry's ansatz at ``lam`` (the entry's own lambda by default)."""
+    spec = integration(case_id)
+    lam = spec.lam if lam is None else lam
+    return SolutionAnsatz(CaseId(case_id), config, complex(lam), *spec.ansatz(config, J))
 
 
 def joint_system_residual(ans: SolutionAnsatz, rep: LambdaRep,
@@ -150,17 +153,14 @@ def reduced_ode(case_id: CaseId, config: FieldConfig, J: float) -> ReducedODE:
     return ReducedODE(*integration(case_id).reduced_ode(config, J))
 
 
-def reduction_coefficients(case_id: CaseId, config: FieldConfig, J: float, lam: complex,
-                           points: Sequence[Sequence[float]]):
+def reduction_coefficients(ans: SolutionAnsatz, h: DiffOp2, points: Sequence[Sequence[float]]):
     """Extract (p, q, v) of the reduced operator at chart points, one lane each.
 
-    Applies the wave operator to exp(R) Phi for Phi = 1, v, v^2 on one grid
-    jet of the points and solves for the second-order coefficients; this is
-    the independent route that each :func:`reduced_ode` closed form is
+    Applies the wave operator ``h`` to exp(R) Phi for Phi = 1, v, v^2 on one
+    grid jet of the points and solves for the second-order coefficients; this
+    is the independent route that each :func:`reduced_ode` closed form is
     compared against.  A point lost at a branch point is a NaN lane.
     """
-    ans = ansatz(case_id, config, J, lam)
-    h = kg_operator(case_id, config)
     cols = dual.columns(points)
     with np.errstate(divide="ignore", invalid="ignore"):
         qs = Dual.seed_grid(cols)
@@ -173,27 +173,18 @@ def reduction_coefficients(case_id: CaseId, config: FieldConfig, J: float, lam: 
         return beta / alpha, gamma / alpha, v
 
 
-def reduction_residual(case_id: CaseId, config: FieldConfig, J: float, lam: complex,
-                       phi_jet, points: Sequence[Sequence[float]]) -> float:
-    """max normalized |H phi| with phi assembled from the ansatz and Phi; NaN
-    when a point is lost at a branch point."""
-    f = ansatz(case_id, config, J, lam).assemble(phi_jet)
-    _, residual = grid_residuals(f, kg_operator(case_id, config), points)
-    return float(np.max(residual))
-
-
-def grid_residuals(f: Callable, op, grid: Sequence[Sequence[float]]):
+def reduction_residual(ans: SolutionAnsatz, h: DiffOp2, phi_jet,
+                       grid: Sequence[Sequence[float]]):
     """(phi, residual) at every node of ``grid`` (an (N, 3) array, such as
-    :func:`default_grid`'s, or a list of points) from one grid jet of f.
-
-    The residual is |op phi| / (1 + scale), as in :func:`reduction_residual`.
-    A node dropped at a branch point of the ansatz phase has NaN phi.
+    :func:`default_grid`'s, or a list of points), from one grid jet of phi =
+    ``ans`` assembled with Phi = ``phi_jet``.  The residual is |h phi| / (1 +
+    scale); a node dropped at a branch point of the ansatz phase is NaN.
     """
     cols = dual.columns(grid)
     # a dropped lane divides by zero or takes the log of 0 on its way to NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        fv = f(Dual.seed_grid(cols))
-        val, scale = op.apply_jet(fv, cols)
+        fv = ans.assemble(phi_jet)(Dual.seed_grid(cols))
+        val, scale = h.apply_jet(fv, cols)
         residual = np.abs(val) / (1.0 + scale)
     return dual.value(fv), residual
 

@@ -60,7 +60,7 @@ def _bracket_matrix(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
     return mb @ ma - ma @ mb
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebraSpec:
     structure_constants: np.ndarray  # C[A, B, C], antisymmetric in (A, B)
 
@@ -102,7 +102,7 @@ def so13_algebra() -> LieAlgebraSpec:
     return spec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubalgebraSpec:
     case_id: CaseId
     parameter_a: Optional[float]

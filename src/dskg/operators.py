@@ -133,7 +133,7 @@ def commutator(a, b) -> np.ndarray:
         - np.einsum("...u,...mu->...m", bv[..., :k], ag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableFit:
     structure: np.ndarray      # fitted C_AB^C
     central: np.ndarray        # fitted central charges F_AB
@@ -298,7 +298,7 @@ def kg_cross_residual(case_id: CaseId, config: FieldConfig,
 # probe functions (polynomial x exponential, closed under differentiation)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyExpProbe:
     """f = P(x) exp(d . x), P = sum c[i, j, k] x1^i x2^j x3^k.  df/dx_a = (D_a P)
     exp(d . x), where D_a = diag([1, 2], 1) + d[a] I acts along P's axis a, so

@@ -18,8 +18,9 @@ parameters, and a basis calls ``gamma`` only at its first node
 (:func:`basis_members`).  ``f.jet(*params, z)`` and ``f(*params, z)`` bind
 afresh; ``f`` lifts its scalar 2-jet at ``value(z)`` onto a point jet z once.
 A series stops only when its terms in S, S' and S'' are all negligible.
-Ferrers functions at x < 0 are reflected to -x (DLMF 14.9), so every Legendre
-series runs at (1 - x)/2 <= 1/2.  Branches are principal throughout.
+Gauss 2F1 is its direct series for |z| < 1.  Ferrers functions at x < 0 are
+reflected to -x (DLMF 14.9), so their series run at (1 - x)/2 <= 1/2, except
+at a near-integer order.  Branches are principal throughout.
 """
 
 from __future__ import annotations
@@ -362,31 +363,16 @@ def bessel_y(order, share):
 # Gauss hypergeometric and associated Legendre (Ferrers) functions
 # ----------------------------------------------------------------------
 
-def _hyp2f1_ratios(a, b, c):
-    return _Ratios(lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0)))
-
-
 @_lifted
 def hyp2f1(a, b, c, share):
-    """Gauss 2F1; direct series for |z| <= 0.9, connection through 1-z beyond."""
-    s = c - a - b
-    direct = _hyp2f1_ratios(a, b, c)
-    near, far = _hyp2f1_ratios(a, b, a + b - c + 1.0), _hyp2f1_ratios(c - a, c - b, s + 1.0)
-    near_weight = _once(lambda: gamma(c) * gamma(s) / (gamma(c - a) * gamma(c - b)))
-    far_weight = _once(lambda: gamma(c) * gamma(-s) / (gamma(a) * gamma(b)))
+    """Gauss 2F1; direct series for |z| < 1 (DLMF 15.2.1)."""
+    ratios = _Ratios(lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0)))
     def jet(z):
         if _is_nonpositive_integer(c):
             raise PoleError(f"hyp2f1: c = {c} is a nonpositive integer")
-        if abs(z) <= 0.9:
-            return _series_jet(direct, z, 2, "hyp2f1")
-        if abs(z) < 1.0 and abs(1.0 - z) < 1.0:
-            if _near_integer(s, 1e-9):
-                raise PoleError("hyp2f1: integer c-a-b in the 1-z connection")
-            u = 1.0 - z
-            f = _lin((near_weight(), _series_jet(near, u, 2, "hyp2f1")),
-                     (far_weight(), _mul(_power(u, s), _series_jet(far, u, 2, "hyp2f1"))))
-            return _chain(f, -1.0, 0.0)
-        raise DomainError(f"hyp2f1: z = {z} outside series/transformation reach")
+        if abs(z) < 1.0:
+            return _series_jet(ratios, z, 2, "hyp2f1")
+        raise DomainError(f"hyp2f1: z = {z} outside the series' disc |z| < 1")
     return jet
 
 
@@ -406,7 +392,8 @@ def _ferrers_p(nu, sigma, share):
 def _ferrers(nu, sigma, second_kind, share):
     """x -> Ferrers P (or Q) as a combination of P^sigma and P^-sigma at x, or
     at -x for Re x < 0 (DLMF 14.9.10, 14.9.11 with 14.9.2), so that every series
-    runs at (1 - x)/2 <= 1/2; a near-integer sigma is not reflected."""
+    runs at (1 - x)/2 <= 1/2; a near-integer sigma is not reflected (its 2F1
+    series runs out to (1 - x)/2 < 1)."""
     p, m = share(_ferrers_p, nu, sigma), share(_ferrers_p, nu, -sigma)
     reflectable = _once(lambda: abs(cmath.sin(math.pi * sigma)) >= 1e-6)
     weights = {}    # reflect -> (cp, cm), each made at the first x that needs it

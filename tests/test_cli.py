@@ -149,6 +149,39 @@ def test_verify_reads_the_gauge_once_per_coordinate_set(monkeypatch, case):
     assert len(calls) == (2 if case in INTEGRABLE_CASES else 1)
 
 
+def _count_calls(monkeypatch, home, name, modules):
+    """Count calls of ``home.name`` reached through any of ``modules``."""
+    calls, fn = [], getattr(home, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", INTEGRABLE_CASES)
+def test_verify_builds_one_ansatz_and_one_wave_operator(monkeypatch, case):
+    # joint_system, reduced_coefficients, wave_residual and symmetry_commutator
+    # all read the entry's one ansatz and one wave operator
+    built = _count_calls(monkeypatch, integrate, "ansatz", (cli, integrate))
+    ops = _count_calls(monkeypatch, operators, "kg_operator", (cli, integrate, operators))
+    assert run_cli("verify", "--case", case.value)[0] == 0
+    assert (len(built), len(ops)) == (1, 1)
+
+
+@pytest.mark.parametrize("argv", [["solve", "--case", "g3_4", "--grid", "3"],
+                                  ["verify", "--case", "g3_4"]], ids=["solve", "verify"])
+def test_wave_residual_runs_the_one_reduction_route(monkeypatch, argv):
+    calls = _count_calls(monkeypatch, integrate, "reduction_residual", (integrate,))
+    assert run_cli(*argv)[0] == 0
+    assert len(calls) == 1
+    ans, h, _, grid = calls[0]
+    assert isinstance(ans, SolutionAnsatz) and isinstance(h, operators.DiffOp2)
+    assert len(grid) == (27 if argv[0] == "solve" else 64)
+
+
 def test_verify_keys_come_from_the_one_table():
     keys = [check.key for check in cli.CHECKS]
     assert len(set(keys)) == len(keys) == 15
@@ -253,13 +286,12 @@ def _solve_rows_by_csv_writer(argv):
     run = _run_config_from(build_parser().parse_args(argv))
     case = CaseId(run.case)
     cfg = cli._field_config(case, run)
-    lam = run.lam if run.lam is not None else case_spec(case).integration.lam
-    f = integrate.ansatz(case, cfg, run.J, lam).assemble(
-        integrate.solution_basis(case, cfg, run.J, lam).phi1)
+    phi1 = integrate.solution_basis(case, cfg, run.J, run.lam).phi1
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(case_spec(case).integration.grid,
                                                            run.grid)]
     grid = [(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]
-    phi, residual = integrate.grid_residuals(f, kg_operator(case, cfg), grid)
+    phi, residual = integrate.reduction_residual(integrate.ansatz(case, cfg, run.J, run.lam),
+                                                 kg_operator(case, cfg), phi1, grid)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(list(chart_for(case, cfg.parameter_a).coord_names)
@@ -369,6 +401,22 @@ def test_neutral_g3_4_limit_solves_and_verifies():
     assert json.loads(err)["max_residual"] <= 1e-12
     assert len(out.splitlines()) == 1 + 27
     code, out, _ = run_cli("verify", "--case", "g3_4", "--e", "0", "--J", "1")
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("physics", [("--m", "1"), ("--m", "0", "--zeta", "0.16666666666666666")],
+                         ids=["m_1", "conformal"])
+def test_g3_4_at_ferrers_order_0_solves_and_verifies(physics):
+    # a mass term of 1 makes the Ferrers order sigma = 0; 2F1's direct series
+    # serves z = (1 - x)/2 up to 0.917 on the box, where a 1 - z connection
+    # would meet the pole of gamma(c - a - b) = gamma(-sigma)
+    code, out, err = run_cli("solve", "--case", "g3_4", *physics, "--grid", "10")
+    assert code == 0
+    summary = json.loads(err)
+    assert summary["special_function"]["sigma"] == {"re": 0.0, "im": 0.0}
+    assert summary["max_residual"] <= 1e-12
+    assert len(out.splitlines()) == 1 + 1000
+    code, out, _ = run_cli("verify", "--case", "g3_4", *physics)
     assert code == 0 and json.loads(out)["pass"] is True
 
 

@@ -74,7 +74,7 @@ EXPECTED_RANK = {
 def test_hyperboloid_constraint(case):
     chart = chart_for(case, case_param_a(case))
     for p in chart_points(case, 60):
-        assert hyperboloid_residual(chart, p) < 1e-12
+        assert hyperboloid_residual(chart.embed(p)) < 1e-12
 
 
 def test_chart_anchor_points():
@@ -87,8 +87,9 @@ def test_chart_anchor_points():
 def test_hyperboloid_residual_of_an_ambient_point():
     # a chart that embeds (q1, q2, q3) as the ambient point (0, q1, q2, q3)
     chart = Chart(CaseId.G31, 3, ((-1.0, 1.0),) * 3, lambda c: [0.0, *c])
-    assert hyperboloid_residual(chart, (1, 0, 0)) == 0.0
-    assert hyperboloid_residual(chart, (2, 0, 0)) == 3.0
+    assert hyperboloid_residual(chart.embed((1, 0, 0))) == 0.0
+    assert hyperboloid_residual(chart.embed((2, 0, 0))) == 3.0
+    assert hyperboloid_residual((0.0, 2.0, 0.0, 0.0)) == 3.0
 
 
 @pytest.mark.parametrize("case,names", [

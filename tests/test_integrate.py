@@ -15,7 +15,7 @@ from dskg import dual, specfun
 from dskg.cases import integration
 from dskg.dual import Dual
 from dskg.fields import FieldConfig
-from dskg.integrate import (BranchPointError, ansatz, default_grid, grid_axes, grid_residuals,
+from dskg.integrate import (BranchPointError, ansatz, default_grid, grid_axes,
                             joint_system_residual, lambda_rep, reduced_ode,
                             reduction_coefficients, reduction_residual, solution_basis)
 from dskg.lie_core import CaseId, INTEGRABLE_CASES, standard_cocycle, subalgebra
@@ -116,6 +116,16 @@ def test_ansatz_branch_point_reported():
 
 
 @pytest.mark.parametrize("case", INTEGRABLE_CASES)
+def test_ansatz_defaults_to_the_entry_lambda(case):
+    cfg = make_config(case)
+    own = ansatz(case, cfg, 1.0, integration(case).lam)
+    default = ansatz(case, cfg, 1.0)
+    assert default.lam == own.lam == complex(integration(case).lam)
+    q = run_points(case, 1)[0]
+    assert default.phase(q, default.lam) == own.phase(q, own.lam)
+
+
+@pytest.mark.parametrize("case", INTEGRABLE_CASES)
 def test_joint_system(case):
     cfg = make_config(case)
     rep = lambda_rep(case, 1.0, cfg)
@@ -189,10 +199,13 @@ def test_probe_on_the_cut_is_nan():
     a = ansatz(CaseId.G32, cfg, 0.5, 0.0 + 0.0j)
     probes = [(0.3, 0.2, 0.1), (-1.0, 0.0, 0.0)]
     assert math.isnan(joint_system_residual(a, lambda_rep(CaseId.G32, 0.5, cfg), probes))
-    p, q, _ = reduction_coefficients(CaseId.G32, cfg, 0.5, 0.0, probes)
+    h = kg_operator(CaseId.G32, cfg)
+    p, q, _ = reduction_coefficients(a, h, probes)
     assert np.isfinite(p[0]) and np.isfinite(q[0]) and np.isnan(p[1]) and np.isnan(q[1])
     basis = solution_basis(CaseId.G32, cfg, 0.5)
-    assert math.isnan(reduction_residual(CaseId.G32, cfg, 0.5, 0.0, basis.phi1, probes))
+    phi, residual = reduction_residual(a, h, basis.phi1, probes)
+    assert np.isfinite(phi[0]) and np.isnan(phi[1])
+    assert math.isnan(np.max(residual))
 
 
 # ---------------------------------------------------------------- reduced ODEs
@@ -236,8 +249,8 @@ def test_reduced_ode_g35_singularity():
 def test_reduction_extraction_matches_closed_form(case):
     cfg = make_config(case)
     ode = reduced_ode(case, cfg, 1.0)
-    lam = integration(case).lam
-    for p_num, q_num, v in zip(*reduction_coefficients(case, cfg, 1.0, lam,
+    for p_num, q_num, v in zip(*reduction_coefficients(ansatz(case, cfg, 1.0),
+                                                       kg_operator(case, cfg),
                                                        run_points(case, 5))):
         assert abs(p_num - ode.p(v)) < 1e-9
         assert abs(q_num - ode.q(v)) < 1e-9
@@ -270,7 +283,8 @@ def test_batched_reduction_coefficients_match_the_point_route(case):
     cfg = make_config(case)
     lam = integration(case).lam
     points = run_points(case, 5)
-    batched = np.array(reduction_coefficients(case, cfg, 1.0, lam, points))
+    batched = np.array(reduction_coefficients(ansatz(case, cfg, 1.0, lam),
+                                              kg_operator(case, cfg), points))
     assert batched.shape == (3, 5)
     for lane, pt in zip(batched.T, points):
         want = np.array(point_reduction_coefficients(case, cfg, 1.0, lam, pt))
@@ -608,11 +622,11 @@ def test_g33a_series_matches_mpmath_odefun():
 @pytest.mark.parametrize("case", INTEGRABLE_CASES)
 def test_end_to_end_wave_residual(case):
     cfg = make_config(case)
-    lam = integration(case).lam
+    ans, h = ansatz(case, cfg, 1.0), kg_operator(case, cfg)
     basis = solution_basis(case, cfg, 1.0)
     grid = default_grid(case, (5, 5, 5))
     for phi in (basis.phi1, basis.phi2):
-        assert reduction_residual(case, cfg, 1.0, lam, phi, grid) < 1e-6
+        assert np.max(reduction_residual(ans, h, phi, grid)[1]) < 1e-6
 
 
 @pytest.mark.parametrize("case", INTEGRABLE_CASES)
@@ -638,9 +652,10 @@ def test_grid_jet_matches_the_point_jets(case, lam, n, drops):
     cfg = make_config(case)
     lam = integration(case).lam if lam is None else lam
     h = kg_operator(case, cfg)
-    f = ansatz(case, cfg, 1.0, lam).assemble(solution_basis(case, cfg, 1.0).phi1)
+    ans, phi1 = ansatz(case, cfg, 1.0, lam), solution_basis(case, cfg, 1.0).phi1
+    f = ans.assemble(phi1)
     grid = default_grid(case, (n, n, n))
-    phi, residual = grid_residuals(f, h, grid)
+    phi, residual = reduction_residual(ans, h, phi1, grid)
     assert phi.shape == residual.shape == (len(grid),)
     dropped = []
     for i, pt in enumerate(grid):
@@ -662,8 +677,9 @@ def test_zero_solution_gives_zero_residual():
         def jet(self, v):
             return 0j, 0j, 0j
     cfg = make_config(CaseId.G34)
-    r = reduction_residual(CaseId.G34, cfg, 1.0, 0.3, Zero(), [(0.1, 0.1, 0.4)])
-    assert r == 0.0
+    _, r = reduction_residual(ansatz(CaseId.G34, cfg, 1.0, 0.3), kg_operator(CaseId.G34, cfg),
+                              Zero(), [(0.1, 0.1, 0.4)])
+    assert np.max(r) == 0.0
 
 
 def test_non_solution_has_visible_residual():
@@ -671,9 +687,9 @@ def test_non_solution_has_visible_residual():
         def jet(self, v):
             return 1.0 + 0j, 0j, 0j
     cfg = make_config(CaseId.G34)
-    r = reduction_residual(CaseId.G34, cfg, 1.0, 0.3, One(),
-                           [(0.1, 0.1, 0.4), (0.2, -0.1, 0.8)])
-    assert r > 1e-3
+    _, r = reduction_residual(ansatz(CaseId.G34, cfg, 1.0, 0.3), kg_operator(CaseId.G34, cfg),
+                              One(), [(0.1, 0.1, 0.4), (0.2, -0.1, 0.8)])
+    assert np.max(r) > 1e-3
 
 
 def test_counting_identities_match_classification():

@@ -12,12 +12,15 @@ import pytest
 
 from dskg import cli, lie_core
 from dskg.cases import CASES, case_spec
+from dskg.dual import Dual
+from dskg.geometry import induced_metric
 from dskg.lie_core import (ALL_CASES, AMBIENT_LABELS, CLOSURE_TOL, CaseId,
                            INTEGRABLE_CASES, LieAlgebraSpec, PARAMETERIZED_CASES,
                            case_extension, closure_check, coboundary_shift,
                            coboundary_solve, extend, index, integrability_check,
                            so13_algebra, standard_cocycle, subalgebra, table3,
                            table3_diff)
+from dskg.operators import PolyExpProbe, TableFit
 
 
 def test_so13_structure():
@@ -373,3 +376,18 @@ def test_serialization_roundtrip():
     assert d["id"] == "g3_4"
     assert len(d["generators"]) == 3
     assert any(entry[:2] == [1, 2] for entry in d["structure_constants"])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: subalgebra(CaseId.G32).algebra,
+    lambda: subalgebra(CaseId.G32),
+    lambda: induced_metric(CaseId.G32, Dual.seed([0.1, 0.2, 0.3])),
+    lambda: TableFit(np.zeros((3, 3, 3)), np.zeros((3, 3)), 0.0),
+    lambda: PolyExpProbe(np.ones((3, 3, 3)), (0.1, 0.2, 0.3)),
+], ids=["LieAlgebraSpec", "SubalgebraSpec", "MetricSample", "TableFit", "PolyExpProbe"])
+def test_array_holding_records_compare_and_hash(make):
+    # each holds numpy arrays, so it compares by identity: == answers instead
+    # of raising on an array's truth value, and the record is hashable
+    one, two = make(), make()
+    assert one == one and one != two
+    assert len({one, two, one}) == 2

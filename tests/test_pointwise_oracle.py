@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dskg import dual
-from dskg.cli import CHECKS, FIT_LANES, RunConfig, VerifyContext
+from dskg.cli import CHECKS, FIT_LANES, SYMMETRY_LANES, RunConfig, VerifyContext
 from dskg.dual import Dual
 from dskg.geometry import RankDeficientError, induced_metric
 from dskg.lie_core import ALL_CASES, CaseId
@@ -96,7 +96,7 @@ def test_shared_operator_jets_are_the_per_operator_route(case, seed, perturbed):
     ctx = verify_context(case, seed, perturbed)
     ops = symmetry_operators(ctx.case, ctx.cfg, chi_extra=ctx.chi_extra)
     own = {}
-    for n, pts in ((FIT_LANES, ctx.jet_pts[:FIT_LANES]), (ctx.sym_lanes, ctx.sym_pts)):
+    for n, pts in ((FIT_LANES, ctx.jet_pts[:FIT_LANES]), (SYMMETRY_LANES, ctx.sym_pts)):
         assert len(pts) == n
         own[n] = operator_jets(ops, Dual.seed_grid(dual.columns(pts)))
         for shared, alone in zip(ctx.op_jets, own[n]):
@@ -109,7 +109,7 @@ def test_shared_operator_jets_are_the_per_operator_route(case, seed, perturbed):
                 fit.structure - ctx.sub.algebra.structure_constants)))}
     if ctx.integ is not None:
         want["symmetry_commutator"] = symmetry_check(
-            kg_operator(case, ctx.cfg), own[ctx.sym_lanes], ctx.sym_pts, n_probes=2)
+            kg_operator(case, ctx.cfg), own[SYMMETRY_LANES], ctx.sym_pts, n_probes=2)
     got = {check.key: check.residual(ctx) for check in CHECKS if check.key in want}
     assert got == want
 

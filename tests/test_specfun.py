@@ -178,11 +178,24 @@ def test_hyp2f1_gauss_ode():
         assert ode_residual(lambda z: hyp2f1(a, b, c, z), p, q, z0) < 1e-9
 
 
-def test_hyp2f1_connection_matches_series():
-    a, b, c = 0.4, 0.9 - 0.3j, 1.7
-    direct = np.array(specfun._series_jet(specfun._hyp2f1_ratios(a, b, c), 0.93, 2, "hyp2f1"))
-    via_connection = np.array(solution_jet(lambda z: hyp2f1(a, b, c, z), 0.93))
-    assert np.max(np.abs(direct - via_connection) / np.abs(direct)) < 1e-9
+@pytest.mark.parametrize("a, b, c", [
+    (0.4, 0.9 - 0.3j, 1.7),
+    # c - a - b = 0: Ferrers order 0, where a 1 - z connection has a pole
+    (-0.6 - 0.3j, 1.6 + 0.3j, 1.0),
+], ids=["generic", "c_minus_a_minus_b_0"])
+def test_hyp2f1_near_the_unit_circle_matches_mpmath(a, b, c):
+    # the direct series serves all of |z| < 1; bound fixed before the first run
+    with mpmath.workdps(30):
+        for z in (0.93, 0.95):
+            got = np.array(solution_jet(lambda t: hyp2f1(a, b, c, t), z))
+            want = mp_jet(mpmath.rf(a, k) * mpmath.rf(b, k) / mpmath.rf(c, k)
+                          * mpmath.hyp2f1(a + k, b + k, c + k, z) for k in range(3))
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (z, got - want)
+
+
+def test_hyp2f1_outside_the_unit_disc_raises():
+    with pytest.raises(DomainError, match="outside the series' disc"):
+        hyp2f1(0.4, 0.9, 1.7, 1.02)
 
 
 def test_legendre_p1_is_x():
