@@ -130,10 +130,9 @@ class IntegrationSpec:
     kg_operator: Callable   # k -> (second, first, scalar) coefficients
     ansatz: Callable        # (k, J) -> (phase, char), both of (coords, lam)
     reduced_ode: Callable   # (k, J) -> (p, q)
-    # (k, J, wrap, lam) -> (phi1, phi2, record), wrap turning each closed-form
-    # member v -> (Phi, Phi', Phi'') into a basis member; a basis on a finite
-    # span also covers the characteristic variable on `grid` at lam, a closed
-    # form ignores lam
+    # (k, J, lam) -> (phi1, phi2, record), each member a plain function
+    # v -> (Phi, Phi', Phi''); a basis on a finite span also covers the
+    # characteristic variable on `grid` at lam, a closed form ignores lam
     basis: Callable
 
 
@@ -352,12 +351,7 @@ def _g31_reduced_ode(k, J):
     return lambda v: 0.0, q
 
 
-def _special_pair(fns, params, frame, wrap):
-    # phi1 and phi2 from one binding of both evaluators
-    return tuple(map(wrap, specfun.basis_members(fns, params, frame)))
-
-
-def _g31_basis(k, J, wrap, lam):
+def _g31_basis(k, J, lam):
     e, mt, mu1, mu2 = k.e, k.mass_term, k.mu1, k.mu2
     root = math.sqrt(J * J + 1.0)
     alpha = 1j * e * (J * mu1 + mu2) / root
@@ -367,8 +361,8 @@ def _g31_basis(k, J, wrap, lam):
     def frame(v):
         # the argument v scale, no prefactor
         return (v * scale, scale, 0.0), None
-    phi1, phi2 = _special_pair((specfun.whittaker_m, specfun.whittaker_w), (alpha, beta),
-                               frame, wrap)
+    phi1, phi2 = specfun.basis_members((specfun.whittaker_m, specfun.whittaker_w),
+                                       (alpha, beta), frame)
     return phi1, phi2, {"kind": "whittaker", "alpha": alpha, "beta": beta, "z_scale": scale}
 
 
@@ -440,12 +434,12 @@ def _g32_reduced_ode(k, J):
     return lambda v: -2.0, q
 
 
-def _g32_basis(k, J, wrap, lam):
+def _g32_basis(k, J, lam):
     e, mt, mu = k.e, k.mass_term, k.mu
     order = cmath.sqrt(1.0 - mt)
     charge = e * mu * (2.0 * J + 1.0)
     if charge == 0:
-        return _g32_neutral_basis(order, wrap)
+        return _g32_neutral_basis(order)
     scale = 1j * cmath.sqrt(charge)
 
     def frame(v):
@@ -453,11 +447,11 @@ def _g32_basis(k, J, wrap, lam):
         ev = cmath.exp(v)
         z = ev * scale
         return (z, z, z), (ev, ev, ev)
-    phi1, phi2 = _special_pair((specfun.bessel_j, specfun.bessel_y), (order,), frame, wrap)
+    phi1, phi2 = specfun.basis_members((specfun.bessel_j, specfun.bessel_y), (order,), frame)
     return phi1, phi2, {"kind": "bessel", "order": order, "argument_scale": scale}
 
 
-def _g32_neutral_basis(order, wrap):
+def _g32_neutral_basis(order):
     # without charge, Phi'' - 2 Phi' + m_t Phi = 0 is solved by exp((1 +- order) v),
     # and by exp(v), v exp(v) where the two rates meet
     def linear_exp(a, b, rate):
@@ -471,7 +465,7 @@ def _g32_neutral_basis(order, wrap):
     else:
         phi2 = linear_exp(1.0, 0.0, 1.0 - order)
         functions = "exp((1 + order) v), exp((1 - order) v)"
-    return (wrap(linear_exp(1.0, 0.0, 1.0 + order)), wrap(phi2),
+    return (linear_exp(1.0, 0.0, 1.0 + order), phi2,
             {"kind": "exponential", "order": order, "functions": functions})
 
 
@@ -574,7 +568,7 @@ _G33A_SPAN = (-1.8, 1.8)
 _G33A_GRID = ((-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5))
 
 
-def _g33a_basis(k, J, wrap, lam):
+def _g33a_basis(k, J, lam):
     # no known closed form, but q is entire: a piecewise Taylor series, on a
     # span that also holds the ansatz's v over the grid box at lam.  v is
     # affine in the coordinates, so the box's corners bound it
@@ -584,8 +578,8 @@ def _g33a_basis(k, J, wrap, lam):
     phi1, phi2, segments = specfun.taylor_basis(2.0 * a, _g33a_q_terms(k, J), span,
                                                 f"g3_3a (a = {a}, J = {J}, lambda = "
                                                 f"{complex(lam):.4g})")
-    return phi1, phi2, {"kind": "taylor_series", "span": list(span),
-                        "segments": segments, "terms": specfun.TAYLOR_TERMS}
+    return phi1.jet, phi2.jet, {"kind": "taylor_series", "span": list(span),
+                                "segments": segments, "terms": specfun.TAYLOR_TERMS}
 
 
 _G33a = CaseSpec(
@@ -636,16 +630,14 @@ def _g35_map(c):
 
 
 def _g34_lambda_rep(J, k):
-    if not J > 0:
-        raise ValueError("G34 requires J > 0")
+    _g34_ansatz(k, J)  # refuses a J outside the ansatz's range
     return [(lambda c: -1j * c[0], const(1j * J)),
             (lambda c: 0.5j * (1.0 - c[0] * c[0]), lambda c: 1j * J * c[0]),
             (lambda c: -0.5 * (1.0 + c[0] * c[0]), lambda c: J * c[0])]
 
 
 def _g35_lambda_rep(J, k):
-    if J < 0:
-        raise ValueError("G35 requires J >= 0 (continuous series)")
+    _g35_ansatz(k, J)  # refuses a J outside the ansatz's range
     cJ = 1j * J + 0.5
     return [(lambda c: c[0], const(cJ)),
             (lambda c: 0.5 * (c[0] * c[0] + 1.0), lambda c: cJ * c[0]),
@@ -679,6 +671,10 @@ def _g35_kg(k):
 
 
 def _g34_ansatz(k, J):
+    # J's range (the discrete series) is checked once, here: solve builds the
+    # ansatz, verify the ansatz and the lambda-representation
+    if not J > 0:
+        raise ValueError("G34 requires J > 0")
     e, mu = k.e, k.mu
 
     def phase(c, lam):
@@ -693,6 +689,8 @@ def _g34_ansatz(k, J):
 
 
 def _g35_ansatz(k, J):
+    if J < 0:
+        raise ValueError("G35 requires J >= 0 (continuous series)")
     e, mu = k.e, k.mu
 
     def phase(c, lam):
@@ -732,7 +730,7 @@ def _g35_reduced_ode(k, J):
     return p, q
 
 
-def _g34_basis(k, J, wrap, lam):
+def _g34_basis(k, J, lam):
     e, mt, mu = k.e, k.mass_term, k.mu
     nu = cmath.sqrt((J + 0.5) ** 2 - (e * mu) ** 2) - 0.5
     sigma = cmath.sqrt(1.0 - mt)
@@ -745,14 +743,14 @@ def _g34_basis(k, J, wrap, lam):
         return (t, s2, -2.0 * t * s2), (s, -s * t, s * (t * t - s2))
     rec = {"kind": "legendre", "nu": nu, "sigma": sigma,
            "argument": "tanh(v)", "prefactor": "1/cosh(v)"}
-    return (*_legendre_pair(nu, sigma, frame, wrap), rec)
+    return (*_legendre_pair(nu, sigma, frame), rec)
 
 
-def _legendre_pair(nu, sigma, frame, wrap):
-    return _special_pair((specfun.legendre_p, specfun.legendre_q), (nu, sigma), frame, wrap)
+def _legendre_pair(nu, sigma, frame):
+    return specfun.basis_members((specfun.legendre_p, specfun.legendre_q), (nu, sigma), frame)
 
 
-def _g35_basis(k, J, wrap, lam):
+def _g35_basis(k, J, lam):
     e, mt, mu = k.e, k.mass_term, k.mu
     nu = cmath.sqrt(1.0 - mt) - 0.5
     sigma = cmath.sqrt((e * mu) ** 2 - J * J)
@@ -765,7 +763,7 @@ def _g35_basis(k, J, wrap, lam):
         return (c, -s, -c), (f, -0.5 * f * cot, f * (0.75 * cot * cot + 0.5))
     rec = {"kind": "legendre", "nu": nu, "sigma": sigma,
            "argument": "cos(v)", "prefactor": "1/sqrt(sin(v))"}
-    return (*_legendre_pair(nu, sigma, frame, wrap), rec)
+    return (*_legendre_pair(nu, sigma, frame), rec)
 
 
 # G35 shares this 2-form and gauge and brings its own chi

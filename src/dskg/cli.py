@@ -338,8 +338,8 @@ def cmd_solve(run: RunConfig, out, err) -> int:
         raise UsageError(f"case {case.value} is not integrable; "
                          "choose one of " + ", ".join(c.value for c in INTEGRABLE_CASES))
     cfg = _field_config(case, run)
+    ans = ansatz(case, cfg, run.J, run.lam)  # first: it refuses a J out of range
     basis = solution_basis(case, cfg, run.J, run.lam)
-    ans = ansatz(case, cfg, run.J, run.lam)
     axes = grid_axes(spec.integration.grid, run.grid)
     grid = grid_nodes(axes)
     chart = chart_for(case, cfg.parameter_a)

@@ -165,8 +165,8 @@ def reduction_coefficients(ans: SolutionAnsatz, h: DiffOp2, points: Sequence[Seq
     with np.errstate(divide="ignore", invalid="ignore"):
         qs = Dual.seed_grid(cols)
         phase, vj = ans.phase(qs, ans.lam), ans.char(qs, ans.lam)
-        emr, v = dual.value(phase), dual.value(vj)
-        gamma, h1, h2 = (h.apply_jet(f, cols)[0] / emr
+        emr, v, values = dual.value(phase), dual.value(vj), h.values(cols)
+        gamma, h1, h2 = (h.apply_jet(f, values)[0] / emr
                          for f in (phase, phase * vj, phase * vj * vj))
         beta = h1 - v * gamma
         alpha = (h2 - 2.0 * v * beta - v * v * gamma) / 2.0
@@ -184,7 +184,7 @@ def reduction_residual(ans: SolutionAnsatz, h: DiffOp2, phi_jet,
     # a dropped lane divides by zero or takes the log of 0 on its way to NaN
     with np.errstate(divide="ignore", invalid="ignore"):
         fv = ans.assemble(phi_jet)(Dual.seed_grid(cols))
-        val, scale = h.apply_jet(fv, cols)
+        val, scale = h.apply_jet(fv, h.values(cols))
         residual = np.abs(val) / (1.0 + scale)
     return dual.value(fv), residual
 
@@ -194,8 +194,8 @@ def reduction_residual(ans: SolutionAnsatz, h: DiffOp2, phi_jet,
 # ----------------------------------------------------------------------
 
 class SpecialSolution:
-    """A closed-form basis member ``fn``: v -> (Phi, Phi', Phi'') in plain
-    complex arithmetic, with per-argument caching of the 2-jet."""
+    """A basis member ``fn``: v -> (Phi, Phi', Phi''), closed form or series, in
+    plain complex arithmetic, with per-argument caching of the 2-jet."""
 
     def __init__(self, fn: Callable):
         self._fn = fn
@@ -236,8 +236,8 @@ def solution_basis(case_id: CaseId, config: FieldConfig, J: float,
     """
     case_id = CaseId(case_id)
     spec = integration(case_id)
-    phi1, phi2, rec = spec.basis(config, J, SpecialSolution, spec.lam if lam is None else lam)
-    return SolutionBasis(case_id, phi1, phi2, rec)
+    phi1, phi2, rec = spec.basis(config, J, spec.lam if lam is None else lam)
+    return SolutionBasis(case_id, SpecialSolution(phi1), SpecialSolution(phi2), rec)
 
 
 def grid_axes(box: Sequence[tuple[float, float]], counts: Sequence[int]) -> list[np.ndarray]:

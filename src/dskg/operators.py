@@ -37,14 +37,14 @@ class DiffOp1:
         self.nvars = len(self.coeffs)
 
     def apply(self, f: Callable, point: Sequence[complex]):
-        return self.apply_jet(f(Dual.seed(point)), point)
+        return self.apply_jet(f(Dual.seed(point)), self.values(point))
 
-    def apply_jet(self, fv, point: Sequence[complex]):
-        """The operator at ``point`` contracted with an evaluated 2-jet ``fv``;
-        ``point`` may also hold a grid's coordinate columns, as in
-        :meth:`DiffOp2.apply_jet`."""
+    def apply_jet(self, fv, values):
+        """The operator contracted with an evaluated 2-jet ``fv``, from its
+        :meth:`values` at the jet's point (or grid, as in
+        :meth:`DiffOp2.apply_jet`)."""
         val, grad, _ = dual.parts(fv, self.nvars)
-        *coeffs, scalar = self.values(point)
+        *coeffs, scalar = values
         total = scalar * val
         for u, a in enumerate(coeffs):
             total += a * grad[u]
@@ -68,34 +68,34 @@ class DiffOp2:
         self.first = list(first)
         self.scalar = scalar
 
+    @property
+    def coefficients(self) -> list[Callable]:
+        """The 13 coefficients in the order every read-out uses: the
+        second-order rows, row by row, then the first-order, then the scalar."""
+        return [c for row in self.second for c in row] + self.first + [self.scalar]
+
+    def values(self, point):
+        """The values of :attr:`coefficients` at ``point``, as :meth:`DiffOp1.values`."""
+        return [dual.value(c(list(point))) for c in self.coefficients]
+
     def apply_scaled(self, f: Callable, point: Sequence[complex]):
         """(value, scale): scale sums the magnitudes of the individual terms."""
-        return self.apply_jet(f(Dual.seed(point)), point)
+        return self.apply_jet(f(Dual.seed(point)), self.values(point))
 
-    def apply_jet(self, fv, point: Sequence[complex]):
-        """:meth:`apply_scaled` on an already evaluated 2-jet ``fv`` of f at ``point``.
-
-        ``point`` may also hold a grid's coordinate columns, with ``fv`` a grid
-        jet (:meth:`Dual.seed_grid`); value and scale then have one lane per node.
+    def apply_jet(self, fv, values):
+        """:meth:`apply_scaled` on an already evaluated 2-jet ``fv`` of f, from
+        the :meth:`values` at its point; on a grid jet (:meth:`Dual.seed_grid`)
+        and the values on its columns, value and scale have one lane per node.
         """
         val, grad, hess = dual.parts(fv, self.nvars)
-        pt = list(point)
         total = 0j
         scale = 0.0
-        for a in range(self.nvars):
-            for b in range(self.nvars):
-                c = dual.value(self.second[a][b](pt))
-                if not dual.is_zero(c):
-                    term = c * hess[a][b]
-                    total += term
-                    scale += abs(term)
-        for a in range(self.nvars):
-            c = dual.value(self.first[a](pt))
+        for c, d in zip(values[:-1], [x for row in hess for x in row] + list(grad)):
             if not dual.is_zero(c):
-                term = c * grad[a]
+                term = c * d
                 total += term
                 scale += abs(term)
-        term = dual.value(self.scalar(pt)) * val
+        term = values[-1] * val
         total += term
         scale += abs(term)
         return total, scale
@@ -287,8 +287,7 @@ def kg_cross_residual(case_id: CaseId, config: FieldConfig,
     generic = np.concatenate([part.reshape(n, -1) for part in
                               kg_generic_coefficients(case_id, config, Dual.seed_grid(cols))], -1)
     # read as DiffOp2.apply_jet reads them: values on the coordinate columns
-    coeffs = [c for row in h.second for c in row] + h.first + [h.scalar]
-    closed = np.array([np.broadcast_to(dual.value(c(cols)), (n,)) for c in coeffs]).T
+    closed = np.array([np.broadcast_to(c, (n,)) for c in h.values(cols)]).T
     lead = closed[:, :9].reshape(n, 3, 3)
     closed[:, :9] = (0.5 * (lead + np.swapaxes(lead, 1, 2))).reshape(n, 9)
     return float(np.max(np.abs(closed - generic) / (1.0 + np.abs(closed))))
@@ -355,8 +354,7 @@ def symmetry_check(h: DiffOp2, jets, points: Sequence[Sequence[float]],
     coords = Dual.seed_grid(columns)
     # lane axis first, then: H = s^ab d_a d_b + t^a d_a + r as 1-jets, the
     # derivative axis last
-    hv, hg, _ = dual.arrays([c(coords) for row in h.second for c in row]
-                            + [c(coords) for c in h.first] + [h.scalar(coords)], n)
+    hv, hg, _ = dual.arrays([c(coords) for c in h.coefficients], n)
     s, t, r = hv[:, :n * n].reshape(-1, n, n), hv[:, n * n:-1], hv[:, -1]
     ds, dt, dr = hg[:, :n * n].reshape(-1, n, n, n), hg[:, n * n:-1], hg[:, -1]
     # X_A = c_A^u d_u + b_A as 2-jets, operator axis A before the coefficient axis

@@ -647,8 +647,8 @@ class DenseSolution:
 
     def jet(self, t):
         """(Phi, Phi', Phi'') with the second derivative closed through the ODE."""
+        f, f1 = self(t)  # refuses a query off the real axis
         t = complex(t).real
-        f, f1 = self(t)
         f2 = -self._p(t) * f1 - self._q(t) * f
         return f, f1, f2
 

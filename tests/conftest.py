@@ -35,6 +35,15 @@ def grid_jets(ops, points):
     return operator_jets(ops, Dual.seed_grid(dual.columns(points)))
 
 
+def counted(fn, calls):
+    """``fn`` wrapped so that ``calls[wrapper]`` counts its calls."""
+    def wrapper(*args):
+        calls[wrapper] += 1
+        return fn(*args)
+    calls[wrapper] = 0
+    return wrapper
+
+
 def perturbed_form(form, entry, extra):
     """``form`` with the evaluable ``extra`` added to its ``entry`` component,
     a broken 2-form that the invariance and chi checks must detect."""

@@ -282,8 +282,8 @@ def symmetry(h, ops, points, n_probes):
             dfv = [p(seeds) for p in partials]
             hf = combine2(h, seeds, fv, dfv, [[p(seeds) for p in row] for row in second_partials])
             for op in ops:
-                lhs, _ = h.apply_jet(combine1(op, seeds, fv, dfv), pt)
-                rhs = op.apply_jet(hf, pt)
+                lhs, _ = h.apply_jet(combine1(op, seeds, fv, dfv), h.values(pt))
+                rhs = op.apply_jet(hf, op.values(pt))
                 worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
     return worst
 

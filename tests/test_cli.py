@@ -24,6 +24,8 @@ from dskg.integrate import SolutionAnsatz
 from dskg.lie_core import ALL_CASES, CaseId, INTEGRABLE_CASES
 from dskg.operators import kg_operator
 
+from conftest import counted
+
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -169,6 +171,25 @@ def test_verify_builds_one_ansatz_and_one_wave_operator(monkeypatch, case):
     ops = _count_calls(monkeypatch, operators, "kg_operator", (cli, integrate, operators))
     assert run_cli("verify", "--case", case.value)[0] == 0
     assert (len(built), len(ops)) == (1, 1)
+
+
+@pytest.mark.parametrize("case", INTEGRABLE_CASES)
+def test_verify_reads_each_wave_operator_coefficient_three_times(monkeypatch, case):
+    # one read-out each for reduced_coefficients (all three of its probes),
+    # wave_residual and symmetry_commutator: 39 evaluations of the 13
+    # coefficient callables
+    calls = {}
+
+    def counted_operator(case_id, config):
+        h = kg_operator(case_id, config)
+        h.second = [[counted(c, calls) for c in row] for row in h.second]
+        h.first = [counted(c, calls) for c in h.first]
+        h.scalar = counted(h.scalar, calls)
+        return h
+    monkeypatch.setattr(cli, "kg_operator", counted_operator)
+    assert run_cli("verify", "--case", case.value)[0] == 0
+    assert len(calls) == 13 and set(calls.values()) == {3}
+    assert sum(calls.values()) == 39
 
 
 @pytest.mark.parametrize("argv", [["solve", "--case", "g3_4", "--grid", "3"],
@@ -545,9 +566,16 @@ def test_verify_steep_g3_3a_family_passes():
     (["solve", "--case", "g3_1", "--grid", "3", "--lambda="],
      "error: complex value '' must end in i with both parts, e.g. 0.4+0.2i\n"),
     (["verify", "--case", "g3_2", "--perturb="], "error: bad perturbation spec ''\n"),
+    # the one J rule of an entry's series, refused by both commands
+    (["solve", "--case", "g3_4", "--J", "0", "--grid", "3"], "error: G34 requires J > 0\n"),
+    (["verify", "--case", "g3_4", "--J", "0"], "error: G34 requires J > 0\n"),
+    (["solve", "--case", "g3_5", "--J=-1", "--grid", "3"],
+     "error: G35 requires J >= 0 (continuous series)\n"),
+    (["verify", "--case", "g3_5", "--J=-1"], "error: G35 requires J >= 0 (continuous series)\n"),
 ], ids=["grid", "perturb", "tol", "verify_e_nan", "catalog_mu_nan", "solve_a_nan", "chart_a_nan",
         "solve_mu_inf", "solve_J_minus_inf", "lambda_nan", "lambda_inf", "perturb_inf", "tol_nan",
-        "perturb_target", "grid_empty", "lambda_empty", "perturb_empty"])
+        "perturb_target", "grid_empty", "lambda_empty", "perturb_empty", "solve_g34_J_zero",
+        "verify_g34_J_zero", "solve_g35_J_negative", "verify_g35_J_negative"])
 def test_bad_flag_value_is_usage_error(argv, message):
     assert run_cli(*argv) == (2, "", message)
 

@@ -302,6 +302,25 @@ def vgrid(case, n=11):
     return np.linspace(lo, hi, n)
 
 
+@pytest.mark.parametrize("case", INTEGRABLE_CASES)
+@pytest.mark.parametrize("e", [0.1, 0.0], ids=["charged", "neutral"])
+def test_a_registry_basis_returns_plain_members(case, e):
+    # the registry hands back two functions v -> (Phi, Phi', Phi'') in plain
+    # complex arithmetic, series members too; solution_basis alone wraps them
+    cfg = make_config(case, e=e)
+    spec = integration(case)
+    phi1, phi2, record = spec.basis(cfg, 1.0, spec.lam)
+    basis = solution_basis(case, cfg, 1.0)
+    assert isinstance(record, dict) and record == basis.record
+    for phi, wrapped in ((phi1, basis.phi1), (phi2, basis.phi2)):
+        assert callable(phi) and not hasattr(phi, "jet")
+        for v in vgrid(case, 4).tolist():
+            jet = phi(complex(v))
+            assert type(jet) is tuple and len(jet) == 3
+            assert all(type(x) is complex for x in jet), jet
+            assert wrapped.jet(v) == jet
+
+
 def test_solution_records():
     cfg = make_config(CaseId.G34, e=0.1, m=0.5, zeta=0.0, mu=0.3)
     rec = solution_basis(CaseId.G34, cfg, 1.0).record
@@ -442,8 +461,7 @@ def test_bound_members_match_the_dual_composition_on_offset_paths(seed):
     # reads the series objects phi1 left
     rng = np.random.default_rng(seed + 100)
     for case, k, J in offset_draws(seed):
-        phi1, phi2, record = integration(case).basis(k, J, lambda fn: fn,
-                                                      integration(case).lam)
+        phi1, phi2, record = integration(case).basis(k, J, integration(case).lam)
         assert abs(cmath.sin(math.pi * CLOSED_FORM[case][0](record))) < 1e-6, record
         lo, hi = CLOSED_FORM[case][1]
         mid = 0.5 * (lo + hi)
@@ -497,8 +515,7 @@ def test_a_basis_evaluates_each_ratio_once(monkeypatch, case):
         grow(table)
     monkeypatch.setattr(specfun._Ratios, "grow", counted)
     series = count_calls(monkeypatch, "_series_jet")
-    phi1, phi2, _ = integration(case).basis(make_config(case), 1.0, lambda fn: fn,
-                                            integration(case).lam)
+    phi1, phi2, _ = integration(case).basis(make_config(case), 1.0, integration(case).lam)
     nodes = [complex(v) for v in np.linspace(*CLOSED_FORM[case][1], 12)]
     sweeps = []
     for _ in range(2):
@@ -661,7 +678,7 @@ def test_grid_jet_matches_the_point_jets(case, lam, n, drops):
     for i, pt in enumerate(grid):
         try:
             fv = f(Dual.seed(pt))
-            h.apply_jet(fv, pt)
+            h.apply_jet(fv, h.values(pt))
         except BranchPointError:
             dropped.append(i)
             continue

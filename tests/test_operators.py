@@ -18,7 +18,7 @@ from dskg.operators import (FIT_TOL, DiffOp1, DiffOp2, commutation_table_fit, co
 
 import pointwise
 from pointwise import DualProbe
-from conftest import chart_points, grid_jets, make_config
+from conftest import chart_points, counted, grid_jets, make_config
 
 
 def commutator_at(A, B, point):
@@ -209,7 +209,7 @@ def test_kg_cross_residual_catches_every_coefficient(case, monkeypatch):
     pts = chart_points(case, 20)
     h = kg_operator(case, cfg)
     for slot in range(13):
-        coeffs = [c for row in h.second for c in row] + h.first + [h.scalar]
+        coeffs = h.coefficients
         coeffs[slot] = lambda c, f=coeffs[slot]: f(c) + 1e-6
         op = DiffOp2([coeffs[0:3], coeffs[3:6], coeffs[6:9]], coeffs[9:12], coeffs[12])
         monkeypatch.setattr(operators, "kg_operator", lambda *_: op)
@@ -226,9 +226,9 @@ def test_apply_jet_equals_apply(case):
     for p in chart_points(case, 4):
         f = DualProbe.of(random_probe(rng))
         fv = f(Dual.seed(p))
-        assert h.apply_jet(fv, p) == h.apply_scaled(f, p)
+        assert h.apply_jet(fv, h.values(p)) == h.apply_scaled(f, p)
         for op in ops:
-            assert op.apply_jet(fv, p) == op.apply(f, p)
+            assert op.apply_jet(fv, op.values(p)) == op.apply(f, p)
 
 
 def test_kg_generic_assembly_zero_charge_reduces_to_wave():
@@ -311,14 +311,6 @@ def test_symmetry_check_matches_reference_loop(chi_extra):
     assert pointwise.symmetry(h, ops, pts, 2) == _reference_symmetry_check(h, ops, pts, 2)
 
 
-def _counted(fn, calls):
-    def wrapper(*args):
-        calls[wrapper] += 1
-        return fn(*args)
-    calls[wrapper] = 0
-    return wrapper
-
-
 @pytest.mark.parametrize("n_probes", [1, 3])
 @pytest.mark.parametrize("case", [CaseId.G32, CaseId.G35])
 def test_symmetry_check_evaluates_each_coefficient_once(monkeypatch, case, n_probes):
@@ -328,19 +320,19 @@ def test_symmetry_check_evaluates_each_coefficient_once(monkeypatch, case, n_pro
     cfg = make_config(case)
     pts = [tuple(p) for p in chart_points(case, 6)]
     products = {}
-    monkeypatch.setattr(Dual, "__mul__", _counted(Dual.__mul__, products))
-    monkeypatch.setattr(Dual, "__rmul__", _counted(Dual.__rmul__, products))
+    monkeypatch.setattr(Dual, "__mul__", counted(Dual.__mul__, products))
+    monkeypatch.setattr(Dual, "__rmul__", counted(Dual.__rmul__, products))
     seen = []
     for probes in (0, n_probes):
         calls = {}
         h = kg_operator(case, cfg)
-        h.second = [[_counted(c, calls) for c in row] for row in h.second]
-        h.first = [_counted(c, calls) for c in h.first]
-        h.scalar = _counted(h.scalar, calls)
+        h.second = [[counted(c, calls) for c in row] for row in h.second]
+        h.first = [counted(c, calls) for c in h.first]
+        h.scalar = counted(h.scalar, calls)
         ops = symmetry_operators(case, cfg)
         for op in ops:
-            op.coeffs = [_counted(c, calls) for c in op.coeffs]
-            op.scalar = _counted(op.scalar, calls)
+            op.coeffs = [counted(c, calls) for c in op.coeffs]
+            op.scalar = counted(op.scalar, calls)
         products.update(dict.fromkeys(products, 0))
         assert symmetry_check(h, grid_jets(ops, pts), pts, probes) < 1e-8
         assert len(calls) == 13 + 4 * case_spec(case).dim

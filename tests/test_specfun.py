@@ -298,6 +298,16 @@ def test_ode_integrate_jet_uses_the_equation():
     assert abs(f2 + f0) < 1e-12
 
 
+@pytest.mark.parametrize("t", [0.5 + 0.3j, 1.1 - 1e-6j])
+def test_dense_jet_refuses_a_query_off_the_real_axis(t):
+    # as the dense output itself and the Taylor series do: the RK jet at Re t
+    # is not the jet at t
+    sol = ode_integrate(lambda v: 0.0, lambda v: 1.0, 0.0, 0.0, 1.0, 2.0)
+    for query in (sol, sol.jet):
+        with pytest.raises(DomainError, match="off the real axis"):
+            query(t)
+
+
 def test_ode_integrate_rejects_bad_config():
     with pytest.raises(ValueError):
         ODESolverConfig(rtol=-1.0)
