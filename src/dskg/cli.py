@@ -76,9 +76,14 @@ class RunConfig:
             if value is not None and not cmath.isfinite(value):
                 raise UsageError(f"{flag} must be finite, got {value}")
         for key, limit in self.tolerances.items():
-            # an infinite tolerance waives its check; a NaN one fails whatever the residual
+            # an infinite tolerance waives its check; a NaN or negative one
+            # fails whatever the residual
             if cmath.isnan(limit):
                 raise UsageError(f"--tol {key} must not be NaN")
+            if limit < 0:
+                raise UsageError(f"--tol {key} must not be negative, got {limit}")
+        if self.seed < 0:
+            raise UsageError(f"--seed must be non-negative, got {self.seed}")
         if self.a is not None and self.a <= 0:
             raise UsageError("a must be positive")
         if any(n < 2 for n in self.grid):
@@ -170,8 +175,9 @@ def _lanes(jets, n: int):
 
 class VerifyContext:
     """What one entry's checks share, each built once.  The chart points are
-    drawn first and the joint-system points second, so a seed fixes both; what
-    can fail numerically is built when a check first reads it."""
+    drawn first and the joint-system points second, so a seed fixes both; a J
+    out of the entry's series is refused here, by its λ-representation, and
+    what can fail numerically is built when a check first reads it."""
 
     def __init__(self, case: CaseId, run: RunConfig):
         self.case, self.run, self.cfg = case, run, _field_config(case, run)
@@ -275,12 +281,11 @@ CHECKS = (
 DEFAULT_TOLERANCES = {check.key: check.tolerance for check in CHECKS}
 
 
-def _verify_case(case: CaseId, run: RunConfig) -> dict:
-    entry = VerifyContext(case, run)
+def _verify_case(entry: VerifyContext) -> dict:
     checks = {}
     for check in CHECKS:
         if entry.integ is not None or not check.integrable_only:
-            value, limit = float(check.residual(entry)), run.tolerances[check.key]
+            value, limit = float(check.residual(entry)), entry.run.tolerances[check.key]
             checks[check.key] = {"residual": value, "tolerance": limit, "pass": value <= limit}
     return {"residuals": checks, "pass": all(c["pass"] for c in checks.values())}
 
@@ -292,7 +297,10 @@ def cmd_verify(run: RunConfig, out) -> int:
         selected = [_resolve_case(run.case)]
     if run.a is None:
         run.a = 1.0
-    results = {case.value: _verify_case(case, run) for case in selected}
+    # every entry's context first: a usage error such as a J out of an entry's
+    # series is refused before any check runs
+    entries = [VerifyContext(case, run) for case in selected]
+    results = {entry.case.value: _verify_case(entry) for entry in entries}
     overall = all(r["pass"] for r in results.values())
     report = {
         "schema": SCHEMA_VERSION,

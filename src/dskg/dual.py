@@ -19,8 +19,10 @@ entry that is a plain ``complex`` zero, as the seeds and constants start
 them, is a structural zero: every product, sum, reciprocal and composition
 drops each term that has one as a factor, and an entry all of whose terms
 are dropped stays the plain ``0j`` instead of becoming a lane array of
-zeros.  Values are always multiplied.  The Hessian is computed on its upper
-triangle only: ``hess[j][i]`` is the same object as ``hess[i][j]``.
+zeros.  Values are always multiplied.  A jet stores its Hessian once, as
+the k(k+1)/2 entries of its upper triangle row by row (``Dual.upper``), and
+every operation works entry by entry on that triangle; only the read-outs
+build the k rows, in which ``hess[j][i]`` is the same object as ``hess[i][j]``.
 
 A lane dropped by :func:`drop_lanes` is NaN in every entry, and so is that
 lane of every entry computed from the dropped jet afterwards.  A NaN that
@@ -74,8 +76,9 @@ def _plus(a, b):
 
 class _Triangles(dict):
     """For a jet in k variables: the (i, j) positions with i <= j of its
-    Hessian, row by row, and for every position of the full matrix the index
-    of its upper-triangle entry; built at the first jet in k variables."""
+    Hessian, row by row, as :attr:`Dual.upper` stores them, and for every
+    position of the full matrix the index of its entry there; built at the
+    first jet in k variables."""
 
     def __missing__(self, k):
         pairs = tuple((i, j) for i in range(k) for j in range(i, k))
@@ -88,41 +91,45 @@ class _Triangles(dict):
 _TRIANGLES = _Triangles()
 
 
-def _mirrored(upper, at):
-    """The rows of a symmetric Hessian from its upper-triangle entries: the
-    two mirrored positions hold the same object."""
-    return tuple(tuple(map(upper.__getitem__, row)) for row in at)
+def _zero_triangle(k):
+    """The Hessian triangle of a jet in k variables with no second derivatives."""
+    return (0j,) * (k * (k + 1) // 2)
 
 
 class Dual:
     """Second-order jet (value, gradient, Hessian) over point values or grid lanes."""
 
-    __slots__ = ("val", "grad", "hess")
+    __slots__ = ("val", "grad", "upper")
     # numpy hands ``array * jet`` to Dual.__rmul__ instead of building an
     # object array of jets
     __array_ufunc__ = None
 
-    def __init__(self, val, grad, hess):
+    def __init__(self, val, grad, upper):
         self.val = val
         # derivative entries: lane arrays, point values, or the structural
         # zero 0j, which no arithmetic turns into a lane array
         self.grad = grad        # tuple, length k
-        self.hess = hess        # tuple of k rows; hess[j][i] is hess[i][j]
+        # the Hessian once: its upper triangle, k(k+1)/2 entries row by row
+        self.upper = upper      # tuple, in _TRIANGLES[k] order
+
+    @property
+    def hess(self):
+        """The k rows of the Hessian; ``hess[j][i]`` is ``hess[i][j]``."""
+        upper = self.upper
+        return tuple(tuple(map(upper.__getitem__, row)) for row in _TRIANGLES[len(self.grad)][1])
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def constant(value, nvars):
-        z = (0j,) * nvars
-        return Dual(complex(value), z, (z,) * nvars)
+        return Dual(complex(value), (0j,) * nvars, _zero_triangle(nvars))
 
     @staticmethod
     def seed(point):
         """All coordinates of ``point`` as simultaneous dual variables."""
         k = len(point)
-        z = (0j,) * k
-        return [Dual(complex(point[i]), tuple(1 + 0j if j == i else 0j for j in range(k)),
-                     (z,) * k)
+        z = _zero_triangle(k)
+        return [Dual(complex(point[i]), tuple(1 + 0j if j == i else 0j for j in range(k)), z)
                 for i in range(k)]
 
     @staticmethod
@@ -130,9 +137,9 @@ class Dual:
         """The coordinate ``columns`` of a grid, each an (N,) array, as
         simultaneous dual variables with one lane per grid node."""
         k = len(columns)
-        z = (0j,) * k
+        z = _zero_triangle(k)
         return [Dual(np.asarray(columns[i], dtype=complex),
-                     tuple(1 + 0j if j == i else 0j for j in range(k)), (z,) * k)
+                     tuple(1 + 0j if j == i else 0j for j in range(k)), z)
                 for i in range(k)]
 
     def _coerce(self, other):
@@ -144,19 +151,13 @@ class Dual:
 
     def __add__(self, other):
         o = self._coerce(other)
-        pairs, at = _TRIANGLES[len(self.grad)]
-        sh, oh = self.hess, o.hess
-        g = tuple(_plus(a, b) for a, b in zip(self.grad, o.grad))
-        h = _mirrored([_plus(sh[i][j], oh[i][j]) for i, j in pairs], at)
-        return Dual(self.val + o.val, g, h)
+        return Dual(self.val + o.val, tuple(_plus(a, b) for a, b in zip(self.grad, o.grad)),
+                    tuple(_plus(a, b) for a, b in zip(self.upper, o.upper)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        pairs, at = _TRIANGLES[len(self.grad)]
-        sh = self.hess
-        return Dual(-self.val, tuple(-a for a in self.grad),
-                    _mirrored([-sh[i][j] for i, j in pairs], at))
+        return Dual(-self.val, tuple(-a for a in self.grad), tuple(-a for a in self.upper))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -165,19 +166,17 @@ class Dual:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        pairs, at = _TRIANGLES[len(self.grad)]
-        sh = self.hess
         if not isinstance(other, Dual):
             c = complex(other)
-            g = tuple(_rmul(a, c) for a in self.grad)
-            h = _mirrored([_rmul(sh[i][j], c) for i, j in pairs], at)
-            return Dual(self.val * c, g, h)
+            return Dual(self.val * c, tuple(_rmul(a, c) for a in self.grad),
+                        tuple(_rmul(a, c) for a in self.upper))
+        pairs = _TRIANGLES[len(self.grad)][0]
         sv, ov = self.val, other.val
-        sg, og, oh = self.grad, other.grad, other.hess
+        sg, og = self.grad, other.grad
         g = tuple(_plus(_rmul(a, ov), _lmul(sv, b)) for a, b in zip(sg, og))
-        h = _mirrored([_plus(_plus(_plus(_rmul(sh[i][j], ov), _times(sg[i], og[j])),
-                                   _times(sg[j], og[i])), _lmul(sv, oh[i][j]))
-                       for i, j in pairs], at)
+        h = tuple(_plus(_plus(_plus(_rmul(a, ov), _times(sg[i], og[j])),
+                              _times(sg[j], og[i])), _lmul(sv, b))
+                  for (i, j), a, b in zip(pairs, self.upper, other.upper))
         return Dual(sv * ov, g, h)
 
     __rmul__ = __mul__
@@ -185,15 +184,13 @@ class Dual:
     def reciprocal(self):
         iv = 1.0 / self.val
         iv2 = iv * iv
-        pairs, at = _TRIANGLES[len(self.grad)]
-        sg, sh = self.grad, self.hess
+        sg = self.grad
         g = tuple(_rmul(-a, iv2) for a in sg)
         h = []
-        for i, j in pairs:
+        for (i, j), e in zip(_TRIANGLES[len(sg)][0], self.upper):
             t = 0j if _zero(sg[i]) or _zero(sg[j]) else 2.0 * sg[i] * sg[j] * iv
-            e = sh[i][j]
             h.append(_rmul(t if _zero(e) else -e if _zero(t) else t - e, iv2))
-        return Dual(iv, g, _mirrored(h, at))
+        return Dual(iv, g, tuple(h))
 
     def __truediv__(self, other):
         if not isinstance(other, Dual):
@@ -221,12 +218,10 @@ class Dual:
 
     def lift(self, f0, f1, f2):
         """Compose with a scalar function given by value/first/second derivative."""
-        pairs, at = _TRIANGLES[len(self.grad)]
-        sg, sh = self.grad, self.hess
+        sg = self.grad
         g = tuple(_lmul(f1, a) for a in sg)
-        h = _mirrored([_plus(_lmul(f1, sh[i][j]),
-                             0j if _zero(sg[i]) or _zero(sg[j]) else f2 * sg[i] * sg[j])
-                       for i, j in pairs], at)
+        h = tuple(_plus(_lmul(f1, e), 0j if _zero(sg[i]) or _zero(sg[j]) else f2 * sg[i] * sg[j])
+                  for (i, j), e in zip(_TRIANGLES[len(sg)][0], self.upper))
         return Dual(f0, g, h)
 
     def __repr__(self):
@@ -381,8 +376,8 @@ def partial(jet, index):
     if not isinstance(jet, Dual):
         return 0.0
     k = len(jet.grad)
-    z = (0j,) * k
-    return Dual(jet.grad[index], jet.hess[index], (z,) * k)
+    row = _TRIANGLES[k][1][index]
+    return Dual(jet.grad[index], tuple(map(jet.upper.__getitem__, row)), _zero_triangle(k))
 
 
 def drop_lanes(x, mask):
@@ -391,6 +386,4 @@ def drop_lanes(x, mask):
     a lane array with NaN at those lanes."""
     def cut(a):
         return np.where(mask, np.nan, a)
-    pairs, at = _TRIANGLES[len(x.grad)]
-    return Dual(cut(x.val), tuple(cut(a) for a in x.grad),
-                _mirrored([cut(x.hess[i][j]) for i, j in pairs], at))
+    return Dual(cut(x.val), tuple(cut(a) for a in x.grad), tuple(cut(a) for a in x.upper))

@@ -610,31 +610,24 @@ class DenseSolution:
 
     def __init__(self, segments, t0, t1, p, q):
         self._segments = segments
-        self.t_start = t0
-        self.t_end = t1
+        self._span = (t0, t1) if t1 >= t0 else (t1, t0)
+        # each segment's end, signed to increase in the direction of integration
+        self._sign = 1.0 if t1 >= t0 else -1.0
+        self._ends = [self._sign * (seg.t0 + seg.h) for seg in segments]
         self._p = p
         self._q = q
-
-    def _segment_for(self, t):
-        lo, hi = 0, len(self._segments) - 1
-        a, b = (self.t_start, self.t_end) if self.t_end >= self.t_start else (self.t_end, self.t_start)
-        if not (a - 1e-12 <= t <= b + 1e-12):
-            raise DomainError(f"dense output queried at t = {t} outside [{a}, {b}]")
-        while lo < hi:
-            mid = (lo + hi) // 2
-            seg = self._segments[mid]
-            if (t - seg.t0) / seg.h > 1.0:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self._segments[lo]
 
     def __call__(self, t):
         t = complex(t)
         if abs(t.imag) > 1e-9 * (1.0 + abs(t.real)):
             raise DomainError(f"dense output queried off the real axis: {t}")
         t = t.real
-        seg = self._segment_for(t)
+        a, b = self._span
+        if not (a - 1e-12 <= t <= b + 1e-12):
+            raise DomainError(f"dense output queried at t = {t} outside [{a}, {b}]")
+        # the first segment that ends at or beyond t
+        k = bisect.bisect_left(self._ends, self._sign * t)
+        seg = self._segments[min(k, len(self._segments) - 1)]
         theta = (t - seg.t0) / seg.h
         y = list(seg.y0)
         for i in range(7):

@@ -163,6 +163,17 @@ def _count_calls(monkeypatch, home, name, modules):
     return calls
 
 
+def test_verify_refuses_a_j_out_of_range_before_any_check(monkeypatch):
+    # g3_4's J rule is applied when its context is built, before the entries
+    # ahead of it in the catalog run a check
+    calls = _count_calls(monkeypatch, cli, "hyperboloid_residual", (cli,))
+    assert run_cli("verify", "--case", "all", "--J", "0") == (2, "", "error: G34 requires J > 0\n")
+    assert calls == []
+    # the counter sees the check when it runs
+    assert run_cli("verify", "--case", "g1_1", "--J", "0")[0] == 0
+    assert calls
+
+
 @pytest.mark.parametrize("case", INTEGRABLE_CASES)
 def test_verify_builds_one_ansatz_and_one_wave_operator(monkeypatch, case):
     # joint_system, reduced_coefficients, wave_residual and symmetry_commutator
@@ -557,6 +568,9 @@ def test_verify_steep_g3_3a_family_passes():
      "error: --perturb must be finite, got inf\n"),
     (["verify", "--case", "g3_1", "--tol", "killing=nan"],
      "error: --tol killing must not be NaN\n"),
+    (["verify", "--case", "g3_1", "--tol", "wave_residual=-1"],
+     "error: --tol wave_residual must not be negative, got -1.0\n"),
+    (["verify", "--case", "g1_1", "--seed", "-1"], "error: --seed must be non-negative, got -1\n"),
     # refused when parsed, before the entry's numerical failure at a = 40
     (["verify", "--case", "g3_3a", "--a", "40", "--perturb", "foo:1"],
      "error: unknown perturbation target 'foo'\n"),
@@ -574,6 +588,7 @@ def test_verify_steep_g3_3a_family_passes():
     (["verify", "--case", "g3_5", "--J=-1"], "error: G35 requires J >= 0 (continuous series)\n"),
 ], ids=["grid", "perturb", "tol", "verify_e_nan", "catalog_mu_nan", "solve_a_nan", "chart_a_nan",
         "solve_mu_inf", "solve_J_minus_inf", "lambda_nan", "lambda_inf", "perturb_inf", "tol_nan",
+        "tol_negative", "seed_negative",
         "perturb_target", "grid_empty", "lambda_empty", "perturb_empty", "solve_g34_J_zero",
         "verify_g34_J_zero", "solve_g35_J_negative", "verify_g35_J_negative"])
 def test_bad_flag_value_is_usage_error(argv, message):

@@ -54,7 +54,7 @@ def test_reciprocal_at_a_vanishing_point_gradient():
 def test_a_point_value_of_zero_is_still_multiplied():
     # only derivative entries are skipped as zeros: 0 * inf stays NaN
     (x,) = Dual.seed([0.0])
-    steep = Dual(1 + 0j, (complex(math.inf),), ((0j,),))
+    steep = Dual(1 + 0j, (complex(math.inf),), (0j,))
     assert cmath.isnan((x * steep).grad[0]) and cmath.isnan((steep * x).grad[0])
 
 
@@ -147,11 +147,43 @@ def test_grid_seed_lanes_are_point_seeds():
                     point.hess[i][j], rel=1e-14, abs=1e-15)
 
 
-def test_parts_of_a_jet_are_its_own_tuples():
+def test_parts_of_a_jet_are_its_own_entries():
+    # the Hessian rows are built on read, but no entry is copied
     x, y = Dual.seed([0.4, -1.1])
     f = x * y + dual.sin(x)
     val, grad, hess = dual.parts(f, 2)
-    assert val is f.val and grad is f.grad and hess is f.hess
+    assert val is f.val and grad is f.grad
+    assert hess[0][0] is f.upper[0] and hess[0][1] is f.upper[1] and hess[1][1] is f.upper[2]
+    assert hess[1][0] is f.upper[1]
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_a_jet_stores_its_hessian_once(k):
+    # k(k+1)/2 Hessian entries in every jet: seeds, constants and the result
+    # of every operation; the rows are built on read and mirror one entry
+    point = [0.4, -1.1, 0.3, 0.8][:k]
+    grid = Dual.seed_grid(dual.columns([point, [0.2, 0.5, -0.7, 1.2][:k]]))
+    for seeds in (Dual.seed(point), grid):
+        x, y = seeds[0] * seeds[-1] + 1.7, seeds[-1] + 2.5
+        jets = {
+            "seed": seeds[0], "constant": Dual.constant(2.0, k),
+            "add": x + y, "radd": 2.0 + x, "neg": -x, "sub": x - y, "rsub": 1.5 - x,
+            "mul": x * y, "scale": x * (0.5 - 1j), "rmul": 3.0 * x,
+            "reciprocal": x.reciprocal(), "div": x / y, "div scalar": x / 2.0,
+            "rdiv": 2.0 / x, "pow": x ** 3, "pow negative": x ** -2, "pow zero": x ** 0,
+            "pow complex": x ** (0.5 + 0.3j), "lift": x.lift(1.0, 2.0, 3.0),
+            "exp": dual.exp(x), "log": dual.log(x), "sin": dual.sin(x), "cos": dual.cos(x),
+            "tan": dual.tan(x), "sinh": dual.sinh(x), "cosh": dual.cosh(x),
+            "tanh": dual.tanh(x), "power": dual.power(x, y),
+            "compose": dual.compose(x, 1.0, 2.0, 3.0), "partial": dual.partial(x * y, 0),
+        }
+        if seeds is grid:
+            jets["drop_lanes"] = dual.drop_lanes(x, np.array([False, True]))
+        for name, jet in jets.items():
+            assert len(jet.grad) == k and len(jet.upper) == k * (k + 1) // 2, name
+            hess = jet.hess
+            assert len(hess) == k and all(len(row) == k for row in hess), name
+            assert all(hess[i][j] is hess[j][i] for i in range(k) for j in range(k)), name
 
 
 @pytest.mark.parametrize("k", [1, 3])

@@ -15,7 +15,8 @@ import dskg
 SRC = Path(dskg.__file__).parent
 
 RULES = {
-    "dual.py": re.compile(r"\.(val|grad|hess)\b|isinstance\([^)]*Dual\)|Dual\.constant|\bDual\("),
+    "dual.py": re.compile(r"\.(val|grad|hess|upper)\b|isinstance\([^)]*Dual\)"
+                          r"|Dual\.constant|\bDual\("),
     "cases.py": re.compile(r"CaseId\.G[0-9]"),
 }
 
