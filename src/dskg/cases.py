@@ -1,12 +1,13 @@
 """The case registry: every formula that belongs to one catalog entry.
 
 One frozen :class:`CaseSpec` per inequivalent subalgebra of so(1,3), in
-catalog order.  A spec holds the generator rows and brackets, the Table 3
-reference row, the rectifying chart and the chart components of the
-generators, the invariant field data (2-form, gauge, chi, field template,
-default profiles) and, for the five integrable entries, the
-lambda-representation, the closed-form wave operator, the joint-system
-ansatz, the reduced ODE, its solution basis and the run defaults.
+catalog order.  A spec holds the generator rows (:mod:`dskg.lie_core`
+derives their brackets), the Table 3 reference row, the rectifying chart and
+the chart components of the generators, the invariant field data (2-form,
+gauge, chi, field template, default profiles) and, for the five integrable
+entries, the lambda-representation, the closed-form wave operator, the
+joint-system ansatz, the reduced ODE, its solution basis and the run
+defaults.
 
 This is the only module that knows which formula belongs to which entry;
 :mod:`dskg.lie_core`, :mod:`dskg.geometry`, :mod:`dskg.fields`,
@@ -139,7 +140,7 @@ class IntegrationSpec:
 @dataclass(frozen=True)
 class CaseSpec:
     case_id: CaseId
-    algebra: Callable          # a -> (generator rows, {(A, B): bracket coefficients})
+    generators: Callable       # a -> generator rows; lie_core derives their brackets
     table3_reference: tuple    # in the columns of lie_core.IntegrabilityRecord
     chart: ChartSpec
     rect: Callable             # a -> per generator, its three chart components
@@ -151,7 +152,7 @@ class CaseSpec:
     @property
     def dim(self) -> int:
         # the number of generators does not depend on the family parameter
-        return len(self.algebra(1.0)[0])
+        return len(self.generators(1.0))
 
 
 # generator rows over (J01, J02, J03, J12, J13, J23)
@@ -221,16 +222,16 @@ def _orbit1_rect(a):
     return [[_one, _zero, _zero]]
 
 
-_G11 = CaseSpec(CaseId.G11, lambda a: ([_BOOST], {}), _ONE_DIM_ROW,
+_G11 = CaseSpec(CaseId.G11, lambda a: [_BOOST], _ONE_DIM_ROW,
                 ChartSpec(1, ((-1.5, 1.5), (0.2, math.pi - 0.2), (0.2, math.pi - 0.2)),
                           lambda a: _g11_map),
                 _orbit1_rect, _ORBIT1_FIELD)
-_G12 = CaseSpec(CaseId.G12, lambda a: ([_ROT], {}), _ONE_DIM_ROW, _G12_CHART,
+_G12 = CaseSpec(CaseId.G12, lambda a: [_ROT], _ONE_DIM_ROW, _G12_CHART,
                 _orbit1_rect, _ORBIT1_FIELD)
-_G13a = CaseSpec(CaseId.G13a, lambda a: ([(0.0, 0.0, a, 1.0, 0.0, 0.0)], {}), _ONE_DIM_ROW,
+_G13a = CaseSpec(CaseId.G13a, lambda a: [(0.0, 0.0, a, 1.0, 0.0, 0.0)], _ONE_DIM_ROW,
                  replace(_G12_CHART, map=_g13a_map), _orbit1_rect, _ORBIT1_FIELD,
                  parameterized=True)
-_G14 = CaseSpec(CaseId.G14, lambda a: ([_N1], {}), _ONE_DIM_ROW,
+_G14 = CaseSpec(CaseId.G14, lambda a: [_N1], _ONE_DIM_ROW,
                 ChartSpec(1, ((-1.5, 1.5), (0.35, 1.4), (-0.25, 0.25)),
                           lambda a: _g14_map),
                 _orbit1_rect, _ORBIT1_FIELD)
@@ -279,14 +280,14 @@ _PLANE_FIELD = FieldSpec(
     profiles=replace(_PROFILES, f1_antideriv=lambda u1: 0.5 * u1 * u1,
                      f2_antideriv=lambda u1: u1 * 1.0))
 
-_G21 = CaseSpec(CaseId.G21, lambda a: ([_N1, _N2], {}), _TWO_DIM_ROW, _TRANSLATION_CHART,
+_G21 = CaseSpec(CaseId.G21, lambda a: [_N1, _N2], _TWO_DIM_ROW, _TRANSLATION_CHART,
                 _plane_rect, _PLANE_FIELD, magnetic_pair=True)
-_G22 = CaseSpec(CaseId.G22, lambda a: ([_ROT, _BOOST], {}), _TWO_DIM_ROW,
+_G22 = CaseSpec(CaseId.G22, lambda a: [_ROT, _BOOST], _TWO_DIM_ROW,
                 ChartSpec(2, ((-2.0, 2.0), (-1.5, 1.5), (0.2, _HALF_PI - 0.2)),
                           lambda a: _g22_map),
                 _plane_rect, _PLANE_FIELD, magnetic_pair=True)
 _G23 = CaseSpec(
-    CaseId.G23, lambda a: ([_N1, _BOOST], {(0, 1): [-1.0, 0.0]}), _TWO_DIM_ROW,
+    CaseId.G23, lambda a: [_N1, _BOOST], _TWO_DIM_ROW,
     ChartSpec(2, ((-1.5, 1.5), (-1.2, 1.2), (-1.2, 1.2)), lambda a: _g23_map),
     lambda a: [[_one, _zero, _zero], [lambda c: -c[0], _one, _zero]],
     FieldSpec(
@@ -372,7 +373,7 @@ _THREE_DIM_ROW = (4, 2, 1, 1, 1, True)
 
 _G31 = CaseSpec(
     CaseId.G31,
-    lambda a: ([_N1, _N2, _BOOST], {(0, 2): [-1.0, 0.0, 0.0], (1, 2): [0.0, -1.0, 0.0]}),
+    lambda a: [_N1, _N2, _BOOST],
     _THREE_DIM_ROW, _HOROSPHERICAL_CHART,
     lambda a: [[_one, _zero, _zero], [_zero, _one, _zero],
                [lambda c: -c[0], lambda c: -c[1], _one]],
@@ -471,7 +472,7 @@ def _g32_neutral_basis(order):
 
 _G32 = CaseSpec(
     CaseId.G32,
-    lambda a: ([_N1, _N2, _ROT], {(0, 2): [0.0, 1.0, 0.0], (1, 2): [-1.0, 0.0, 0.0]}),
+    lambda a: [_N1, _N2, _ROT],
     _THREE_DIM_ROW, _TRANSLATION_CHART,
     lambda a: [[_one, _zero, _zero], [_zero, _one, _zero],
                [lambda c: -c[1], lambda c: c[0], _zero]],
@@ -584,8 +585,7 @@ def _g33a_basis(k, J, lam):
 
 _G33a = CaseSpec(
     CaseId.G33a,
-    lambda a: ([_N1, _N2, (0.0, 0.0, a, 1.0, 0.0, 0.0)],
-               {(0, 2): [-a, 1.0, 0.0], (1, 2): [-1.0, -a, 0.0]}),
+    lambda a: [_N1, _N2, (0.0, 0.0, a, 1.0, 0.0, 0.0)],
     _THREE_DIM_ROW, _HOROSPHERICAL_CHART,
     lambda a: [[_one, _zero, _zero], [_zero, _one, _zero],
                [lambda c: -(a * c[0] + c[1]), lambda c: c[0] - a * c[1], _one]],
@@ -778,10 +778,9 @@ _G34_FIELD = FieldSpec(
 # rotations paired with the chart's rectified fields: (J12, J23, J13)
 _G34 = CaseSpec(
     CaseId.G34,
-    lambda a: ([(0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
-                (0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
-                (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)],
-               {(0, 1): [0.0, 0.0, 1.0], (0, 2): [0.0, -1.0, 0.0], (1, 2): [1.0, 0.0, 0.0]}),
+    lambda a: [(0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+               (0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+               (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)],
     _THREE_DIM_ROW,
     ChartSpec(2, ((-2.0, 2.0), (-_HALF_PI + 0.15, _HALF_PI - 0.15), (-1.2, 1.2)),
               lambda a: _g34_map),
@@ -794,10 +793,9 @@ _G34 = CaseSpec(
         _g34_ansatz, _g34_reduced_ode, _g34_basis))
 _G35 = CaseSpec(
     CaseId.G35,
-    lambda a: ([(1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-                (0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
-                (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)],
-               {(0, 1): [0.0, 0.0, 1.0], (0, 2): [0.0, 1.0, 0.0], (1, 2): [1.0, 0.0, 0.0]}),
+    lambda a: [(1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+               (0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+               (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)],
     _THREE_DIM_ROW,
     ChartSpec(2, ((-1.5, 1.5), (-_HALF_PI + 0.15, _HALF_PI - 0.15), (0.2, math.pi - 0.2)),
               lambda a: _g35_map),
@@ -824,10 +822,7 @@ FREE_FIELD = FieldSpec("0", lambda k: {}, lambda k: [_zero, _zero, _zero],
 # (5, 1, 2, 0, 1, True)); cmd_catalog reports the diff instead of hiding it.
 _G41 = CaseSpec(
     CaseId.G41,
-    lambda a: ([_N1, _N2, _ROT, _BOOST], {(0, 2): [0.0, 1.0, 0.0, 0.0],
-                                          (0, 3): [-1.0, 0.0, 0.0, 0.0],
-                                          (1, 2): [-1.0, 0.0, 0.0, 0.0],
-                                          (1, 3): [0.0, -1.0, 0.0, 0.0]}),
+    lambda a: [_N1, _N2, _ROT, _BOOST],
     (5, 3, 1, 3, 0, True), _HOROSPHERICAL_CHART,
     lambda a: [[_one, _zero, _zero], [_zero, _one, _zero],
                [lambda c: -c[1], lambda c: c[0], _zero],

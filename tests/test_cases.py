@@ -5,6 +5,7 @@ spec whose lists disagree in length would silently skip a generator; these
 checks catch that at the registry.
 """
 
+import numpy as np
 import pytest
 
 from dskg import cases
@@ -25,11 +26,10 @@ def test_registry_is_the_catalog_in_order():
 @pytest.mark.parametrize("spec", CASES, ids=_ids(CASES))
 def test_spec_parts_agree(spec):
     a = 1.0 if spec.parameterized else None
-    rows, brackets = spec.algebra(a)
+    rows = spec.generators(a)
     n = len(rows)
     assert spec.dim == n
     assert all(len(row) == 6 for row in rows)
-    assert all(0 <= A < B < n and len(vec) == n for (A, B), vec in brackets.items())
     assert len(spec.rect(a)) == n
     assert all(len(comp) == 3 for comp in spec.rect(a))
     cfg = FieldConfig(spec.case_id, parameter_a=a)
@@ -43,10 +43,7 @@ def test_spec_parts_agree(spec):
 
 @pytest.mark.parametrize("spec", CASES, ids=_ids(CASES))
 def test_parameterized_iff_a_is_required_and_used(spec):
-    rows_1, brackets_1 = spec.algebra(1.0)
-    rows_2, brackets_2 = spec.algebra(2.0)
-    uses_a = rows_1 != rows_2 or brackets_1 != brackets_2
-    assert spec.parameterized == uses_a
+    assert spec.parameterized == (spec.generators(1.0) != spec.generators(2.0))
     if spec.parameterized:
         with pytest.raises(ValueError):
             resolve(spec.case_id)
@@ -55,6 +52,16 @@ def test_parameterized_iff_a_is_required_and_used(spec):
         assert resolve(spec.case_id, 0.5) == (spec, 0.5)
     else:
         assert resolve(spec.case_id, 0.5) == (spec, None)
+
+
+@pytest.mark.parametrize("spec", CASES, ids=_ids(CASES))
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 40.0])
+def test_every_row_has_its_own_unit_column(spec, a):
+    # lie_core reads each bracket coefficient there, which also makes the
+    # rows linearly independent
+    rows = np.array(spec.generators(a))
+    others_zero = np.count_nonzero(rows, axis=0) == 1
+    assert all(np.any((row == 1.0) & others_zero) for row in rows)
 
 
 @pytest.mark.parametrize("spec", CASES, ids=_ids(CASES))

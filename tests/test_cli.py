@@ -78,6 +78,20 @@ def test_catalog_csv_format():
     assert len(rows) == 14
 
 
+def test_catalog_at_a_huge_family_parameter():
+    # g3_3a's brackets are of size a: its closure and Jacobi checks neither
+    # overflow nor warn, and its rows stay independent by their unit columns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli("catalog", "--a", "1e300")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert list(doc["table3_diff"]) == ["g4_1"]
+    g33a = next(e for e in doc["entries"] if e["id"] == "g3_3a")
+    assert g33a["structure_constants"] == [[1, 3, [-1e300, 1.0, 0.0]],
+                                           [2, 3, [-1.0, -1e300, 0.0]]]
+
+
 def test_verify_single_case_passes():
     code, out, _ = run_cli("verify", "--case", "g3_2", "--mu", "1", "--seed", "42")
     assert code == 0
@@ -406,6 +420,9 @@ def test_verify_at_a_branch_cut_fails_its_integration_checks():
     (["verify", "--case", "g3_3a", "--a", "1000"],
      "error: g3_3a: chart map at a = 1000.0 overflows at "
      "[-0.64265803 -1.09849224  0.35478337]\n"),
+    (["verify", "--case", "g3_3a", "--a", "1e300"],
+     "error: g3_3a: chart map at a = 1e+300 overflows at "
+     "[ 0.28490907 -0.45781468 -0.29221572]\n"),
     (["chart", "--case", "g1_3a", "--a", "1000"],
      "error: g1_3a: chart map at a = 1000.0 overflows at "
      "[-1.5        -1.2        -1.37079633]\n"),
@@ -418,7 +435,8 @@ def test_verify_at_a_branch_cut_fails_its_integration_checks():
 ], ids=["verify_g3_1_lambda_0", "verify_g3_3a_a_40",
         "verify_g1_3a_a_50", "solve_g3_1_lambda_0", "solve_g3_3a_a_40", "solve_g3_3a_a_1000",
         "solve_g3_3a_lambda_1e300", "solve_g3_3a_lambda_minus_1e4",
-        "verify_g1_3a_a_1000", "verify_g3_3a_a_1000", "chart_g1_3a_a_1000",
+        "verify_g1_3a_a_1000", "verify_g3_3a_a_1000", "verify_g3_3a_a_1e300",
+        "chart_g1_3a_a_1000",
         "verify_g3_2_mu_1e300", "solve_g3_4_J_1e200"])
 def test_numerical_failure_exits_1_with_its_message(argv, message):
     assert len(message) < 200

@@ -5,19 +5,21 @@ coboundary machinery against explicitly constructed shifts.
 """
 
 import io
+import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dskg import cli, lie_core
+from dskg import cases, cli, lie_core
 from dskg.cases import CASES, case_spec
 from dskg.dual import Dual
 from dskg.geometry import induced_metric
 from dskg.lie_core import (ALL_CASES, AMBIENT_LABELS, CLOSURE_TOL, CaseId,
                            INTEGRABLE_CASES, LieAlgebraSpec, PARAMETERIZED_CASES,
-                           case_extension, closure_check, coboundary_shift,
-                           coboundary_solve, extend, index, integrability_check,
+                           case_extension, coboundary_shift, coboundary_solve,
+                           derive_structure, extend, index, integrability_check,
                            so13_algebra, standard_cocycle, subalgebra, table3,
                            table3_diff)
 from dskg.operators import PolyExpProbe, TableFit
@@ -39,6 +41,17 @@ def test_so13_structure():
     assert alg.structure_constants[r12, r23, r13] == 1.0
 
 
+def test_validate_scales_large_constants_and_refuses_nan():
+    # both identities are homogeneous in C: checked on C / max|C|, constants
+    # of size 1e300 neither overflow nor warn, and a NaN residual fails
+    c = so13_algebra().structure_constants
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        LieAlgebraSpec(c * 1e300).validate()
+    with pytest.raises(ValueError, match="antisymmetric"):
+        LieAlgebraSpec(np.full_like(c, np.nan)).validate()
+
+
 def test_catalog_has_13_entries_and_families_are_factories():
     assert len(CASES) == 13
     assert [s.case_id for s in CASES] == ALL_CASES
@@ -54,16 +67,16 @@ def test_catalog_has_13_entries_and_families_are_factories():
 @pytest.mark.parametrize("case", ALL_CASES)
 def test_closure_with_catalog_constants(case):
     a = 1.0 if case in PARAMETERIZED_CASES else None
-    rep = closure_check(subalgebra(case, a))
-    assert rep.max_residual <= CLOSURE_TOL
-    assert rep.max_residual < 1e-12
+    _, off_span = derive_structure(subalgebra(case, a).generator_coeffs, case.value)
+    assert off_span.max() <= CLOSURE_TOL
+    assert off_span.max() < 1e-12
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_parameterized_closure(a):
     for case in PARAMETERIZED_CASES:
-        rep = closure_check(subalgebra(case, a))
-        assert rep.max_residual < 1e-12
+        _, off_span = derive_structure(subalgebra(case, a).generator_coeffs, case.value)
+        assert off_span.max() < 1e-12
 
 
 def test_family_requires_positive_parameter():
@@ -90,15 +103,27 @@ def test_specific_bracket_rows():
 
 
 def test_artificial_non_closed_pair_is_flagged():
-    sub = subalgebra(CaseId.G22)  # rows J12, J03 span a closed algebra
-    bad = lie_core.SubalgebraSpec(
-        CaseId.G22, None,
-        np.array([[1.0, 0, 0, 0, 0, 0], [0, 0, 0, 1.0, 0, 0]]),  # J01 and J12
-        sub.algebra)
-    rep = closure_check(bad)
-    assert rep.max_residual > CLOSURE_TOL
-    assert rep.max_residual > 0.5
-    assert rep.worst_pair == (1, 2)
+    # J01 and J12 bracket to J02, outside their span
+    _, off_span = derive_structure(np.array([[1.0, 0, 0, 0, 0, 0], [0, 0, 0, 1.0, 0, 0]]),
+                                   "J01, J12")
+    assert off_span.max() > CLOSURE_TOL
+    assert off_span.max() > 0.5
+    assert off_span[0, 1] == off_span.max()
+
+
+@pytest.mark.parametrize("rows,message", [
+    # g3_1's boost made J03 + 1e-3 J23: [X1, X3] leaves the span
+    ([[1.0, 0, 0, 0, -1.0, 0], [0, 1.0, 0, 0, 0, -1.0], [0, 0, 1.0, 0, 0, 1e-3]],
+     r"g3_1: \[X1, X3\] leaves the span of the generator rows by 0\.001"),
+    # X2 shares X1's only unit column
+    ([[1.0, 0, 0, 0, -1.0, 0], [1e-3, 1.0, 0, 0, 0, -1.0], [0, 0, 1.0, 0, 0, 0]],
+     "g3_1: generator row X1 has no unit column"),
+], ids=["off_span", "no_unit_column"])
+def test_subalgebra_refuses_rows_it_cannot_derive(monkeypatch, rows, message):
+    spec = case_spec(CaseId.G31)
+    monkeypatch.setitem(cases._BY_ID, CaseId.G31, replace(spec, generators=lambda a: rows))
+    with pytest.raises(ValueError, match=message):
+        subalgebra(CaseId.G31)
 
 
 # -------------------------------------------------------------- cocycles
