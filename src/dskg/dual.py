@@ -19,10 +19,14 @@ entry that is a plain ``complex`` zero, as the seeds and constants start
 them, is a structural zero: every product, sum, reciprocal and composition
 drops each term that has one as a factor, and an entry all of whose terms
 are dropped stays the plain ``0j`` instead of becoming a lane array of
-zeros.  Values are always multiplied.  A jet stores its Hessian once, as
-the k(k+1)/2 entries of its upper triangle row by row (``Dual.upper``), and
-every operation works entry by entry on that triangle; only the read-outs
-build the k rows, in which ``hess[j][i]`` is the same object as ``hess[i][j]``.
+zeros.  Values are always multiplied.  Each operation tests its entries for
+a structural zero inline (``type(e) is complex and e == 0``), so that a jet
+costs its arithmetic and no call per entry.  A jet stores its Hessian once,
+as the k(k+1)/2 entries of its upper triangle row by row (``Dual.upper``),
+and every operation works entry by entry on that triangle.  The read-outs
+build the k rows: :attr:`Dual.hess` as tuples, in which ``hess[j][i]`` is
+the same object as ``hess[i][j]``, and :func:`arrays` by one gather of the
+stored entries.
 
 A lane dropped by :func:`drop_lanes` is NaN in every entry, and so is that
 lane of every entry computed from the dropped jet afterwards.  A NaN that
@@ -33,59 +37,26 @@ structural zeros.
 from __future__ import annotations
 
 import cmath
+from itertools import compress
 
 import numpy as np
 
 
-def _zero(e):
-    """True for a structural zero: a plain ``complex`` 0, never a lane array.
-
-    The helpers below inline this test; they run once per entry of every
-    operation."""
-    return type(e) is complex and e == 0
-
-
-def _times(a, b):
-    """a * b of two derivative entries, or ``0j`` when either is a structural zero."""
-    if type(a) is complex and a == 0 or type(b) is complex and b == 0:
-        return 0j
-    return a * b
-
-
-# a value factor v is always multiplied; the factors keep their order because
-# numpy's complex product is not bitwise commutative
-
-def _lmul(v, a):
-    """v * a for a derivative entry ``a``, or ``0j`` when it is a structural zero."""
-    return 0j if type(a) is complex and a == 0 else v * a
-
-
-def _rmul(a, v):
-    """a * v for a derivative entry ``a``, or ``0j`` when it is a structural zero."""
-    return 0j if type(a) is complex and a == 0 else a * v
-
-
-def _plus(a, b):
-    """a + b, skipping a structural zero."""
-    if type(a) is complex and a == 0:
-        return b
-    if type(b) is complex and b == 0:
-        return a
-    return a + b
-
-
 class _Triangles(dict):
     """For a jet in k variables: the (i, j) positions with i <= j of its
-    Hessian, row by row, as :attr:`Dual.upper` stores them, and for every
-    position of the full matrix the index of its entry there; built at the
+    Hessian, row by row, as :attr:`Dual.upper` stores them; for every
+    position of the full matrix the index of its entry there; and the index
+    that gathers a stored jet, value, gradient and triangle, into the value,
+    gradient and k x k rows that :func:`arrays` reads out.  Built at the
     first jet in k variables."""
 
     def __missing__(self, k):
         pairs = tuple((i, j) for i in range(k) for j in range(i, k))
         at = tuple(tuple(pairs.index((min(i, j), max(i, j))) for j in range(k))
                    for i in range(k))
-        self[k] = pairs, at
-        return pairs, at
+        gather = np.array([*range(k + 1), *(k + 1 + n for row in at for n in row)])
+        self[k] = pairs, at, gather
+        return self[k]
 
 
 _TRIANGLES = _Triangles()
@@ -151,8 +122,14 @@ class Dual:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return Dual(self.val + o.val, tuple(_plus(a, b) for a, b in zip(self.grad, o.grad)),
-                    tuple(_plus(a, b) for a, b in zip(self.upper, o.upper)))
+        # a structural zero is skipped: the other term is the sum
+        return Dual(self.val + o.val,
+                    tuple([b if type(a) is complex and a == 0 else
+                           a if type(b) is complex and b == 0 else a + b
+                           for a, b in zip(self.grad, o.grad)]),
+                    tuple([b if type(a) is complex and a == 0 else
+                           a if type(b) is complex and b == 0 else a + b
+                           for a, b in zip(self.upper, o.upper)]))
 
     __radd__ = __add__
 
@@ -168,16 +145,38 @@ class Dual:
     def __mul__(self, other):
         if not isinstance(other, Dual):
             c = complex(other)
-            return Dual(self.val * c, tuple(_rmul(a, c) for a in self.grad),
-                        tuple(_rmul(a, c) for a in self.upper))
-        pairs = _TRIANGLES[len(self.grad)][0]
+            return Dual(self.val * c,
+                        tuple([0j if type(a) is complex and a == 0 else a * c for a in self.grad]),
+                        tuple([0j if type(a) is complex and a == 0 else a * c
+                               for a in self.upper]))
         sv, ov = self.val, other.val
         sg, og = self.grad, other.grad
-        g = tuple(_plus(_rmul(a, ov), _lmul(sv, b)) for a, b in zip(sg, og))
-        h = tuple(_plus(_plus(_plus(_rmul(a, ov), _times(sg[i], og[j])),
-                              _times(sg[j], og[i])), _lmul(sv, b))
-                  for (i, j), a, b in zip(pairs, self.upper, other.upper))
-        return Dual(sv * ov, g, h)
+        sz = [type(a) is complex and a == 0 for a in sg]
+        oz = [type(b) is complex and b == 0 for b in og]
+        # each entry is a sum of products, added left to right; a product with
+        # a structural zero factor is the structural zero 0j, and a sum skips
+        # a term that is a complex zero, as __add__ does.  A value factor is
+        # always multiplied, and the factors keep their order because numpy's
+        # complex product is not bitwise commutative
+        g = []
+        for a, b, za, zb in zip(sg, og, sz, oz):
+            x = 0j if za else a * ov
+            y = 0j if zb else sv * b
+            g.append(y if type(x) is complex and x == 0 else
+                     x if type(y) is complex and y == 0 else x + y)
+        h = []
+        for (i, j), a, b in zip(_TRIANGLES[len(sg)][0], self.upper, other.upper):
+            x = 0j if type(a) is complex and a == 0 else a * ov
+            y = 0j if sz[i] or oz[j] else sg[i] * og[j]
+            x = (y if type(x) is complex and x == 0 else
+                 x if type(y) is complex and y == 0 else x + y)
+            y = 0j if sz[j] or oz[i] else sg[j] * og[i]
+            x = (y if type(x) is complex and x == 0 else
+                 x if type(y) is complex and y == 0 else x + y)
+            y = 0j if type(b) is complex and b == 0 else sv * b
+            h.append(y if type(x) is complex and x == 0 else
+                     x if type(y) is complex and y == 0 else x + y)
+        return Dual(sv * ov, tuple(g), tuple(h))
 
     __rmul__ = __mul__
 
@@ -185,11 +184,14 @@ class Dual:
         iv = 1.0 / self.val
         iv2 = iv * iv
         sg = self.grad
-        g = tuple(_rmul(-a, iv2) for a in sg)
+        sz = [type(a) is complex and a == 0 for a in sg]
+        g = tuple([0j if za else -a * iv2 for a, za in zip(sg, sz)])
         h = []
         for (i, j), e in zip(_TRIANGLES[len(sg)][0], self.upper):
-            t = 0j if _zero(sg[i]) or _zero(sg[j]) else 2.0 * sg[i] * sg[j] * iv
-            h.append(_rmul(t if _zero(e) else -e if _zero(t) else t - e, iv2))
+            t = 0j if sz[i] or sz[j] else 2.0 * sg[i] * sg[j] * iv
+            t = (t if type(e) is complex and e == 0 else
+                 -e if type(t) is complex and t == 0 else t - e)
+            h.append(0j if type(t) is complex and t == 0 else t * iv2)
         return Dual(iv, g, tuple(h))
 
     def __truediv__(self, other):
@@ -219,10 +221,15 @@ class Dual:
     def lift(self, f0, f1, f2):
         """Compose with a scalar function given by value/first/second derivative."""
         sg = self.grad
-        g = tuple(_lmul(f1, a) for a in sg)
-        h = tuple(_plus(_lmul(f1, e), 0j if _zero(sg[i]) or _zero(sg[j]) else f2 * sg[i] * sg[j])
-                  for (i, j), e in zip(_TRIANGLES[len(sg)][0], self.upper))
-        return Dual(f0, g, h)
+        sz = [type(a) is complex and a == 0 for a in sg]
+        g = tuple([0j if za else f1 * a for a, za in zip(sg, sz)])
+        h = []
+        for (i, j), e in zip(_TRIANGLES[len(sg)][0], self.upper):
+            x = 0j if type(e) is complex and e == 0 else f1 * e
+            y = 0j if sz[i] or sz[j] else f2 * sg[i] * sg[j]
+            h.append(y if type(x) is complex and x == 0 else
+                     x if type(y) is complex and y == 0 else x + y)
+        return Dual(f0, g, tuple(h))
 
     def __repr__(self):
         return f"Dual({self.val!r}, grad={self.grad!r})"
@@ -326,29 +333,31 @@ def arrays(jets, k):
     lane array, and empty for point jets; an entry without lanes, such as a
     constant's zero derivatives, is broadcast to every lane.
     """
-    width = 1 + k + k * k
+    # each jet as stored, value, gradient and triangle, then one gather
+    # builds every jet's k x k rows
+    width = 1 + k + k * (k + 1) // 2
     flat = []
     for x in jets:
         if isinstance(x, Dual):
             flat.append(x.val)
             flat.extend(x.grad)
-            for row in x.hess:
-                flat.extend(row)
+            flat.extend(x.upper)
         else:
             flat.append(complex(x))
             flat.extend((0j,) * (width - 1))
     # one assignment for the lane arrays, one for the entries without lanes
-    lane_at = [i for i, e in enumerate(flat) if isinstance(e, np.ndarray)]
-    if lane_at:
-        lead = flat[lane_at[0]].shape
-        fixed_at = [i for i, e in enumerate(flat) if not isinstance(e, np.ndarray)]
+    is_lane = [isinstance(e, np.ndarray) for e in flat]
+    lanes = list(compress(flat, is_lane))
+    if lanes:
+        lead = lanes[0].shape
         block = np.empty(lead + (len(flat),), dtype=complex)
-        block[..., lane_at] = np.array([flat[i] for i in lane_at]).T
-        block[..., fixed_at] = [flat[i] for i in fixed_at]
+        fixed = [not lane for lane in is_lane]
+        block[..., list(compress(range(len(flat)), is_lane))] = np.array(lanes).T
+        block[..., list(compress(range(len(flat)), fixed))] = list(compress(flat, fixed))
     else:
         lead = ()
         block = np.array(flat, dtype=complex)
-    block = block.reshape(lead + (len(jets), width))
+    block = block.reshape(lead + (len(jets), width))[..., _TRIANGLES[k][2]]
     return (block[..., 0], block[..., 1:k + 1],
             block[..., k + 1:].reshape(lead + (len(jets), k, k)))
 

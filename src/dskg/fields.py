@@ -149,9 +149,10 @@ def exterior_derivative(form):
     return total
 
 
-def closedness_residual(form) -> float:
-    """Max |dF| over the points of the component jets ``form``."""
-    return float(np.max(np.abs(dual.value(exterior_derivative(form)))))
+def closedness_residual(d_form) -> float:
+    """Max |dF| over the points, from the jet ``d_form`` of (dF)_{012}
+    (:func:`exterior_derivative`)."""
+    return float(np.max(np.abs(dual.value(d_form))))
 
 
 def interior_product(x, form):
@@ -173,31 +174,34 @@ _EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
 _EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
 
 
-def lie_derivative(x, form) -> np.ndarray:
+def lie_derivative(x, x_form, d_form) -> np.ndarray:
     """(L_X F)_ab = d(i_X F)_ab + (i_X dF)_ab from the component jets ``x`` of
-    the vector field and ``form`` of the 2-form, with a grid's lane axis first."""
-    m = _d_one_form(interior_product(x, form))
-    t = exterior_derivative(form)
-    if dual.is_zero(t):
+    the vector field, ``x_form`` of i_X F (:func:`interior_product`) and
+    ``d_form`` of dF (:func:`exterior_derivative`), with a grid's lane axis
+    first."""
+    m = _d_one_form(x_form)
+    if dual.is_zero(d_form):
         return m
     # (i_X dF)_{bc} = T eps_{abc} X^a with T = (dF)_{012}
     eps_x = np.einsum("abc,...a->...bc", _EPS, dual.arrays(x, 3)[0])
-    return m + np.asarray(dual.value(t))[..., None, None] * eps_x
+    return m + np.asarray(dual.value(d_form))[..., None, None] * eps_x
 
 
-def invariance_residual(generators, form) -> float:
+def invariance_residual(generators, interiors, d_form) -> float:
     """Max |L_{X_A} F| over the generators and points, from the generator
-    component jets (:func:`dskg.geometry.generator_jets`) and the 2-form's."""
-    return max(float(np.max(np.abs(lie_derivative(x, form)))) for x in generators)
+    component jets (:func:`dskg.geometry.generator_jets`), the jets of each
+    i_{X_A} F and of dF."""
+    return max(float(np.max(np.abs(lie_derivative(x, x_form, d_form))))
+               for x, x_form in zip(generators, interiors))
 
 
-def chi_residual(chis, generators, form) -> float:
+def chi_residual(chis, interiors) -> float:
     """Max |d chi_A + i_{X_A} F| over the generators and points, from the jets
-    of each chi_A (:func:`solve_chi`), of the generator components and of the
-    2-form."""
+    of each chi_A (:func:`solve_chi`) and of each i_{X_A} F
+    (:func:`interior_product`)."""
     worst = 0.0
-    for chi, x in zip(chis, generators):
-        w = dual.arrays(interior_product(x, form), 3)[0]
+    for chi, x_form in zip(chis, interiors):
+        w = dual.arrays(x_form, 3)[0]
         grad = dual.arrays([chi], 3)[1][..., 0, :]
         worst = max(worst, float(np.max(np.abs(grad + w))))
     return worst

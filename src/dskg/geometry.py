@@ -223,30 +223,24 @@ def metric_jet(case_id: CaseId, coords, parameter_a: Optional[float] = None):
     """Induced metric with first derivatives, from one exact chart 2-jet at
     ``coords`` (a point or grid seed, as for :func:`chart_jets`).
 
-    Returns (g, dg, g_inv, sqrtg, dsqrtg, d_ginv) with dg[..., c, a, b] the
-    coordinate derivative d_c g_ab.  Raises :class:`RankDeficientError`, naming
-    the entry and the first point, where the metric is not of signature
-    (+, -, -): such a point lies outside the chart domain.
+    Returns (g, dg, g_inv, sqrtg) with dg[..., c, a, b] the coordinate
+    derivative d_c g_ab and sqrtg = sqrt|det g|.  Raises
+    :class:`RankDeficientError`, naming the entry and the first point, where
+    the metric is not of signature (+, -, -): such a point lies outside the
+    chart domain.
     """
     chart = chart_for(case_id, parameter_a)
     _, jac, hes = chart_jets(chart, coords)
     g = _checked_metric(chart, coords, jac)
     dg = np.einsum("i,...iac,...ib->...cab", ETA, hes, jac) \
         + np.einsum("i,...ia,...ibc->...cab", ETA, jac, hes)
-    ginv = np.linalg.inv(g)
-    sqrtg = np.sqrt(np.abs(np.linalg.det(g)))
-    # d(det)/dx_c = det * tr(ginv dg); d sqrt|det| = sqrt|det| tr(ginv dg)/2
-    tr = np.einsum("...ab,...cba->...c", ginv, dg)
-    dsqrtg = 0.5 * sqrtg[..., None] * tr
-    dginv = -np.einsum("...ae,...ceb,...bf->...caf", ginv, dg, ginv)
-    return g, dg, ginv, sqrtg, dsqrtg, dginv
+    return g, dg, np.linalg.inv(g), np.sqrt(np.abs(np.linalg.det(g)))
 
 
 def induced_metric(case_id: CaseId, coords,
                    parameter_a: Optional[float] = None) -> MetricSample:
     """The induced metric at ``coords``; raises as :func:`metric_jet` does."""
-    g, dg, ginv, sqrtg, _, _ = metric_jet(case_id, coords, parameter_a)
-    return MetricSample(g, dg, ginv, sqrtg)
+    return MetricSample(*metric_jet(case_id, coords, parameter_a))
 
 
 def generator_jets(case_id: CaseId, coords, parameter_a: Optional[float] = None):
@@ -254,16 +248,13 @@ def generator_jets(case_id: CaseId, coords, parameter_a: Optional[float] = None)
     return [[fn(coords) for fn in comp] for comp in rect_components(case_id, parameter_a)]
 
 
-def killing_residual(metric: MetricSample, generators) -> float:
-    """Max |(L_X g)_ab| over the generators and points, from the metric and the
-    generator-component jets (:func:`generator_jets`) at the same coordinates."""
-    xval, dx, _ = dual.arrays([x for comp in generators for x in comp], 3)
-    xval = xval.real.reshape(xval.shape[:-1] + (-1, 3))      # [..., A, c] = X_A^c
-    dx = dx.real.reshape(dx.shape[:-2] + (-1, 3, 3))         # [..., A, c, a] = d_a X_A^c
+def killing_residual(metric: MetricSample, xval: np.ndarray, dx: np.ndarray) -> float:
+    """Max |(L_X g)_ab| over the generators and points, from the metric and, at
+    the same coordinates, the generator components' values xval[..., A, c] =
+    X_A^c and gradients dx[..., A, c, a] = d_a X_A^c."""
     g, dg = metric.g, metric.dg
     # (L_X g)_ab = X^c d_c g_ab + g_cb d_a X^c + g_ac d_b X^c
     lie = np.einsum("...Ac,...cab->...Aab", xval, dg) \
         + np.einsum("...cb,...Aca->...Aab", g, dx) \
         + np.einsum("...ac,...Acb->...Aab", g, dx)
     return float(np.max(np.abs(lie)))
-

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -268,13 +268,16 @@ def integrability_check(ext: LieAlgebraSpec) -> IntegrabilityRecord:
     return IntegrabilityRecord(dim, ind, s, l, m_tilde, dim + ind >= 2 * MANIFOLD_DIM)
 
 
-def case_extension(case_id: CaseId, mu: float = 1.0, a: float = 1.0) -> LieAlgebraSpec:
-    return extend(subalgebra(case_id, a).algebra, standard_cocycle(case_id, mu))
+def case_extension(sub: SubalgebraSpec, mu: float = 1.0) -> LieAlgebraSpec:
+    """The central extension of one entry's subalgebra by its standard cocycle."""
+    return extend(sub.algebra, standard_cocycle(sub.case_id, mu))
 
 
-def table3(mu: float = 1.0, a: float = 1.0) -> dict[CaseId, IntegrabilityRecord]:
-    """Computed classification table over the whole catalog."""
-    return {case: integrability_check(case_extension(case, mu, a)) for case in ALL_CASES}
+def table3(subalgebras: Sequence[SubalgebraSpec],
+           mu: float = 1.0) -> dict[CaseId, IntegrabilityRecord]:
+    """Computed classification table of the catalog entries' ``subalgebras``,
+    in their order."""
+    return {sub.case_id: integrability_check(case_extension(sub, mu)) for sub in subalgebras}
 
 
 def table3_diff(table: dict[CaseId, IntegrabilityRecord]) -> dict[CaseId, dict]:

@@ -255,7 +255,11 @@ def kg_generic_coefficients(case_id: CaseId, config: FieldConfig, coords):
     + 6 zeta + m^2.  Independent of the registry's closed forms: it reads only
     the chart metric jet and the gauge potential.
     """
-    _, _, ginv, sqrtg, dsqrtg, dginv = metric_jet(case_id, coords, config.parameter_a)
+    _, dg, ginv, sqrtg = metric_jet(case_id, coords, config.parameter_a)
+    # d_c sqrt|det g| = sqrt|det g| tr(g^-1 d_c g) / 2 and d_c g^-1 = -g^-1 (d_c g) g^-1
+    tr = np.einsum("...ab,...cba->...c", ginv, dg)
+    dsqrtg = 0.5 * sqrtg[..., None] * tr
+    dginv = -np.einsum("...ae,...ceb,...bf->...caf", ginv, dg, ginv)
     gauge = [a(coords) for a in gauge_one_form(case_id, config)]
     e = config.e
     aval, agrad, _ = dual.arrays(gauge, 3)  # agrad[..., b, c] = d_c A_b
@@ -318,7 +322,9 @@ class PolyExpProbe:
         eye, steps = np.eye(3), []
         for a, d in enumerate(self.dvec):  # D_a on the flattened cube
             m = [np.diag([1.0, 2.0], 1) + d * eye if b == a else eye for b in range(3)]
-            steps.append(np.kron(np.kron(m[0], m[1]), m[2]))
+            # (m0 x m1) x m2, multiplied in np.kron's order, as one outer product
+            steps.append((m[0][:, None, None, :, None, None] * m[1][None, :, None, None, :, None]
+                          * m[2][None, None, :, None, None, :]).reshape(27, 27))
         cubes = [self.c.reshape(27)]
         for _ in range(3):  # the new derivative axis goes last, before the cube's
             cubes.append(np.einsum("aij,...j->...ai", steps, cubes[-1]))

@@ -3,7 +3,8 @@ import pytest
 
 from dskg import dual
 from dskg.dual import Dual
-from dskg.fields import FieldConfig, TwoForm
+from dskg.fields import (FieldConfig, TwoForm, exterior_derivative, interior_product,
+                         invariance_residual, lie_derivative)
 from dskg.geometry import chart_for, sample_domain
 from dskg.lie_core import PARAMETERIZED_CASES
 from dskg.operators import operator_jets
@@ -42,6 +43,18 @@ def counted(fn, calls):
         return fn(*args)
     calls[wrapper] = 0
     return wrapper
+
+
+def lie_derivative_of(x, form):
+    """L_X F from the component jets of X and of F, deriving i_X F and dF."""
+    return lie_derivative(x, interior_product(x, form), exterior_derivative(form))
+
+
+def invariance_of(generators, form):
+    """Max |L_{X_A} F| from the generator and 2-form component jets, deriving
+    each i_{X_A} F and dF once."""
+    return invariance_residual(generators, [interior_product(x, form) for x in generators],
+                               exterior_derivative(form))
 
 
 def perturbed_form(form, entry, extra):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dskg import cli, dual, fields, integrate, operators
+from dskg import cli, dual, fields, integrate, lie_core, operators
 from dskg.cases import case_spec
 from dskg.cli import (DEFAULT_TOLERANCES, RunConfig, UsageError, _run_config_from, build_parser,
                       main, parse_complex)
@@ -186,6 +186,24 @@ def test_verify_refuses_a_j_out_of_range_before_any_check(monkeypatch):
     # the counter sees the check when it runs
     assert run_cli("verify", "--case", "g1_1", "--J", "0")[0] == 0
     assert calls
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_verify_derives_each_form_jet_once(monkeypatch, case):
+    # i_X F of each generator is shared by field_invariance and chi_gradient,
+    # and dF by field_closedness and every Lie derivative
+    interiors = _count_calls(monkeypatch, fields, "interior_product", (cli, fields))
+    derivatives = _count_calls(monkeypatch, fields, "exterior_derivative", (cli, fields))
+    assert run_cli("verify", "--case", case.value)[0] == 0
+    assert len(interiors) == case_spec(case).dim
+    assert len(derivatives) == 1
+
+
+def test_catalog_builds_each_subalgebra_once(monkeypatch):
+    # the JSON entries and the Table 3 computation share one build per entry
+    built = _count_calls(monkeypatch, lie_core, "subalgebra", (cli, lie_core))
+    assert run_cli("catalog")[0] == 0
+    assert [args[0] for args in built] == ALL_CASES
 
 
 @pytest.mark.parametrize("case", INTEGRABLE_CASES)

@@ -2,11 +2,12 @@
 differences (the only place finite differences are allowed)."""
 
 import cmath
+import contextlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from dskg import dual
 from dskg.dual import Dual
@@ -542,3 +543,180 @@ def test_dropped_lanes_are_nan_in_every_entry_and_every_later_jet():
     for got, want in zip((dropped.val, *dropped.grad, *dropped.hess[0], dropped.hess[1][1]),
                          (f.val, *f.grad, *f.hess[0], f.hess[1][1])):
         assert np.array_equal(got[[0, 2]], np.broadcast_to(want, 3)[[0, 2]])
+
+
+# -- the inline dispatch against the per-entry helper calls, bit for bit -----
+
+def _is_zero(e):
+    return type(e) is complex and e == 0
+
+
+def _times(a, b):
+    return 0j if _is_zero(a) or _is_zero(b) else a * b
+
+
+def _lmul(v, a):
+    return 0j if _is_zero(a) else v * a
+
+
+def _rmul(a, v):
+    return 0j if _is_zero(a) else a * v
+
+
+def _plus(a, b):
+    if _is_zero(a):
+        return b
+    if _is_zero(b):
+        return a
+    return a + b
+
+
+class _Helpers:
+    """The reference arithmetic of :class:`Dual`: every entry of a product,
+    sum, reciprocal and composition written as calls of the zero-skipping
+    helpers above.  :func:`_helper_arithmetic` installs these methods on
+    :class:`Dual`, whose inline dispatch must give the same bits."""
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return Dual(self.val + o.val, tuple(_plus(a, b) for a, b in zip(self.grad, o.grad)),
+                    tuple(_plus(a, b) for a, b in zip(self.upper, o.upper)))
+
+    def __mul__(self, other):
+        if not isinstance(other, Dual):
+            c = complex(other)
+            return Dual(self.val * c, tuple(_rmul(a, c) for a in self.grad),
+                        tuple(_rmul(a, c) for a in self.upper))
+        pairs = dual._TRIANGLES[len(self.grad)][0]
+        sv, ov = self.val, other.val
+        sg, og = self.grad, other.grad
+        g = tuple(_plus(_rmul(a, ov), _lmul(sv, b)) for a, b in zip(sg, og))
+        h = tuple(_plus(_plus(_plus(_rmul(a, ov), _times(sg[i], og[j])),
+                              _times(sg[j], og[i])), _lmul(sv, b))
+                  for (i, j), a, b in zip(pairs, self.upper, other.upper))
+        return Dual(sv * ov, g, h)
+
+    def reciprocal(self):
+        iv = 1.0 / self.val
+        iv2 = iv * iv
+        sg = self.grad
+        g = tuple(_rmul(-a, iv2) for a in sg)
+        h = []
+        for (i, j), e in zip(dual._TRIANGLES[len(sg)][0], self.upper):
+            t = 0j if _is_zero(sg[i]) or _is_zero(sg[j]) else 2.0 * sg[i] * sg[j] * iv
+            h.append(_rmul(t if _is_zero(e) else -e if _is_zero(t) else t - e, iv2))
+        return Dual(iv, g, tuple(h))
+
+    def lift(self, f0, f1, f2):
+        sg = self.grad
+        g = tuple(_lmul(f1, a) for a in sg)
+        h = tuple(_plus(_lmul(f1, e), 0j if _is_zero(sg[i]) or _is_zero(sg[j])
+                        else f2 * sg[i] * sg[j])
+                  for (i, j), e in zip(dual._TRIANGLES[len(sg)][0], self.upper))
+        return Dual(f0, g, h)
+
+
+_HELPER_METHODS = {"__add__": _Helpers.__add__, "__radd__": _Helpers.__add__,
+                   "__mul__": _Helpers.__mul__, "__rmul__": _Helpers.__mul__,
+                   "reciprocal": _Helpers.reciprocal, "lift": _Helpers.lift}
+
+
+@contextlib.contextmanager
+def _helper_arithmetic():
+    """:class:`Dual` with the reference methods of :class:`_Helpers`."""
+    saved = {name: Dual.__dict__[name] for name in _HELPER_METHODS}
+    try:
+        for name, fn in _HELPER_METHODS.items():
+            setattr(Dual, name, fn)
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(Dual, name, fn)
+
+
+def _row_arrays(jets, k):
+    """:func:`dual.arrays` read out from the k Hessian rows of each jet."""
+    width = 1 + k + k * k
+    flat = []
+    for x in jets:
+        if isinstance(x, Dual):
+            flat.append(x.val)
+            flat.extend(x.grad)
+            for row in x.hess:
+                flat.extend(row)
+        else:
+            flat.append(complex(x))
+            flat.extend((0j,) * (width - 1))
+    lane_at = [i for i, e in enumerate(flat) if isinstance(e, np.ndarray)]
+    if lane_at:
+        lead = flat[lane_at[0]].shape
+        fixed_at = [i for i, e in enumerate(flat) if not isinstance(e, np.ndarray)]
+        block = np.empty(lead + (len(flat),), dtype=complex)
+        block[..., lane_at] = np.array([flat[i] for i in lane_at]).T
+        block[..., fixed_at] = [flat[i] for i in fixed_at]
+    else:
+        lead = ()
+        block = np.array(flat, dtype=complex)
+    block = block.reshape(lead + (len(jets), width))
+    return (block[..., 0], block[..., 1:k + 1],
+            block[..., k + 1:].reshape(lead + (len(jets), k, k)))
+
+
+def _bits(e):
+    """The bytes of an entry, sign bits and NaN payloads included."""
+    return np.ascontiguousarray(e).tobytes()
+
+
+def _same_bits(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).dtype == np.asarray(want).dtype and _bits(got) == _bits(want))
+
+
+def _assert_inline_matches_helpers(tree, leaves):
+    with _helper_arithmetic():
+        try:
+            want = _evaluate(tree, leaves(), dual)
+        except _Rejected:
+            assume(False)
+    got = _evaluate(tree, leaves(), dual)
+    for part in ("val", "grad", "upper"):
+        g, w = getattr(got, part), getattr(want, part)
+        if part == "val":
+            g, w = (g,), (w,)
+        assert len(g) == len(w)
+        for a, b in zip(g, w):
+            # a structural zero stays the plain 0j where the helpers leave one
+            assert _is_zero(a) == _is_zero(b), part
+            assert _same_bits(a, b), part
+    jets = [got, 2.5, leaves()[0], -0.0]
+    for a, b in zip(dual.arrays(jets, 3), _row_arrays(jets, 3)):
+        assert a.shape == b.shape and a.dtype == b.dtype and _bits(a) == _bits(b)
+
+
+@seed(2203)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_TREES,
+       st.lists(st.floats(0.2, 1.5), min_size=3 * _LANES, max_size=3 * _LANES),
+       st.lists(st.floats(-0.5, 0.5), min_size=3 * _LANES, max_size=3 * _LANES))
+def test_inline_dispatch_matches_the_helper_calls_bit_for_bit(tree, re, im):
+    cols = list((np.array(re) + 1j * np.array(im)).reshape(3, _LANES))
+    point = [complex(c[0]) for c in cols]
+    _assert_inline_matches_helpers(tree, lambda: Dual.seed_grid(cols))
+    _assert_inline_matches_helpers(tree, lambda: Dual.seed(point))
+
+
+_V0, _V1 = ("var", 0), ("var", 1)
+
+
+@seed(2204)
+@settings(max_examples=200, deadline=None, database=None)
+@given(_TREES, st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.25, 2.0]), min_size=3, max_size=3))
+# a reciprocal, a composition and a product whose gradient vanishes at the point
+@example(("pow", ("add", ("mul", _V0, _V0), ("shift", _V1, 2.0, False)), -1), [0.0, 0.0, 0.5])
+@example(("exp", ("mul", _V0, _V1)), [0.0, -0.0, 1.0])
+@example(("mul", ("sin", _V0), ("mul", _V1, _V1)), [-0.0, 0.0, 2.0])
+def test_inline_dispatch_matches_the_helper_calls_at_zero_coordinates(tree, point):
+    # point values of 0 and -0 make products that are complex zeros, which a
+    # sum skips as it skips a structural zero
+    _assert_inline_matches_helpers(tree, lambda: Dual.seed(point))
+    _assert_inline_matches_helpers(tree, lambda: Dual.seed_grid(dual.columns([point, point])))

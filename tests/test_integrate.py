@@ -711,9 +711,9 @@ def test_non_solution_has_visible_residual():
 
 def test_counting_identities_match_classification():
     # s, l, m_tilde of the five integrable rows
-    from dskg.lie_core import case_extension, integrability_check
+    from dskg.lie_core import case_extension, integrability_check, subalgebra
     for case in INTEGRABLE_CASES:
-        rec = integrability_check(case_extension(case))
+        rec = integrability_check(case_extension(subalgebra(case, 1.0)))
         assert (rec.s, rec.l, rec.m_tilde) == (1, 1, 1)
         assert rec.dim - rec.ind == 2 * rec.s
         assert rec.l == rec.ind - 1

@@ -240,14 +240,14 @@ def _exact_index(ext, seed=3):
     (CaseId.G32, 2), (CaseId.G34, 2), (CaseId.G35, 2), (CaseId.G41, 1),
 ])
 def test_index_against_exact_oracle(case, expected):
-    ext = case_extension(case, mu=1.0, a=1.0)
+    ext = case_extension(subalgebra(case, 1.0), mu=1.0)
     assert index(ext) == expected
     assert _exact_index(ext) == expected
 
 
 def test_index_zero_cocycle_two_dim_abelian():
     # rank of the zero matrix is zero, so the index equals the dimension
-    ext = case_extension(CaseId.G11)
+    ext = case_extension(subalgebra(CaseId.G11))
     assert index(ext) == 2
 
 
@@ -274,7 +274,7 @@ def change_basis(ext, transform):
 
 
 def test_index_invariant_under_center_preserving_basis_change(rng):
-    ext = case_extension(CaseId.G32, mu=1.0)
+    ext = case_extension(subalgebra(CaseId.G32), mu=1.0)
     base_index = index(ext)
     for _ in range(5):
         t = np.eye(4)
@@ -312,7 +312,7 @@ def _looped_index(ext, threshold=lie_core.RANK_THRESHOLD):
 def test_batched_rank_equals_the_per_probe_loop(case):
     for mu in (0.0, 0.3, 1.0, 2.0):
         for a in (0.5, 1.0, 2.0):
-            ext = case_extension(case, mu, a)
+            ext = case_extension(subalgebra(case, a), mu)
             batched = lie_core.coadjoint_singular_values(ext)
             looped = _looped_singular_values(ext)
             assert batched.shape == (len(looped), ext.dim)
@@ -333,23 +333,27 @@ def test_catalog_classifies_each_entry_once(monkeypatch):
 
 
 def test_integrability_records():
-    rec = integrability_check(case_extension(CaseId.G32))
+    rec = integrability_check(case_extension(subalgebra(CaseId.G32)))
     assert rec == (4, 2, 1, 1, 1, True)
-    rec = integrability_check(case_extension(CaseId.G21))
+    rec = integrability_check(case_extension(subalgebra(CaseId.G21)))
     assert rec == (3, 1, 1, 0, 2, False)
-    rec = integrability_check(case_extension(CaseId.G11))
+    rec = integrability_check(case_extension(subalgebra(CaseId.G11)))
     assert rec == (2, 2, 0, 1, 2, False)
 
 
+def _catalog(a=1.0):
+    return [subalgebra(case, a) for case in ALL_CASES]
+
+
 def test_table3_matches_reference_except_documented_row():
-    diff = table3_diff(table3())
+    diff = table3_diff(table3(_catalog()))
     assert set(diff) == {CaseId.G41}
     assert diff[CaseId.G41]["computed"] == (5, 1, 2, 0, 1, True)
     assert diff[CaseId.G41]["reference"] == case_spec(CaseId.G41).table3_reference
 
 
 def test_every_integrable_case_is_marked():
-    t3 = table3()
+    t3 = table3(_catalog())
     for case in ALL_CASES:
         assert t3[case].integrable == (case in INTEGRABLE_CASES or case == CaseId.G41)
 
@@ -392,7 +396,7 @@ def test_an_extension_is_validated_once(monkeypatch):
     monkeypatch.setattr(LieAlgebraSpec, "validate", counted)
     for case in ALL_CASES:
         dims.clear()
-        ext = case_extension(case)
+        ext = case_extension(subalgebra(case, 1.0))
         assert dims == [ext.dim - 1, ext.dim]
 
 

@@ -11,10 +11,10 @@ from dskg.cases import case_spec, const
 from dskg.fields import gauge_one_form, invariant_two_form
 from dskg.lie_core import ALL_CASES, CaseId, INTEGRABLE_CASES, standard_cocycle, subalgebra
 from dskg.dual import Dual
-from dskg.operators import (FIT_TOL, DiffOp1, DiffOp2, commutation_table_fit, commutator,
-                            kg_cross_residual, kg_generic_coefficients, kg_operator,
-                            operator_jets, random_probe, representation_residual,
-                            symmetry_check, symmetry_operators)
+from dskg.operators import (FIT_TOL, DiffOp1, DiffOp2, PolyExpProbe, commutation_table_fit,
+                            commutator, kg_cross_residual, kg_generic_coefficients,
+                            kg_operator, operator_jets, random_probe,
+                            representation_residual, symmetry_check, symmetry_operators)
 
 import pointwise
 from pointwise import DualProbe
@@ -269,6 +269,34 @@ def test_probe_derivatives_match_the_dual_probe():
         for order, (got, ref) in enumerate(zip(probe.derivatives(cols), want)):
             assert got.shape == ref.shape == (12,) + (3,) * order
             assert np.all(np.abs(got - ref) <= 1e-14 * (1 + np.abs(ref))), order
+
+
+def _kron_derivatives(probe, columns):
+    """:meth:`PolyExpProbe.derivatives` with each D_a built by two np.kron calls."""
+    x = np.asarray(columns, dtype=complex)
+    v = x[..., None] ** np.arange(3)
+    row = np.einsum("pi,pj,pk->pijk", *v).reshape(-1, 27) \
+        * np.exp(np.einsum("a,ap->p", probe.dvec, x))[:, None]
+    eye, steps = np.eye(3), []
+    for a, d in enumerate(probe.dvec):
+        m = [np.diag([1.0, 2.0], 1) + d * eye if b == a else eye for b in range(3)]
+        steps.append(np.kron(np.kron(m[0], m[1]), m[2]))
+    cubes = [probe.c.reshape(27)]
+    for _ in range(3):
+        cubes.append(np.einsum("aij,...j->...ai", steps, cubes[-1]))
+    return tuple(np.einsum("pi,...i->p...", row, cube) for cube in cubes)
+
+
+def test_probe_derivatives_match_the_kron_build_bit_for_bit():
+    # the broadcast outer product multiplies in np.kron's order, so even the
+    # signs of zero agree
+    rng = np.random.default_rng(3302)
+    probes = [random_probe(rng) for _ in range(20)]
+    probes.append(PolyExpProbe(probes[0].c, (complex(-0.0, 0.0), complex(0.0, -0.0), -0.25j)))
+    for probe in probes:
+        cols = dual.columns(rng.uniform(-1.5, 1.5, (6, 3)))
+        for got, want in zip(probe.derivatives(cols), _kron_derivatives(probe, cols)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("case", INTEGRABLE_CASES)
