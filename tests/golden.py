@@ -43,6 +43,10 @@ INVOCATIONS = (
     ("catalog", "--format", "csv"),
     ("catalog", "--a", "2.3"),
     ("catalog", "--mu", "0"),
+    ("catalog", "--mu", "1e-12"),
+    ("catalog", "--a", "0.37"),
+    ("catalog", "--a", "1e300"),
+    ("catalog", "--a", "0.5", "--mu", "0"),
     ("verify", "--case", "all"),
     ("verify", "--case", "all", "--seed", "3"),
     ("verify", "--case", "all", "--seed", "101", "--a", "2.3"),
