@@ -20,13 +20,14 @@ of that the module provides the one-dimensional central extensions realized by
 first-order symmetry operators: a cocycle is an antisymmetric (n, n) array F,
 and the extension by F is again a :class:`LieAlgebraSpec`, of dimension n + 1
 with the central element last.  Then come the coboundary test, the algebra
-index computed from coadjoint ranks, and the noncommutative-integrability
-count.
+index, exact because the generic coadjoint rank is read from principal
+Pfaffians in integer arithmetic, and the noncommutative-integrability count.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -42,9 +43,6 @@ ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 JACOBI_TOL = 1e-12
 CLOSURE_TOL = 1e-12
 COBOUNDARY_TOL = 1e-10
-RANK_THRESHOLD = 1e-10
-INDEX_SAMPLES = 200
-INDEX_SEED = 20813
 MANIFOLD_DIM = 3    # dS_3
 
 
@@ -57,11 +55,6 @@ def ambient_matrices() -> list[np.ndarray]:
         m[j, i] -= ETA[i, i]
         mats.append(m)
     return mats
-
-
-def _bracket_matrix(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
-    # linear fields X = A x, Y = B x have [X, Y] = (B A - A B) x
-    return mb @ ma - ma @ mb
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,16 +91,14 @@ class LieAlgebraSpec:
 
 @functools.cache
 def so13_algebra() -> LieAlgebraSpec:
-    """The 6-dimensional isometry algebra with exactly computed constants."""
-    mats = ambient_matrices()
-    basis = np.stack([m.ravel() for m in mats]).T  # 16 x 6
-    c = np.zeros((6, 6, 6))
-    for A in range(6):
-        for B in range(6):
-            br = _bracket_matrix(mats[A], mats[B]).ravel()
-            coef, res, *_ = np.linalg.lstsq(basis, br, rcond=None)
-            c[A, B] = np.round(coef)  # constants are exact small integers
-    spec = LieAlgebraSpec(c)
+    """The 6-dimensional isometry algebra, computed in integers: generator K is
+    the only one with an entry at its own pair (i, j), and that entry is +-1, so
+    a bracket's K-component is its (i, j) entry times that sign."""
+    mats = np.array(ambient_matrices(), dtype=int)
+    # linear fields X = A x, Y = B x have [X, Y] = (B A - A B) x
+    brackets = mats[None] @ mats[:, None] - mats[:, None] @ mats[None]
+    i, j = np.array(_AMBIENT_PAIRS).T
+    spec = LieAlgebraSpec((brackets[:, :, i, j] * mats[np.arange(6), i, j]).astype(float))
     spec.validate()
     return spec
 
@@ -225,23 +216,34 @@ def coboundary_shift(alg: LieAlgebraSpec, F: np.ndarray, lam: np.ndarray) -> np.
     return F - np.einsum("abc,c->ab", alg.structure_constants, lam)
 
 
-def coadjoint_singular_values(ext: LieAlgebraSpec) -> np.ndarray:
-    """Singular values of the coadjoint matrices C_AB^C f_C, one row per probe
-    covector f: all ones, the unit covectors, then INDEX_SAMPLES uniform draws
-    seeded with INDEX_SEED."""
-    n1 = ext.dim
-    rng = np.random.default_rng(INDEX_SEED)
-    probes = np.vstack([np.ones(n1), np.eye(n1),
-                        rng.uniform(-1.0, 1.0, size=(INDEX_SAMPLES, n1))])
-    mats = np.einsum("abc,pc->pab", ext.structure_constants, probes)
-    return np.linalg.svd(mats, compute_uv=False)
-
-
 def index(ext: LieAlgebraSpec) -> int:
-    """dim of the extension minus the generic coadjoint rank, by sampling."""
-    sv = coadjoint_singular_values(ext)
-    # a zero matrix has rank 0: none of its values exceeds RANK_THRESHOLD * 0
-    return ext.dim - int(np.max(np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1)))
+    """dim of the extension minus the generic rank of the skew coadjoint matrix
+    C_AB^C f_C: the largest 2k with a principal 2k x 2k Pfaffian that is not the
+    zero polynomial in f.  Float constants are dyadic rationals: scaled by their
+    common power-of-two denominator, they and every Pfaffian coefficient are ints."""
+    nonzero = np.nonzero(ext.structure_constants)
+    ratios = [x.as_integer_ratio() for x in ext.structure_constants[nonzero].tolist()]
+    den = max((d for _, d in ratios), default=1)
+    m = {}  # entry (A, B) as a polynomial {(C,): the coefficient of f_C}
+    for a, b, k, (num, d) in zip(*(i.tolist() for i in nonzero), ratios):
+        m.setdefault((a, b), {})[(k,)] = num * (den // d)
+
+    def pfaffian(rows: tuple) -> dict:
+        # a polynomial {sorted tuple of f's indices: coefficient}, expanded along
+        # the first row, so only entries above the diagonal are read
+        total = {} if rows else {(): 1}
+        for j in range(1, len(rows)):
+            minor = pfaffian(rows[1:j] + rows[j + 1:])
+            for mono, x in m.get((rows[0], rows[j]), {}).items():
+                for minor_mono, y in minor.items():
+                    key = tuple(sorted(mono + minor_mono))
+                    total[key] = total.get(key, 0) + (-1) ** (j + 1) * x * y
+        return {mono: v for mono, v in total.items() if v}
+
+    rank = 0
+    while any(pfaffian(rows) for rows in itertools.combinations(range(ext.dim), rank + 2)):
+        rank += 2
+    return ext.dim - rank
 
 
 class IntegrabilityRecord(NamedTuple):
@@ -258,10 +260,7 @@ class IntegrabilityRecord(NamedTuple):
 def integrability_check(ext: LieAlgebraSpec) -> IntegrabilityRecord:
     """The Table 3 row of the extension on the MANIFOLD_DIM-dimensional
     hyperboloid."""
-    dim = ext.dim
-    ind = index(ext)
-    if (dim - ind) % 2 != 0:
-        raise RuntimeError(f"index parity violated: dim = {dim}, ind = {ind}")
+    dim, ind = ext.dim, index(ext)
     s = (dim - ind) // 2
     l = ind - 1
     m_tilde = MANIFOLD_DIM - (dim + ind) // 2 + 1

@@ -1,7 +1,11 @@
 """Catalog, cocycles, index and integrability bookkeeping.
 
-The index sampler is checked against an exact-rational rank oracle, and the
-coboundary machinery against explicitly constructed shifts.
+The exact Pfaffian index is checked against two oracles kept here: a sampled
+SVD rank, whose relative threshold, sample count and seed are this file's
+defaults, and an exact-rational sympy rank at random covectors.
+The premise of the exact index, that the structure constants derived in
+floats are the exact ones, is checked against a ``Fraction`` derivation, and
+the coboundary machinery against explicitly constructed shifts.
 """
 
 import io
@@ -289,8 +293,9 @@ def test_index_invariant_under_center_preserving_basis_change(rng):
         assert index(ext2) == base_index
 
 
-def _looped_singular_values(ext, samples=lie_core.INDEX_SAMPLES, seed=lie_core.INDEX_SEED):
-    """One SVD per probe covector, in the sampler's probe order."""
+def _looped_singular_values(ext, samples=200, seed=20813):
+    """One SVD per probe covector: all ones, the unit covectors, then
+    ``samples`` uniform draws."""
     n1 = ext.dim
     c = ext.structure_constants
     rng = np.random.default_rng(seed)
@@ -300,7 +305,9 @@ def _looped_singular_values(ext, samples=lie_core.INDEX_SAMPLES, seed=lie_core.I
     return [np.linalg.svd(np.einsum("abc,c->ab", c, f), compute_uv=False) for f in probes]
 
 
-def _looped_index(ext, threshold=lie_core.RANK_THRESHOLD):
+def _looped_index(ext, threshold=1e-10):
+    """dim minus the largest count of singular values above ``threshold``
+    times the largest: the float oracle of the exact index."""
     best = 0
     for sv in _looped_singular_values(ext):
         if sv.size and sv[0] > 0:
@@ -310,14 +317,73 @@ def _looped_index(ext, threshold=lie_core.RANK_THRESHOLD):
 
 @pytest.mark.parametrize("case", ALL_CASES)
 def test_batched_rank_equals_the_per_probe_loop(case):
-    for mu in (0.0, 0.3, 1.0, 2.0):
-        for a in (0.5, 1.0, 2.0):
+    """The exact index equals the per-probe SVD loop over a mu x a grid."""
+    for mu in (0.0, 1e-12, 0.3, 1.0, 2.0, 1e300):
+        for a in (0.001, 0.37, 1.0, 2.3, 40.0, 1e15, 1e300):
             ext = case_extension(subalgebra(case, a), mu)
-            batched = lie_core.coadjoint_singular_values(ext)
-            looped = _looped_singular_values(ext)
-            assert batched.shape == (len(looped), ext.dim)
-            assert all(np.array_equal(row, sv) for row, sv in zip(batched, looped))
-            assert index(ext) == _looped_index(ext)
+            assert index(ext) == _looped_index(ext), (mu, a)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-11, 2.0 ** -40])
+def test_index_of_the_five_dimensional_heisenberg_algebra(eps):
+    # h_5: the cocycle e01 + eps e23 on an abelian 4-dimensional base has a
+    # 4 x 4 Pfaffian eps f4^2, a nonzero polynomial for every eps != 0, so the
+    # coadjoint rank is 4 and the index 1; the SVD oracle's relative threshold
+    # reads rank 2 once eps falls below it
+    f = np.zeros((4, 4))
+    f[0, 1], f[2, 3] = 1.0, eps
+    ext = extend(LieAlgebraSpec(np.zeros((4, 4, 4))), f - f.T)
+    assert index(ext) == 1
+    assert _looped_index(ext) == (1 if eps > 1e-10 else 3)
+
+
+def _lstsq_so13():
+    """so(1,3)'s constants by least squares on the flattened matrices, rounded
+    to integers: the float oracle of the closed form."""
+    mats = lie_core.ambient_matrices()
+    basis = np.stack([m.ravel() for m in mats]).T  # 16 x 6
+    c = np.zeros((6, 6, 6))
+    for A in range(6):
+        for B in range(6):
+            br = (mats[B] @ mats[A] - mats[A] @ mats[B]).ravel()
+            coef, *_ = np.linalg.lstsq(basis, br, rcond=None)
+            c[A, B] = np.round(coef)
+    return c
+
+
+def test_so13_closed_form_equals_the_lstsq_route_bit_for_bit():
+    assert so13_algebra().structure_constants.tobytes() == _lstsq_so13().tobytes()
+
+
+def _fraction_structure(rows):
+    """derive_structure's constants in exact rationals from the same float
+    rows: each bracket of two rows read at each row's own unit column."""
+    amb = so13_algebra().structure_constants
+    terms = [(i, j, k, Fraction(amb[i, j, k])) for i, j, k in zip(*np.nonzero(amb))]
+    exact = [[Fraction(x) for x in row] for row in rows.tolist()]
+    unit = [next(col for col in range(6) if row[col] == 1.0
+                 and np.count_nonzero(rows[:, col]) == 1) for row in rows]
+    n = len(rows)
+    out = np.zeros((n, n, n), dtype=object)
+    for A in range(n):
+        for B in range(n):
+            bracket = [Fraction(0)] * 6
+            for i, j, k, x in terms:
+                bracket[k] += exact[A][i] * x * exact[B][j]
+            out[A, B] = [bracket[col] for col in unit]
+    return out
+
+
+@pytest.mark.parametrize("a", [0.001, 0.37, 1.0, 2.3, 7.77, 40.0, 1e15, 1e300])
+def test_float_derivation_is_exact(a):
+    # the premise of the exact index: the constants derived in floats are the
+    # exact rationals of the float rows, and no bracket leaves their span
+    for case in ALL_CASES:
+        rows = subalgebra(case, a).generator_coeffs
+        c, off_span = derive_structure(rows, case.value)
+        assert np.all(off_span == 0.0), case
+        exact = _fraction_structure(rows)
+        assert all(Fraction(x) == y for x, y in zip(c.ravel().tolist(), exact.ravel())), case
 
 
 def test_catalog_classifies_each_entry_once(monkeypatch):
