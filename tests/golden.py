@@ -57,6 +57,9 @@ INVOCATIONS = (
     ("verify", "--case", "g1_1"),
     ("verify", "--case", "g3_4", "--seed", "7"),
     ("verify", "--case", "g1_3a", "--a", "4.5", "--seed", "2"),
+    ("verify", "--case", "all", "--J", "2.5", "--seed", "13"),
+    ("verify", "--case", "g3_5", "--e", "0.4", "--mu", "0.9", "--lambda=1.5-0.4i",
+     "--seed", "21"),
     *(("solve", "--case", case, "--grid", "10") + FAMILY_A.get(case, ())
       for case in INTEGRABLE),
     ("chart", "--case", "g1_1"),
