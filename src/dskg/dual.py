@@ -1,4 +1,4 @@
-"""Forward-mode automatic differentiation with second-order jets.
+"""Forward-mode automatic differentiation with first- and second-order jets.
 
 A :class:`Dual` carries a complex value together with its gradient and
 Hessian with respect to up to four seed variables (three chart coordinates
@@ -13,6 +13,19 @@ Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
 :meth:`Dual.seed` starts a point jet and :meth:`Dual.seed_grid` a grid jet.
 The elementary functions take ``cmath`` for a point value and ``numpy`` for
 lane arrays.
+
+A jet is second order, or first order when :func:`first_order` has dropped
+its Hessian: its triangle is then empty (``Dual.upper == ()``).  Every
+operation zips over the operands' triangles, so on a first-order jet it
+computes the value and gradient with the same operations, in the same order,
+and no Hessian term; an operation on two jets gives the lower of their
+orders, and a constant takes the order of the jet it meets (truncated Taylor
+propagation; ibid.).
+The read-outs return the orders a jet carries: :attr:`Dual.hess` has no rows
+on a first-order jet, :func:`parts` gives its value and gradient, and
+:func:`arrays` gives values and gradients only when some jet read is first
+order.  :func:`partial` turns a second-order jet into the first-order jet of
+one of its derivatives, and refuses a first-order one.
 
 The derivative entries are sparse (ibid., ch. 7).  A gradient or Hessian
 entry that is a plain ``complex`` zero, as the seeds and constants start
@@ -68,7 +81,8 @@ def _zero_triangle(k):
 
 
 class Dual:
-    """Second-order jet (value, gradient, Hessian) over point values or grid lanes."""
+    """Second-order jet (value, gradient, Hessian), or first-order jet (value,
+    gradient), over point values or grid lanes."""
 
     __slots__ = ("val", "grad", "upper")
     # numpy hands ``array * jet`` to Dual.__rmul__ instead of building an
@@ -85,8 +99,11 @@ class Dual:
 
     @property
     def hess(self):
-        """The k rows of the Hessian; ``hess[j][i]`` is ``hess[i][j]``."""
+        """The k rows of the Hessian, in which ``hess[j][i]`` is ``hess[i][j]``;
+        none for a first-order jet."""
         upper = self.upper
+        if not upper:
+            return ()
         return tuple(tuple(map(upper.__getitem__, row)) for row in _TRIANGLES[len(self.grad)][1])
 
     # -- construction -------------------------------------------------
@@ -137,10 +154,18 @@ class Dual:
         return Dual(-self.val, tuple(-a for a in self.grad), tuple(-a for a in self.upper))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        # a structural-zero minuend gives -b, a structural-zero subtrahend a
+        return Dual(self.val - o.val,
+                    tuple([-b if type(a) is complex and a == 0 else
+                           a if type(b) is complex and b == 0 else a - b
+                           for a, b in zip(self.grad, o.grad)]),
+                    tuple([-b if type(a) is complex and a == 0 else
+                           a if type(b) is complex and b == 0 else a - b
+                           for a, b in zip(self.upper, o.upper)]))
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, Dual):
@@ -316,32 +341,42 @@ def value(x):
     return x if isinstance(x, np.ndarray) else complex(x)
 
 
+def first_order(x):
+    """The jet ``x`` without its Hessian: its value and gradient as a
+    first-order jet.  A constant is returned as it is."""
+    return Dual(x.val, x.grad, ()) if isinstance(x, Dual) else x
+
+
 def parts(x, k):
-    """(value, gradient, Hessian) of a jet; a constant in ``k`` variables has
-    zero gradient and Hessian."""
+    """(value, gradient, Hessian) of a jet, or (value, gradient) of a
+    first-order jet; a constant in ``k`` variables has zero gradient and
+    Hessian."""
     if isinstance(x, Dual):
-        return x.val, x.grad, x.hess
+        return (x.val, x.grad, x.hess) if x.upper else (x.val, x.grad)
     z = (0j,) * k
     return complex(x), z, (z,) * k
 
 
 def arrays(jets, k):
     """Values ``(..., m)``, gradients ``(..., m, k)`` and Hessians
-    ``(..., m, k, k)`` of ``m`` jets in ``k`` variables, as complex arrays.
+    ``(..., m, k, k)`` of ``m`` jets in ``k`` variables, as complex arrays;
+    values and gradients only, when any of the jets is first order.
 
     The leading axis ``...`` is the lane axis ``(N,)`` when any entry is a
     lane array, and empty for point jets; an entry without lanes, such as a
     constant's zero derivatives, is broadcast to every lane.
     """
+    second = all([x.upper for x in jets if isinstance(x, Dual)])
     # each jet as stored, value, gradient and triangle, then one gather
     # builds every jet's k x k rows
-    width = 1 + k + k * (k + 1) // 2
+    width = 1 + k + k * (k + 1) // 2 if second else 1 + k
     flat = []
     for x in jets:
         if isinstance(x, Dual):
             flat.append(x.val)
             flat.extend(x.grad)
-            flat.extend(x.upper)
+            if second:
+                flat.extend(x.upper)
         else:
             flat.append(complex(x))
             flat.extend((0j,) * (width - 1))
@@ -357,7 +392,10 @@ def arrays(jets, k):
     else:
         lead = ()
         block = np.array(flat, dtype=complex)
-    block = block.reshape(lead + (len(jets), width))[..., _TRIANGLES[k][2]]
+    block = block.reshape(lead + (len(jets), width))
+    if not second:
+        return block[..., 0], block[..., 1:]
+    block = block[..., _TRIANGLES[k][2]]
     return (block[..., 0], block[..., 1:k + 1],
             block[..., k + 1:].reshape(lead + (len(jets), k, k)))
 
@@ -380,13 +418,15 @@ def compose(x, f0, f1, f2):
 
 
 def partial(jet, index):
-    """The 1-jet of one partial derivative of a 2-jet, so first-order operators
-    can act on it (its Hessian is dropped); a constant's partial is 0."""
+    """The first-order jet of one partial derivative of a second-order jet, so
+    first-order operators can act on it; a constant's partial is 0."""
     if not isinstance(jet, Dual):
         return 0.0
-    k = len(jet.grad)
-    row = _TRIANGLES[k][1][index]
-    return Dual(jet.grad[index], tuple(map(jet.upper.__getitem__, row)), _zero_triangle(k))
+    if not jet.upper:
+        raise ValueError("partial of a first-order jet: its derivatives are "
+                         "known to first order only")
+    row = _TRIANGLES[len(jet.grad)][1][index]
+    return Dual(jet.grad[index], tuple(map(jet.upper.__getitem__, row)), ())
 
 
 def drop_lanes(x, mask):

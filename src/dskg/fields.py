@@ -100,15 +100,31 @@ class TwoForm:
         return _form_values(self.jets(coords))
 
 
+def _first_order_arrays(jets):
+    """Values ``(..., m)`` and gradients ``(..., m, 3)`` of ``m`` jets, read
+    without their Hessians: no check here reads one."""
+    return dual.arrays([dual.first_order(x) for x in jets], 3)[:2]
+
+
 def _form_values(form) -> np.ndarray:
-    vals = dual.arrays([x for row in form for x in row], 3)[0]
+    vals = _first_order_arrays([x for row in form for x in row])[0]
     return vals.reshape(vals.shape[:-1] + (3, 3))
 
 
-def _d_one_form(w) -> np.ndarray:
-    """(dw)_ab = d_a w_b - d_b w_a of a 1-form given by the jets of its components."""
-    grads = dual.arrays(w, 3)[1]  # grads[..., b, a] = d_a w_b
+def _d(grads) -> np.ndarray:
+    """(dw)_ab = d_a w_b - d_b w_a of 1-forms, from the gradients
+    grads[..., b, a] = d_a w_b of their components."""
     return np.swapaxes(grads, -1, -2) - grads
+
+
+def one_forms(jets):
+    """Values ``(..., n, 3)`` and gradients ``(..., n, 3, 3)``, with
+    grads[..., A, b, a] = d_a w_b, of ``n`` 1-forms w_A given by the jets of
+    their three components, from one read-out; a grid's lane axis comes
+    first."""
+    n = len(jets)
+    vals, grads = _first_order_arrays([w for form in jets for w in form])
+    return vals.reshape(vals.shape[:-1] + (n, 3)), grads.reshape(grads.shape[:-2] + (n, 3, 3))
 
 
 def invariant_two_form(case_id: CaseId, config: FieldConfig) -> TwoForm:
@@ -141,23 +157,26 @@ def solve_chi(case_id: CaseId, config: FieldConfig,
 # ----------------------------------------------------------------------
 
 def exterior_derivative(form):
-    """The single independent component (dF)_{012} of the 2-form with
-    component jets ``form`` (:meth:`TwoForm.jets`)."""
+    """The values of the single independent component (dF)_{012} of the
+    2-form with component jets ``form`` (:meth:`TwoForm.jets`), from their
+    gradients, so that a component may be a first-order jet; 0 when every
+    component is a constant."""
     total = 0.0
     for c, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        total = total + dual.partial(form[a][b], c)
+        total = total + dual.parts(form[a][b], 3)[1][c]
     return total
 
 
 def closedness_residual(d_form) -> float:
-    """Max |dF| over the points, from the jet ``d_form`` of (dF)_{012}
+    """Max |dF| over the points, from the values ``d_form`` of (dF)_{012}
     (:func:`exterior_derivative`)."""
-    return float(np.max(np.abs(dual.value(d_form))))
+    return float(np.max(np.abs(d_form)))
 
 
 def interior_product(x, form):
     """(i_X F)_b = F_ab X^a as a list of three jets, from the component jets
-    ``x`` of the vector field and ``form`` of the 2-form."""
+    ``x`` of the vector field and ``form`` of the 2-form; first order where
+    either is."""
     out = []
     for b in range(3):
         total = 0.0
@@ -174,43 +193,36 @@ _EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
 _EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
 
 
-def lie_derivative(x, x_form, d_form) -> np.ndarray:
-    """(L_X F)_ab = d(i_X F)_ab + (i_X dF)_ab from the component jets ``x`` of
-    the vector field, ``x_form`` of i_X F (:func:`interior_product`) and
-    ``d_form`` of dF (:func:`exterior_derivative`), with a grid's lane axis
-    first."""
-    m = _d_one_form(x_form)
+def lie_derivative(xv, x_form_grads, d_form) -> np.ndarray:
+    """(L_{X_A} F)_ab = d(i_{X_A} F)_ab + (i_{X_A} dF)_ab of vector fields X_A,
+    from their values xv[..., A, c] = X_A^c, the gradients of each i_{X_A} F
+    (:func:`one_forms` of :func:`interior_product`) and the values ``d_form``
+    of dF (:func:`exterior_derivative`), with a grid's lane axis first."""
+    m = _d(x_form_grads)
     if dual.is_zero(d_form):
         return m
     # (i_X dF)_{bc} = T eps_{abc} X^a with T = (dF)_{012}
-    eps_x = np.einsum("abc,...a->...bc", _EPS, dual.arrays(x, 3)[0])
-    return m + np.asarray(dual.value(d_form))[..., None, None] * eps_x
+    eps_x = np.einsum("abc,...a->...bc", _EPS, xv)
+    return m + np.asarray(d_form)[..., None, None, None] * eps_x
 
 
-def invariance_residual(generators, interiors, d_form) -> float:
-    """Max |L_{X_A} F| over the generators and points, from the generator
-    component jets (:func:`dskg.geometry.generator_jets`), the jets of each
-    i_{X_A} F and of dF."""
-    return max(float(np.max(np.abs(lie_derivative(x, x_form, d_form))))
-               for x, x_form in zip(generators, interiors))
+def invariance_residual(xv, x_form_grads, d_form) -> float:
+    """Max |L_{X_A} F| over the generators and points, read as
+    :func:`lie_derivative` reads them."""
+    return float(np.max(np.abs(lie_derivative(xv, x_form_grads, d_form))))
 
 
-def chi_residual(chis, interiors) -> float:
+def chi_residual(chis, x_form_vals) -> float:
     """Max |d chi_A + i_{X_A} F| over the generators and points, from the jets
-    of each chi_A (:func:`solve_chi`) and of each i_{X_A} F
-    (:func:`interior_product`)."""
-    worst = 0.0
-    for chi, x_form in zip(chis, interiors):
-        w = dual.arrays(x_form, 3)[0]
-        grad = dual.arrays([chi], 3)[1][..., 0, :]
-        worst = max(worst, float(np.max(np.abs(grad + w))))
-    return worst
+    of each chi_A (:func:`solve_chi`), read out once, and the values of each
+    i_{X_A} F (:func:`one_forms` of :func:`interior_product`)."""
+    return float(np.max(np.abs(_first_order_arrays(chis)[1] + x_form_vals)))
 
 
 def gauge_residual(gauge, form) -> float:
     """Max |dA - F| from the component jets ``gauge`` of the potential
     (:func:`gauge_one_form`) and ``form`` of the 2-form."""
-    return float(np.max(np.abs(_d_one_form(gauge) - _form_values(form))))
+    return float(np.max(np.abs(_d(_first_order_arrays(gauge)[1]) - _form_values(form))))
 
 
 def cocycle_from_config(case_id: CaseId, config: FieldConfig,

@@ -107,14 +107,15 @@ def joint_system_residual(ans: SolutionAnsatz, rep: LambdaRep,
     coordinates and lambda; a probe lost at a branch point makes it NaN.
     Only the values of X_A phi and l_A phi are read, so each operator's
     coefficients are evaluated once, as plain values on the coordinate and
-    lambda columns, and contracted with the value and gradient of phi.  The
-    generators, chi_A and the gauge potential are read once for all X_A.
+    lambda columns, and contracted with the value and gradient of phi, a
+    first-order jet.  The generators, chi_A and the gauge potential are read
+    once for all X_A.
     """
     case, cfg = ans.case_id, ans.config
     cols = dual.columns(points)
     lam_col = [np.full(len(points), ans.lam, dtype=complex)]
     with np.errstate(divide="ignore", invalid="ignore"):
-        *qs, lam = Dual.seed_grid(cols + lam_col)
+        *qs, lam = map(dual.first_order, Dual.seed_grid(cols + lam_col))
         v = ans.char(qs, lam)
         phase = ans.phase(qs, lam)
         gauge = [a(cols) for a in gauge_one_form(case, cfg)]
@@ -123,7 +124,7 @@ def joint_system_residual(ans: SolutionAnsatz, rep: LambdaRep,
                                          solve_chi(case, cfg), rep.ops)]
         res = []
         for f in (phase, phase * v):
-            val, grad, _ = dual.parts(f, 4)
+            val, grad = dual.parts(f, 4)
             for (*x, xs), (lx, ls) in coeffs:
                 xphi = xs * val
                 for u in range(3):

@@ -198,7 +198,9 @@ def coboundary_solve(alg: LieAlgebraSpec,
     """Solve F_AB = C_AB^C lambda_C in least squares; (shift, residual).
 
     Returns (lambda, residual) with lambda = None when the system has no
-    solution, i.e. the cocycle is nontrivial.
+    solution, i.e. the cocycle is nontrivial: when the residual exceeds
+    COBOUNDARY_TOL times max|F|, so that the decision does not depend on F's
+    scale.  F = 0 is the coboundary of lambda = 0.
     """
     upper = np.triu_indices(alg.dim, 1)  # the pairs A < B, row by row
     m, b = alg.structure_constants[upper], F[upper]
@@ -206,7 +208,7 @@ def coboundary_solve(alg: LieAlgebraSpec,
         return np.zeros(alg.dim), 0.0
     lam, *_ = np.linalg.lstsq(m, b, rcond=None)
     residual = float(np.max(np.abs(m @ lam - b)))
-    if residual < COBOUNDARY_TOL:
+    if residual <= COBOUNDARY_TOL * float(np.max(np.abs(b))):
         return lam, residual
     return None, residual
 

@@ -105,7 +105,8 @@ def _lane_first(rows, coords):
     """Values ``(..., m, w)``, gradients ``(..., m, w, k)`` and Hessians
     ``(..., m, w, k, k)`` of ``m`` rows of ``w`` jets at ``coords``: a point
     seed, or a grid seed whose lane axis ``...`` comes first, also for a
-    constant jet."""
+    constant jet.  Values and gradients only where :func:`dual.arrays` gives
+    only those (a first-order jet among the rows)."""
     k, shape = len(coords), (len(rows), len(rows[0]))
     lanes = np.shape(dual.value(coords[0]))
     parts = dual.arrays([x for row in rows for x in row], k)
@@ -117,8 +118,8 @@ def _lane_first(rows, coords):
 def operator_jets(ops: Sequence[DiffOp1], coords):
     """The coefficient jets of every operator in ``ops`` at ``coords``, lane
     axis first: values ``(..., m, k + 1)``, gradients ``(..., m, k + 1, k)``
-    and Hessians ``(..., m, k + 1, k, k)``, each operator's coefficients and
-    then its scalar part."""
+    and, on a second-order seed, Hessians ``(..., m, k + 1, k, k)``, each
+    operator's coefficients and then its scalar part."""
     return _lane_first([[a(coords) for a in op.coeffs + [op.scalar]] for op in ops], coords)
 
 
@@ -147,7 +148,7 @@ def commutation_table_fit(jets, central_scalar: complex) -> TableFit:
     residual is at most FIT_TOL.
     The rows are the probes in order, k + 1 per probe.
     """
-    vals, grads, _ = jets
+    vals, grads = jets[:2]
     lanes, n, width = vals.shape
     structure = np.zeros((n, n, n))
     central = np.zeros((n, n))
@@ -180,7 +181,9 @@ def representation_residual(ops: Sequence[DiffOp1], structure: np.ndarray,
     """
     n = len(ops)
     k = ops[0].nvars if n else 0
-    vals, grads, _ = operator_jets(ops, Dual.seed_grid(dual.columns(probes)))
+    # the commutators read values and gradients only
+    seed = [dual.first_order(x) for x in Dual.seed_grid(dual.columns(probes))]
+    vals, grads = operator_jets(ops, seed)[:2]
     worst = 0.0
     for A in range(n):
         for B in range(A + 1, n):
@@ -349,18 +352,18 @@ def symmetry_check(h: DiffOp2, jets, points: Sequence[Sequence[float]],
     and the X given by their coefficient jets at ``points`` (lane axis first,
     :func:`operator_jets`).
 
-    H's coefficients are evaluated once per call on one grid jet of the
-    points, as 1-jets.  Each probe's derivatives up to third order are closed
+    H's coefficients are evaluated once per call on one first-order grid jet
+    of the points.  Each probe's derivatives up to third order are closed
     form (:meth:`PolyExpProbe.derivatives`), and H(X f) and X(H f) are their
     product-rule contractions with the coefficients, for all operators at once.
     """
     rng = np.random.default_rng(PROBE_SEED)
     n = h.nvars
     columns = dual.columns(points)
-    coords = Dual.seed_grid(columns)
+    coords = [dual.first_order(x) for x in Dual.seed_grid(columns)]
     # lane axis first, then: H = s^ab d_a d_b + t^a d_a + r as 1-jets, the
     # derivative axis last
-    hv, hg, _ = dual.arrays([c(coords) for c in h.coefficients], n)
+    hv, hg = dual.arrays([c(coords) for c in h.coefficients], n)[:2]
     s, t, r = hv[:, :n * n].reshape(-1, n, n), hv[:, n * n:-1], hv[:, -1]
     ds, dt, dr = hg[:, :n * n].reshape(-1, n, n, n), hg[:, n * n:-1], hg[:, -1]
     # X_A = c_A^u d_u + b_A as 2-jets, operator axis A before the coefficient axis

@@ -4,7 +4,7 @@ import pytest
 from dskg import dual
 from dskg.dual import Dual
 from dskg.fields import (FieldConfig, TwoForm, exterior_derivative, interior_product,
-                         invariance_residual, lie_derivative)
+                         invariance_residual, lie_derivative, one_forms)
 from dskg.geometry import chart_for, sample_domain
 from dskg.lie_core import PARAMETERIZED_CASES
 from dskg.operators import operator_jets
@@ -45,15 +45,23 @@ def counted(fn, calls):
     return wrapper
 
 
+def generator_values(generators):
+    """Values xv[..., A, c] = X_A^c from the component jets of the X_A."""
+    xv = dual.arrays([c for x in generators for c in x], 3)[0]
+    return xv.reshape(xv.shape[:-1] + (len(generators), 3))
+
+
 def lie_derivative_of(x, form):
     """L_X F from the component jets of X and of F, deriving i_X F and dF."""
-    return lie_derivative(x, interior_product(x, form), exterior_derivative(form))
+    return lie_derivative(generator_values([x]), one_forms([interior_product(x, form)])[1],
+                          exterior_derivative(form))[..., 0, :, :]
 
 
 def invariance_of(generators, form):
     """Max |L_{X_A} F| from the generator and 2-form component jets, deriving
     each i_{X_A} F and dF once."""
-    return invariance_residual(generators, [interior_product(x, form) for x in generators],
+    return invariance_residual(generator_values(generators),
+                               one_forms([interior_product(x, form) for x in generators])[1],
                                exterior_derivative(form))
 
 

@@ -153,9 +153,10 @@ def _component(f, a, b, seeds):
 
 
 def _d_form(f, seeds):
+    """(dF)_{012} at a point, from the first derivatives of F's components."""
     total = 0.0
     for c, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        total = total + dual.partial(_component(f, a, b, seeds), c)
+        total = total + dual.parts(_component(f, a, b, seeds), 3)[1][c]
     return total
 
 
@@ -183,14 +184,14 @@ def _d_one_form(w):
 
 
 def closedness(f, points):
-    return max(abs(dual.value(_d_form(f, _seed(p)))) for p in points)
+    return max(abs(_d_form(f, _seed(p))) for p in points)
 
 
 def invariance(case, f, points, a):
     worst = 0.0
     for p in points:
         seeds = _seed(p)
-        t = dual.value(_d_form(f, seeds))
+        t = _d_form(f, seeds)
         for comp in rect_components(case, a):
             m = _d_one_form(_interior(comp, f, seeds))
             x = [dual.value(fn(seeds)) for fn in comp]

@@ -1,8 +1,8 @@
 """Registry invariants: every catalog spec is internally consistent.
 
-``fields.chi_residual`` zips generator components against chi functions, so a
-spec whose lists disagree in length would silently skip a generator; these
-checks catch that at the registry.
+``operators.symmetry_jets`` zips generator components against chi functions,
+so a spec whose lists disagree in length would silently skip a generator;
+these checks catch that at the registry.
 """
 
 import numpy as np

@@ -199,6 +199,16 @@ def test_verify_derives_each_form_jet_once(monkeypatch, case):
     assert len(derivatives) == 1
 
 
+def test_verify_reads_out_each_jet_block_once(monkeypatch):
+    # one dual.arrays read-out per block an entry's checks share: the chart
+    # jets, the operator jets, the gauge, the 2-form, the interior products and
+    # the chis (six per entry), the λ-probes and the wave operator's
+    # coefficients of each integrable entry (two more): 88 for the catalog
+    reads = _count_calls(monkeypatch, dual, "arrays", (dual,))
+    assert run_cli("verify", "--case", "all")[0] == 0
+    assert len(reads) <= 90
+
+
 def test_catalog_builds_each_subalgebra_once(monkeypatch):
     # the JSON entries and the Table 3 computation share one build per entry
     built = _count_calls(monkeypatch, lie_core, "subalgebra", (cli, lie_core))

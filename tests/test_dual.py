@@ -160,11 +160,17 @@ def test_parts_of_a_jet_are_its_own_entries():
 
 @pytest.mark.parametrize("k", [1, 3, 4])
 def test_a_jet_stores_its_hessian_once(k):
-    # k(k+1)/2 Hessian entries in every jet: seeds, constants and the result
-    # of every operation; the rows are built on read and mirror one entry
+    # k(k+1)/2 Hessian entries in every second-order jet: seeds, constants and
+    # the result of every operation; the rows are built on read and mirror one
+    # entry.  A first-order jet, a partial and every result of a first-order
+    # operand store no triangle and read out no rows; a constant, x ** 0 too,
+    # is second order
     point = [0.4, -1.1, 0.3, 0.8][:k]
     grid = Dual.seed_grid(dual.columns([point, [0.2, 0.5, -0.7, 1.2][:k]]))
-    for seeds in (Dual.seed(point), grid):
+    point_seed = Dual.seed(point)
+    for seeds in (point_seed, grid, [dual.first_order(s) for s in point_seed],
+                  [dual.first_order(s) for s in grid]):
+        first = seeds[0].upper == ()
         x, y = seeds[0] * seeds[-1] + 1.7, seeds[-1] + 2.5
         jets = {
             "seed": seeds[0], "constant": Dual.constant(2.0, k),
@@ -176,12 +182,23 @@ def test_a_jet_stores_its_hessian_once(k):
             "exp": dual.exp(x), "log": dual.log(x), "sin": dual.sin(x), "cos": dual.cos(x),
             "tan": dual.tan(x), "sinh": dual.sinh(x), "cosh": dual.cosh(x),
             "tanh": dual.tanh(x), "power": dual.power(x, y),
-            "compose": dual.compose(x, 1.0, 2.0, 3.0), "partial": dual.partial(x * y, 0),
+            "compose": dual.compose(x, 1.0, 2.0, 3.0), "first_order": dual.first_order(x),
         }
-        if seeds is grid:
+        if isinstance(seeds[0].val, np.ndarray):
             jets["drop_lanes"] = dual.drop_lanes(x, np.array([False, True]))
+        if first:
+            with pytest.raises(ValueError, match="partial of a first-order jet"):
+                dual.partial(x * y, 0)
+        else:
+            jets["partial"] = dual.partial(x * y, 0)
         for name, jet in jets.items():
-            assert len(jet.grad) == k and len(jet.upper) == k * (k + 1) // 2, name
+            assert len(jet.grad) == k, name
+            if name in ("partial", "first_order") or first and name not in ("constant",
+                                                                              "pow zero"):
+                assert jet.upper == () and jet.hess == (), name
+                assert len(dual.parts(jet, k)) == 2 and len(dual.arrays([jet], k)) == 2, name
+                continue
+            assert len(jet.upper) == k * (k + 1) // 2, name
             hess = jet.hess
             assert len(hess) == k and all(len(row) == k for row in hess), name
             assert all(hess[i][j] is hess[j][i] for i in range(k) for j in range(k)), name
@@ -615,8 +632,16 @@ class _Helpers:
                   for (i, j), e in zip(dual._TRIANGLES[len(sg)][0], self.upper))
         return Dual(f0, g, h)
 
+    # a difference as the sum with the negated subtrahend
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
 
 _HELPER_METHODS = {"__add__": _Helpers.__add__, "__radd__": _Helpers.__add__,
+                   "__sub__": _Helpers.__sub__, "__rsub__": _Helpers.__rsub__,
                    "__mul__": _Helpers.__mul__, "__rmul__": _Helpers.__mul__,
                    "reciprocal": _Helpers.reciprocal, "lift": _Helpers.lift}
 
@@ -690,6 +715,17 @@ def _assert_inline_matches_helpers(tree, leaves):
             assert _same_bits(a, b), part
     jets = [got, 2.5, leaves()[0], -0.0]
     for a, b in zip(dual.arrays(jets, 3), _row_arrays(jets, 3)):
+        assert a.shape == b.shape and a.dtype == b.dtype and _bits(a) == _bits(b)
+    # the same tree on first-order leaves: no triangle, and the value and
+    # gradient of the second-order jet, bit for bit
+    low = _evaluate(tree, [dual.first_order(x) for x in leaves()], dual)
+    assert low.upper == () and low.hess == ()
+    for a, b in zip((low.val, *low.grad), (got.val, *got.grad)):
+        assert _is_zero(a) == _is_zero(b) and _same_bits(a, b)
+    low_jets = [low, 2.5, dual.first_order(leaves()[0]), -0.0]
+    low_arrays = dual.arrays(low_jets, 3)
+    assert len(low_arrays) == 2
+    for a, b in zip(low_arrays, dual.arrays(jets, 3)):
         assert a.shape == b.shape and a.dtype == b.dtype and _bits(a) == _bits(b)
 
 

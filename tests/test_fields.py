@@ -10,7 +10,7 @@ from dskg.dual import Dual
 from dskg.fields import (FORM_TOL, FieldConfig, TwoForm, chi_residual, closedness_residual,
                          exterior_derivative, interior_product,
                          cocycle_from_config, gauge_one_form, gauge_residual,
-                         invariant_two_form, solve_chi)
+                         invariant_two_form, one_forms, solve_chi)
 from dskg.geometry import generator_jets
 from dskg.lie_core import ALL_CASES, CaseId, coboundary_solve, extend, standard_cocycle, \
     subalgebra
@@ -28,8 +28,8 @@ def chi_at(case, cfg, p):
     s = Dual.seed(p)
     form = invariant_two_form(case, cfg).jets(s)
     return chi_residual([chi(s) for chi in solve_chi(case, cfg)],
-                        [interior_product(x, form)
-                         for x in generator_jets(case, s, cfg.parameter_a)])
+                        one_forms([interior_product(x, form)
+                                   for x in generator_jets(case, s, cfg.parameter_a)])[0])
 
 
 def invariance_at(case, cfg, p, f=None):

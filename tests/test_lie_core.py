@@ -169,6 +169,18 @@ def test_magnetic_cocycle_nontrivial_iff_mu_nonzero():
     assert lam is not None and res < 1e-12
 
 
+@pytest.mark.parametrize("case", [CaseId.G21, CaseId.G22, CaseId.G32])
+@pytest.mark.parametrize("mu", [0.0, 1e-12, 1e-9, 1.0])
+def test_magnetic_cocycle_decision_does_not_depend_on_its_scale(case, mu):
+    # nontrivial at every mu > 0, however small, as the exact index reads the
+    # extension; at mu = 0 the zero cocycle, with a zero shift
+    lam, res = coboundary_solve(subalgebra(case).algebra, standard_cocycle(case, mu))
+    if mu:
+        assert lam is None and res > 0.5 * mu
+    else:
+        assert lam is not None and not lam.any() and res == 0.0
+
+
 def _random_valid_cocycle(alg, rng):
     """Random solution of the linear cocycle condition."""
     n = alg.dim
