@@ -368,7 +368,7 @@ def arrays(jets, k):
     """
     second = all([x.upper for x in jets if isinstance(x, Dual)])
     # each jet as stored, value, gradient and triangle, then one gather
-    # builds every jet's k x k rows
+    # builds every jet's k x k rows; at first order value and gradient alone
     width = 1 + k + k * (k + 1) // 2 if second else 1 + k
     flat = []
     for x in jets:

@@ -148,7 +148,7 @@ def commutation_table_fit(jets, central_scalar: complex) -> TableFit:
     residual is at most FIT_TOL.
     The rows are the probes in order, k + 1 per probe.
     """
-    vals, grads = jets[:2]
+    vals, grads, _ = jets
     lanes, n, width = vals.shape
     structure = np.zeros((n, n, n))
     central = np.zeros((n, n))
