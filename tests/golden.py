@@ -62,6 +62,13 @@ INVOCATIONS = (
      "--seed", "21"),
     *(("solve", "--case", case, "--grid", "10") + FAMILY_A.get(case, ())
       for case in INTEGRABLE),
+    # solve's grid off the cube, large, with dropped nodes spread over several
+    # CSV slabs, off its defaults, and on the neutral basis
+    ("solve", "--case", "g3_1", "--grid", "2,3,4"),
+    ("solve", "--case", "g3_5", "--grid", "30"),
+    ("solve", "--case", "g3_4", "--lambda=0+1i", "--grid", "5"),
+    ("solve", "--case", "g3_3a", "--a", "2.3", "--J", "2.5", "--grid", "6,5,4"),
+    ("solve", "--case", "g3_2", "--e", "0", "--grid", "7"),
     ("chart", "--case", "g1_1"),
     ("chart", "--case", "g1_3a", "--a", "1"),
     ("chart", "--case", "g2_3"),
