@@ -354,8 +354,9 @@ def _format_record(rec: dict) -> dict:
 
 # one CSV row of `solve`'s body, as csv.writer writes it: numbers never need
 # quoting, and \r\n is its line terminator.  The node's coordinates come first,
-# as one prefix of per-axis strings, each formatted once as "%.12g,"
-_SOLVE_ROW = "%s%.15g,%.15g,%.3e\r\n"
+# as the first axis's string and then the other two's, each formatted once as
+# "%.12g,"
+_SOLVE_ROW = "%s%s%.15g,%.15g,%.3e\r\n"
 
 
 def cmd_solve(run: RunConfig, out, err) -> int:
@@ -371,20 +372,22 @@ def cmd_solve(run: RunConfig, out, err) -> int:
     cfg = _field_config(case, run)
     ans = ansatz(case, cfg, run.J, run.lam)  # first: it refuses a J out of range
     basis = solution_basis(case, cfg, run.J, run.lam)
-    axes = grid_axes(spec.integration.grid, run.grid)
-    grid = grid_nodes(axes)
     chart = chart_for(case, cfg.parameter_a)
-    phi, residual = integrate.reduction_residual(ans, kg_operator(case, cfg), basis.phi1, grid)
+    mesh = default_grid(case, run.grid)
+    phi, residual = integrate.reduction_residual(ans, kg_operator(case, cfg), basis.phi1, mesh)
     kept = np.isfinite(phi)
-    dropped = len(grid) - int(np.count_nonzero(kept))
-    verified = dropped < len(grid)
+    dropped = len(phi) - int(np.count_nonzero(kept))
+    verified = dropped < len(phi)
     worst = float(residual[kept].max()) if verified else 0.0
     csv.writer(out).writerow(list(chart.coord_names) + ["re_phi", "im_phi", "residual"])
-    prefixes = map("".join, nested_product([["%.12g," % x for x in ax.tolist()]
-                                            for ax in axes]))
-    rows = zip(itertools.compress(prefixes, kept.tolist()),
-               phi[kept].tolist(), residual[kept].tolist())
-    out.writelines(_SOLVE_ROW % (pre, p.real, p.imag, r) for pre, p, r in rows)
+    # one slab of rows per node of the first axis, formatted with one %
+    heads, *rest = [["%.12g," % x for x in col.real.ravel().tolist()] for col in mesh]
+    tails = list(map("".join, nested_product(rest)))
+    values = [iter(part[kept].tolist()) for part in (phi.real, phi.imag, residual)]
+    for head, keep in zip(heads, kept.reshape(len(heads), -1).tolist()):
+        # zip stops at the slab's last kept tail, before it takes a value
+        slab = zip(itertools.repeat(head), itertools.compress(tails, keep), *values)
+        out.write(_SOLVE_ROW * sum(keep) % tuple(itertools.chain.from_iterable(slab)))
     summary = {
         "schema": SCHEMA_VERSION,
         "case": case.value,

@@ -6,13 +6,18 @@ plus, optionally, one auxiliary variable).  All derivatives produced this
 way are exact to rounding; no finite-difference truncation enters anywhere
 in the main computation paths.
 
-Each entry of a jet is either a point value (a Python ``complex``) or an
-``(N,)`` numpy array with one lane per grid node; the arithmetic is the same
+Each entry of a jet is either a point value (a Python ``complex``) or a
+numpy lane array with one lane per grid node; the arithmetic is the same
 for both and mixes them by broadcasting (Taylor arithmetic applied lane-wise;
 Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
 :meth:`Dual.seed` starts a point jet and :meth:`Dual.seed_grid` a grid jet.
-The elementary functions take ``cmath`` for a point value and ``numpy`` for
-lane arrays.
+A lane array may have any shape that broadcasts with the others: ``(N,)``
+for a list of points, or a sub-grid of an open mesh, whose coordinate
+columns have shapes ``(n1, 1, 1)``, ``(1, n2, 1)`` and ``(1, 1, n3)``.  On
+an open mesh each entry is evaluated only on the sub-grid of the
+coordinates it depends on, and grows to the full grid only where its
+operands do.  The elementary functions take ``cmath`` for a point value and
+``numpy`` for lane arrays.
 
 A jet is second order, or first order when :func:`first_order` has dropped
 its Hessian: its triangle is then empty (``Dual.upper == ()``).  Every
@@ -122,8 +127,9 @@ class Dual:
 
     @staticmethod
     def seed_grid(columns):
-        """The coordinate ``columns`` of a grid, each an (N,) array, as
-        simultaneous dual variables with one lane per grid node."""
+        """The coordinate ``columns`` of a grid, each an (N,) array or a
+        column of an open mesh, as simultaneous dual variables with one lane
+        per grid node."""
         k = len(columns)
         z = _zero_triangle(k)
         return [Dual(np.asarray(columns[i], dtype=complex),

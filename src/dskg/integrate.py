@@ -15,8 +15,12 @@ coefficients against an on-the-fly extraction from the wave operator, and
 solution bases against their defining ODEs and the end-to-end residual.
 The joint-system, extraction and residual sweeps take the built ansatz and
 wave operator, and evaluate all their sample points as one grid jet
-(:meth:`Dual.seed_grid`), one lane per point.  A point at a branch point of
-the ansatz phase is a NaN lane, and a check that reads it is NaN, so it fails.
+(:meth:`Dual.seed_grid`), one lane per point.  The residual sweep also takes
+a tensor grid as an open mesh (:func:`default_grid`), on which each
+intermediate, the phase, Phi, the characteristic variable and each wave
+operator coefficient, is evaluated on the sub-grid of the coordinates it
+depends on and broadcast to the nodes.  A point at a branch point of the
+ansatz phase is a NaN lane, and a check that reads it is NaN, so it fails.
 """
 
 from __future__ import annotations
@@ -82,12 +86,13 @@ class SolutionAnsatz:
 
 
 def _phi_jets(phi_jet, v):
-    """(Phi, Phi', Phi'') at a point value ``v``, or per lane of a lane array."""
+    """(Phi, Phi', Phi'') at a point value ``v``, or per lane of a lane array,
+    in ``v``'s shape."""
     if not isinstance(v, np.ndarray):
         return phi_jet.jet(v)
     keys, lane = np.unique(v, return_inverse=True)
     table = np.array([phi_jet.jet(key) for key in keys], dtype=complex)
-    return table[lane].T
+    return np.moveaxis(table[lane.reshape(v.shape)], -1, 0)
 
 
 def ansatz(case_id: CaseId, config: FieldConfig, J: float,
@@ -174,20 +179,24 @@ def reduction_coefficients(ans: SolutionAnsatz, h: DiffOp2, points: Sequence[Seq
         return beta / alpha, gamma / alpha, v
 
 
-def reduction_residual(ans: SolutionAnsatz, h: DiffOp2, phi_jet,
-                       grid: Sequence[Sequence[float]]):
-    """(phi, residual) at every node of ``grid`` (an (N, 3) array, such as
-    :func:`default_grid`'s, or a list of points), from one grid jet of phi =
-    ``ans`` assembled with Phi = ``phi_jet``.  The residual is |h phi| / (1 +
+def reduction_residual(ans: SolutionAnsatz, h: DiffOp2, phi_jet, columns: Sequence[np.ndarray]):
+    """(phi, residual) at every node of the grid whose coordinate ``columns``
+    are given, from one grid jet of phi = ``ans`` assembled with Phi =
+    ``phi_jet``.  The columns are an open mesh, such as :func:`default_grid`'s,
+    on which each intermediate is evaluated on the sub-grid of the coordinates
+    it depends on, or the ``(N,)`` columns of a list of points
+    (:func:`dual.columns`).  Both come back flattened in C order, which is
+    :func:`nested_product`'s node order.  The residual is |h phi| / (1 +
     scale); a node dropped at a branch point of the ansatz phase is NaN.
     """
-    cols = dual.columns(grid)
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
     # a dropped lane divides by zero or takes the log of 0 on its way to NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        fv = ans.assemble(phi_jet)(Dual.seed_grid(cols))
-        val, scale = h.apply_jet(fv, h.values(cols))
+        fv = ans.assemble(phi_jet)(Dual.seed_grid(columns))
+        val, scale = h.apply_jet(fv, h.values(columns))
         residual = np.abs(val) / (1.0 + scale)
-    return dual.value(fv), residual
+    return (np.broadcast_to(dual.value(fv), shape).ravel(),
+            np.broadcast_to(residual, shape).ravel())
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +271,8 @@ def grid_nodes(axes: Sequence[np.ndarray]) -> np.ndarray:
     return np.fromiter(flat, float, n * len(axes)).reshape(n, len(axes))
 
 
-def default_grid(case_id: CaseId, counts: Sequence[int] = (10, 10, 10)) -> np.ndarray:
-    """The entry's box sampled at ``counts`` nodes per axis: the
-    :func:`grid_nodes` of its :func:`grid_axes`."""
-    return grid_nodes(grid_axes(integration(case_id).grid, counts))
+def default_grid(case_id: CaseId, counts: Sequence[int] = (10, 10, 10)) -> tuple[np.ndarray, ...]:
+    """The entry's box sampled at ``counts`` nodes per axis, as the open mesh
+    of its :func:`grid_axes`: complex coordinate columns of shapes (n1, 1, 1),
+    (1, n2, 1) and (1, 1, n3), which broadcast to the tensor grid."""
+    return np.ix_(*(ax.astype(complex) for ax in grid_axes(integration(case_id).grid, counts)))

@@ -85,20 +85,20 @@ class DiffOp2:
     def apply_jet(self, fv, values):
         """:meth:`apply_scaled` on an already evaluated 2-jet ``fv`` of f, from
         the :meth:`values` at its point; on a grid jet (:meth:`Dual.seed_grid`)
-        and the values on its columns, value and scale have one lane per node.
+        and the values on its columns, value and scale have one lane per node,
+        in the broadcast shape of the terms (an open mesh's sub-grids).
         """
         val, grad, hess = dual.parts(fv, self.nvars)
         total = 0j
         scale = 0.0
+        # out of place: on an open mesh a sum grows to the terms' broadcast shape
         for c, d in zip(values[:-1], [x for row in hess for x in row] + list(grad)):
             if not dual.is_zero(c):
                 term = c * d
-                total += term
-                scale += abs(term)
+                total = total + term
+                scale = scale + abs(term)
         term = values[-1] * val
-        total += term
-        scale += abs(term)
-        return total, scale
+        return total + term, scale + abs(term)
 
 
 def _lane_first(rows, coords):

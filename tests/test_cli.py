@@ -253,7 +253,9 @@ def test_wave_residual_runs_the_one_reduction_route(monkeypatch, argv):
     assert len(calls) == 1
     ans, h, _, grid = calls[0]
     assert isinstance(ans, SolutionAnsatz) and isinstance(h, operators.DiffOp2)
-    assert len(grid) == (27 if argv[0] == "solve" else 64)
+    # the open mesh of the grid's nodes
+    assert np.broadcast_shapes(*(c.shape for c in grid)) == \
+        ((3, 3, 3) if argv[0] == "solve" else (4, 4, 4))
 
 
 def test_verify_keys_come_from_the_one_table():
@@ -318,7 +320,7 @@ def test_solve_evaluates_wave_function_once_per_grid(monkeypatch):
     assert code == 0
     assert len(list(csv.reader(io.StringIO(out)))) == 1 + 27
     assert len(calls) == 1
-    assert [dual.value(c).shape for c in calls[0]] == [(27,)] * 3
+    assert [dual.value(c).shape for c in calls[0]] == [(3, 1, 1), (1, 3, 1), (1, 1, 3)]
 
 
 def test_solve_with_every_node_dropped_fails():
@@ -365,7 +367,8 @@ def _solve_rows_by_csv_writer(argv):
                                                            run.grid)]
     grid = [(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]
     phi, residual = integrate.reduction_residual(integrate.ansatz(case, cfg, run.J, run.lam),
-                                                 kg_operator(case, cfg), phi1, grid)
+                                                 kg_operator(case, cfg), phi1,
+                                                 dual.columns(grid))
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(list(chart_for(case, cfg.parameter_a).coord_names)

@@ -15,7 +15,7 @@ from dskg import dual, specfun
 from dskg.cases import integration
 from dskg.dual import Dual
 from dskg.fields import FieldConfig
-from dskg.integrate import (BranchPointError, ansatz, default_grid, grid_axes,
+from dskg.integrate import (BranchPointError, ansatz, default_grid, grid_axes, grid_nodes,
                             joint_system_residual, lambda_rep, reduced_ode,
                             reduction_coefficients, reduction_residual, solution_basis)
 from dskg.lie_core import CaseId, INTEGRABLE_CASES, standard_cocycle, subalgebra
@@ -203,7 +203,7 @@ def test_probe_on_the_cut_is_nan():
     p, q, _ = reduction_coefficients(a, h, probes)
     assert np.isfinite(p[0]) and np.isfinite(q[0]) and np.isnan(p[1]) and np.isnan(q[1])
     basis = solution_basis(CaseId.G32, cfg, 0.5)
-    phi, residual = reduction_residual(a, h, basis.phi1, probes)
+    phi, residual = reduction_residual(a, h, basis.phi1, dual.columns(probes))
     assert np.isfinite(phi[0]) and np.isnan(phi[1])
     assert math.isnan(np.max(residual))
 
@@ -651,31 +651,44 @@ def test_default_grid_is_the_nested_axis_product(case):
     counts = (3, 4, 5)
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(integration(case).grid, counts)]
     nested = [(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]
-    grid = default_grid(case, counts)
-    assert grid.dtype == np.float64 and grid.shape == (60, 3)
+    mesh = default_grid(case, counts)
+    assert [c.dtype for c in mesh] == [np.complex128] * 3
+    assert [c.shape for c in mesh] == [(3, 1, 1), (1, 4, 1), (1, 1, 5)]
     # the per-axis values that solve formats once are the grid's own
     assert all((got == want).all() for got, want in
                zip(grid_axes(integration(case).grid, counts), axes, strict=True))
-    assert [tuple(row) for row in grid.tolist()] == [tuple(map(float, pt)) for pt in nested]
-    for got, want in zip(dual.columns(grid), dual.columns(nested)):
-        assert got.dtype == want.dtype and (got == want).all()
+    # the open mesh, flattened in C order, is the nested product
+    flat = [np.broadcast_to(c, counts).ravel() for c in mesh]
+    assert [tuple(pt) for pt in zip(*(c.tolist() for c in flat))] == \
+        [tuple(map(complex, pt)) for pt in nested]
+    nodes = grid_nodes(grid_axes(integration(case).grid, counts))
+    for got, node, want in zip(flat, dual.columns(nodes), dual.columns(nested)):
+        assert got.dtype == node.dtype == want.dtype
+        assert got.tobytes() == node.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("case,lam,n,drops", [(c, None, 4, 0) for c in INTEGRABLE_CASES]
-                         + [(CaseId.G34, 1j, 5, 15)])
+                         + [(CaseId.G34, 1j, 5, 15)]
+                         + [pytest.param(c, None, (3, 4, 5), 0, id=f"{c.value}-None-3,4,5-0")
+                            for c in INTEGRABLE_CASES])
 def test_grid_jet_matches_the_point_jets(case, lam, n, drops):
     # oracle: the point route, one jet and one apply_jet per node; a node where
     # it raises at a branch point must be a NaN lane of the grid
+    counts = (n, n, n) if isinstance(n, int) else n
     cfg = make_config(case)
     lam = integration(case).lam if lam is None else lam
     h = kg_operator(case, cfg)
     ans, phi1 = ansatz(case, cfg, 1.0, lam), solution_basis(case, cfg, 1.0).phi1
     f = ans.assemble(phi1)
-    grid = default_grid(case, (n, n, n))
-    phi, residual = reduction_residual(ans, h, phi1, grid)
-    assert phi.shape == residual.shape == (len(grid),)
+    nodes = grid_nodes(grid_axes(integration(case).grid, counts))
+    phi, residual = reduction_residual(ans, h, phi1, default_grid(case, counts))
+    assert phi.shape == residual.shape == (len(nodes),)
+    # the open mesh gives the result of the nodes' flat (N,) columns bit for bit
+    flat_phi, flat_residual = reduction_residual(ans, h, phi1, dual.columns(nodes))
+    assert phi.tobytes() == flat_phi.tobytes()
+    assert residual.tobytes() == flat_residual.tobytes()
     dropped = []
-    for i, pt in enumerate(grid):
+    for i, pt in enumerate(nodes):
         try:
             fv = f(Dual.seed(pt))
             h.apply_jet(fv, h.values(pt))
@@ -695,7 +708,7 @@ def test_zero_solution_gives_zero_residual():
             return 0j, 0j, 0j
     cfg = make_config(CaseId.G34)
     _, r = reduction_residual(ansatz(CaseId.G34, cfg, 1.0, 0.3), kg_operator(CaseId.G34, cfg),
-                              Zero(), [(0.1, 0.1, 0.4)])
+                              Zero(), dual.columns([(0.1, 0.1, 0.4)]))
     assert np.max(r) == 0.0
 
 
@@ -705,7 +718,7 @@ def test_non_solution_has_visible_residual():
             return 1.0 + 0j, 0j, 0j
     cfg = make_config(CaseId.G34)
     _, r = reduction_residual(ansatz(CaseId.G34, cfg, 1.0, 0.3), kg_operator(CaseId.G34, cfg),
-                              One(), [(0.1, 0.1, 0.4), (0.2, -0.1, 0.8)])
+                              One(), dual.columns([(0.1, 0.1, 0.4), (0.2, -0.1, 0.8)]))
     assert np.max(r) > 1e-3
 
 
